@@ -15,6 +15,7 @@ interpolation study tracking how the optimal eigenvectors rotate.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -25,10 +26,17 @@ from .channels import (
     Interpolated,
     KroneckerGaussian,
     PointMass,
+    _small_gram,
     expected_gram,
     sample_batch,
 )
-from .covopt import CovOptResult, OptimizerOptions, fixed_point_diag, iterate_general
+from .covopt import (
+    CovOptResult,
+    OptimizerOptions,
+    _as_opts,
+    fixed_point_diag,
+    iterate_general,
+)
 from .linalg import as_hermitian, herm_eig, psd_sqrt, scaled_expint_gamma0
 from .montecarlo import (
     DEFAULT_SAMPLES_INNER,
@@ -93,10 +101,9 @@ def beamform_opt_mc(r_corr, t_corr, gamma: float,
     u /= np.sqrt(2)
     w1 = np.einsum("si,ij,sj->s", u.conj(), r_corr, u).real
     w2 = np.einsum("si,ij,sj->s", u.conj(), r_corr @ r_corr, u).real
-    x = (w1 + gamma * tau2 * w2) / (1.0 + gamma * tau1 * w1)
-    margin = float(x.mean() - r * tau2 / tau1)
-    se = float(x.std(ddof=1) / np.sqrt(samples))
-    return BeamformVerdict(margin > 0, margin, "monte-carlo", se)
+    est = McEstimate.of((w1 + gamma * tau2 * w2) / (1.0 + gamma * tau1 * w1))
+    margin = float(est.mean - r * tau2 / tau1)
+    return BeamformVerdict(margin > 0, margin, "monte-carlo", est.se)
 
 
 def _f_expint(x):
@@ -214,20 +221,13 @@ def high_snr_capacity(law: ChannelLaw, gamma: float,
     t = law.tx
     stream = as_stream(rng)
     h = sample_batch(law, samples, stream.child(0).generator())
-    r = law.rx
-    if r <= t:
-        gram = np.einsum("sik,sjk->sij", h, h.conj())
-    else:
-        gram = np.einsum("ski,skj->sij", h.conj(), h)
-    sign, logdet = np.linalg.slogdet(gram)
+    sign, logdet = np.linalg.slogdet(_small_gram(h))
     good = (sign.real > 0) & np.isfinite(logdet)
     excluded = int(samples - good.sum())
     if excluded:
         warnings.warn(f"excluded {excluded} singular draws", stacklevel=2)
-    vals = logdet[good].real
-    mean = t * np.log(gamma / t) + vals.mean()
-    se = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    approx = McEstimate(float(mean), se, int(vals.size))
+    est = McEstimate.of(logdet[good].real)
+    approx = McEstimate(float(t * np.log(gamma / t) + est.mean), est.se, est.samples)
     q = np.eye(t) / t
     exact = ergodic_mi(q, law, gamma, samples, stream.child(1))
     return HighSnrResult(q, approx, exact, excluded)
@@ -292,20 +292,15 @@ def interp_study(m0, noise_cov, kappa_grid, gamma: float,
     straight interpolation of the mean and noise axes).
     """
     m0 = np.asarray(m0, dtype=complex)
+    base = _as_opts(opts)
     out = []
     for i, kappa in enumerate(np.asarray(kappa_grid, dtype=float)):
         law: ChannelLaw = (PointMass(m0) if kappa == 1.0
                            else Interpolated(float(kappa), m0, noise_cov))
-        o = _with_seed_offset(opts, i)
-        res = iterate_general(law, gamma, o)
+        res = iterate_general(law, gamma,
+                              dataclasses.replace(base, seed=base.seed + 7919 * i))
         u, lam = herm_eig(res.q)
         gu, _ = herm_eig(expected_gram(law))
         out.append(InterpPoint(float(kappa), res, u, lam,
                                _principal_angle(u[:, 0], gu[:, 0])))
     return out
-
-
-def _with_seed_offset(opts, offset: int) -> OptimizerOptions:
-    base = opts if isinstance(opts, OptimizerOptions) else OptimizerOptions(
-        **(dict(opts) if opts else {}))
-    return OptimizerOptions(**{**base.__dict__, "seed": base.seed + 7919 * offset})

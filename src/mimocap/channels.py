@@ -271,10 +271,6 @@ class EigDensity:
         """Integral of ``fn(lam) * f(lam)`` over ``lam > a``."""
         raise NotImplementedError
 
-    def check_normalization(self) -> float:
-        """Total probability mass (should be 1 within quadrature error)."""
-        return self.trunc_moment(lambda lam: np.ones_like(lam), 0.0) + self.cdf(0.0)
-
 
 @dataclass(frozen=True)
 class WishartDensity(EigDensity):
@@ -330,9 +326,7 @@ class WishartDensity(EigDensity):
 
     def sample_eigs(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Eigenvalue draws of sampled Wishart matrices, shape (size, m)."""
-        g = _circular_gaussian(rng, (size, self.m, self.n))
-        gram = np.einsum("sik,sjk->sij", g, g.conj())
-        return np.linalg.eigvalsh(gram)
+        return gram_eigs(_circular_gaussian(rng, (size, self.m, self.n)))
 
 
 @dataclass(frozen=True)
@@ -436,41 +430,45 @@ def wishart_density(m: int, n: int) -> WishartDensity:
 def empirical_density(law: ChannelLaw, pool: int, rng: np.random.Generator) -> EigDensity:
     """Empirical eigenvalue density of H H^H from ``pool`` draws of the law.
 
-    A point-mass law short-circuits to the exact discrete density of its
-    fixed eigenvalues.
+    Point-mass and finite-mixture laws short-circuit to the exact discrete
+    density of their atoms' eigenvalues.
     """
     if pool < 1000:
         raise ValueError("pool must be at least 10^3")
-    m = min(law.shape)
-    if isinstance(law, PointMass):
-        eigs = gram_eigs(law.h0[None, :, :])[0]
-        vals, counts = np.unique(np.round(eigs, 12), return_counts=True)
-        return PointMassDensity(vals, counts / m, m=m)
-    if isinstance(law, FiniteMixture):
-        vals = []
-        wts = []
-        for w, a in zip(law.weights, law.atoms):
-            eigs = gram_eigs(a[None, :, :])[0]
-            vals.extend(np.round(eigs, 12))
-            wts.extend([w / m] * m)
-        vals = np.asarray(vals)
-        wts = np.asarray(wts)
-        uniq = np.unique(vals)
-        agg = np.array([wts[vals == u].sum() for u in uniq])
-        return PointMassDensity(uniq, agg, m=m)
+    atoms = _atom_spectra(law)
+    if atoms is not None:
+        eigs, weights = atoms
+        m = eigs.shape[1]
+        vals, where = np.unique(np.round(eigs, 12), return_inverse=True)
+        mass = np.bincount(where.ravel(), weights=np.repeat(weights / m, m))
+        return PointMassDensity(vals, mass, m=m)
     h = sample_batch(law, pool, rng)
     return EmpiricalDensity(gram_eigs(h))
 
 
+def _atom_spectra(law: ChannelLaw):
+    """Eigenvalue rows of H H^H for each atom of a discrete law, with weights.
+
+    Returns ((atoms, m) eigenvalues, (atoms,) weights) for point-mass and
+    finite-mixture laws, and None for laws with a continuous part.
+    """
+    if isinstance(law, PointMass):
+        return gram_eigs(law.h0[None, :, :]), np.ones(1)
+    if isinstance(law, FiniteMixture):
+        return gram_eigs(np.stack(law.atoms)), law.weights
+    return None
+
+
+def _small_gram(h: np.ndarray) -> np.ndarray:
+    """Per-draw Gram matrix on the smaller side: H H^H if r <= t, else H^H H."""
+    if h.shape[1] > h.shape[2]:
+        h = np.conj(np.swapaxes(h, 1, 2))
+    return np.einsum("sik,sjk->sij", h, h.conj())
+
+
 def gram_eigs(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of H H^H per draw, via the smaller Gram matrix."""
-    size, r, t = h.shape
-    if r <= t:
-        gram = np.einsum("sik,sjk->sij", h, h.conj())
-    else:
-        gram = np.einsum("ski,skj->sij", h.conj(), h)
-    eigs = np.linalg.eigvalsh(gram)
-    return np.maximum(eigs, 0.0)
+    """Eigenvalues of H H^H per draw, via the smaller Gram matrix, clamped at 0."""
+    return np.maximum(np.linalg.eigvalsh(_small_gram(h)), 0.0)
 
 
 def onoff_density(m: int, p: float) -> PointMassDensity:

@@ -40,7 +40,7 @@ from .channels import (
     wishart_density,
 )
 from .covopt import OptimizerOptions
-from .linalg import herm_eig
+from .linalg import haar_unitary, herm_eig
 from .montecarlo import SeededStream, ergodic_mi
 from .waterfill import InfeasibleError
 
@@ -62,7 +62,8 @@ def _add_common(p: argparse.ArgumentParser, channel: bool = True) -> None:
                      help="SNR grid in dB as a:b:step, or a single value "
                           "(write --snr-db=-10:30:2 for negative starts)")
     snr.add_argument("--snr", type=float, help="single linear SNR")
-    p.add_argument("--samples", type=int, default=10_000, help="Monte Carlo samples")
+    p.add_argument("--samples", type=_sample_count, default=10_000,
+                   help="Monte Carlo samples (at least 2)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (fixed default)")
     p.add_argument("--tol", type=float, default=1e-3, help="solver tolerance")
     p.add_argument("--max-iter", type=int, default=500, help="iteration cap")
@@ -71,22 +72,40 @@ def _add_common(p: argparse.ArgumentParser, channel: bool = True) -> None:
     p.add_argument("--unit", choices=("nats", "bits"), default="nats")
 
 
+def _sample_count(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {n}")
+    return n
+
+
+def _grid(text: str) -> np.ndarray:
+    """Points of an ``a:b:step`` grid (b included), or of a single value."""
+    vals = [float(x) for x in text.split(":")]
+    if len(vals) not in (1, 3) or not np.all(np.isfinite(vals)):
+        raise ValueError(f"grid {text!r} must be a finite value or a:b:step")
+    if len(vals) == 1:
+        return np.array(vals)
+    a, b, step = vals
+    if step == 0:
+        raise ValueError(f"grid {text!r} has a zero step")
+    grid = np.arange(a, b + 1e-9, step)
+    if grid.size == 0:
+        raise ValueError(f"empty grid {text!r}")
+    return grid
+
+
 def _parse_snr(args) -> np.ndarray:
     if args.snr is not None:
-        if args.snr <= 0:
-            raise ValueError("--snr must be positive")
-        return np.array([args.snr])
-    if args.snr_db is None:
+        gammas = np.array([args.snr])
+    elif args.snr_db is None:
         return np.array([1.0])
-    txt = args.snr_db
-    if ":" in txt:
-        a, b, step = (float(x) for x in txt.split(":"))
-        grid_db = np.arange(a, b + 1e-9, step)
-        if grid_db.size == 0:
-            raise ValueError(f"empty SNR grid {txt!r}")
     else:
-        grid_db = np.array([float(txt)])
-    return 10.0 ** (grid_db / 10.0)
+        with np.errstate(over="ignore"):
+            gammas = 10.0 ** (_grid(args.snr_db) / 10.0)
+    if not np.all(np.isfinite(gammas) & (gammas > 0)):
+        raise ValueError("SNR must be finite and positive")
+    return gammas
 
 
 def _load_descriptor(text: str) -> dict:
@@ -160,10 +179,6 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _matrix_json(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 RESULT_SCHEMA = {
@@ -244,9 +259,9 @@ def cmd_optimize(args) -> int:
         "kkt_residual": res.kkt_residual,
         "converged": res.converged,
         "iterations": res.iterations,
-        "q": _matrix_json(res.q),
+        "q": channels._matrix_to_json(res.q),
         "eigenvalues": [float(x) for x in lam],
-        "eigenvectors": _matrix_json(u),
+        "eigenvectors": channels._matrix_to_json(u),
     }
     validate_result("optimize", doc)
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
@@ -263,8 +278,7 @@ def cmd_beamform(args) -> int:
         raise ValueError("beamform expects a single SNR")
     gamma = float(gammas[0])
     if args.boundary:
-        a, b, step = (float(x) for x in args.rho_grid.split(":"))
-        curve = analysis.beamform_boundary(gamma, np.arange(a, b + 1e-9, step))
+        curve = analysis.beamform_boundary(gamma, _grid(args.rho_grid))
         _write_rows(args.out, ["rho", "tau_star"],
                     [[float(r), float(t)] for r, t in curve], args.format)
         return 0
@@ -290,39 +304,30 @@ def cmd_beamform(args) -> int:
 # figure data tables
 # ---------------------------------------------------------------------------
 
-def _snr_grid_db(args, default: str) -> np.ndarray:
-    txt = args.snr_db or default
-    a, b, step = (float(x) for x in txt.split(":"))
-    return np.arange(a, b + 1e-9, step)
-
-
 def _uniform_rate(density: EigDensity, gamma: float) -> float:
     """Rate with Q = I/t (equal power, no channel knowledge at the transmitter)."""
     m = density.m
     return m * density.trunc_moment(lambda lam: np.log1p(gamma / m * lam), 0.0)
 
 
-def _fig_gains(args, m: int):
-    grid_db = _snr_grid_db(args, "-10:30:2")
+def _rayleigh_rates(args, m: int):
+    """Per SNR point on m x m Rayleigh: (dB, capacity, per-symbol rate, Q = I/t rate)."""
     dens = wishart_density(m, m)
     stream = SeededStream(args.seed)
-    rows = []
-    for k, db in enumerate(grid_db):
+    for k, db in enumerate(_grid(args.snr_db or "-10:30:2")):
         g = 10 ** (db / 10.0)
         xi = waterfill.st_water_level(dens, g)
         st = waterfill.st_capacity(dens, xi)
         naive = waterfill.naive_avg_rate(dens, g, samples=args.samples,
                                          rng=stream.child(k))
-        uni = _uniform_rate(dens, g)
-        rows.append([float(db), st / uni, naive / uni])
-    return ["snr_db", "gain_space_time", "gain_space"], rows
+        yield float(db), st, naive, _uniform_rate(dens, g)
 
 
 def _figure_table(fig: str, args):
     scale, unit = _rate_scale(args.unit)
     stream = SeededStream(args.seed)
     if fig == "fig1":
-        grid_db = _snr_grid_db(args, "-10:30:2")
+        grid_db = _grid(args.snr_db or "-10:30:2")
         dens = wishart_density(1, 1)
         rows = []
         for db in grid_db:
@@ -333,25 +338,16 @@ def _figure_table(fig: str, args):
             rows.append([float(db), cap, const])
         return ["snr_db", f"capacity_{unit}", f"const_power_rate_{unit}"], rows
     if fig == "fig2":
-        grid_db = _snr_grid_db(args, "-10:30:2")
-        dens = wishart_density(2, 2)
-        rows = []
-        for k, db in enumerate(grid_db):
-            g = 10 ** (db / 10.0)
-            xi = waterfill.st_water_level(dens, g)
-            st = waterfill.st_capacity(dens, xi) * scale
-            naive = waterfill.naive_avg_rate(dens, g, samples=args.samples,
-                                             rng=stream.child(k)) * scale
-            uni = _uniform_rate(dens, g) * scale
-            rows.append([float(db), st, naive, uni])
+        rows = [[db, st * scale, naive * scale, uni * scale]
+                for db, st, naive, uni in _rayleigh_rates(args, 2)]
         return ["snr_db", f"capacity_{unit}", f"space_waterfill_{unit}",
                 f"uniform_{unit}"], rows
-    if fig == "fig3":
-        return _fig_gains(args, 2)
-    if fig == "fig4":
-        return _fig_gains(args, 4)
+    if fig in ("fig3", "fig4"):
+        rows = [[db, st / uni, naive / uni]
+                for db, st, naive, uni in _rayleigh_rates(args, 2 if fig == "fig3" else 4)]
+        return ["snr_db", "gain_space_time", "gain_space"], rows
     if fig == "fig5":
-        grid_db = _snr_grid_db(args, "-10:20:1")
+        grid_db = _grid(args.snr_db or "-10:20:1")
         rows = []
         for db in grid_db:
             g = 10 ** (db / 10.0)
@@ -374,7 +370,7 @@ def _figure_table(fig: str, args):
                 rows.append([float(db), float(p), float(f), pd.atom0])
         return ["snr_db", "power", "pdf", "atom0"], rows
     if fig == "fig7":
-        grid_db = _snr_grid_db(args, "-10:20:5")
+        grid_db = _grid(args.snr_db or "-10:20:5")
         tau = args.tau
         rows = []
         opts = OptimizerOptions(tol=args.tol, max_iter=args.max_iter,
@@ -396,15 +392,14 @@ def _figure_table(fig: str, args):
         rows = []
         for db in (-15, -10, -5, 0, 5, 10, 15):
             g = 10 ** (db / 10.0)
-            curve = analysis.beamform_boundary(g, np.arange(1.0, 1.95 + 1e-9, 0.05))
+            curve = analysis.beamform_boundary(g, _grid("1.0:1.95:0.05"))
             for rho, tau_star in curve:
                 rows.append([float(db), float(rho), float(tau_star)])
         return ["snr_db", "rho", "tau_star"], rows
     if fig == "fig9":
         cap = float(np.log(2.5) + np.log(1.25))
         rows = []
-        gen = np.random.default_rng(args.seed)
-        from .linalg import haar_unitary
+        gen = stream.generator()
         for k in range(5):
             u = haar_unitary(2, gen)
             h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
@@ -418,7 +413,7 @@ def _figure_table(fig: str, args):
         n = args.size
         tau = args.tau
         t_corr = tau * np.ones((n, n)) + (1 - tau) * np.eye(n)
-        gen = np.random.default_rng(args.seed)
+        gen = stream.generator()
         rows = []
         for trial in range(3):
             mu = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / np.sqrt(2)

@@ -32,6 +32,8 @@ from .montecarlo import (
     DEFAULT_SAMPLES_INNER,
     McEstimate,
     SeededStream,
+    _log_dets,
+    _snr_gram,
     as_stream,
     ergodic_mi,
 )
@@ -53,6 +55,11 @@ __all__ = [
 MODE_OFF = 1e-6
 #: floor keeping the diagonal iteration's inverse well defined
 MODE_FLOOR = 1e-12
+#: weight of the new iterate in both optimizers' damped updates (the general
+#: one halves its own copy when the pool MI drops)
+DAMPING = 0.5
+#: most iterations on one frozen pool before a fresh-pool convergence check
+INNER_MAX = 80
 
 
 @dataclass(frozen=True)
@@ -63,9 +70,7 @@ class OptimizerOptions:
     max_iter: int = 500
     samples: int = DEFAULT_SAMPLES_INNER
     final_samples: int = DEFAULT_SAMPLES_FINAL
-    damping: float = 0.5
     seed: int = 0
-    inner_max: int = 80
 
     @classmethod
     def from_dict(cls, obj: dict) -> "OptimizerOptions":
@@ -117,8 +122,7 @@ def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
         if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
             raise ValueError("diagonalizing basis must be unitary")
         h = h @ basis
-    s = gamma * np.einsum("ski,skj->sij", h.conj(), h)
-    return 0.5 * (s + np.conj(np.swapaxes(s, 1, 2)))
+    return _snr_gram(h, gamma)
 
 
 def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -130,12 +134,8 @@ def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _pool_mi(s_pool: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     """Mean and SE of log det(I + S Q) over the pool."""
-    t = q.shape[0]
-    sign, logdet = np.linalg.slogdet(np.eye(t) + s_pool @ q)
-    vals = logdet.real
-    n = vals.size
-    se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(vals.mean()), se
+    est = McEstimate.of(_log_dets(s_pool, q))
+    return est.mean, est.se
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +199,14 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
     residual = np.inf
     while iters < opts.max_iter and not converged:
         pool = _s_pool(law, gamma, basis, opts.samples, stream.child(2 * epoch))
-        for _ in range(opts.inner_max):
+        for _ in range(INNER_MAX):
             if iters >= opts.max_iter:
                 break
             d = _diag_condition(pool, qvec)
             res_trace.append(_diag_residual_from_d(d, qvec))
             step = qvec * d
             step /= step.sum()
-            new = (1.0 - opts.damping) * qvec + opts.damping * step \
-                if opts.damping < 1.0 else step
+            new = (1.0 - DAMPING) * qvec + DAMPING * step
             new = np.maximum(new, MODE_FLOOR)
             new /= new.sum()
             delta = np.abs(new - qvec).max()
@@ -282,14 +281,8 @@ def grad_matrix(tfac, law: ChannelLaw, gamma: float,
     tfac = np.asarray(tfac, dtype=complex)
     q = ut_gram(tfac)
     pool = _s_pool(law, gamma, None, samples, as_stream(rng))
-    vals = _resolvent_gradient(pool, q)
-    mean = vals.mean(axis=0)
-    n = vals.shape[0]
-    if n > 1:
-        se = np.sqrt(vals.real.var(axis=0, ddof=1) + vals.imag.var(axis=0, ddof=1)) / np.sqrt(n)
-    else:
-        se = np.zeros(mean.shape)
-    return GradMatrix(mean, se, n)
+    est = McEstimate.of(_resolvent_gradient(pool, q))
+    return GradMatrix(est.mean, est.se, est.samples)
 
 
 def _phase_fix_rows(t: np.ndarray) -> np.ndarray:
@@ -368,7 +361,7 @@ def iterate_general(law: ChannelLaw, gamma: float,
     tfac = _normalize_ut(np.eye(t, dtype=complex) if init is None
                          else np.asarray(init, dtype=complex))
     stream = as_stream(opts.seed)
-    alpha = opts.damping
+    alpha = DAMPING
     trace = []
     res_trace = []
     iters = 0
@@ -380,7 +373,7 @@ def iterate_general(law: ChannelLaw, gamma: float,
         pool = _s_pool(law, gamma, None, opts.samples, stream.child(2 * epoch))
         mi_prev, _ = _pool_mi(pool, ut_gram(tfac))
         flat = 0
-        for _ in range(opts.inner_max):
+        for _ in range(INNER_MAX):
             if iters >= opts.max_iter:
                 break
             m = np.mean(_resolvent_gradient(pool, ut_gram(tfac)), axis=0)

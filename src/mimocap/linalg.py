@@ -22,7 +22,6 @@ __all__ = [
     "ut_gram",
     "chol_upper",
     "psd_sqrt",
-    "psd_project",
     "expint_gamma0",
     "scaled_expint_gamma0",
     "log_det_plus",
@@ -144,16 +143,6 @@ def psd_sqrt(a) -> np.ndarray:
     u, lam = herm_eig(a)
     lam = np.where(lam < 0, 0.0, lam)
     return (u * np.sqrt(lam)) @ u.conj().T
-
-
-def psd_project(a) -> np.ndarray:
-    """Clamp tiny negative eigenvalues of a nominally-PSD Hermitian matrix."""
-    u, lam = herm_eig(a)
-    scale = max(abs(lam[0]), 1.0) if lam.size else 1.0
-    if lam.min() < -PSD_TOL * scale * a.shape[0]:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    lam = np.where(lam < 0, 0.0, lam)
-    return (u * lam) @ u.conj().T
 
 
 def expint_gamma0(x):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelLaw, PointMass, sample_batch
-from .linalg import as_hermitian, psd_sqrt
+from .linalg import as_hermitian
 
 __all__ = ["SeededStream", "McEstimate", "as_stream", "ergodic_mi",
            "expect_matrix", "BATCH"]
@@ -63,6 +63,16 @@ class McEstimate:
     def __iter__(self):
         return iter((self.mean, self.se, self.samples))
 
+    @classmethod
+    def of(cls, vals: np.ndarray) -> "McEstimate":
+        """Mean and SE over axis 0 of per-draw values; floats for scalar draws."""
+        n = vals.shape[0]
+        mean = vals.mean(axis=0)
+        se = vals.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean, dtype=float)
+        if vals.ndim == 1:
+            mean, se = float(mean), float(se)
+        return cls(mean, se, n)
+
 
 def _batched_values(fn, law, samples, stream):
     """Evaluate fn on iid channel batches; returns the stacked value array."""
@@ -78,22 +88,15 @@ def _batched_values(fn, law, samples, stream):
     return np.concatenate(chunks, axis=0)
 
 
-def batch_log_det(h: np.ndarray, q: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-draw ``log det(I + gamma * H Q H^H)`` for a (size, r, t) batch.
+def _snr_gram(h: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-draw S = gamma * H^H H, exactly Hermitian, shape (size, t, t)."""
+    s = gamma * np.einsum("ski,skj->sij", h.conj(), h)
+    return 0.5 * (s + np.conj(np.swapaxes(s, 1, 2)))
 
-    Uses the eigenvalues of the symmetrized small-side Gram matrix, matching
-    the scalar routine in :mod:`mimocap.linalg`.
-    """
-    size, r, t = h.shape
-    qh = psd_sqrt(q)
-    b = h @ qh  # (size, r, t)
-    if r <= t:
-        core = np.einsum("sik,sjk->sij", b, b.conj())
-    else:
-        core = np.einsum("ski,skj->sij", b.conj(), b)
-    core = 0.5 * (core + np.conj(np.swapaxes(core, 1, 2)))
-    lam = np.maximum(np.linalg.eigvalsh(core), 0.0)
-    return np.sum(np.log1p(gamma * lam), axis=1)
+
+def _log_dets(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-draw ``log det(I + S Q)`` in nats for a (size, t, t) stack of S."""
+    return np.linalg.slogdet(np.eye(q.shape[0]) + s @ q)[1]
 
 
 def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_FINAL,
@@ -118,12 +121,11 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     if np.trace(q).real > 1.0 + 1e-9:
         raise ValueError("transmit covariance must have trace <= 1")
     if isinstance(law, PointMass):
-        val = batch_log_det(law.h0[None, :, :], q, gamma)[0]
-        return McEstimate(float(val), 0.0, 1)
-    stream = as_stream(rng)
-    vals = _batched_values(lambda h: batch_log_det(h, q, gamma), law, samples, stream)
-    se = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return McEstimate(float(np.mean(vals)), se, samples)
+        vals = _log_dets(_snr_gram(law.h0[None, :, :], gamma), q)
+    else:
+        vals = _batched_values(lambda h: _log_dets(_snr_gram(h, gamma), q),
+                               law, samples, as_stream(rng))
+    return McEstimate.of(vals)
 
 
 def expect_matrix(fn, law: ChannelLaw, samples: int = DEFAULT_SAMPLES_INNER,
@@ -134,10 +136,5 @@ def expect_matrix(fn, law: ChannelLaw, samples: int = DEFAULT_SAMPLES_INNER,
     (stacked on axis 0). Point-mass laws are evaluated exactly.
     """
     if isinstance(law, PointMass):
-        val = np.asarray(fn(law.h0[None, :, :]))[0]
-        return McEstimate(val, np.zeros_like(val, dtype=float), 1)
-    stream = as_stream(rng)
-    vals = _batched_values(fn, law, samples, stream)
-    mean = vals.mean(axis=0)
-    se = vals.std(axis=0, ddof=1) / np.sqrt(samples) if samples > 1 else np.zeros_like(mean)
-    return McEstimate(mean, np.abs(se), samples)
+        return McEstimate.of(np.asarray(fn(law.h0[None, :, :])))
+    return McEstimate.of(_batched_values(fn, law, samples, as_stream(rng)))

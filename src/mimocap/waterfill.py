@@ -15,7 +15,6 @@ the allocation at a peak-power cap.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -27,12 +26,11 @@ from .channels import (
     ChannelLaw,
     EigDensity,
     EmpiricalDensity,
-    FiniteMixture,
-    PointMass,
     PointMassDensity,
     WishartDensity,
-    sample_batch,
+    _atom_spectra,
     gram_eigs,
+    sample_batch,
 )
 from .linalg import svd
 from .montecarlo import SeededStream, as_stream
@@ -67,6 +65,25 @@ class WaterfillSolution:
     active: int
 
 
+def _waterfill_rows(rows: np.ndarray, budget: float):
+    """Water-fill every row of an (N, m) eigenvalue array with the full budget.
+
+    Per row, the level of the k strongest modes is mu_k = (budget + sum of
+    their 1/lam) / k, and the active set is the largest k with mu_k >= 1/lam_k.
+    Returns (level, active, rate) per row; a row with no positive eigenvalue
+    has no level (nan), no active mode and rate 0.
+    """
+    lam = -np.sort(-np.asarray(rows, dtype=float), axis=1)
+    inv = np.divide(1.0, lam, out=np.full(lam.shape, np.inf), where=lam > 0)
+    k = np.arange(1, lam.shape[1] + 1)
+    levels = (budget + np.cumsum(inv, axis=1)) / k
+    valid = (levels >= inv) & np.isfinite(inv)
+    active = np.where(valid.any(axis=1), lam.shape[1] - np.argmax(valid[:, ::-1], axis=1), 0)
+    level = np.where(active > 0, levels[np.arange(lam.shape[0]), active - 1], np.nan)
+    logs = np.log(level[:, None] * lam, out=np.zeros(lam.shape), where=k <= active[:, None])
+    return level, active, logs.sum(axis=1)
+
+
 def waterfill_det(eigs, budget: float) -> WaterfillSolution:
     """Water-filling over fixed eigenvalues with a hard power budget.
 
@@ -78,30 +95,12 @@ def waterfill_det(eigs, budget: float) -> WaterfillSolution:
         raise ValueError("eigenvalues must be a non-negative vector")
     if budget <= 0:
         raise ValueError("budget must be positive")
-    pos = np.sort(lam[lam > 0])[::-1]
-    if pos.size == 0:
+    if not np.any(lam > 0):
         raise ValueError("cannot water-fill: all eigenvalues are zero")
-    inv = 1.0 / pos
-    # Largest k with mu = (budget + sum inv[:k]) / k above the k-th threshold.
-    mu = None
-    k_active = 0
-    for k in range(pos.size, 0, -1):
-        cand = (budget + inv[:k].sum()) / k
-        if cand >= inv[k - 1]:
-            mu, k_active = cand, k
-            break
-    assert mu is not None
-    powers_sorted = np.maximum(mu - inv, 0.0)
-    rate = float(np.sum(np.log(mu * pos[:k_active])))
-    # Report powers in the caller's eigenvalue order.
-    powers = np.zeros_like(lam)
-    order = np.argsort(-lam, kind="stable")
-    taken = 0
-    for idx in order:
-        if lam[idx] > 0:
-            powers[idx] = powers_sorted[taken]
-            taken += 1
-    return WaterfillSolution(float(mu), powers, rate, k_active)
+    level, active, rate = _waterfill_rows(lam[None, :], budget)
+    inv = np.divide(1.0, lam, out=np.full_like(lam, np.inf), where=lam > 0)
+    powers = np.maximum(level[0] - inv, 0.0)
+    return WaterfillSolution(float(level[0]), powers, float(rate[0]), int(active[0]))
 
 
 def _avg_power(density: EigDensity, xi: float) -> float:
@@ -169,30 +168,36 @@ def instantaneous_covariance(h, xi: float) -> np.ndarray:
     return (vh.conj().T * powers) @ vh
 
 
-def _mixture_naive(law: FiniteMixture, budget: float) -> float:
-    total = 0.0
-    for w, atom in zip(law.weights, law.atoms):
-        eigs = gram_eigs(atom[None, :, :])[0]
-        if np.all(eigs <= 0):
-            continue  # no usable mode this draw; transmit nothing
-        total += w * waterfill_det(eigs, budget).rate
-    return total
+def _naive_rows(source, samples: int, rng) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-draw eigenvalue rows of a baseline source and their weights.
 
-
-def _independent_modes_naive(density: PointMassDensity, budget: float) -> float:
-    vals = density.values
-    wts = density.weights
-    m = density.m
-    if len(vals) ** m > 20_000:
-        raise ValueError("mode enumeration too large; use a sampled law instead")
-    total = 0.0
-    for combo in itertools.product(range(len(vals)), repeat=m):
-        w = float(np.prod(wts[list(combo)]))
-        eigs = vals[list(combo)]
-        if np.all(eigs <= 0):
-            continue
-        total += w * waterfill_det(eigs, budget).rate
-    return total
+    Weights are None where every row is one equally likely draw.
+    """
+    if isinstance(source, ChannelLaw):
+        atoms = _atom_spectra(source)
+        if atoms is not None:
+            return atoms
+        h = sample_batch(source, samples, as_stream(rng).generator())
+        return gram_eigs(h), None
+    if isinstance(source, EmpiricalDensity):
+        return source.draws, None
+    if isinstance(source, WishartDensity):
+        return source.sample_eigs(samples, as_stream(rng).generator()), None
+    if isinstance(source, PointMassDensity):
+        vals, m = source.values, source.m
+        if source.independent_modes:
+            if len(vals) ** m > 20_000:
+                raise ValueError("mode enumeration too large; use a sampled law instead")
+            combos = np.indices((len(vals),) * m).reshape(m, -1).T
+            return vals[combos], source.weights[combos].prod(axis=1)
+        # Marginal of a fixed multiset: weights are counts / m.
+        counts = source.weights * m
+        if np.any(np.abs(counts - np.round(counts)) > 1e-9):
+            raise ValueError(
+                "discrete density is not a fixed-multiset marginal; "
+                "set independent_modes or pass the channel law itself")
+        return np.repeat(vals, np.round(counts).astype(int))[None, :], None
+    raise TypeError(f"cannot compute a per-draw baseline from {type(source).__name__}")
 
 
 def naive_avg_rate(source, budget: float, samples: int = 100_000,
@@ -203,43 +208,14 @@ def naive_avg_rate(source, budget: float, samples: int = 100_000,
     source must carry it: a channel law (drawn directly), an empirical
     density (per-draw rows of its pool), a Wishart density (fresh Gaussian
     draws), or a discrete density that is either the marginal of a fixed
-    eigenvalue multiset or flagged as independent across modes.
+    eigenvalue multiset or flagged as independent across modes. A draw with
+    no usable mode transmits nothing and contributes rate 0.
     """
-    if isinstance(source, PointMass):
-        eigs = gram_eigs(source.h0[None, :, :])[0]
-        return waterfill_det(eigs, budget).rate
-    if isinstance(source, FiniteMixture):
-        return _mixture_naive(source, budget)
-    if isinstance(source, ChannelLaw):
-        h = sample_batch(source, samples, as_stream(rng).generator())
-        return _rows_naive(gram_eigs(h), budget)
-    if isinstance(source, EmpiricalDensity):
-        return _rows_naive(source.draws, budget)
-    if isinstance(source, WishartDensity):
-        eigs = source.sample_eigs(samples, as_stream(rng).generator())
-        return _rows_naive(eigs, budget)
-    if isinstance(source, PointMassDensity):
-        if source.independent_modes:
-            return _independent_modes_naive(source, budget)
-        # Marginal of a fixed multiset: weights are counts / m.
-        counts = source.weights * source.m
-        if np.any(np.abs(counts - np.round(counts)) > 1e-9):
-            raise ValueError(
-                "discrete density is not a fixed-multiset marginal; "
-                "set independent_modes or pass the channel law itself")
-        eigs = np.repeat(source.values, np.round(counts).astype(int))
-        return waterfill_det(eigs, budget).rate
-    raise TypeError(f"cannot compute a per-draw baseline from {type(source).__name__}")
-
-
-def _rows_naive(rows: np.ndarray, budget: float) -> float:
-    rates = np.empty(rows.shape[0])
-    for i, eigs in enumerate(rows):
-        if np.all(eigs <= 1e-300):
-            rates[i] = 0.0
-        else:
-            rates[i] = waterfill_det(eigs, budget).rate
-    return float(rates.mean())
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    rows, weights = _naive_rows(source, samples, rng)
+    rates = _waterfill_rows(rows, budget)[2]
+    return float(np.average(rates, weights=weights))
 
 
 def papr(xi: float, budget: float, m: int) -> float:
@@ -301,15 +277,10 @@ def power_density(density: EigDensity, xi: float, grid) -> PowerDensity:
     if np.any(grid <= 0) or np.any(grid >= xi):
         raise ValueError("power grid must lie strictly inside (0, xi)")
     if isinstance(density, PointMassDensity):
-        atom0 = 0.0
-        atoms = []
-        for v, w in zip(density.values, density.weights):
-            if v <= 0 or v < 1.0 / xi or np.isclose(v, 1.0 / xi):
-                atom0 += w
-            else:
-                atoms.append((xi - 1.0 / v, w))
-        return PowerDensity(xi, float(atom0), grid, np.zeros_like(grid),
-                            tuple(atoms), density)
+        v, w = density.values, density.weights
+        on = (v > 1.0 / xi) & ~np.isclose(v, 1.0 / xi)
+        return PowerDensity(xi, float(w[~on].sum()), grid, np.zeros_like(grid),
+                            tuple(zip(xi - 1.0 / v[on], w[on])), density)
     atom0 = float(density.cdf(1.0 / xi))
     lam = 1.0 / (xi - grid)
     pdf = density.pdf(lam) / (xi - grid) ** 2

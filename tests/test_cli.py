@@ -241,6 +241,44 @@ class TestDeterminism:
         validate_result("optimize", doc)
 
 
+WISHART_JSON = '{"type":"wishart","m":2,"n":2}'
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["waterfill", "--channel", WISHART_JSON, "--snr-db=0:10:0"], "zero step"),
+    (["waterfill", "--channel", WISHART_JSON, "--snr-db=0:10:inf"], "finite"),
+    (["waterfill", "--channel", WISHART_JSON, "--snr-db=0:10:nan"], "finite"),
+    (["figures", "--figure", "fig1", "--snr-db=0:10:0"], "zero step"),
+    (["beamform", "--boundary", "--snr-db=-15", "--rho-grid", "1.0:1.5:0"], "zero step"),
+    (["waterfill", "--channel", WISHART_JSON, "--snr", "nan"], "SNR must be finite"),
+    (["waterfill", "--channel", WISHART_JSON, "--snr", "inf"], "SNR must be finite"),
+    (["waterfill", "--channel", WISHART_JSON, "--snr-db=nan"], "finite"),
+    (["optimize", "--channel", IID_2x2_JSON, "--snr", "1", "--samples", "1"],
+     "at least 2 samples"),
+    (["beamform", "--channel", IID_2x2_JSON, "--snr", "1", "--method", "mc",
+      "--samples", "0"], "at least 2 samples"),
+    (["figures", "--figure", "fig3", "--samples", "1"], "at least 2 samples"),
+], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
+        "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
+        "figure-1-sample"])
+def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+
+
+def test_fig9_draws_only_from_philox(monkeypatch):
+    def pcg64_generator(*args, **kwargs):
+        raise AssertionError("np.random.default_rng is not a Philox stream")
+
+    monkeypatch.setattr(np.random, "default_rng", pcg64_generator)
+    rc, out = run_cli(["figures", "--figure", "fig9", "--max-iter", "5"])
+    assert rc == 0
+    header, rows = read_csv(out)
+    assert header == ["unitary", "iter", "capacity_gap_nats"]
+    assert {r[0] for r in rows} == {"0", "1", "2", "3", "4"}
+
+
 def test_validate_result_catches_missing_keys():
     with pytest.raises(ValueError):
         validate_result("optimize", {"gamma": 1.0})

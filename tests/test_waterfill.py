@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.integrate
 
 from mimocap import channels, linalg, waterfill
+from mimocap.montecarlo import SeededStream
 from mimocap.waterfill import InfeasibleError
 
 RAYLEIGH_M1 = channels.wishart_density(1, 1)
@@ -68,6 +71,33 @@ class TestWaterfillDet:
     def test_all_zero_eigenvalues_error(self):
         with pytest.raises(ValueError):
             waterfill.waterfill_det([0.0, 0.0], 1.0)
+
+
+def _brute_force_waterfill(row, budget):
+    """(level, active, rate): try every active-set size, keep the valid one."""
+    pos = sorted((float(x) for x in row if x > 0), reverse=True)
+    found = (np.nan, 0, 0.0)
+    for k in range(1, len(pos) + 1):
+        level = (budget + sum(1.0 / x for x in pos[:k])) / k
+        if level >= 1.0 / pos[k - 1] and (k == len(pos) or level <= 1.0 / pos[k]):
+            found = (level, k, sum(np.log(level * x) for x in pos[:k]))
+    return found
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 6])
+def test_row_kernel_matches_brute_force(m):
+    rng = np.random.default_rng(40 + m)
+    rows = 10.0 ** rng.uniform(-3, 2, size=(240, m))
+    rows[::7, -1] = rows[::7, 0]                 # repeated eigenvalues
+    rows[::5, rng.integers(m)] = 0.0             # a zero mode
+    rows[::3, :m // 2] = rows[::3, m - 1:m]      # several equal modes
+    rows[::11] = 0.0                             # no usable mode at all
+    for budget in np.geomspace(1e-3, 1e3, 7):
+        level, active, rate = waterfill._waterfill_rows(rows, budget)
+        ref = np.array([_brute_force_waterfill(row, budget) for row in rows])
+        np.testing.assert_allclose(level, ref[:, 0], rtol=1e-12)
+        np.testing.assert_array_equal(active, ref[:, 1])
+        np.testing.assert_allclose(rate, ref[:, 2], rtol=1e-12, atol=1e-12)
 
 
 class TestSpaceTimeWaterLevel:
@@ -162,6 +192,51 @@ class TestInstantaneousCovariance:
             sk = np.linalg.svd(hk, compute_uv=False)
             expect = np.maximum(xi - 1 / sk**2, 0.0).sum()
             assert np.isclose(np.trace(q).real, expect, atol=1e-10)
+
+
+NAIVE_SEED = 3
+
+
+def _naive_sources():
+    """Each source kind of naive_avg_rate with the (rows, weights) it stands for.
+
+    Sampled rows replay the draws naive_avg_rate makes with ``rng=NAIVE_SEED``.
+    """
+    stream = SeededStream(NAIVE_SEED)
+    kron = channels.KroneckerGaussian(np.zeros((2, 3)), np.diag([1.5, 0.5]),
+                                      np.diag([1.2, 1.0, 0.8]))
+    tall = channels.KroneckerGaussian(np.zeros((3, 2)), np.eye(3), np.diag([1.5, 0.5]))
+    emp = channels.empirical_density(tall, 2000, stream.generator())
+    wish = channels.wishart_density(2, 3)
+    h0 = np.array([[1.2, 0.3], [0.1, 0.7j]])
+    atoms = [h0, np.diag([0.2, 3.0]), np.zeros((2, 2))]
+    onoff = channels.onoff_density(3, 0.4)
+    combos = list(itertools.product([0, 1], repeat=3))
+    return [
+        pytest.param(channels.PointMass(h0), channels.gram_eigs(h0[None]), None,
+                     id="point-mass"),
+        pytest.param(channels.FiniteMixture([0.2, 0.5, 0.3], atoms),
+                     channels.gram_eigs(np.stack(atoms)), [0.2, 0.5, 0.3], id="mixture"),
+        pytest.param(kron, channels.gram_eigs(
+            channels.sample_batch(kron, 2000, stream.generator())), None, id="sampled-law"),
+        pytest.param(emp, emp.draws, None, id="empirical"),
+        pytest.param(wish, wish.sample_eigs(2000, stream.generator()), None, id="wishart"),
+        pytest.param(onoff, np.array(combos, dtype=float),
+                     [np.prod([0.4 if on else 0.6 for on in c]) for c in combos],
+                     id="independent-modes"),
+        pytest.param(channels.PointMassDensity([0.5, 2.0], [0.5, 0.5], m=2),
+                     np.array([[0.5, 2.0]]), None, id="fixed-multiset"),
+    ]
+
+
+@pytest.mark.parametrize("source, rows, weights", _naive_sources())
+def test_naive_rate_is_mean_of_per_row_waterfill(source, rows, weights):
+    for budget in (0.05, 1.0, 20.0):
+        rates = [waterfill.waterfill_det(row, budget).rate if np.any(row > 0) else 0.0
+                 for row in rows]
+        expect = np.average(rates, weights=weights)
+        got = waterfill.naive_avg_rate(source, budget, samples=2000, rng=NAIVE_SEED)
+        assert np.isclose(got, expect, rtol=1e-12, atol=1e-12)
 
 
 class TestNaiveBaseline:
