@@ -20,7 +20,7 @@ for db in range(-10, 31, 5):
     g = 10 ** (db / 10)
     xi = st_water_level(dens, g)
     cap = st_capacity(dens, xi)
-    const = dens.trunc_moment(lambda lam: np.log1p(g * lam), 0.0)
+    const = dens.log1p_moment(g)
     print(f"{db:>7} {cap:>10.4f} {const:>12.4f} {cap / const:>7.3f}")
 
 # --- 2x2: how much of the gain is time, how much is space -------------------
@@ -33,7 +33,7 @@ for k, db in enumerate(range(-10, 31, 5)):
     xi = st_water_level(dens2, g)
     st = st_capacity(dens2, xi)
     space = naive_avg_rate(dens2, g, samples=20_000, rng=k)
-    uniform = 2 * dens2.trunc_moment(lambda lam: np.log1p(g / 2 * lam), 0.0)
+    uniform = 2 * dens2.log1p_moment(g / 2)
     print(f"{db:>7} {st / uniform:>11.4f} {space / uniform:>11.4f}")
 
 # --- the on-off channel has a closed form ------------------------------------

@@ -10,8 +10,11 @@ An :class:`EigDensity` is the unordered eigenvalue density of H H^H (equally,
 the marginal law of one randomly chosen eigenvalue). Three concrete kinds:
 the closed-form Laguerre-kernel density of a complex Wishart matrix, an
 empirical pool of sampled eigenvalues, and discrete point masses. All three
-answer pdf/cdf and truncated-moment queries, which is all the water-filling
-solvers need.
+answer pdf/cdf queries and the two named moment queries the solvers need:
+``tail_moments`` (the mass, E[1/lam] and E[ln lam] parts above a threshold)
+and ``log1p_moment`` (E[ln(1 + c lam)]). The Wishart density answers both in
+closed form with incomplete gamma functions. ``trunc_moment`` integrates any
+function and serves as the general query and the quadrature reference.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
-from .linalg import as_complex_matrix, as_hermitian, chol_upper, psd_sqrt
+from .linalg import as_complex_matrix, as_hermitian, chol_upper, psd_sqrt, scaled_expn
 
 __all__ = [
     "ChannelLaw",
@@ -271,6 +274,37 @@ class EigDensity:
         """Integral of ``fn(lam) * f(lam)`` over ``lam > a``."""
         raise NotImplementedError
 
+    def tail_moments(self, a: float) -> tuple[float, float, float]:
+        """Integrals of 1, 1/lam and ln(lam) against f over lam > max(a, 0).
+
+        These three answer every water-filling query: at level xi the average
+        power spent above a is xi * mass - inv, and the rate is
+        ln(xi) * mass + log.
+        """
+        raise NotImplementedError
+
+    def log1p_moment(self, c: float) -> float:
+        """E[ln(1 + c lam)] for c >= 0: the rate of power c on every mode."""
+        raise NotImplementedError
+
+
+def _wishart_coefficients(m: int, n: int) -> np.ndarray:
+    """Coefficients c_j of the polynomial P with f(x) = P(x) e^-x.
+
+    P(x) = x^d (1/m) sum_k k!/(k+d)! [L_k^d(x)]^2 with d = n - m, expanded in
+    exact rational arithmetic and rounded once per coefficient.
+    """
+    d = n - m
+    poly = [Fraction(0)] * (2 * m - 1)
+    for k in range(m):
+        lag = [Fraction((-1) ** i * math.comb(k + d, k - i), math.factorial(i))
+               for i in range(k + 1)]
+        w = Fraction(math.factorial(k), m * math.factorial(k + d))
+        for i, li in enumerate(lag):
+            for j, lj in enumerate(lag):
+                poly[i + j] += w * li * lj
+    return np.array([0.0] * d + [float(c) for c in poly])
+
 
 @dataclass(frozen=True)
 class WishartDensity(EigDensity):
@@ -282,7 +316,9 @@ class WishartDensity(EigDensity):
         f(x) = (1/m) * sum_{k=0}^{m-1} k!/(k+d)! * [L_k^d(x)]^2 * x^d * e^{-x}
 
     with d = n - m. For (m, n) = (1, 1) this reduces to exp(-x) and for
-    (2, 2) to (2 + (x - 2) x) / (2 exp(x)).
+    (2, 2) to (2 + (x - 2) x) / (2 exp(x)). Expanded once as
+    f(x) = sum_j c_j x^j e^{-x}, every moment query is a finite sum of
+    incomplete gamma functions Gamma(j, a) = int_a^inf x^(j-1) e^-x dx.
     """
 
     m: int
@@ -291,6 +327,11 @@ class WishartDensity(EigDensity):
     def __post_init__(self):
         if self.m < 1 or self.n < self.m:
             raise ValueError("need 1 <= m <= n")
+        coef = _wishart_coefficients(self.m, self.n)
+        object.__setattr__(self, "_coef", coef)
+        object.__setattr__(self, "_orders", np.arange(1, coef.size + 1))
+        # Gamma(j + 1) = j!, so c_j j! Q(j + 1, a) = c_j Gamma(j + 1, a)
+        object.__setattr__(self, "_fact", scipy.special.factorial(np.arange(coef.size)))
 
     def pdf(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -307,22 +348,56 @@ class WishartDensity(EigDensity):
         return out if out.ndim else float(out)
 
     def cdf(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        scalar = lam.ndim == 0
-        vals = np.atleast_1d(lam)
-        out = np.zeros_like(vals)
-        for i, x in enumerate(vals):
-            if x <= 0:
-                out[i] = 0.0
-            else:
-                out[i], _ = scipy.integrate.quad(self.pdf, 0.0, x, limit=200)
-        return float(out[0]) if scalar else out
+        # 1 - mass, summed from the lower incomplete gammas: near zero, where
+        # f ~ lam^(n-m), this keeps the relative accuracy 1 - mass would lose.
+        lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
+        out = scipy.special.gammainc(self._orders, lam[..., None]) @ (self._coef * self._fact)
+        return out if out.ndim else float(out)
 
     def trunc_moment(self, fn, a: float) -> float:
+        import scipy.integrate  # the general query only; the solvers use closed forms
+
         val, _ = scipy.integrate.quad(
             lambda x: fn(x) * self.pdf(x), max(a, 0.0), np.inf, limit=300
         )
         return val
+
+    def tail_moments(self, a: float) -> tuple[float, float, float]:
+        a = max(float(a), 0.0)
+        coef = self._coef
+        upper = self._fact * scipy.special.gammaincc(self._orders, a)  # Gamma(j + 1, a)
+        e1 = float(scipy.special.exp1(a))                              # Gamma(0, a)
+        mass = float(coef @ upper)
+        inv = float(coef[1:] @ upper[:-1])
+        if coef[0]:  # c_0 = 0 when n > m, and E1(0) is infinite
+            inv += coef[0] * e1
+        # I_j = int_a^inf ln(x) x^j e^-x dx = a^j e^-a ln(a) + j I_(j-1) + Gamma(j, a)
+        if a > 0:
+            edge = math.exp(-a) * math.log(a)
+            i_j = edge + e1
+        else:
+            edge, i_j = 0.0, -np.euler_gamma
+        log = coef[0] * i_j
+        for j in range(1, coef.size):
+            edge *= a
+            i_j = edge + j * i_j + upper[j - 1]
+            log += coef[j] * i_j
+        return mass, inv, float(log)
+
+    def log1p_moment(self, c: float) -> float:
+        # J_j = int_0^inf ln(1 + c x) x^j e^-x dx = j J_(j-1) + K_j by parts, with
+        # K_j = int_0^inf x^j e^-x / (b + x) dx = j! e^b E_(j+1)(b) and b = 1/c.
+        # The forward recursion K_j = (j-1)! - b K_(j-1) would amplify error by b^j.
+        if c < 0:
+            raise ValueError("log1p_moment needs c >= 0")
+        if c == 0:
+            return 0.0
+        k = self._fact * scaled_expn(self._orders, 1.0 / c)
+        total = j_prev = 0.0
+        for j, (cj, kj) in enumerate(zip(self._coef, k)):
+            j_prev = j * j_prev + kj
+            total += cj * j_prev
+        return float(total)
 
     def sample_eigs(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Eigenvalue draws of sampled Wishart matrices, shape (size, m)."""
@@ -347,6 +422,13 @@ class EmpiricalDensity(EigDensity):
         object.__setattr__(self, "draws", d)
         flat = np.sort(d, axis=None)
         object.__setattr__(self, "_sorted", flat)
+        # Tail sums of 1/lam and ln(lam) over the positive pool, summed from the
+        # top: entry i covers flat[i:], so a tail query is one binary search.
+        pos = flat > 0
+        inv = np.divide(1.0, flat, out=np.zeros_like(flat), where=pos)
+        log = np.log(flat, out=np.zeros_like(flat), where=pos)
+        object.__setattr__(self, "_inv_tail", np.append(np.cumsum(inv[::-1])[::-1], 0.0))
+        object.__setattr__(self, "_log_tail", np.append(np.cumsum(log[::-1])[::-1], 0.0))
 
     @property
     def m(self) -> int:
@@ -358,7 +440,7 @@ class EmpiricalDensity(EigDensity):
 
     def pdf(self, lam):
         # Histogram estimate; only used for plotting-style queries, the
-        # solvers go through trunc_moment which is exact on the pool.
+        # solvers go through tail_moments which is exact on the pool.
         flat = self._sorted
         nbins = max(int(np.sqrt(flat.size)), 10)
         hist, edges = np.histogram(flat, bins=nbins, density=True)
@@ -381,6 +463,15 @@ class EmpiricalDensity(EigDensity):
         if sel.size == 0:
             return 0.0
         return float(np.sum(fn(sel)) / flat.size)
+
+    def tail_moments(self, a: float) -> tuple[float, float, float]:
+        flat = self._sorted
+        i = int(np.searchsorted(flat, max(a, 0.0), side="right"))
+        return ((flat.size - i) / flat.size, float(self._inv_tail[i] / flat.size),
+                float(self._log_tail[i] / flat.size))
+
+    def log1p_moment(self, c: float) -> float:
+        return float(np.sum(np.log1p(c * self._sorted)) / self._sorted.size)
 
 
 @dataclass(frozen=True)
@@ -419,6 +510,14 @@ class PointMassDensity(EigDensity):
         if not np.any(sel):
             return 0.0
         return float(np.sum(self.weights[sel] * fn(self.values[sel])))
+
+    def tail_moments(self, a: float) -> tuple[float, float, float]:
+        sel = self.values > max(a, 0.0)
+        v, w = self.values[sel], self.weights[sel]
+        return float(np.sum(w)), float(np.sum(w / v)), float(np.sum(w * np.log(v)))
+
+    def log1p_moment(self, c: float) -> float:
+        return float(np.sum(self.weights * np.log1p(c * self.values)))
 
 
 def wishart_density(m: int, n: int) -> WishartDensity:

@@ -235,11 +235,16 @@ def _diag_basis(law: ChannelLaw) -> np.ndarray:
 
 
 def cmd_optimize(args) -> int:
+    if args.samples < 1000:
+        raise ValueError(f"optimize needs at least 10^3 samples for its solver pools, "
+                         f"got {args.samples}")
     law = law_from_json(_load_descriptor(args.channel))
     gammas = _parse_snr(args)
     if gammas.size != 1:
         raise ValueError("optimize expects a single SNR")
     gamma = float(gammas[0])
+    if not np.any(channels.expected_gram(law)):
+        raise InfeasibleError("zero channel: the capacity is 0 and every covariance is optimal")
     opts = OptimizerOptions(tol=args.tol, max_iter=args.max_iter,
                             samples=args.samples, seed=args.seed)
     if args.method == "diag":
@@ -306,8 +311,7 @@ def cmd_beamform(args) -> int:
 
 def _uniform_rate(density: EigDensity, gamma: float) -> float:
     """Rate with Q = I/t (equal power, no channel knowledge at the transmitter)."""
-    m = density.m
-    return m * density.trunc_moment(lambda lam: np.log1p(gamma / m * lam), 0.0)
+    return density.m * density.log1p_moment(gamma / density.m)
 
 
 def _rayleigh_rates(args, m: int):
@@ -334,7 +338,7 @@ def _figure_table(fig: str, args):
             g = 10 ** (db / 10.0)
             xi = waterfill.st_water_level(dens, g)
             cap = waterfill.st_capacity(dens, xi) * scale
-            const = dens.trunc_moment(lambda lam: np.log1p(g * lam), 0.0) * scale
+            const = dens.log1p_moment(g) * scale
             rows.append([float(db), cap, const])
         return ["snr_db", f"capacity_{unit}", f"const_power_rate_{unit}"], rows
     if fig == "fig2":

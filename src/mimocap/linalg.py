@@ -24,6 +24,7 @@ __all__ = [
     "psd_sqrt",
     "expint_gamma0",
     "scaled_expint_gamma0",
+    "scaled_expn",
     "log_det_plus",
     "haar_unitary",
 ]
@@ -177,6 +178,27 @@ def scaled_expint_gamma0(x):
             acc = (acc + coeff) / xl
         out[~small] = (1.0 + acc) / xl
     return out if out.ndim else float(out)
+
+
+def scaled_expn(n, x: float) -> np.ndarray:
+    """Overflow-safe ``exp(x) * E_n(x)`` for integer orders ``n >= 1`` and ``x > 0``.
+
+    Vectorized over ``n``. From the switch point on, the asymptotic series
+    (1/x) sum_k (-1)^k n (n+1)...(n+k-1) / x^k is cut at 40 terms; its terms
+    shrink by (n + k)/x each, so for orders up to 50 the cut is far below
+    round-off.
+    """
+    n = np.asarray(n)
+    if x <= 0:
+        raise ValueError("requires x > 0")
+    if x < _ASYMP_SWITCH:
+        return np.exp(x) * scipy.special.expn(n, x)
+    term = np.ones(n.shape)
+    acc = term.copy()
+    for k in range(40):
+        term = -term * (n + k) / x
+        acc += term
+    return acc / x
 
 
 def log_det_plus(s, q) -> float:

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.optimize
 
 from .channels import (
@@ -103,9 +102,16 @@ def waterfill_det(eigs, budget: float) -> WaterfillSolution:
     return WaterfillSolution(float(level[0]), powers, float(rate[0]), int(active[0]))
 
 
-def _avg_power(density: EigDensity, xi: float) -> float:
-    """Average per-eigenvalue power int_{1/xi}^inf (xi - 1/lam) f dlam."""
-    return density.trunc_moment(lambda lam: xi - 1.0 / lam, 1.0 / xi)
+def _avg_power(density: EigDensity, xi: float, a: float) -> float:
+    """Average per-eigenvalue power int_a^inf (xi - 1/lam) f dlam."""
+    mass, inv, _ = density.tail_moments(a)
+    return xi * mass - inv
+
+
+def _avg_rate(density: EigDensity, xi: float, a: float) -> float:
+    """Per-eigenvalue rate int_a^inf ln(xi lam) f dlam."""
+    mass, _, log = density.tail_moments(a)
+    return np.log(xi) * mass + log
 
 
 def st_water_level(density: EigDensity, budget: float, m: int | None = None) -> float:
@@ -123,11 +129,11 @@ def st_water_level(density: EigDensity, budget: float, m: int | None = None) -> 
     if isinstance(density, EmpiricalDensity) and density.pool < 10_000:
         warnings.warn(f"water-level solving on a pool of {density.pool} "
                       "draws; 10^4 or more is recommended", stacklevel=2)
-    if density.trunc_moment(lambda lam: np.ones_like(lam), 0.0) <= 0:
+    if density.tail_moments(0.0)[0] <= 0:
         raise InfeasibleError("eigenvalue density has no mass above zero")
 
     def residual(xi):
-        return _avg_power(density, xi) - target
+        return _avg_power(density, xi, 1.0 / xi) - target
 
     lo = 1e-12
     hi = target + 10.0
@@ -149,8 +155,7 @@ def st_water_level(density: EigDensity, budget: float, m: int | None = None) -> 
 def st_capacity(density: EigDensity, xi: float, m: int | None = None) -> float:
     """Capacity in nats for a given space-time water level xi."""
     m = density.m if m is None else m
-    val = density.trunc_moment(lambda lam: np.log(xi * lam), 1.0 / xi)
-    return float(m * val)
+    return float(m * _avg_rate(density, xi, 1.0 / xi))
 
 
 def instantaneous_covariance(h, xi: float) -> np.ndarray:
@@ -226,18 +231,12 @@ def papr(xi: float, budget: float, m: int) -> float:
 def papr_bound(density: EigDensity, budget: float, m: int | None = None) -> float:
     """Upper bound 1 + (m/budget) E[1/lam]; +inf when E[1/lam] diverges."""
     m = density.m if m is None else m
-    if isinstance(density, WishartDensity):
-        # f ~ lam^(n-m) near zero: the inverse moment diverges for n = m.
-        if density.n == density.m:
-            return np.inf
-        inv_moment = density.trunc_moment(lambda lam: 1.0 / lam, 0.0)
-    elif isinstance(density, PointMassDensity):
-        if np.any((density.values <= 0) & (density.weights > 0)):
-            return np.inf
-        inv_moment = density.trunc_moment(lambda lam: 1.0 / lam, 0.0)
-    else:
-        inv_moment = density.trunc_moment(lambda lam: 1.0 / lam, 0.0)
-    return 1.0 + m / budget * inv_moment
+    # The tail query covers lam > 0 only, so an atom at zero is checked here;
+    # the Wishart inverse moment is itself infinite for n = m.
+    if isinstance(density, PointMassDensity) and np.any(
+            (density.values <= 0) & (density.weights > 0)):
+        return np.inf
+    return 1.0 + m / budget * density.tail_moments(0.0)[1]
 
 
 @dataclass(frozen=True)
@@ -259,10 +258,8 @@ class PowerDensity:
     def total_mass(self) -> float:
         mass = self.atom0 + sum(w for _, w in self.atoms)
         if self._source is not None and not isinstance(self._source, PointMassDensity):
-            val, _ = scipy.integrate.quad(
-                lambda g: self._source.pdf(1.0 / (self.xi - g)) / (self.xi - g) ** 2,
-                0.0, self.xi, limit=300)
-            mass += val
+            # the continuous part on (0, xi) is the eigenvalue mass above 1/xi
+            mass += self._source.tail_moments(1.0 / self.xi)[0]
         return float(mass)
 
 
@@ -304,12 +301,10 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float,
     target = budget / m
 
     def truncated_power(xi):
-        full = _avg_power(density, xi)
+        full = _avg_power(density, xi, 1.0 / xi)
         if xi <= peak:
             return full
-        upper = 1.0 / (xi - peak)
-        tail = density.trunc_moment(lambda lam: xi - 1.0 / lam, upper)
-        return full - tail
+        return full - _avg_power(density, xi, 1.0 / (xi - peak))
 
     # Beyond xi_unc the truncated power is not monotone (the spendable window
     # both rises with xi and loses its top). The recovery hump can be very
@@ -329,9 +324,7 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float,
         if xi is None:
             raise InfeasibleError(
                 f"budget {budget} unreachable with peak power {peak}")
-    upper = 1.0 / (xi - peak) if xi > peak else np.inf
-    rate_full = density.trunc_moment(lambda lam: np.log(xi * lam), 1.0 / xi)
-    rate_tail = 0.0
-    if np.isfinite(upper):
-        rate_tail = density.trunc_moment(lambda lam: np.log(xi * lam), upper)
-    return float(xi), float(m * (rate_full - rate_tail))
+    rate = _avg_rate(density, xi, 1.0 / xi)
+    if xi > peak:
+        rate -= _avg_rate(density, xi, 1.0 / (xi - peak))
+    return float(xi), float(m * rate)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
-from mimocap import channels
+from mimocap import channels, linalg
 from mimocap.montecarlo import SeededStream, expect_matrix
 
 
@@ -144,6 +145,80 @@ class TestWishartDensity:
     def test_requires_m_le_n(self):
         with pytest.raises(ValueError):
             channels.wishart_density(3, 2)
+
+
+def _quad(f, fn, lo, hi=np.inf):
+    """Reference integral of fn * pdf by adaptive quadrature."""
+    val, _ = scipy.integrate.quad(lambda x: fn(x) * f.pdf(x), lo, hi,
+                                  epsabs=0.0, epsrel=1e-12, limit=300)
+    return val
+
+
+MOMENT_SHAPES = [(1, 1), (2, 2), (4, 4), (2, 4), (3, 5)]
+TAIL_POINTS = [1e-3, 0.05, 0.3, 1.0, 3.0]
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("m,n", MOMENT_SHAPES)
+    def test_tails_and_cdf_match_quadrature(self, m, n):
+        f = channels.wishart_density(m, n)
+        for a in TAIL_POINTS:
+            ref = [_quad(f, np.ones_like, a), _quad(f, np.reciprocal, a), _quad(f, np.log, a),
+                   _quad(f, np.ones_like, 0.0, a)]
+            np.testing.assert_allclose([*f.tail_moments(a), f.cdf(a)], ref, rtol=1e-9)
+        np.testing.assert_allclose(f.cdf(np.array(TAIL_POINTS)),
+                                   [f.cdf(a) for a in TAIL_POINTS], rtol=1e-14)
+
+    @pytest.mark.parametrize("m,n", MOMENT_SHAPES)
+    def test_whole_line_identities(self, m, n):
+        f = channels.wishart_density(m, n)
+        mass, inv, _ = f.tail_moments(0.0)
+        assert mass == pytest.approx(1.0, rel=1e-14)
+        assert f.cdf(0.0) == 0.0 and f.cdf(-1.0) == 0.0
+        if n > m:
+            assert inv == pytest.approx(1.0 / (n - m), rel=1e-13)
+        else:
+            assert inv == np.inf
+
+    def test_rayleigh_tails(self):
+        f = channels.wishart_density(1, 1)
+        for a in TAIL_POINTS + [30.0]:
+            e1 = scipy.special.exp1(a)
+            np.testing.assert_allclose(f.tail_moments(a),
+                                       [np.exp(-a), e1, np.exp(-a) * np.log(a) + e1],
+                                       rtol=1e-14)
+        assert f.tail_moments(0.0)[2] == pytest.approx(-np.euler_gamma, rel=1e-15)
+
+    def test_rayleigh_log1p_moment(self):
+        f = channels.wishart_density(1, 1)
+        for c in (1e-4, 1e-3, 1.0 / 650, 0.1, 1.0, 10.0, 1e3):
+            assert f.log1p_moment(c) == pytest.approx(linalg.scaled_expint_gamma0(1 / c),
+                                                      rel=1e-13)
+        assert f.log1p_moment(0.0) == 0.0
+
+    @pytest.mark.parametrize("m,n", MOMENT_SHAPES)
+    def test_log1p_moment(self, m, n):
+        f = channels.wishart_density(m, n)
+        for c in (1e-2, 0.5, 20.0):
+            assert f.log1p_moment(c) == pytest.approx(_quad(f, lambda x: np.log1p(c * x), 0.0),
+                                                      rel=1e-9)
+        # tiny c: b = 1/c is far past where e^b overflows; E[lam] = n, E[lam^2] = n(m + n)
+        c = 1e-6
+        val = f.log1p_moment(c)
+        assert np.isfinite(val)
+        assert val == pytest.approx(c * n - c**2 * n * (m + n) / 2, rel=1e-9)
+
+    def test_pooled_and_discrete_tails_equal_their_sums(self):
+        ones = np.ones_like
+        pooled = channels.empirical_density(IID_2x2, 20_000, rng(19))
+        discrete = channels.PointMassDensity([0.0, 0.5, 1.0, 2.5], [0.1, 0.2, 0.3, 0.4], m=2)
+        for d in (pooled, discrete):
+            for a in (0.0, 0.3, 1.0, 2.0):
+                sums = [d.trunc_moment(ones, a), d.trunc_moment(np.reciprocal, a),
+                        d.trunc_moment(np.log, a)]
+                np.testing.assert_allclose(d.tail_moments(a), sums, rtol=1e-12, atol=1e-15)
+            assert d.log1p_moment(0.7) == pytest.approx(
+                d.trunc_moment(lambda x: np.log1p(0.7 * x), 0.0), rel=1e-12)
 
 
 class TestEmpiricalDensity:

@@ -111,6 +111,12 @@ class TestOptimizeCommand:
         assert header == ["iter", "mi_nats", "residual"]
         assert len(rows) == doc["iterations"]
 
+    @pytest.mark.parametrize("method", ["general", "diag"])
+    def test_zero_channel_is_infeasible(self, method, capsys):
+        zero = json.dumps({"type": "point", "h": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]})
+        assert main(["optimize", "--channel", zero, "--snr", "1", "--method", method]) == 3
+        assert "infeasible: zero channel" in capsys.readouterr().err
+
     def test_iid_rayleigh_near_uniform(self):
         rc, out = run_cli(["optimize", "--channel", IID_2x2_JSON,
                            "--snr", "1.0", "--samples", "20000",
@@ -258,9 +264,13 @@ WISHART_JSON = '{"type":"wishart","m":2,"n":2}'
     (["beamform", "--channel", IID_2x2_JSON, "--snr", "1", "--method", "mc",
       "--samples", "0"], "at least 2 samples"),
     (["figures", "--figure", "fig3", "--samples", "1"], "at least 2 samples"),
+    (["optimize", "--channel", IID_2x2_JSON, "--snr", "1", "--samples", "5"],
+     "at least 10^3 samples"),
+    (["optimize", "--channel", IID_2x2_JSON, "--snr", "1", "--samples", "999"],
+     "at least 10^3 samples"),
 ], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
         "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
-        "figure-1-sample"])
+        "figure-1-sample", "optimize-5-samples", "optimize-999-samples"])
 def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

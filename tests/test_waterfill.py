@@ -125,6 +125,11 @@ class TestSpaceTimeWaterLevel:
                 - 2 * linalg.expint_gamma0(1 / xi) - budget
             assert abs(resid) <= 1e-8
 
+    def test_low_snr_rayleigh_level_is_exact(self):
+        # the root of xi e^(-1/xi) - E1(1/xi) = 1e-6, solved to 40 digits with mpmath
+        xi = waterfill.st_water_level(RAYLEIGH_M1, 1e-6)
+        assert xi == pytest.approx(0.10875021272901732, rel=1e-12)
+
     def test_residual_monotone_in_xi(self):
         xis = np.linspace(0.5, 8.0, 30)
         powers = [RAYLEIGH_M2.trunc_moment(lambda lam: x - 1 / lam, 1 / x)
