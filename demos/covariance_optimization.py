@@ -1,8 +1,9 @@
 """Optimal transmit covariance when only the channel law is known.
 
 Two solvers. When a diagonalizing basis is known up front (deterministic
-channels, zero-mean Kronecker fading) the problem is a power allocation and a
-resolvent fixed point finds it. In general no basis is known: parameterizing
+channels, zero-mean Kronecker fading) the problem is a power allocation, and
+Newton steps on the resolvent stationarity condition find it, with off modes
+exactly zero. In general no basis is known: parameterizing
 Q = T^H T by its Cholesky factor keeps positive semidefiniteness implicit and
 the projected-gradient map T <- T(M + M^H) / scale converges to the optimum,
 eigenvectors included.
@@ -27,7 +28,7 @@ sol = waterfill_det([2.0, 1.0], 1.0)
 res = fixed_point_diag(law, 1.0, opts={"tol": 1e-7, "max_iter": 2000})
 print("Deterministic eigenvalues {2, 1}, unit budget:")
 print(f"  water-filling: powers {sol.powers.round(6)}, rate {sol.rate:.6f} nats")
-print(f"  fixed point:   powers {res.qhat.round(6)}, MI  {res.mi.mean:.6f} nats")
+print(f"  Newton (diag): powers {res.qhat.round(6)}, MI  {res.mi.mean:.6f} nats")
 
 # --- the general iteration finds rotated optima it was never told about ------
 

@@ -187,7 +187,11 @@ class FiniteMixture(ChannelLaw):
 
 def _circular_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     # Unit-variance circular complex entries: Re, Im iid N(0, 1/2).
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z /= np.sqrt(2)
+    return z
 
 
 def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -200,9 +204,12 @@ def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.nda
         return np.stack([law.atoms[i] for i in idx])
     if isinstance(law, KroneckerGaussian):
         g = _circular_gaussian(rng, (size, r, t))
-        rh = psd_sqrt(law.rx_corr)
-        th = psd_sqrt(law.tx_corr)
-        return law.mean + np.einsum("ij,sjk,kl->sil", rh, g, th)
+        # Each factor is one 2-D product: T^1/2 on the stacked rows, R^1/2 on
+        # the stacked columns. Rebinding g keeps two arrays alive at a time.
+        g = (g.reshape(-1, t) @ psd_sqrt(law.tx_corr)).reshape(size, r, t)
+        g = g.transpose(1, 0, 2).reshape(r, size * t)
+        g = (psd_sqrt(law.rx_corr) @ g).reshape(r, size, t)
+        return np.add(g.transpose(1, 0, 2), law.mean, order="C")
     if isinstance(law, Interpolated):
         g = _circular_gaussian(rng, (size, r, t))
         sh = psd_sqrt(law.noise_cov)
@@ -566,8 +573,16 @@ def _small_gram(h: np.ndarray) -> np.ndarray:
 
 
 def gram_eigs(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of H H^H per draw, via the smaller Gram matrix, clamped at 0."""
-    return np.maximum(np.linalg.eigvalsh(_small_gram(h)), 0.0)
+    """Eigenvalues of H H^H per draw (ascending), via the smaller Gram matrix.
+
+    Eigenvalues up to 4 (r + t) eps times the draw's largest are round-off of
+    a rank deficiency, and negative ones round-off of zero: both come back as
+    exact zeros, so rank-deficient laws keep their zero modes off.
+    """
+    w = np.linalg.eigvalsh(_small_gram(h))
+    tiny = 4 * (h.shape[1] + h.shape[2]) * np.finfo(float).eps
+    w[w <= tiny * w[:, -1:]] = 0.0
+    return w
 
 
 def onoff_density(m: int, p: float) -> PointMassDensity:

@@ -4,8 +4,11 @@ Two optimizers:
 
 * ``fixed_point_diag``: when a basis U diagonalizing the optimal covariance
   is known a priori (e.g. zero-mean Kronecker laws), the problem reduces to a
-  power vector. The stationarity condition E[((I+S Q)^-1 S)_kk] = mu for
-  active modes becomes a multiplicative fixed-point iteration on the powers.
+  power vector q on the simplex. With X = (I + S Q)^-1 S per draw, the
+  stationarity condition is d_k = E[X_kk] = mu on active modes and d_k <= mu
+  on off modes. It is solved by active-set Newton steps: d is the gradient of
+  the MI in q and E[|X_kl|^2] its negated Hessian, both read off the same
+  per-draw solve, and off modes are set exactly to zero.
 
 * ``iterate_general``: no structural assumptions. The covariance is
   parameterized by its upper-triangular Cholesky factor T (Q = T^H T), which
@@ -32,6 +35,7 @@ from .montecarlo import (
     DEFAULT_SAMPLES_INNER,
     McEstimate,
     SeededStream,
+    _eye_plus,
     _log_dets,
     _snr_gram,
     as_stream,
@@ -51,12 +55,10 @@ __all__ = [
     "kkt_residual_general",
 ]
 
-#: power below which a mode is declared off in reported results
+#: power below which the diagonal residual counts a mode as off
 MODE_OFF = 1e-6
-#: floor keeping the diagonal iteration's inverse well defined
-MODE_FLOOR = 1e-12
-#: weight of the new iterate in both optimizers' damped updates (the general
-#: one halves its own copy when the pool MI drops)
+#: weight of the new iterate in the general optimizer's damped update (halved
+#: when the pool MI drops)
 DAMPING = 0.5
 #: most iterations on one frozen pool before a fresh-pool convergence check
 INNER_MAX = 80
@@ -121,15 +123,13 @@ def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
         basis = np.asarray(basis, dtype=complex)
         if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
             raise ValueError("diagonalizing basis must be unitary")
-        h = h @ basis
+        h = (h.reshape(-1, h.shape[2]) @ basis).reshape(h.shape)
     return _snr_gram(h, gamma)
 
 
 def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-draw (I + S Q)^-1 S, shape (pool, t, t)."""
-    t = q.shape[0]
-    a = np.eye(t) + s_pool @ q
-    return np.linalg.solve(a, s_pool)
+    return np.linalg.solve(_eye_plus(s_pool, q), s_pool)
 
 
 def _pool_mi(s_pool: np.ndarray, q: np.ndarray) -> tuple[float, float]:
@@ -142,9 +142,16 @@ def _pool_mi(s_pool: np.ndarray, q: np.ndarray) -> tuple[float, float]:
 # diagonalizable case
 # ---------------------------------------------------------------------------
 
-def _diag_condition(s_pool: np.ndarray, qvec: np.ndarray) -> np.ndarray:
-    x = _resolvent_gradient(s_pool, np.diag(qvec).astype(complex))
-    return np.mean(np.diagonal(x, axis1=1, axis2=2).real, axis=0)
+def _diag_moments(s_pool: np.ndarray, qvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and curvature of the pool MI in the powers ``qvec``.
+
+    With X = (I + S Qhat)^-1 S per draw (Hermitian), d_k = E[X_kk] is
+    dMI/dq_k and h_kl = E[|X_kl|^2] is -d2MI/(dq_k dq_l).
+    """
+    x = _resolvent_gradient(s_pool, np.diag(qvec))
+    d = np.mean(np.diagonal(x, axis1=1, axis2=2).real, axis=0)
+    h = np.mean(x.real ** 2 + x.imag ** 2, axis=0)
+    return d, h
 
 
 def _diag_residual_from_d(d: np.ndarray, qvec: np.ndarray) -> float:
@@ -173,23 +180,86 @@ def kkt_residual_diag(qvec, law: ChannelLaw, gamma: float, basis,
     if np.any(qvec < 0) or abs(qvec.sum() - 1.0) > 1e-9:
         raise ValueError("powers must be non-negative and sum to 1")
     pool = _s_pool(law, gamma, basis, samples, as_stream(rng))
-    return _diag_residual_from_d(_diag_condition(pool, qvec), qvec)
+    return _diag_residual_from_d(_diag_moments(pool, qvec)[0], qvec)
+
+
+def _newton_direction(d: np.ndarray, h: np.ndarray, qvec: np.ndarray) -> np.ndarray:
+    """Newton step of the pool MI on the face of the simplex it may move in.
+
+    The free modes are the powered ones and the off modes whose gradient d_k
+    exceeds the powered modes' mean. On them the step solves the bordered
+    system [[H, 1], [1^T, 0]] [step; nu] = [d; 0], the Newton step under
+    sum(q) = 1; an off mode the step would drive negative is fixed at zero
+    and the system solved again.
+    """
+    on = qvec > 0
+    free = on | (d > d[on].mean())
+    while True:
+        idx = np.flatnonzero(free)
+        k = idx.size
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = h[np.ix_(idx, idx)]
+        kkt[k, k] = 0.0
+        sol = np.linalg.lstsq(kkt, np.append(d[idx], 0.0), rcond=None)[0]
+        step = np.zeros_like(qvec)
+        step[idx] = sol[:k]
+        blocked = ~on & (step < 0)
+        if not np.any(blocked):
+            return step
+        free &= ~blocked
+
+
+def _newton_update(s_pool: np.ndarray, qvec: np.ndarray, step: np.ndarray,
+                   mi: float, still: float) -> tuple[np.ndarray, float]:
+    """Longest feasible part of ``step`` that does not lower the pool MI.
+
+    The step is cut at the first mode it would drive negative, and that mode
+    is set to exactly zero; the step is then halved while the pool MI (``mi``
+    at ``qvec``) falls. Returns the new powers and their pool MI, or ``qvec``
+    and ``mi`` once the step has shrunk to ``still``. A full step no longer
+    than ``still`` is taken unchecked and keeps ``mi``: it raises the MI by
+    its quadratic term, below what the pool resolves.
+    """
+    neg = step < 0
+    ratio = np.full(qvec.shape, np.inf)
+    ratio[neg] = qvec[neg] / -step[neg]
+    block = int(np.argmin(ratio))
+    alpha = min(1.0, ratio[block])
+    if alpha == 1.0 and np.abs(step).max() <= still:
+        cand = np.maximum(qvec + step, 0.0)
+        return cand / cand.sum(), mi
+    while True:
+        cand = qvec + alpha * step
+        if alpha == ratio[block]:
+            cand[block] = 0.0
+        cand = np.maximum(cand, 0.0)
+        cand /= cand.sum()
+        mi_cand = _pool_mi(s_pool, np.diag(cand))[0]
+        if mi_cand >= mi:
+            return cand, mi_cand
+        alpha /= 2.0
+        if alpha * np.abs(step).max() <= still:
+            return qvec, mi
 
 
 def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
                      opts: OptimizerOptions | dict | None = None) -> CovOptResult:
-    """Optimal power allocation over a known basis via fixed-point iteration.
+    """Optimal power allocation over a known basis by active-set Newton steps.
 
-    Starting from uniform powers, applies q_k <- nu * q_k * d_k(q) (the
-    trace-normalized form of the resolvent fixed point; the iteration needs
-    strictly positive powers, so they are floored at 1e-12 and only declared
-    zero in the output). Convergence is declared when the stationarity
-    residual measured on a fresh pool drops below ``tol``.
+    Starting from uniform powers, each iteration takes one projected Newton
+    step of the MI on the simplex, with the gradient and curvature of
+    ``_diag_moments`` on the frozen pool, cut at the simplex boundary (so off
+    modes come out exactly zero) and backtracked on the pool MI, which is the
+    ``mi_trace`` entry. A pool is left once a step moves no power by more
+    than ``tol / 100``; the next pool first serves as the fresh-pool check,
+    and convergence is declared when the stationarity residual on it drops
+    below ``tol``.
     """
     opts = _as_opts(opts)
     t = law.tx
     basis = np.eye(t) if basis is None else np.asarray(basis, dtype=complex)
     stream = as_stream(opts.seed)
+    still = opts.tol * 1e-2
     qvec = np.full(t, 1.0 / t)
     trace = []
     res_trace = []
@@ -197,52 +267,36 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
     converged = False
     epoch = 0
     residual = np.inf
+    pool = _s_pool(law, gamma, basis, opts.samples, stream.child(0))
+    d, h = _diag_moments(pool, qvec)
     while iters < opts.max_iter and not converged:
-        pool = _s_pool(law, gamma, basis, opts.samples, stream.child(2 * epoch))
+        mi = _pool_mi(pool, np.diag(qvec))[0]
         for _ in range(INNER_MAX):
             if iters >= opts.max_iter:
                 break
-            d = _diag_condition(pool, qvec)
             res_trace.append(_diag_residual_from_d(d, qvec))
-            step = qvec * d
-            step /= step.sum()
-            new = (1.0 - DAMPING) * qvec + DAMPING * step
-            new = np.maximum(new, MODE_FLOOR)
-            new /= new.sum()
-            delta = np.abs(new - qvec).max()
+            new, mi = _newton_update(pool, qvec, _newton_direction(d, h, qvec), mi, still)
+            settled = np.abs(new - qvec).max() <= still and np.array_equal(new > 0, qvec > 0)
             qvec = new
-            trace.append(_pool_mi(pool, np.diag(qvec).astype(complex))[0])
+            trace.append(mi)
             iters += 1
-            if delta < opts.tol * 1e-2:
+            if settled:
                 break
-        check = _s_pool(law, gamma, basis, opts.samples, stream.child(2 * epoch + 1))
-        residual = _diag_residual_from_d(_diag_condition(check, qvec), qvec)
-        if residual <= opts.tol:
-            converged = True
+            d, h = _diag_moments(pool, qvec)
+        # the fresh check pool becomes the next epoch's solving pool
         epoch += 1
+        pool = _s_pool(law, gamma, basis, opts.samples, stream.child(epoch))
+        d, h = _diag_moments(pool, qvec)
+        residual = _diag_residual_from_d(d, qvec)
+        converged = residual <= opts.tol
 
-    qout = _declare_off(qvec, law, gamma, basis, opts, stream)
-    q = (basis * qout) @ basis.conj().T
+    q = (basis * qvec) @ basis.conj().T
     q = 0.5 * (q + q.conj().T)
     mi = ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983))
     return CovOptResult(
         q=q, factor=chol_upper(q), mi=mi, kkt_residual=float(residual),
         mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
-        iterations=iters, converged=converged, qhat=qout, basis=basis)
-
-
-def _declare_off(qvec, law, gamma, basis, opts, stream) -> np.ndarray:
-    """Zero out powers below threshold when the off-mode inequality holds."""
-    out = qvec.copy()
-    small = out < MODE_OFF
-    if np.any(small):
-        pool = _s_pool(law, gamma, basis, opts.samples, stream.child(424_243))
-        d = _diag_condition(pool, out)
-        mu = d[~small].mean() if np.any(~small) else d.max()
-        ok = small & (d <= mu * (1 + opts.tol))
-        out[ok] = 0.0
-        out /= out.sum()
-    return out
+        iterations=iters, converged=converged, qhat=qvec, basis=basis)
 
 
 def powers_monotone(gammas, power_vectors, tol: float = 0.01) -> bool:

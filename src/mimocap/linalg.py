@@ -140,9 +140,13 @@ def chol_upper(a) -> np.ndarray:
 
 
 def psd_sqrt(a) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, round-off eigenvalues clamped."""
+    """Hermitian square root of a PSD matrix, round-off eigenvalues zeroed.
+
+    Eigenvalues up to n * eps times the largest are round-off of a rank
+    deficiency; their square roots (~1e-8 relative) would restore the rank.
+    """
     u, lam = herm_eig(a)
-    lam = np.where(lam < 0, 0.0, lam)
+    lam = np.where(lam > lam[0] * lam.size * np.finfo(float).eps, lam, 0.0)
     return (u * np.sqrt(lam)) @ u.conj().T
 
 

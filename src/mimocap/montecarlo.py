@@ -91,12 +91,26 @@ def _batched_values(fn, law, samples, stream):
 def _snr_gram(h: np.ndarray, gamma: float) -> np.ndarray:
     """Per-draw S = gamma * H^H H, exactly Hermitian, shape (size, t, t)."""
     s = gamma * np.einsum("ski,skj->sij", h.conj(), h)
-    return 0.5 * (s + np.conj(np.swapaxes(s, 1, 2)))
+    s += np.conj(np.swapaxes(s, 1, 2))
+    s *= 0.5
+    return s
+
+
+def _eye_plus(s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-draw ``I + S Q`` for a (size, t, t) stack of S and one t x t Q.
+
+    The stacked rows of S times Q are one 2-D product (a single gemm), where
+    ``s @ q`` would loop over the draws; the identity is added in place.
+    """
+    t = q.shape[0]
+    a = (s.reshape(-1, t) @ q).reshape(s.shape)
+    a.reshape(-1, t * t)[:, :: t + 1] += 1.0
+    return a
 
 
 def _log_dets(s: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-draw ``log det(I + S Q)`` in nats for a (size, t, t) stack of S."""
-    return np.linalg.slogdet(np.eye(q.shape[0]) + s @ q)[1]
+    return np.linalg.slogdet(_eye_plus(s, q))[1]
 
 
 def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_FINAL,

@@ -231,10 +231,10 @@ def papr(xi: float, budget: float, m: int) -> float:
 def papr_bound(density: EigDensity, budget: float, m: int | None = None) -> float:
     """Upper bound 1 + (m/budget) E[1/lam]; +inf when E[1/lam] diverges."""
     m = density.m if m is None else m
-    # The tail query covers lam > 0 only, so an atom at zero is checked here;
-    # the Wishart inverse moment is itself infinite for n = m.
-    if isinstance(density, PointMassDensity) and np.any(
-            (density.values <= 0) & (density.weights > 0)):
+    # The tail query covers lam > 0 only, so mass at zero (an atom, or the
+    # zero modes of a rank-deficient pool) is checked here; the Wishart
+    # inverse moment is itself infinite for n = m.
+    if density.cdf(0.0) > 0:
         return np.inf
     return 1.0 + m / budget * density.tail_moments(0.0)[1]
 

@@ -61,6 +61,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             channels.FiniteMixture([0.5, 0.6], [np.eye(1), np.eye(1)])
 
+    @pytest.mark.parametrize("r,t", [(2, 2), (3, 4), (4, 2)])
+    def test_kronecker_products_match_three_factor_einsum(self, r, t):
+        g = rng(8)
+        a = g.normal(size=(r, r)) + 1j * g.normal(size=(r, r))
+        b = g.normal(size=(t, t)) + 1j * g.normal(size=(t, t))
+        mean = g.normal(size=(r, t)) + 1j * g.normal(size=(r, t))
+        law = channels.KroneckerGaussian(mean, a @ a.conj().T, b @ b.conj().T)
+        h = channels.sample_batch(law, 500, rng(9))
+        z = channels._circular_gaussian(rng(9), (500, r, t))
+        ref = mean + np.einsum("ij,sjk,kl->sil", linalg.psd_sqrt(law.rx_corr), z,
+                               linalg.psd_sqrt(law.tx_corr))
+        assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
+
 
 class TestExpectedGram:
     def test_iid_closed_form(self):
@@ -246,6 +259,24 @@ class TestEmpiricalDensity:
     def test_pool_floor(self):
         with pytest.raises(ValueError):
             channels.empirical_density(IID_2x2, 100, rng(16))
+
+    @pytest.mark.parametrize("r,t", [(2, 2), (2, 4), (4, 4)])
+    def test_rank_deficient_law_has_exact_zero_modes(self, r, t):
+        g = rng(18)
+        v = g.normal(size=(t, 1)) + 1j * g.normal(size=(t, 1))
+        law = channels.KroneckerGaussian(np.zeros((r, t)), np.eye(r), v @ v.conj().T)
+        eigs = channels.gram_eigs(channels.sample_batch(law, 20_000, rng(19)))
+        assert np.all(eigs[:, :-1] == 0.0) and np.all(eigs[:, -1] > 0.0)
+        d = channels.empirical_density(law, 20_000, rng(19))
+        assert d.cdf(0.0) == (min(r, t) - 1) / min(r, t)
+
+    def test_full_rank_eigenvalues_are_untouched(self):
+        law = channels.KroneckerGaussian(np.zeros((4, 4)), np.eye(4),
+                                         np.diag([2.0, 1.0, 0.6, 0.4]))
+        for size, seed in [(20_000, 20), (5_000, 21)]:
+            h = channels.sample_batch(law, size, rng(seed))
+            ref = np.maximum(np.linalg.eigvalsh(channels._small_gram(h)), 0.0)
+            assert np.array_equal(channels.gram_eigs(h), ref)
 
     def test_cdf_and_moments_consistent(self):
         d = channels.empirical_density(IID_2x2, 20_000, rng(17))

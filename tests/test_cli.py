@@ -43,6 +43,17 @@ class TestWaterfillCommand:
         cap = float(rows[0][header.index("capacity_nats")])
         assert np.isclose(cap, 2 * 0.5 * np.log(1 + 1.0 / (2 * 0.5)), atol=1e-9)
 
+    def test_rank_one_law_has_infinite_papr_bound(self):
+        # tx_corr [[1,1],[1,1]]: one eigenvalue per draw is zero, E[1/lam] = inf
+        law = json.dumps({"type": "kronecker", "mean": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                          "rx_corr": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                          "tx_corr": [[[1, 0], [1, 0]], [[1, 0], [1, 0]]]})
+        rc, out = run_cli(["waterfill", "--channel", law, "--snr", "1"])
+        assert rc == 0
+        header, rows = read_csv(out)
+        assert float(rows[0][header.index("papr_bound")]) == np.inf
+        assert float(rows[0][header.index("papr_exact")]) < np.inf
+
     def test_point_mass_water_level(self):
         # single active mode: xi = budget + 1/lam
         rc, out = run_cli(["waterfill", "--channel",

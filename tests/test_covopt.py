@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,88 @@ class TestFixedPointDiag:
         fresh = ergodic_mi(res.q, RAYLEIGH_2x2, 1.0, samples=20_000,
                            rng=SeededStream(777))
         assert abs(fresh.mean - res.mi.mean) <= 2 * (fresh.se + res.mi.se)
+
+
+class TestNewtonDiag:
+    def test_stuck_low_snr_case_beamforms_exactly(self):
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
+                                         np.diag([0.471, 1.529]))
+        t0 = time.perf_counter()
+        res = covopt.fixed_point_diag(law, 1.0, np.eye(2))
+        elapsed = time.perf_counter() - t0
+        assert np.array_equal(res.qhat, [0.0, 1.0])
+        assert res.converged
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+    def test_rank_one_correlation_switches_zero_mode_off(self, gamma):
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.ones((2, 2)))
+        basis, lam = linalg.herm_eig(law.tx_corr)
+        res = covopt.fixed_point_diag(law, gamma, basis, {"samples": 2_000})
+        assert res.qhat[np.argmin(lam)] == 0.0
+        assert res.qhat[np.argmax(lam)] == 1.0
+        assert res.converged
+
+    def test_point_mass_lands_on_waterfilling_powers(self):
+        res = covopt.fixed_point_diag(POINT_21, 1.0)
+        assert np.abs(res.qhat - [0.75, 0.25]).max() <= 1e-12
+        assert res.iterations <= 10
+        assert res.converged
+
+    def test_low_snr_modes_switch_off_exactly(self):
+        law = channels.KroneckerGaussian(np.zeros((4, 4)), np.eye(4),
+                                         np.diag([2.0, 1.0, 0.6, 0.4]))
+        res = covopt.fixed_point_diag(law, 0.05, np.eye(4), {"seed": 3})
+        assert res.converged
+        assert res.qhat[0] > 0.5 and np.all(res.qhat[2:] == 0.0)
+        assert np.isclose(res.qhat.sum(), 1.0, rtol=0, atol=1e-15)
+
+    def test_direction_frees_off_mode_above_the_level(self):
+        # mode 1 is off but its gradient beats the powered mode's: it re-enters
+        step = covopt._newton_direction(np.array([1.0, 2.0]), np.eye(2), np.array([1.0, 0.0]))
+        assert step[1] > 0 and np.isclose(step.sum(), 0.0, atol=1e-15)
+
+    def test_direction_keeps_off_mode_below_the_level_at_zero(self):
+        d = np.array([1.0, 1.2, 0.5])
+        step = covopt._newton_direction(d, np.diag([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.0]))
+        assert step[2] == 0.0
+        assert np.isclose(step[0], -step[1]) and step[1] > 0
+
+    def test_update_cuts_at_the_boundary_and_backtracks(self):
+        law = channels.PointMass(np.diag([np.sqrt(2.0), 1.0, 0.1]))
+        pool = covopt._s_pool(law, 1.0, np.eye(3), 10, SeededStream(0))
+
+        def mi_at(q):
+            return covopt._pool_mi(pool, np.diag(q))[0]
+
+        # the cut mode is set to 0: q + alpha * step leaves 5.6e-17 there
+        q2, s2 = 0.364, 0.671
+        q = np.array([0.5 * (1 - q2), 0.5 * (1 - q2), q2])
+        new, mi = covopt._newton_update(pool, q, np.array([s2 / 2, s2 / 2, -s2]), mi_at(q), 1e-9)
+        assert new[2] == 0.0 and mi == mi_at(new) > mi_at(q)
+        # a step overshooting to (1, 0, 0) lowers the MI and is halved once
+        q = np.array([0.6, 0.4, 0.0])
+        new, mi = covopt._newton_update(pool, q, np.array([0.4, -0.4, 0.0]), mi_at(q), 1e-9)
+        assert np.allclose(new, [0.8, 0.2, 0.0], rtol=0, atol=1e-15) and mi > mi_at(q)
+        # a descent direction leaves the powers where they are
+        new, mi = covopt._newton_update(pool, q, np.array([-0.4, 0.4, 0.0]), mi_at(q), 1e-9)
+        assert np.array_equal(new, q) and mi == mi_at(q)
+
+    @pytest.mark.parametrize("gamma", [0.3, 3.0])
+    def test_mi_never_falls_on_one_pool(self, monkeypatch, gamma):
+        law = channels.KroneckerGaussian(np.zeros((4, 4)), np.eye(4),
+                                         np.diag([2.0, 1.0, 0.6, 0.4]))
+        pool = covopt._s_pool(law, gamma, np.eye(4), 4_000, SeededStream(31))
+        monkeypatch.setattr(covopt, "_s_pool", lambda *args: pool)
+        res = covopt.fixed_point_diag(law, gamma, np.eye(4),
+                                      {"tol": 1e-9, "final_samples": 2_000})
+        # quadratic convergence: a handful of steps from uniform powers
+        assert len(res.mi_trace) == res.iterations and 2 <= res.iterations <= 10
+        assert np.all(np.diff(res.mi_trace) >= 0.0)
+        # Newton lands on the pool's own optimum, not near it
+        assert res.converged and res.kkt_residual <= 1e-9
+        assert np.isclose(res.mi_trace[-1], covopt._pool_mi(pool, np.diag(res.qhat))[0],
+                          rtol=0, atol=1e-12)
 
 
 class TestMonotonicity:

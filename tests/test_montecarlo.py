@@ -3,7 +3,8 @@ import pytest
 import scipy.integrate
 
 from mimocap import channels, linalg
-from mimocap.montecarlo import McEstimate, SeededStream, ergodic_mi, expect_matrix
+from mimocap.montecarlo import (McEstimate, SeededStream, _eye_plus, _log_dets,
+                                ergodic_mi, expect_matrix)
 
 RAYLEIGH_1x1 = channels.KroneckerGaussian(np.zeros((1, 1)), np.eye(1), np.eye(1))
 RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
@@ -94,3 +95,18 @@ def test_se_halves_when_samples_quadruple():
 def test_mcestimate_unpacks():
     mean, se, n = McEstimate(1.0, 0.1, 5)
     assert (mean, se, n) == (1.0, 0.1, 5)
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 8])
+def test_eye_plus_is_one_product_per_stack(t):
+    g = np.random.default_rng(t)
+    s = g.normal(size=(300, t, t)) + 1j * g.normal(size=(300, t, t))
+    s = s @ np.conj(np.swapaxes(s, 1, 2))
+    q = g.normal(size=(t, t)) + 1j * g.normal(size=(t, t))
+    q = q @ q.conj().T
+    q /= np.trace(q).real
+    ref = np.eye(t) + s @ q
+    assert np.abs(_eye_plus(s, q) - ref).max() <= 1e-15 * np.abs(ref).max()
+    logs = _log_dets(s, q)
+    for k in range(s.shape[0]):
+        assert np.isclose(logs[k], linalg.log_det_plus(s[k], q), rtol=0, atol=1e-12)
