@@ -147,13 +147,12 @@ def beamform_opt_closed(rho, tau1: float, tau2: float, gamma: float) -> Beamform
     return BeamformVerdict(margin > 0, margin, "closed-form")
 
 
-def beamform_boundary(gamma: float, rho_grid, tau_lo: float = 1.0,
-                      tau_hi: float = 2.0, tol: float = 1e-6) -> np.ndarray:
+def beamform_boundary(gamma: float, rho_grid) -> np.ndarray:
     """Beamforming transition curve for the 2x2 diagonal parameterization.
 
     For each rho, with R = diag(rho, 2 - rho) and T = diag(tau, 2 - tau),
-    returns the smallest tau in (tau_lo, tau_hi) where beamforming becomes
-    optimal (bisection on the closed-form margin; nan when it never does).
+    returns the smallest tau in (1, 2) where beamforming becomes optimal
+    (root of the closed-form margin to 1e-6; nan when it never does).
     Output rows are (rho, tau_star).
     """
     import scipy.optimize
@@ -166,14 +165,14 @@ def beamform_boundary(gamma: float, rho_grid, tau_lo: float = 1.0,
         def margin(tau):
             return beamform_opt_closed(rvec, tau, 2.0 - tau, gamma).margin
 
-        lo, hi = tau_lo + 1e-9, tau_hi - 1e-9
+        lo, hi = 1.0 + 1e-9, 2.0 - 1e-9
         m_lo, m_hi = margin(lo), margin(hi)
         if m_lo > 0:
             out[idx] = (rho, lo)
         elif m_hi < 0:
             out[idx] = (rho, np.nan)
         else:
-            tau_star = scipy.optimize.brentq(margin, lo, hi, xtol=tol)
+            tau_star = scipy.optimize.brentq(margin, lo, hi, xtol=1e-6)
             out[idx] = (rho, tau_star)
     return out
 

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 import scipy.special
 
-from .linalg import as_complex_matrix, as_hermitian, chol_upper, psd_sqrt, scaled_expn
+from .linalg import as_complex_matrix, as_psd, chol_upper, psd_sqrt, scaled_expn
 
 __all__ = [
     "ChannelLaw",
@@ -98,7 +98,7 @@ class MatrixGaussian(ChannelLaw):
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))
-        object.__setattr__(self, "cov", as_hermitian(self.cov))
+        object.__setattr__(self, "cov", as_psd(self.cov))
         r, t = self.mean.shape
         if self.cov.shape != (r * t, r * t):
             raise ValueError("covariance must be rt x rt for an r x t mean")
@@ -110,26 +110,19 @@ class MatrixGaussian(ChannelLaw):
 
 @dataclass(frozen=True)
 class KroneckerGaussian(ChannelLaw):
-    """Separable correlation: H = mean + R^{1/2} G T^{1/2}, G iid CN(0,1)."""
+    """Separable correlation: H = mean + R^{1/2} G T^{1/2}, G iid CN(0,1), R, T PSD."""
 
     mean: np.ndarray
     rx_corr: np.ndarray
     tx_corr: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))
-        object.__setattr__(self, "rx_corr", as_hermitian(self.rx_corr))
-        object.__setattr__(self, "tx_corr", as_hermitian(self.tx_corr))
+        object.__setattr__(self, "rx_corr", as_psd(self.rx_corr))
+        object.__setattr__(self, "tx_corr", as_psd(self.tx_corr))
         r, t = self.mean.shape
         if self.rx_corr.shape != (r, r) or self.tx_corr.shape != (t, t):
             raise ValueError("correlation shapes must match the mean")
-        if self.normalized:
-            # Normalization convention used by the beamforming tests.
-            if abs(np.trace(self.rx_corr).real - r) > 1e-9 * r:
-                raise ValueError("normalized law requires tr(R) = r")
-            if abs(np.trace(self.tx_corr).real - t) > 1e-9 * t:
-                raise ValueError("normalized law requires tr(T) = t")
 
     @property
     def shape(self):
@@ -141,7 +134,7 @@ class Interpolated(ChannelLaw):
     """H = kappa * M0 + (1 - kappa) * X with X = G Sigma^{1/2}, G iid CN(0,1).
 
     At kappa = 1 the channel is the deterministic M0; at kappa = 0 it is
-    zero-mean with transmit-side covariance Sigma.
+    zero-mean with transmit-side covariance Sigma (PSD).
     """
 
     kappa: float
@@ -152,7 +145,7 @@ class Interpolated(ChannelLaw):
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
         object.__setattr__(self, "m0", as_complex_matrix(self.m0))
-        object.__setattr__(self, "noise_cov", as_hermitian(self.noise_cov))
+        object.__setattr__(self, "noise_cov", as_psd(self.noise_cov))
         if self.noise_cov.shape[0] != self.m0.shape[1]:
             raise ValueError("noise covariance must be t x t")
 
@@ -201,7 +194,7 @@ def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.nda
         return np.broadcast_to(law.h0, (size, r, t)).copy()
     if isinstance(law, FiniteMixture):
         idx = rng.choice(len(law.atoms), size=size, p=law.weights)
-        return np.stack([law.atoms[i] for i in idx])
+        return np.stack(law.atoms)[idx]
     if isinstance(law, KroneckerGaussian):
         g = _circular_gaussian(rng, (size, r, t))
         # Each factor is one 2-D product: T^1/2 on the stacked rows, R^1/2 on
@@ -212,8 +205,8 @@ def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.nda
         return np.add(g.transpose(1, 0, 2), law.mean, order="C")
     if isinstance(law, Interpolated):
         g = _circular_gaussian(rng, (size, r, t))
-        sh = psd_sqrt(law.noise_cov)
-        return law.kappa * law.m0 + (1.0 - law.kappa) * (g @ sh)
+        g = (g.reshape(-1, t) @ psd_sqrt(law.noise_cov)).reshape(size, r, t)
+        return law.kappa * law.m0 + (1.0 - law.kappa) * g
     if isinstance(law, MatrixGaussian):
         z = _circular_gaussian(rng, (size, r * t))
         l = chol_upper(law.cov).conj().T  # lower factor, cov = L L^H
@@ -593,6 +586,8 @@ def onoff_density(m: int, p: float) -> PointMassDensity:
     computed from it follow the complex-channel convention used everywhere in
     this package (log, not the real-channel log/2).
     """
+    if m < 1:
+        raise ValueError(f"need at least one mode, got m = {m}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
     if p == 0.0:
@@ -607,46 +602,43 @@ def onoff_density(m: int, p: float) -> PointMassDensity:
 # ---------------------------------------------------------------------------
 
 def _matrix_to_json(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)  # a matrix, or a stack of them (mixture atoms)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def _matrix_from_json(obj) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    if arr.ndim not in (3, 4) or arr.shape[-1] != 2:
         raise ValueError("matrix JSON must be nested [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+_MATRIX = (_matrix_to_json, _matrix_from_json)
+
+#: descriptor type -> (law class, {key: (encoder, decoder)}), the keys in the
+#: order of the class's fields
+_DESCRIPTORS = {
+    "point": (PointMass, {"h": _MATRIX}),
+    "gaussian": (MatrixGaussian, {"mean": _MATRIX, "cov": _MATRIX}),
+    "kronecker": (KroneckerGaussian, {"mean": _MATRIX, "rx_corr": _MATRIX, "tx_corr": _MATRIX}),
+    "interp": (Interpolated, {"kappa": (float, float), "m0": _MATRIX, "noise_cov": _MATRIX}),
+    "mixture": (FiniteMixture, {"weights": (np.ndarray.tolist, np.asarray), "atoms": _MATRIX}),
+}
+
+
+def _require_keys(obj: dict, keys) -> None:
+    """Raise a ``ValueError`` naming every key a descriptor lacks."""
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{obj.get('type')!r} descriptor is missing {', '.join(missing)}")
+
+
 def law_to_json(law: ChannelLaw) -> dict:
     """Serialize a channel law to the JSON descriptor consumed by the CLI."""
-    if isinstance(law, PointMass):
-        return {"type": "point", "h": _matrix_to_json(law.h0)}
-    if isinstance(law, MatrixGaussian):
-        return {
-            "type": "gaussian",
-            "mean": _matrix_to_json(law.mean),
-            "cov": _matrix_to_json(law.cov),
-        }
-    if isinstance(law, KroneckerGaussian):
-        return {
-            "type": "kronecker",
-            "mean": _matrix_to_json(law.mean),
-            "rx_corr": _matrix_to_json(law.rx_corr),
-            "tx_corr": _matrix_to_json(law.tx_corr),
-        }
-    if isinstance(law, Interpolated):
-        return {
-            "type": "interp",
-            "kappa": law.kappa,
-            "m0": _matrix_to_json(law.m0),
-            "noise_cov": _matrix_to_json(law.noise_cov),
-        }
-    if isinstance(law, FiniteMixture):
-        return {
-            "type": "mixture",
-            "weights": [float(w) for w in law.weights],
-            "atoms": [_matrix_to_json(a) for a in law.atoms],
-        }
+    for kind, (cls, codecs) in _DESCRIPTORS.items():
+        if isinstance(law, cls):
+            return {"type": kind, **{key: encode(getattr(law, f.name)) for (key, (encode, _)), f
+                                     in zip(codecs.items(), fields(cls))}}
     raise TypeError(f"unknown channel law {type(law).__name__}")
 
 
@@ -655,22 +647,8 @@ def law_from_json(obj) -> ChannelLaw:
     if isinstance(obj, str):
         obj = json.loads(obj)
     kind = obj.get("type")
-    if kind == "point":
-        return PointMass(_matrix_from_json(obj["h"]))
-    if kind == "gaussian":
-        return MatrixGaussian(_matrix_from_json(obj["mean"]), _matrix_from_json(obj["cov"]))
-    if kind == "kronecker":
-        return KroneckerGaussian(
-            _matrix_from_json(obj["mean"]),
-            _matrix_from_json(obj["rx_corr"]),
-            _matrix_from_json(obj["tx_corr"]),
-        )
-    if kind == "interp":
-        return Interpolated(
-            float(obj["kappa"]),
-            _matrix_from_json(obj["m0"]),
-            _matrix_from_json(obj["noise_cov"]),
-        )
-    if kind == "mixture":
-        return FiniteMixture(obj["weights"], [_matrix_from_json(a) for a in obj["atoms"]])
-    raise ValueError(f"unknown channel descriptor type {kind!r}")
+    if kind not in _DESCRIPTORS:
+        raise ValueError(f"unknown channel descriptor type {kind!r}")
+    cls, codecs = _DESCRIPTORS[kind]
+    _require_keys(obj, codecs)
+    return cls(*(decode(obj[key]) for key, (_, decode) in codecs.items()))

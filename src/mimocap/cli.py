@@ -118,13 +118,22 @@ def _load_descriptor(text: str) -> dict:
         return json.load(fh)
 
 
+def _mode_count(desc: dict, key: str) -> int:
+    """An integral field of a density descriptor: 2 and 2.0 pass, 2.9 does not."""
+    if not float(desc[key]).is_integer():
+        raise ValueError(f"{desc['type']} descriptor field {key!r} must be an integer")
+    return int(desc[key])
+
+
 def _density_from_descriptor(desc: dict, samples: int, seed: int) -> EigDensity:
     """Density source: explicit masses, closed Wishart forms, or a law pool."""
     kind = desc.get("type")
     if kind == "onoff":
-        return onoff_density(int(desc["m"]), float(desc["p"]))
+        channels._require_keys(desc, ("m", "p"))
+        return onoff_density(_mode_count(desc, "m"), float(desc["p"]))
     if kind == "wishart":
-        return wishart_density(int(desc["m"]), int(desc["n"]))
+        channels._require_keys(desc, ("m", "n"))
+        return wishart_density(_mode_count(desc, "m"), _mode_count(desc, "n"))
     law = law_from_json(desc)
     iid = False
     if isinstance(law, KroneckerGaussian):
@@ -290,6 +299,7 @@ def cmd_beamform(args) -> int:
     law = law_from_json(_load_descriptor(args.channel))
     if not isinstance(law, KroneckerGaussian) or not np.allclose(law.mean, 0):
         raise ValueError("beamforming verdicts need a zero-mean kronecker descriptor")
+    analysis._check_normalization(law.rx_corr, law.tx_corr)
     if args.method == "mc":
         v = analysis.beamform_opt_mc(law.rx_corr, law.tx_corr, gamma,
                                      args.samples, SeededStream(args.seed))

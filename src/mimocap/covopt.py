@@ -299,17 +299,15 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
         iterations=iters, converged=converged, qhat=qvec, basis=basis)
 
 
-def powers_monotone(gammas, power_vectors, tol: float = 0.01) -> bool:
-    """True iff un-normalized powers gamma*q_k never decrease along the grid.
-
-    ``tol`` is relative to the larger budget of each consecutive pair.
-    """
+def powers_monotone(gammas, power_vectors) -> bool:
+    """True iff un-normalized powers gamma*q_k never decrease along the grid,
+    up to 1% of the larger budget of each consecutive pair."""
     gammas = np.asarray(gammas, dtype=float)
     pv = np.asarray(power_vectors, dtype=float)
     for a in range(len(gammas) - 1):
         lo = gammas[a] * pv[a]
         hi = gammas[a + 1] * pv[a + 1]
-        if np.any(hi < lo - tol * gammas[a + 1]):
+        if np.any(hi < lo - 0.01 * gammas[a + 1]):
             return False
     return True
 

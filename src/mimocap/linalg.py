@@ -17,6 +17,7 @@ import scipy.special
 __all__ = [
     "as_complex_matrix",
     "as_hermitian",
+    "as_psd",
     "herm_eig",
     "svd",
     "ut_gram",
@@ -45,26 +46,14 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def as_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate Hermitian symmetry to within ``tol`` and symmetrize exactly.
-
-    Parameters
-    ----------
-    a : array_like
-        Square matrix, expected Hermitian up to round-off.
-    tol : float
-        Maximum allowed relative deviation ``|A - A^H| / |A|``.
-
-    Returns
-    -------
-    ndarray
-        ``(A + A^H) / 2``, exactly Hermitian.
-    """
+def as_hermitian(a) -> np.ndarray:
+    """Validate a square matrix as Hermitian to within ``HERM_TOL * max(|A|, 1)``
+    and return ``(A + A^H) / 2``, exactly Hermitian."""
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian matrix must be square, got {m.shape}")
     scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.conj().T).max() > tol * scale:
+    if np.abs(m - m.conj().T).max() > HERM_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return 0.5 * (m + m.conj().T)
 
@@ -114,18 +103,24 @@ def ut_gram(t) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
+def as_psd(a) -> np.ndarray:
+    """:func:`as_hermitian`, rejecting eigenvalues below ``-PSD_TOL * n * max(|A|, 1)``."""
+    m = as_hermitian(a)
+    if np.linalg.eigvalsh(m).min() < -PSD_TOL * max(np.abs(m).max(), 1.0) * m.shape[0]:
+        raise ValueError("matrix is not positive semidefinite within tolerance")
+    return m
+
+
 def chol_upper(a) -> np.ndarray:
     """Upper-triangular factor ``T`` with ``T^H T = A`` for PSD ``A``.
 
     Semidefinite input is handled by a column-pivot-free factorization that
-    zeroes trailing entries of rank-deficient columns. Eigenvalues below
-    ``-PSD_TOL * |A|`` raise a ``ValueError``.
+    zeroes trailing entries of rank-deficient columns. Input that is not
+    PSD raises a ``ValueError`` (see :func:`as_psd`).
     """
-    m = as_hermitian(a)
+    m = as_psd(a)
     n = m.shape[0]
     scale = max(np.abs(m).max(), 1.0)
-    if np.linalg.eigvalsh(m).min() < -PSD_TOL * scale * n:
-        raise ValueError("matrix is not positive semidefinite within tolerance")
     t = np.zeros_like(m)
     # Outer-product form; tiny negative pivots from round-off are clamped.
     for j in range(n):

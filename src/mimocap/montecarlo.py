@@ -76,6 +76,8 @@ class McEstimate:
 
 def _batched_values(fn, law, samples, stream):
     """Evaluate fn on iid channel batches; returns the stacked value array."""
+    if isinstance(law, PointMass):  # one exact value, whatever ``samples``
+        return np.asarray(fn(law.h0[None, :, :]))
     chunks = []
     n_done = 0
     b = 0
@@ -134,12 +136,8 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     q = as_hermitian(q)
     if np.trace(q).real > 1.0 + 1e-9:
         raise ValueError("transmit covariance must have trace <= 1")
-    if isinstance(law, PointMass):
-        vals = _log_dets(_snr_gram(law.h0[None, :, :], gamma), q)
-    else:
-        vals = _batched_values(lambda h: _log_dets(_snr_gram(h, gamma), q),
-                               law, samples, as_stream(rng))
-    return McEstimate.of(vals)
+    return McEstimate.of(_batched_values(lambda h: _log_dets(_snr_gram(h, gamma), q),
+                                         law, samples, as_stream(rng)))
 
 
 def expect_matrix(fn, law: ChannelLaw, samples: int = DEFAULT_SAMPLES_INNER,
@@ -149,6 +147,4 @@ def expect_matrix(fn, law: ChannelLaw, samples: int = DEFAULT_SAMPLES_INNER,
     ``fn`` must accept a (size, r, t) batch and return one array per draw
     (stacked on axis 0). Point-mass laws are evaluated exactly.
     """
-    if isinstance(law, PointMass):
-        return McEstimate.of(np.asarray(fn(law.h0[None, :, :])))
     return McEstimate.of(_batched_values(fn, law, samples, as_stream(rng)))

@@ -114,18 +114,17 @@ def _avg_rate(density: EigDensity, xi: float, a: float) -> float:
     return np.log(xi) * mass + log
 
 
-def st_water_level(density: EigDensity, budget: float, m: int | None = None) -> float:
+def st_water_level(density: EigDensity, budget: float) -> float:
     """Water level xi of space-time water-filling over an eigenvalue density.
 
-    xi solves average per-eigenvalue power = budget / m, where m is the
-    number of eigenmodes per symbol (taken from the density by default).
-    The map xi -> average power is monotone increasing, so the root is
-    bracketed by doubling and polished to |residual| <= 1e-9 * (budget/m).
+    xi solves average per-eigenvalue power = budget / m, where m = ``density.m``
+    is the number of eigenmodes per symbol. The map xi -> average power is
+    continuous and monotone increasing, so the root is bracketed by doubling
+    and found by brentq at full precision.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    m = density.m if m is None else m
-    target = budget / m
+    target = budget / density.m
     if isinstance(density, EmpiricalDensity) and density.pool < 10_000:
         warnings.warn(f"water-level solving on a pool of {density.pool} "
                       "draws; 10^4 or more is recommended", stacklevel=2)
@@ -143,19 +142,12 @@ def st_water_level(density: EigDensity, budget: float, m: int | None = None) -> 
         tries += 1
         if tries > 200:
             raise InfeasibleError("failed to bracket the water level")
-    xi = scipy.optimize.brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    res = residual(xi)
-    if abs(res) > 1e-9 * target:
-        # Piecewise-constant pool integrals can leave brentq at a kink; nudge.
-        xi = scipy.optimize.brentq(residual, xi * (1 - 1e-6), xi * (1 + 1e-6) + 1e-12,
-                                   xtol=1e-16, rtol=8.9e-16, maxiter=200)
-    return float(xi)
+    return float(scipy.optimize.brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
 
 
-def st_capacity(density: EigDensity, xi: float, m: int | None = None) -> float:
+def st_capacity(density: EigDensity, xi: float) -> float:
     """Capacity in nats for a given space-time water level xi."""
-    m = density.m if m is None else m
-    return float(m * _avg_rate(density, xi, 1.0 / xi))
+    return float(density.m * _avg_rate(density, xi, 1.0 / xi))
 
 
 def instantaneous_covariance(h, xi: float) -> np.ndarray:
@@ -228,15 +220,14 @@ def papr(xi: float, budget: float, m: int) -> float:
     return m * xi / budget
 
 
-def papr_bound(density: EigDensity, budget: float, m: int | None = None) -> float:
-    """Upper bound 1 + (m/budget) E[1/lam]; +inf when E[1/lam] diverges."""
-    m = density.m if m is None else m
+def papr_bound(density: EigDensity, budget: float) -> float:
+    """Upper bound 1 + (m/budget) E[1/lam], m = ``density.m``; inf if E[1/lam] diverges."""
     # The tail query covers lam > 0 only, so mass at zero (an atom, or the
     # zero modes of a rank-deficient pool) is checked here; the Wishart
     # inverse moment is itself infinite for n = m.
     if density.cdf(0.0) > 0:
         return np.inf
-    return 1.0 + m / budget * density.tail_moments(0.0)[1]
+    return 1.0 + density.m / budget * density.tail_moments(0.0)[1]
 
 
 @dataclass(frozen=True)
@@ -284,8 +275,7 @@ def power_density(density: EigDensity, xi: float, grid) -> PowerDensity:
     return PowerDensity(xi, atom0, grid, pdf, (), density)
 
 
-def peak_limited_rate(density: EigDensity, budget: float, peak: float,
-                      m: int | None = None) -> tuple[float, float]:
+def peak_limited_rate(density: EigDensity, budget: float, peak: float) -> tuple[float, float]:
     """Rate after truncating the space-time allocation at a per-mode peak power.
 
     Both the power and rate integrals run over lam in [1/xi, 1/(xi - peak)];
@@ -294,11 +284,10 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float,
     """
     if peak <= 0:
         raise ValueError("peak power must be positive")
-    m = density.m if m is None else m
-    xi_unc = st_water_level(density, budget, m)
+    xi_unc = st_water_level(density, budget)
     if peak >= xi_unc:
-        return xi_unc, st_capacity(density, xi_unc, m)
-    target = budget / m
+        return xi_unc, st_capacity(density, xi_unc)
+    target = budget / density.m
 
     def truncated_power(xi):
         full = _avg_power(density, xi, 1.0 / xi)
@@ -327,4 +316,4 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float,
     rate = _avg_rate(density, xi, 1.0 / xi)
     if xi > peak:
         rate -= _avg_rate(density, xi, 1.0 / (xi - peak))
-    return float(xi), float(m * rate)
+    return float(xi), float(density.m * rate)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -73,6 +76,36 @@ class TestSampling:
         ref = mean + np.einsum("ij,sjk,kl->sil", linalg.psd_sqrt(law.rx_corr), z,
                                linalg.psd_sqrt(law.tx_corr))
         assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("r,t", [(2, 2), (3, 4), (4, 2)])
+    def test_interpolated_product_matches_einsum(self, r, t):
+        g = rng(10)
+        b = g.normal(size=(t, t)) + 1j * g.normal(size=(t, t))
+        m0 = g.normal(size=(r, t)) + 1j * g.normal(size=(r, t))
+        law = channels.Interpolated(0.3, m0, b @ b.conj().T)
+        h = channels.sample_batch(law, 500, rng(11))
+        z = channels._circular_gaussian(rng(11), (500, r, t))
+        ref = 0.3 * m0 + 0.7 * np.einsum("sij,jk->sik", z, linalg.psd_sqrt(law.noise_cov))
+        assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_mixture_draws_equal_per_draw_stack(self):
+        atoms = [np.diag([1.0, 2j]), np.ones((2, 2)), np.zeros((2, 2))]
+        law = channels.FiniteMixture([0.2, 0.5, 0.3], atoms)
+        idx = rng(12).choice(3, size=1000, p=law.weights)
+        ref = np.stack([law.atoms[i] for i in idx])
+        assert np.array_equal(channels.sample_batch(law, 1000, rng(12)), ref)
+
+    @pytest.mark.parametrize("make", [
+        lambda c: channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), c),
+        lambda c: channels.KroneckerGaussian(np.zeros((2, 2)), c, np.eye(2)),
+        lambda c: channels.Interpolated(0.5, np.eye(2), c),
+        lambda c: channels.MatrixGaussian(np.zeros((1, 2)), c),
+    ], ids=["tx_corr", "rx_corr", "noise_cov", "cov"])
+    def test_correlations_must_be_psd(self, make):
+        # Hermitian, but one eigenvalue is negative
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            make(np.diag([1.5, -0.5]))
+        make(np.array([[1.0, 1.0], [1.0, 1.0]]))  # rank one is PSD
 
 
 class TestExpectedGram:
@@ -324,7 +357,42 @@ class TestLawMoments:
         assert np.all(np.abs(est.mean - mean) <= 3 * est.se + 1e-12)
 
 
+#: one law of each kind and its descriptor, written out as users write it
+DESCRIPTORS = [
+    (channels.PointMass(np.array([[1.0 + 2j, 0.0], [0.5, 1.0]])),
+     {"type": "point", "h": [[[1.0, 2.0], [0.0, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]}),
+    (channels.MatrixGaussian(np.array([[0.5j, 0.0]]), np.diag([2.0, 1.0])),
+     {"type": "gaussian", "mean": [[[0.0, 0.5], [0.0, 0.0]]],
+      "cov": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}),
+    (channels.KroneckerGaussian(np.array([[1.0, 0.0]]), np.eye(1), np.diag([1.5, 0.5])),
+     {"type": "kronecker", "mean": [[[1.0, 0.0], [0.0, 0.0]]], "rx_corr": [[[1.0, 0.0]]],
+      "tx_corr": [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}),
+    (channels.Interpolated(0.25, np.array([[0.0, 1.0]]), np.diag([4.0, 1.0])),
+     {"type": "interp", "kappa": 0.25, "m0": [[[0.0, 0.0], [1.0, 0.0]]],
+      "noise_cov": [[[4.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}),
+    (channels.FiniteMixture([0.25, 0.75], [np.eye(1), 1j * np.eye(1)]),
+     {"type": "mixture", "weights": [0.25, 0.75], "atoms": [[[[1.0, 0.0]]], [[[0.0, 1.0]]]]}),
+]
+DESCRIPTOR_IDS = [desc["type"] for _, desc in DESCRIPTORS]
+
+
 class TestJsonDescriptors:
+    @pytest.mark.parametrize("law, desc", DESCRIPTORS, ids=DESCRIPTOR_IDS)
+    def test_literal_descriptor_is_the_format(self, law, desc):
+        assert channels.law_to_json(law) == desc
+        back = channels.law_from_json(json.dumps(desc))
+        assert type(back) is type(law)
+        for f in dataclasses.fields(law):
+            a, b = getattr(back, f.name), getattr(law, f.name)
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+
+    @pytest.mark.parametrize("desc", [desc for _, desc in DESCRIPTORS], ids=DESCRIPTOR_IDS)
+    def test_missing_key_is_named(self, desc):
+        for key in set(desc) - {"type"}:
+            partial = {k: v for k, v in desc.items() if k != key}
+            with pytest.raises(ValueError, match=f"{desc['type']}' descriptor is missing {key}"):
+                channels.law_from_json(partial)
+
     @pytest.mark.parametrize("law", [
         channels.PointMass(np.array([[1.0 + 2j, 0.0], [0.5, 1.0]])),
         IID_2x2,

@@ -104,6 +104,15 @@ class TestWaterfillCommand:
         rc, _ = run_cli(["waterfill", "--channel", "not json at all {{{"])
         assert rc == 2
 
+    @pytest.mark.parametrize("desc, missing", [
+        ('{"type":"kronecker"}', "'kronecker' descriptor is missing mean, rx_corr, tx_corr"),
+        ('{"type":"wishart","m":2}', "'wishart' descriptor is missing n"),
+        ('{"type":"onoff","m":2}', "'onoff' descriptor is missing p"),
+    ], ids=["kronecker", "wishart", "onoff"])
+    def test_missing_key_exits_2_with_its_name(self, desc, missing, capsys):
+        assert main(["waterfill", "--channel", desc, "--snr", "1"]) == 2
+        assert missing in capsys.readouterr().err
+
 
 class TestOptimizeCommand:
     def test_point_mass_golden_mi(self, tmp_path):
@@ -178,6 +187,16 @@ class TestBeamformCommand:
                            "--samples", "50000"])
         assert rc == 0
         assert json.loads(out)["optimal"] is True
+
+    @pytest.mark.parametrize("method", ["closed", "mc"])
+    def test_unnormalized_correlation_exits_2(self, method, capsys):
+        law = {"type": "kronecker",
+               "mean": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+               "rx_corr": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+               "tx_corr": [[[3.2, 0], [0, 0]], [[0, 0], [0.8, 0]]]}
+        assert main(["beamform", "--channel", json.dumps(law), "--snr-db=-15",
+                     "--method", method]) == 2
+        assert "requires tr(T) = t" in capsys.readouterr().err
 
     def test_boundary_csv(self):
         rc, out = run_cli(["beamform", "--boundary", "--snr-db=-15",
@@ -259,6 +278,13 @@ class TestDeterminism:
 
 
 WISHART_JSON = '{"type":"wishart","m":2,"n":2}'
+#: zero-mean 2x2 Kronecker law whose tx_corr diag(1.5, -0.5) is Hermitian, not PSD
+INDEFINITE_JSON = json.dumps({
+    "type": "kronecker",
+    "mean": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+    "rx_corr": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "tx_corr": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
+})
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -279,9 +305,25 @@ WISHART_JSON = '{"type":"wishart","m":2,"n":2}'
      "at least 10^3 samples"),
     (["optimize", "--channel", IID_2x2_JSON, "--snr", "1", "--samples", "999"],
      "at least 10^3 samples"),
+    (["waterfill", "--channel", '{"type":"wishart","m":2,"n":2.9}', "--snr", "1"],
+     "field 'n' must be an integer"),
+    (["waterfill", "--channel", '{"type":"wishart","m":1.7,"n":3}', "--snr", "1"],
+     "field 'm' must be an integer"),
+    (["waterfill", "--channel", '{"type":"onoff","m":1.7,"p":0.5}', "--snr", "1"],
+     "field 'm' must be an integer"),
+    (["waterfill", "--channel", '{"type":"onoff","m":0,"p":0.5}', "--snr", "1"],
+     "at least one mode"),
+    (["waterfill", "--channel", '{"type":"onoff","m":-1,"p":0.5}', "--snr", "1"],
+     "at least one mode"),
+    (["waterfill", "--channel", INDEFINITE_JSON, "--snr", "1"], "positive semidefinite"),
+    (["optimize", "--channel", INDEFINITE_JSON, "--snr", "1", "--method", "diag"],
+     "positive semidefinite"),
 ], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
         "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
-        "figure-1-sample", "optimize-5-samples", "optimize-999-samples"])
+        "figure-1-sample", "optimize-5-samples", "optimize-999-samples",
+        "wishart-fractional-n", "wishart-fractional-m", "onoff-fractional-m",
+        "onoff-zero-m", "onoff-negative-m", "waterfill-indefinite-corr",
+        "optimize-indefinite-corr"])
 def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -95,6 +95,13 @@ class TestTriangular:
         with pytest.raises(ValueError):
             linalg.chol_upper(np.diag([1.0, -0.5]))
 
+    def test_as_psd_is_the_check_chol_upper_applies(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            linalg.as_psd(np.diag([1.5, -0.5]))
+        a = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-15]])  # round-off of a rank-one matrix
+        assert np.array_equal(linalg.as_psd(a), linalg.as_hermitian(a))
+        linalg.chol_upper(a)
+
     def test_roundtrip_chol_of_gram(self):
         rng = np.random.default_rng(2)
         for n in (2, 3, 5):

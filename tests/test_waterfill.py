@@ -136,6 +136,30 @@ class TestSpaceTimeWaterLevel:
                   for x in xis]
         assert np.all(np.diff(powers) > 0)
 
+    @pytest.mark.parametrize("density", [
+        channels.wishart_density(1, 1), channels.wishart_density(2, 2),
+        channels.wishart_density(2, 4), channels.wishart_density(4, 4),
+        channels.empirical_density(
+            channels.KroneckerGaussian(np.zeros((2, 2)), [[1.0, 0.6], [0.6, 1.0]],
+                                       [[1.0, 0.5], [0.5, 1.0]]),
+            10_000, SeededStream(1).generator()),
+        channels.empirical_density(
+            channels.KroneckerGaussian(np.diag([2.0, 0.0, 0.0]), np.eye(3), np.eye(3)),
+            10_000, SeededStream(2).generator()),
+        channels.onoff_density(2, 0.4),
+        channels.empirical_density(channels.PointMass(np.diag([np.sqrt(2.0), 1.0, 0.1])),
+                                   1000, SeededStream(3).generator()),
+    ], ids=["wishart-1x1", "wishart-2x2", "wishart-2x4", "wishart-4x4", "pool-kronecker",
+            "pool-ricean", "onoff", "point-mass"])
+    def test_level_meets_budget_from_minus_60_to_60_db(self, density):
+        # brentq alone lands on the root: the power integral is continuous,
+        # also at the kinks of pooled and discrete densities
+        for db in range(-60, 61, 5):
+            budget = 10.0 ** (db / 10)
+            xi = waterfill.st_water_level(density, budget)
+            target = budget / density.m
+            assert abs(waterfill._avg_power(density, xi, 1 / xi) - target) <= 1e-9 * target
+
     def test_no_mass_raises(self):
         d = channels.PointMassDensity([0.0], [1.0], m=1)
         with pytest.raises(InfeasibleError):
