@@ -37,7 +37,7 @@ from .covopt import (
     fixed_point_diag,
     iterate_general,
 )
-from .linalg import as_hermitian, herm_eig, psd_sqrt, scaled_expint_gamma0
+from .linalg import _bracketed_root, as_hermitian, as_psd, herm_eig, psd_sqrt, scaled_expint_gamma0
 from .montecarlo import (
     DEFAULT_SAMPLES_INNER,
     McEstimate,
@@ -88,8 +88,8 @@ def beamform_opt_mc(r_corr, t_corr, gamma: float,
     Only the largest non-leading transmit eigenvalue tau2 is tested: the
     condition is linear in tau_k on one side, so it is tightest there.
     """
-    r_corr = as_hermitian(r_corr)
-    t_corr = as_hermitian(t_corr)
+    r_corr = as_psd(r_corr)
+    t_corr = as_psd(t_corr)
     _check_normalization(r_corr, t_corr)
     r = r_corr.shape[0]
     taus = np.sort(np.linalg.eigvalsh(t_corr))[::-1]
@@ -151,29 +151,26 @@ def beamform_boundary(gamma: float, rho_grid) -> np.ndarray:
     """Beamforming transition curve for the 2x2 diagonal parameterization.
 
     For each rho, with R = diag(rho, 2 - rho) and T = diag(tau, 2 - tau),
-    returns the smallest tau in (1, 2) where beamforming becomes optimal
-    (root of the closed-form margin to 1e-6; nan when it never does).
-    Output rows are (rho, tau_star).
+    returns the smallest tau in (1, 2) where beamforming becomes optimal:
+    the sign change of the closed-form margin, bisected to a bracket of 1e-6
+    (nan when the margin never turns positive). Output rows are (rho, tau_star).
     """
-    import scipy.optimize
-
     rho_grid = np.asarray(rho_grid, dtype=float)
     out = np.empty((rho_grid.size, 2))
     for idx, rho in enumerate(rho_grid):
         rvec = [rho, 2.0 - rho]
 
         def margin(tau):
-            return beamform_opt_closed(rvec, tau, 2.0 - tau, gamma).margin
+            return beamform_opt_closed(rvec, tau, 2.0 - tau, gamma).margin, None
 
         lo, hi = 1.0 + 1e-9, 2.0 - 1e-9
-        m_lo, m_hi = margin(lo), margin(hi)
-        if m_lo > 0:
+        at_hi = margin(hi)
+        if margin(lo)[0] > 0:
             out[idx] = (rho, lo)
-        elif m_hi < 0:
+        elif at_hi[0] < 0:
             out[idx] = (rho, np.nan)
         else:
-            tau_star = scipy.optimize.brentq(margin, lo, hi, xtol=1e-6)
-            out[idx] = (rho, tau_star)
+            out[idx] = (rho, _bracketed_root(margin, lo, hi, at_hi, xtol=1e-6))
     return out
 
 
@@ -240,7 +237,7 @@ def wishart_approx(mean, tx_corr, q) -> np.ndarray:
     """
     mean = np.asarray(mean, dtype=complex)
     t = mean.shape[1]
-    th = psd_sqrt(as_hermitian(tx_corr))
+    th = psd_sqrt(as_psd(tx_corr))
     sigma = th @ as_hermitian(q) @ th + mean.conj().T @ mean / t
     return 0.5 * (sigma + sigma.conj().T)
 

@@ -633,6 +633,15 @@ def _require_keys(obj: dict, keys) -> None:
         raise ValueError(f"{obj.get('type')!r} descriptor is missing {', '.join(missing)}")
 
 
+def _decode_field(obj: dict, key: str, decode):
+    """``decode(obj[key])``; a value of the wrong JSON type raises a
+    ``ValueError`` that names the key."""
+    try:
+        return decode(obj[key])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{obj.get('type')!r} descriptor field {key!r}: {e}") from None
+
+
 def law_to_json(law: ChannelLaw) -> dict:
     """Serialize a channel law to the JSON descriptor consumed by the CLI."""
     for kind, (cls, codecs) in _DESCRIPTORS.items():
@@ -651,4 +660,4 @@ def law_from_json(obj) -> ChannelLaw:
         raise ValueError(f"unknown channel descriptor type {kind!r}")
     cls, codecs = _DESCRIPTORS[kind]
     _require_keys(obj, codecs)
-    return cls(*(decode(obj[key]) for key, (_, decode) in codecs.items()))
+    return cls(*(_decode_field(obj, key, decode) for key, (_, decode) in codecs.items()))

@@ -120,9 +120,10 @@ def _load_descriptor(text: str) -> dict:
 
 def _mode_count(desc: dict, key: str) -> int:
     """An integral field of a density descriptor: 2 and 2.0 pass, 2.9 does not."""
-    if not float(desc[key]).is_integer():
+    value = channels._decode_field(desc, key, float)
+    if not value.is_integer():
         raise ValueError(f"{desc['type']} descriptor field {key!r} must be an integer")
-    return int(desc[key])
+    return int(value)
 
 
 def _density_from_descriptor(desc: dict, samples: int, seed: int) -> EigDensity:
@@ -130,7 +131,7 @@ def _density_from_descriptor(desc: dict, samples: int, seed: int) -> EigDensity:
     kind = desc.get("type")
     if kind == "onoff":
         channels._require_keys(desc, ("m", "p"))
-        return onoff_density(_mode_count(desc, "m"), float(desc["p"]))
+        return onoff_density(_mode_count(desc, "m"), channels._decode_field(desc, "p", float))
     if kind == "wishart":
         channels._require_keys(desc, ("m", "n"))
         return wishart_density(_mode_count(desc, "m"), _mode_count(desc, "n"))

@@ -1,4 +1,5 @@
-"""Dense complex linear algebra and special functions used across the package.
+"""Dense complex linear algebra, special functions and the scalar root finder
+used across the package.
 
 Everything here operates on small (dimension <~ 32) complex numpy arrays and
 wraps LAPACK-backed numpy/scipy routines with the conventions the rest of the
@@ -224,3 +225,44 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+#: a Newton step or bracket this small relative to the iterate ends a root
+#: search: the round-off of the closed-form density tails is about this size,
+#: and after a Newton step this short the quadratic error is far below it
+_ROOT_RTOL = 1e-14
+
+
+def _bracketed_root(fun, lo: float, hi: float, at_hi: tuple, xtol: float = 0.0) -> float:
+    """Root in ``[lo, hi]`` of a function that is negative at lo and not at hi.
+
+    ``fun(x)`` returns ``(value, slope)``, with slope None where the function
+    has no usable derivative; ``at_hi`` is ``fun(hi)``, which every caller
+    has already computed to find its bracket. The search starts at hi and
+    takes Newton steps; a step that would leave the current bracket, or has
+    no slope, bisects the bracket instead. Every evaluation moves one end of
+    the bracket. Returns at a zero value, at a bracket no wider than
+    ``max(xtol, 1e-14 |x|)`` (its midpoint), or after a Newton step no longer
+    than that. On a convex increasing function every Newton iterate from hi
+    stays at or above the root, so there the bracket only guards round-off.
+    """
+    x, (value, slope) = hi, at_hi
+    for _ in range(200):
+        if value == 0:
+            return x
+        if value > 0:
+            hi = x
+        else:
+            lo = x
+        tol = max(xtol, _ROOT_RTOL * abs(x))
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        step = value / slope if slope else np.inf
+        if abs(step) <= tol:
+            return x - step
+        if lo < x - step < hi:
+            x -= step
+        else:
+            x = 0.5 * (lo + hi)
+        value, slope = fun(x)
+    raise FloatingPointError("root search did not converge in 200 steps")

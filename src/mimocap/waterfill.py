@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .channels import (
     ChannelLaw,
@@ -31,7 +30,7 @@ from .channels import (
     gram_eigs,
     sample_batch,
 )
-from .linalg import svd
+from .linalg import _bracketed_root, svd
 from .montecarlo import SeededStream, as_stream
 
 __all__ = [
@@ -102,10 +101,11 @@ def waterfill_det(eigs, budget: float) -> WaterfillSolution:
     return WaterfillSolution(float(level[0]), powers, float(rate[0]), int(active[0]))
 
 
-def _avg_power(density: EigDensity, xi: float, a: float) -> float:
-    """Average per-eigenvalue power int_a^inf (xi - 1/lam) f dlam."""
+def _avg_power(density: EigDensity, xi: float, a: float) -> tuple[float, float]:
+    """Average per-eigenvalue power int_a^inf (xi - 1/lam) f dlam, and its
+    partial derivative in xi, the tail mass int_a^inf f dlam."""
     mass, inv, _ = density.tail_moments(a)
-    return xi * mass - inv
+    return xi * mass - inv, mass
 
 
 def _avg_rate(density: EigDensity, xi: float, a: float) -> float:
@@ -117,10 +117,14 @@ def _avg_rate(density: EigDensity, xi: float, a: float) -> float:
 def st_water_level(density: EigDensity, budget: float) -> float:
     """Water level xi of space-time water-filling over an eigenvalue density.
 
-    xi solves average per-eigenvalue power = budget / m, where m = ``density.m``
-    is the number of eigenmodes per symbol. The map xi -> average power is
-    continuous and monotone increasing, so the root is bracketed by doubling
-    and found by brentq at full precision.
+    xi solves P(xi) = xi * mass(1/xi) - inv(1/xi) = budget / m, the average
+    per-eigenvalue power, where m = ``density.m`` is the number of eigenmodes
+    per symbol. The boundary terms of the derivative cancel, so the slope is
+    exactly the tail mass, P'(xi) = mass(1/xi), and one ``tail_moments`` call
+    gives both. P is increasing and convex, so Newton steps from an upper
+    bracket found by doubling descend onto the root without overshoot: fast
+    on Wishart densities, and exact in one step on a linear piece of a pooled
+    or discrete density.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -132,17 +136,19 @@ def st_water_level(density: EigDensity, budget: float) -> float:
         raise InfeasibleError("eigenvalue density has no mass above zero")
 
     def residual(xi):
-        return _avg_power(density, xi, 1.0 / xi) - target
+        power, mass = _avg_power(density, xi, 1.0 / xi)
+        return power - target, mass
 
-    lo = 1e-12
     hi = target + 10.0
+    at_hi = residual(hi)
     tries = 0
-    while residual(hi) < 0:
+    while at_hi[0] < 0:
         hi *= 2.0
+        at_hi = residual(hi)
         tries += 1
         if tries > 200:
             raise InfeasibleError("failed to bracket the water level")
-    return float(scipy.optimize.brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+    return float(_bracketed_root(residual, 0.0, hi, at_hi))
 
 
 def st_capacity(density: EigDensity, xi: float) -> float:
@@ -279,8 +285,11 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float) -> tuple[
     """Rate after truncating the space-time allocation at a per-mode peak power.
 
     Both the power and rate integrals run over lam in [1/xi, 1/(xi - peak)];
-    eigenvalues that would draw more than ``peak`` are dropped. If the budget
-    cannot be spent under the cap, raises :class:`InfeasibleError`.
+    eigenvalues that would draw more than ``peak`` are dropped. The level is
+    the smallest root above the unconstrained one, bracketed on a geometric
+    ladder and solved by Newton steps on the exact slope of the truncated
+    power where the density has a pdf, by bisection where it has none. If the
+    budget cannot be spent under the cap, raises :class:`InfeasibleError`.
     """
     if peak <= 0:
         raise ValueError("peak power must be positive")
@@ -288,32 +297,34 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float) -> tuple[
     if peak >= xi_unc:
         return xi_unc, st_capacity(density, xi_unc)
     target = budget / density.m
+    has_pdf = isinstance(density, WishartDensity)
 
-    def truncated_power(xi):
-        full = _avg_power(density, xi, 1.0 / xi)
-        if xi <= peak:
-            return full
-        return full - _avg_power(density, xi, 1.0 / (xi - peak))
+    def residual(xi):
+        # xi >= xi_unc > peak throughout. As xi grows the window [1/xi, u]
+        # loses its top u = 1/(xi - peak), which takes the mass above u and
+        # peak u^2 f(u) off the slope; without a pdf the step is left to bisection.
+        u = 1.0 / (xi - peak)
+        power, mass = _avg_power(density, xi, 1.0 / xi)
+        top, top_mass = _avg_power(density, xi, u)
+        slope = mass - top_mass - peak * u * u * density.pdf(u) if has_pdf else None
+        return power - top - target, slope
 
     # Beyond xi_unc the truncated power is not monotone (the spendable window
     # both rises with xi and loses its top). The recovery hump can be very
     # narrow when the cap barely binds, so the bracket is expanded on a fine
     # geometric ladder of relative offsets and the smallest root is taken.
-    p_lo = truncated_power(xi_unc)
-    if p_lo >= target - 1e-15 * target:
+    if residual(xi_unc)[0] >= -1e-15 * target:
         xi = xi_unc
     else:
         xi = None
         for delta in np.geomspace(1e-9, 1e4, 80):
             hi = xi_unc * (1.0 + delta)
-            if truncated_power(hi) >= target:
-                xi = scipy.optimize.brentq(lambda x: truncated_power(x) - target,
-                                           xi_unc, hi, xtol=1e-13, maxiter=200)
+            at_hi = residual(hi)
+            if at_hi[0] >= 0:
+                xi = _bracketed_root(residual, xi_unc, hi, at_hi, xtol=1e-13)
                 break
         if xi is None:
             raise InfeasibleError(
                 f"budget {budget} unreachable with peak power {peak}")
-    rate = _avg_rate(density, xi, 1.0 / xi)
-    if xi > peak:
-        rate -= _avg_rate(density, xi, 1.0 / (xi - peak))
+    rate = _avg_rate(density, xi, 1.0 / xi) - _avg_rate(density, xi, 1.0 / (xi - peak))
     return float(xi), float(density.m * rate)

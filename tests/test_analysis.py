@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
 from mimocap import analysis, channels, covopt, linalg
 from mimocap.montecarlo import SeededStream, ergodic_mi
@@ -35,6 +36,14 @@ class TestBeamformMc:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
             analysis.beamform_opt_mc(2 * np.eye(2), np.eye(2), 1.0, samples=10)
+
+    @pytest.mark.parametrize("r_corr, t_corr", [
+        (np.eye(2), np.diag([2.5, -0.5])), (np.diag([2.5, -0.5]), np.eye(2)),
+    ], ids=["transmit", "receive"])
+    def test_indefinite_correlation_rejected(self, r_corr, t_corr):
+        # trace-normalized, but a negative mode is no correlation matrix
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            analysis.beamform_opt_mc(r_corr, t_corr, 1.0, 20_000, 1)
 
 
 class TestBeamformClosed:
@@ -100,6 +109,17 @@ class TestBoundary:
         lo = analysis.beamform_boundary(10 ** (-15 / 10), [1.2])[0, 1]
         hi = analysis.beamform_boundary(10 ** (0.5), [1.2])[0, 1]
         assert hi > lo + 0.1
+
+    def test_matches_brentq_on_the_benchmark_grid(self):
+        gamma = 10 ** -1.5
+        grid = np.arange(1.0, 1.9001, 0.1)
+        curve = analysis.beamform_boundary(gamma, grid)
+        for (rho, tau), rho_ref in zip(curve, grid):
+            def margin(x):
+                return analysis.beamform_opt_closed([rho, 2 - rho], x, 2 - x, gamma).margin
+            ref = scipy.optimize.brentq(margin, 1 + 1e-9, 2 - 1e-9, xtol=1e-12)
+            assert rho == rho_ref
+            assert abs(tau - ref) <= 1e-6
 
     def test_identity_transmit_never_crosses(self):
         for gamma in (0.05, 1.0, 10.0):
@@ -177,6 +197,10 @@ class TestWishartApprox:
         sigma = analysis.wishart_approx(np.zeros((2, 2)), t_corr, q)
         th = linalg.psd_sqrt(t_corr)
         assert np.allclose(sigma, th @ q @ th)
+
+    def test_indefinite_transmit_correlation_rejected(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            analysis.wishart_approx(np.zeros((2, 2)), np.diag([2.5, -0.5]), np.eye(2) / 2)
 
     def test_identity_correlation_recipe(self):
         m = np.array([[2.0, 0.0], [0.0, 0.0]])

@@ -318,12 +318,22 @@ INDEFINITE_JSON = json.dumps({
     (["waterfill", "--channel", INDEFINITE_JSON, "--snr", "1"], "positive semidefinite"),
     (["optimize", "--channel", INDEFINITE_JSON, "--snr", "1", "--method", "diag"],
      "positive semidefinite"),
+    (["waterfill", "--channel", '{"type":"wishart","m":[2],"n":2}', "--snr", "1"],
+     "'wishart' descriptor field 'm'"),
+    (["waterfill", "--channel", '{"type":"onoff","m":2,"p":{"value":0.4}}', "--snr", "1"],
+     "'onoff' descriptor field 'p'"),
+    (["waterfill", "--channel",
+      '{"type":"interp","kappa":[1],"m0":[[[1,0]]],"noise_cov":[[[1,0]]]}', "--snr", "1"],
+     "'interp' descriptor field 'kappa'"),
+    (["optimize", "--channel", '{"type":"point","h":"identity"}', "--snr", "1"],
+     "'point' descriptor field 'h'"),
 ], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
         "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
         "figure-1-sample", "optimize-5-samples", "optimize-999-samples",
         "wishart-fractional-n", "wishart-fractional-m", "onoff-fractional-m",
         "onoff-zero-m", "onoff-negative-m", "waterfill-indefinite-corr",
-        "optimize-indefinite-corr"])
+        "optimize-indefinite-corr", "wishart-list-m", "onoff-object-p", "interp-list-kappa",
+        "point-string-h"])
 def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -1,0 +1,38 @@
+"""Start-up guard: the CLI loads scipy.special and none of the heavier scipy modules.
+
+Each check runs in a fresh interpreter, since the test process itself has
+imported scipy.optimize and scipy.integrate for its references.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+
+
+def _heavy_modules_after(code: str) -> list:
+    """Run ``code`` with mimocap importable; return the heavy scipy modules it left loaded."""
+    script = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}\n"
+              f"print(sorted(m for m in sys.modules if m.startswith({HEAVY!r})))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, timeout=120)
+    return eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_module():
+    assert _heavy_modules_after("import mimocap.cli") == []
+
+
+def test_water_levels_and_boundary_load_no_heavy_scipy_module():
+    code = """
+import contextlib, io
+from mimocap import channels, cli, waterfill
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["waterfill", "--channel", '{"type":"wishart","m":2,"n":2}',
+                     "--snr-db=-10:30:10"]) == 0
+    assert cli.main(["beamform", "--boundary", "--snr-db=-15"]) == 0
+waterfill.peak_limited_rate(channels.wishart_density(1, 1), 1.0, 2.4125523113175524)
+"""
+    assert _heavy_modules_after(code) == []

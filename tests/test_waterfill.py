@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
 from mimocap import channels, linalg, waterfill
 from mimocap.montecarlo import SeededStream
@@ -13,6 +14,39 @@ RAYLEIGH_M2 = channels.wishart_density(2, 2)
 
 # two-mode closed form: mu = 1.25, powers (0.75, 0.25), rate ln 2.5 + ln 1.25
 GOLDEN_TWO_MODE_RATE = float(np.log(2.5) + np.log(1.25))
+EPS = np.finfo(float).eps
+
+#: four Wishart, two pooled and two discrete densities, solved over LEVEL_DBS
+LEVEL_DENSITIES = [
+    channels.wishart_density(1, 1), channels.wishart_density(2, 2),
+    channels.wishart_density(2, 4), channels.wishart_density(4, 4),
+    channels.empirical_density(
+        channels.KroneckerGaussian(np.zeros((2, 2)), [[1.0, 0.6], [0.6, 1.0]],
+                                   [[1.0, 0.5], [0.5, 1.0]]),
+        10_000, SeededStream(1).generator()),
+    channels.empirical_density(
+        channels.KroneckerGaussian(np.diag([2.0, 0.0, 0.0]), np.eye(3), np.eye(3)),
+        10_000, SeededStream(2).generator()),
+    channels.onoff_density(2, 0.4),
+    channels.empirical_density(channels.PointMass(np.diag([np.sqrt(2.0), 1.0, 0.1])),
+                               1000, SeededStream(3).generator()),
+]
+LEVEL_IDS = ["wishart-1x1", "wishart-2x2", "wishart-2x4", "wishart-4x4", "pool-kronecker",
+             "pool-ricean", "onoff", "point-mass"]
+LEVEL_DBS = range(-60, 61, 5)
+
+
+def _brentq_level(density, budget):
+    """The water level by brentq on the same closed-form power, as a reference."""
+    target = budget / density.m
+
+    def residual(xi):
+        return waterfill._avg_power(density, xi, 1 / xi)[0] - target
+
+    hi = target + 10.0
+    while residual(hi) < 0:
+        hi *= 2.0
+    return scipy.optimize.brentq(residual, 1e-12, hi, xtol=1e-15, rtol=4 * EPS, maxiter=200)
 
 
 class TestWaterfillDet:
@@ -136,29 +170,54 @@ class TestSpaceTimeWaterLevel:
                   for x in xis]
         assert np.all(np.diff(powers) > 0)
 
-    @pytest.mark.parametrize("density", [
-        channels.wishart_density(1, 1), channels.wishart_density(2, 2),
-        channels.wishart_density(2, 4), channels.wishart_density(4, 4),
-        channels.empirical_density(
-            channels.KroneckerGaussian(np.zeros((2, 2)), [[1.0, 0.6], [0.6, 1.0]],
-                                       [[1.0, 0.5], [0.5, 1.0]]),
-            10_000, SeededStream(1).generator()),
-        channels.empirical_density(
-            channels.KroneckerGaussian(np.diag([2.0, 0.0, 0.0]), np.eye(3), np.eye(3)),
-            10_000, SeededStream(2).generator()),
-        channels.onoff_density(2, 0.4),
-        channels.empirical_density(channels.PointMass(np.diag([np.sqrt(2.0), 1.0, 0.1])),
-                                   1000, SeededStream(3).generator()),
-    ], ids=["wishart-1x1", "wishart-2x2", "wishart-2x4", "wishart-4x4", "pool-kronecker",
-            "pool-ricean", "onoff", "point-mass"])
+    @pytest.mark.parametrize("density", LEVEL_DENSITIES, ids=LEVEL_IDS)
     def test_level_meets_budget_from_minus_60_to_60_db(self, density):
-        # brentq alone lands on the root: the power integral is continuous,
-        # also at the kinks of pooled and discrete densities
-        for db in range(-60, 61, 5):
+        # the Newton descent alone lands on the root: the power integral is
+        # continuous, also at the kinks of pooled and discrete densities
+        for db in LEVEL_DBS:
             budget = 10.0 ** (db / 10)
             xi = waterfill.st_water_level(density, budget)
             target = budget / density.m
-            assert abs(waterfill._avg_power(density, xi, 1 / xi) - target) <= 1e-9 * target
+            assert abs(waterfill._avg_power(density, xi, 1 / xi)[0] - target) <= 1e-9 * target
+
+    @pytest.mark.parametrize("density", LEVEL_DENSITIES, ids=LEVEL_IDS)
+    def test_level_matches_brentq_from_minus_60_to_60_db(self, density):
+        for db in LEVEL_DBS:
+            budget = 10.0 ** (db / 10)
+            ref = _brentq_level(density, budget)
+            assert waterfill.st_water_level(density, budget) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("density", LEVEL_DENSITIES[4:], ids=LEVEL_IDS[4:])
+    def test_piecewise_linear_levels_meet_budget_to_4_eps(self, density):
+        # Newton lands exactly on the linear piece that holds the root. The
+        # residual xi*mass - inv - target is judged against xi*mass, the power
+        # before the inverse moment is taken off: that subtraction is where
+        # the evaluation's own round-off sits (at -60 dB it cancels 5 digits).
+        for db in LEVEL_DBS:
+            budget = 10.0 ** (db / 10)
+            xi = waterfill.st_water_level(density, budget)
+            mass, inv, _ = density.tail_moments(1 / xi)
+            assert abs(xi * mass - inv - budget / density.m) <= 4 * EPS * xi * mass
+
+    @pytest.mark.parametrize("density", LEVEL_DENSITIES, ids=LEVEL_IDS)
+    def test_iterates_descend_onto_the_root(self, density, monkeypatch):
+        # P is increasing and convex, so Newton from the top of the bracket
+        # never overshoots: every iterate sits at or above the root, and each
+        # is below the one before, both up to the round-off of the tails.
+        def recording_root(fun, lo, hi, at_hi, xtol=0.0):
+            def recorded(x):
+                points.append(x)
+                return fun(x)
+            points.append(hi)
+            return linalg._bracketed_root(recorded, lo, hi, at_hi, xtol)
+
+        monkeypatch.setattr(waterfill, "_bracketed_root", recording_root)
+        for db in LEVEL_DBS:
+            points = []
+            xi = waterfill.st_water_level(density, 10.0 ** (db / 10))
+            points = np.array(points)
+            assert np.all(points >= xi * (1 - 1e-13))
+            assert np.all(np.diff(points) <= 1e-13 * points[1:])
 
     def test_no_mass_raises(self):
         d = channels.PointMassDensity([0.0], [1.0], m=1)
@@ -427,6 +486,37 @@ class TestPeakLimitedRate:
             rates.append(rate)
         assert rates[0] > rates[1] > rates[2] > 0
         assert rates[2] < 0.02
+
+    def test_levels_match_brentq_at_the_benchmark_caps(self):
+        # (gamma, cap) with cap just below the unconstrained Rayleigh level
+        for gamma, cap in ((0.1, 0.7717752040686633), (0.5, 1.651187896842394),
+                           (1.0, 2.4125523113175524), (2.0, 3.8695853836571557),
+                           (5.0, 7.428285843713933), (10.0, 12.897484106245063)):
+            xi_unc = waterfill.st_water_level(RAYLEIGH_M1, gamma)
+
+            def residual(xi):
+                full = waterfill._avg_power(RAYLEIGH_M1, xi, 1 / xi)[0]
+                top = waterfill._avg_power(RAYLEIGH_M1, xi, 1 / (xi - cap))[0]
+                return full - top - gamma
+
+            hi = next(xi_unc * (1 + d) for d in np.geomspace(1e-9, 1e4, 80)
+                      if residual(xi_unc * (1 + d)) >= 0)
+            ref = scipy.optimize.brentq(residual, xi_unc, hi, xtol=1e-13, maxiter=200)
+            xi, _ = waterfill.peak_limited_rate(RAYLEIGH_M1, gamma, cap)
+            assert xi == pytest.approx(ref, rel=1e-12)
+
+    def test_pooled_level_bisects_to_the_root(self):
+        # a pool has no pdf: the truncated power jumps where an eigenvalue
+        # leaves the window, and the solver bisects instead of stepping
+        pool = channels.empirical_density(channels.KroneckerGaussian(
+            np.zeros((1, 1)), np.eye(1), np.eye(1)), 10_000, SeededStream(4).generator())
+        xi_unc = waterfill.st_water_level(pool, 1.0)
+        xi, rate = waterfill.peak_limited_rate(pool, 1.0, 0.95 * xi_unc)
+        lam = pool.draws[:, 0]
+        window = (lam > 1 / xi) & (lam < 1 / (xi - 0.95 * xi_unc))
+        assert xi > xi_unc
+        assert np.mean(np.where(window, xi - 1 / lam, 0.0)) == pytest.approx(1.0, rel=1e-9)
+        assert 0.0 < rate < waterfill.st_capacity(pool, xi_unc)
 
     def test_cap_validation(self):
         with pytest.raises(ValueError):
