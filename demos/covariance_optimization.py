@@ -3,9 +3,8 @@
 Two solvers. When a diagonalizing basis is known up front (deterministic
 channels, zero-mean Kronecker fading) the problem is a power allocation, and
 Newton steps on the resolvent stationarity condition find it, with off modes
-exactly zero. In general no basis is known: parameterizing
-Q = T^H T by its Cholesky factor keeps positive semidefiniteness implicit and
-the projected-gradient map T <- T(M + M^H) / scale converges to the optimum,
+exactly zero. In general no basis is known: projected Newton steps on the
+Hermitian covariance itself, in its current eigenbasis, find the optimum,
 eigenvectors included.
 """
 
@@ -30,13 +29,13 @@ print("Deterministic eigenvalues {2, 1}, unit budget:")
 print(f"  water-filling: powers {sol.powers.round(6)}, rate {sol.rate:.6f} nats")
 print(f"  Newton (diag): powers {res.qhat.round(6)}, MI  {res.mi.mean:.6f} nats")
 
-# --- the general iteration finds rotated optima it was never told about ------
+# --- the general solver finds rotated optima it was never told about ---------
 
 rng = np.random.default_rng(1)
 u = haar_unitary(2, rng)
 law_rot = PointMass((u * np.sqrt([2.0, 1.0])) @ u.conj().T)
-res_rot = iterate_general(law_rot, 1.0, opts={"tol": 1e-9, "max_iter": 5000})
-print("\nSame spectrum behind a random unitary, Cholesky-factor iteration:")
+res_rot = iterate_general(law_rot, 1.0, opts={"tol": 1e-9})
+print("\nSame spectrum behind a random unitary, general Newton solver:")
 print(f"  MI {res_rot.mi.mean:.6f} nats (capacity {sol.rate:.6f}), "
       f"{res_rot.iterations} iterations, residual {res_rot.kkt_residual:.1e}")
 

@@ -6,8 +6,8 @@ The library covers two transmitter-knowledge regimes:
   single water level enforcing the long-term average power constraint
   (:mod:`mimocap.waterfill`, :mod:`mimocap.channels`);
 * statistical side information: fixed-point optimization of the transmit
-  covariance for arbitrary channel laws, via a known diagonalizing basis or a
-  Cholesky-factor iteration (:mod:`mimocap.covopt`), with beamforming tests
+  covariance for arbitrary channel laws, via a known diagonalizing basis or
+  Newton steps on the covariance itself (:mod:`mimocap.covopt`), with beamforming tests
   and SNR asymptotics in :mod:`mimocap.analysis`.
 
 All rates are natural-log (nats per complex symbol) unless converted at the

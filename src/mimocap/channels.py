@@ -634,9 +634,12 @@ def _require_keys(obj: dict, keys) -> None:
 
 
 def _decode_field(obj: dict, key: str, decode):
-    """``decode(obj[key])``; a value of the wrong JSON type raises a
-    ``ValueError`` that names the key."""
+    """``decode(obj[key])``; a value of the wrong JSON type, a boolean among
+    them (``float(True)`` would read 1.0), raises a ``ValueError`` that names
+    the key."""
     try:
+        if isinstance(obj[key], bool):
+            raise TypeError("a boolean is not a number")
         return decode(obj[key])
     except (TypeError, ValueError) as e:
         raise ValueError(f"{obj.get('type')!r} descriptor field {key!r}: {e}") from None

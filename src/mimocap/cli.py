@@ -4,8 +4,8 @@ Subcommands
 -----------
 waterfill   space-time water-filling over an eigenvalue density: per SNR grid
             point emits the water level, capacity and PAPR figures.
-optimize    covariance optimization (general Cholesky-factor iteration or the
-            diagonal fixed point); emits Q, its eigenstructure, MI and the
+optimize    covariance optimization (general Newton solver or the diagonal
+            fixed point); emits Q, its eigenstructure, MI and the
             KKT residual, plus an optional iteration-trace CSV.
 beamform    beamforming optimality verdict for a Kronecker channel, or the
             2x2 transition boundary sweep.
@@ -263,7 +263,7 @@ def cmd_optimize(args) -> int:
         res = covopt.iterate_general(law, gamma, opts)
     if not res.converged:
         print("warning: optimizer did not reach tolerance; "
-              "emitting best iterate", file=sys.stderr)
+              "emitting the last iterate", file=sys.stderr)
     scale, unit = _rate_scale(args.unit)
     u, lam = herm_eig(res.q)
     doc = {
@@ -418,10 +418,10 @@ def _figure_table(fig: str, args):
         for k in range(5):
             u = haar_unitary(2, gen)
             h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
-            res = covopt.iterate_general(PointMass(h), 1.0,
-                                         OptimizerOptions(tol=1e-7, max_iter=args.max_iter,
-                                                          seed=args.seed))
-            for i, mi in enumerate(res.mi_trace):
+            trace = covopt._cholesky_map_trace(PointMass(h), 1.0,
+                                               OptimizerOptions(tol=1e-7, max_iter=args.max_iter,
+                                                                seed=args.seed))
+            for i, mi in enumerate(trace):
                 rows.append([k, i + 1, (cap - float(mi)) * scale])
         return ["unitary", "iter", f"capacity_gap_{unit}"], rows
     if fig == "fig10":
@@ -435,12 +435,12 @@ def _figure_table(fig: str, args):
             mean = np.outer(mu, mu.conj())
             mean *= np.sqrt(n) / np.linalg.norm(mean)
             law = KroneckerGaussian(mean, np.eye(n), t_corr)
-            res = covopt.iterate_general(law, 1.0,
-                                         OptimizerOptions(tol=args.tol, samples=args.samples,
-                                                          max_iter=args.max_iter,
-                                                          seed=args.seed + trial))
-            best = max(res.mi_trace)
-            for i, mi in enumerate(res.mi_trace):
+            trace = covopt._cholesky_map_trace(law, 1.0,
+                                               OptimizerOptions(tol=args.tol, samples=args.samples,
+                                                                max_iter=args.max_iter,
+                                                                seed=args.seed + trial))
+            best = max(trace)
+            for i, mi in enumerate(trace):
                 rows.append([trial, i + 1, (best - float(mi)) * scale])
         return ["trial", "iter", f"mi_gap_{unit}"], rows
     if fig in ("fig11", "fig12"):

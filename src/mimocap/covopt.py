@@ -10,11 +10,14 @@ Two optimizers:
   the MI in q and E[|X_kl|^2] its negated Hessian, both read off the same
   per-draw solve, and off modes are set exactly to zero.
 
-* ``iterate_general``: no structural assumptions. The covariance is
-  parameterized by its upper-triangular Cholesky factor T (Q = T^H T), which
-  makes positive semidefiniteness implicit, and the factor is driven by the
-  projected-gradient map T <- T (M + M^H) followed by rescaling to unit trace,
-  where M = E[(I + S T^H T)^-1 S] and S = gamma * H^H H.
+* ``iterate_general``: no structural assumptions. The same condition holds
+  for Hermitian Q: E[X] = mu on the range of Q and E[X] <= mu off it. It is
+  solved by projected Newton steps on trace-one PSD matrices in the current
+  eigenbasis of Q, with gradient E[X] and curvature E[tr(X D X D)] from the
+  same per-draw solve; eigenvalues that reach zero are set exactly to zero.
+  The paper's own solver, the damped Cholesky-factor map T <- T (M + M^H)
+  with M = E[(I + S T^H T)^-1 S], survives only as the subject of figures 9
+  and 10 (``_cholesky_map_trace``).
 
 Both use common random numbers: within a convergence epoch the channel pool
 is frozen, so the stochastic fixed point becomes a deterministic one per pool
@@ -57,8 +60,8 @@ __all__ = [
 
 #: power below which the diagonal residual counts a mode as off
 MODE_OFF = 1e-6
-#: weight of the new iterate in the general optimizer's damped update (halved
-#: when the pool MI drops)
+#: weight of the new iterate in the damped Cholesky-factor map of figures 9
+#: and 10 (halved when the pool MI drops)
 DAMPING = 0.5
 #: most iterations on one frozen pool before a fresh-pool convergence check
 INNER_MAX = 80
@@ -209,37 +212,52 @@ def _newton_direction(d: np.ndarray, h: np.ndarray, qvec: np.ndarray) -> np.ndar
         free &= ~blocked
 
 
-def _newton_update(s_pool: np.ndarray, qvec: np.ndarray, step: np.ndarray,
-                   mi: float, still: float) -> tuple[np.ndarray, float]:
-    """Longest feasible part of ``step`` that does not lower the pool MI.
+def _backtrack(s_pool: np.ndarray, point, ratio: float, size: float,
+               mi: float, still: float) -> tuple:
+    """Longest part of a Newton step that does not lower the pool MI.
 
-    The step is cut at the first mode it would drive negative, and that mode
-    is set to exactly zero; the step is then halved while the pool MI (``mi``
-    at ``qvec``) falls. Returns the new powers and their pool MI, or ``qvec``
-    and ``mi`` once the step has shrunk to ``still``. A full step no longer
+    ``point(alpha, boundary)`` returns the iterate ``alpha`` along the step
+    and its covariance; ``boundary`` is set when alpha is ``ratio``, where
+    the step leaves the feasible set. The step is cut at ``ratio``, then
+    halved while the pool MI (``mi`` at the current iterate) falls. Returns
+    the new iterate and its pool MI, or None and ``mi`` once the step
+    (largest entry ``size``) has shrunk to ``still``. A full step no longer
     than ``still`` is taken unchecked and keeps ``mi``: it raises the MI by
     its quadratic term, below what the pool resolves.
     """
+    alpha = min(1.0, ratio)
+    if alpha == 1.0 and size <= still:
+        return point(1.0, False)[0], mi
+    while True:
+        cand, q = point(alpha, alpha == ratio)
+        mi_cand = _pool_mi(s_pool, q)[0]
+        if mi_cand >= mi:
+            return cand, mi_cand
+        alpha /= 2.0
+        if alpha * size <= still:
+            return None, mi
+
+
+def _newton_update(s_pool: np.ndarray, qvec: np.ndarray, step: np.ndarray,
+                   mi: float, still: float) -> tuple[np.ndarray, float]:
+    """:func:`_backtrack` on the simplex: the step is cut at the first mode
+    it would drive negative, and that mode is set to exactly zero. Returns
+    the new powers and their pool MI, or ``qvec`` and ``mi``."""
     neg = step < 0
     ratio = np.full(qvec.shape, np.inf)
     ratio[neg] = qvec[neg] / -step[neg]
     block = int(np.argmin(ratio))
-    alpha = min(1.0, ratio[block])
-    if alpha == 1.0 and np.abs(step).max() <= still:
-        cand = np.maximum(qvec + step, 0.0)
-        return cand / cand.sum(), mi
-    while True:
+
+    def point(alpha, boundary):
         cand = qvec + alpha * step
-        if alpha == ratio[block]:
+        if boundary:
             cand[block] = 0.0
         cand = np.maximum(cand, 0.0)
         cand /= cand.sum()
-        mi_cand = _pool_mi(s_pool, np.diag(cand))[0]
-        if mi_cand >= mi:
-            return cand, mi_cand
-        alpha /= 2.0
-        if alpha * np.abs(step).max() <= still:
-            return qvec, mi
+        return cand, np.diag(cand)
+
+    new, mi = _backtrack(s_pool, point, ratio[block], np.abs(step).max(), mi, still)
+    return (qvec if new is None else new), mi
 
 
 def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
@@ -323,7 +341,7 @@ def monotonicity_check(law: ChannelLaw, basis, gamma_grid,
 
 
 # ---------------------------------------------------------------------------
-# general case (Cholesky factor)
+# general case
 # ---------------------------------------------------------------------------
 
 def grad_matrix(tfac, law: ChannelLaw, gamma: float,
@@ -396,52 +414,253 @@ def kkt_residual_general(tfac, law: ChannelLaw, gamma: float,
     return _general_residual(gm.m, np.triu(tfac))
 
 
+def _herm_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real coordinates of Hermitian k x k matrices.
+
+    Returns (coords, rows, cols): column a of the (k*k, k*k) ``coords`` is
+    the row-major vec of basis matrix B_a, entry (rows[a], cols[a]) being
+    the one it sets. The k diagonal units come first, then E_ij + E_ji and
+    i (E_ij - E_ji) for each i < j, so D = sum_a x_a B_a for real x and
+    tr D is the sum of the first k coordinates.
+    """
+    iu, ju = np.triu_indices(k, 1)
+    rows = np.concatenate([np.arange(k), np.repeat(iu, 2)])
+    cols = np.concatenate([np.arange(k), np.repeat(ju, 2)])
+    coords = np.zeros((k, k, k * k), dtype=complex)
+    a = np.arange(k * k)
+    imag = (a >= k) & ((a - k) % 2 == 1)
+    coords[rows, cols, a] = np.where(imag, 1j, 1.0)
+    coords[cols, rows, a] = np.where(imag, -1j, 1.0)
+    return coords.reshape(k * k, k * k), rows, cols
+
+
+def _general_direction(x: np.ndarray, vecs: np.ndarray, lam: np.ndarray) -> tuple:
+    """Newton step of the pool MI over trace-one PSD matrices near the current Q.
+
+    Q = vecs diag(lam) vecs^H with exact zeros for off directions, and ``x``
+    holds the per-draw X = (I + S Q)^-1 S. In the basis W of the r powered
+    eigenvectors followed by the eigenvectors of W_off^H M W_off (M = E[X]),
+    the step is Delta = W D W^H with D Hermitian and tr D = 0, in the real
+    coordinates of :func:`_herm_coords`: the gradient is tr(W^H M W B_a) and
+    the curvature E[tr(Xw B_a Xw B_b)], Xw = W^H X W, the contraction of
+    E[vec(Xw) vec(Xw)^T] (one (N, t*t)^T (N, t*t) product). The step solves
+    [[H, c], [c^T, 0]] [x; nu] = [grad; 0] on the coordinates it may move:
+
+    * the powered block and the rotations of powered directions into off
+      ones, whose PSD completion D_uu = |D_ui|^2 / lam_i adds the curvature
+      2 (mu - w_u) / lam_i, w_u the off direction's gradient and mu the
+      powered directions' mean (the boundary curve of the cone);
+    * the block of the off directions freed because w_u > mu; a freed
+      direction whose block of D is not PSD is held at zero power (the one
+      with the smallest diagonal entry first) and the step solved again.
+
+    Returns W, D, r and the indices of the freed directions.
+    """
+    t = x.shape[1]
+    on = lam > 0
+    r = int(on.sum())
+    m = x.mean(axis=0)
+    act = vecs[:, on]
+    off = vecs[:, ~on]
+    mu = np.trace(act.conj().T @ m @ act).real / r
+    w, e = np.linalg.eigh(off.conj().T @ m @ off)
+    basis = np.hstack([act, off @ e])
+    xw = (x.reshape(-1, t) @ basis).reshape(-1, t, t)
+    xw = (xw.swapaxes(1, 2).reshape(-1, t) @ basis.conj()).reshape(-1, t, t)
+    vx = xw.swapaxes(1, 2).reshape(-1, t * t)
+    kk = np.moveaxis((vx.T @ vx / vx.shape[0]).reshape(t, t, t, t), 0, -1).reshape(t * t, t * t)
+    coords, rows, cols = _herm_coords(t)
+    g = basis.conj().T @ m @ basis
+    hess = (coords.T @ kk @ coords).real
+    hess = 0.5 * (hess + hess.T)
+    grad = (coords.T @ g.T.ravel()).real
+    gain = np.concatenate([np.zeros(r), mu - w])
+    rot = (rows < r) & (cols >= r)
+    hess[rot, rot] += 2.0 * np.maximum(gain[cols[rot]], 0.0) / lam[on][rows[rot]]
+    freed = gain < 0
+    n = t * t
+    while True:
+        move = (freed[rows] & freed[cols]) | rot | ((rows < r) & (cols < r))
+        idx = np.flatnonzero(move)
+        diag = idx[idx < t]
+        kkt = np.zeros((idx.size + 1, idx.size + 1))
+        kkt[:-1, :-1] = hess[np.ix_(idx, idx)]
+        kkt[:diag.size, -1] = kkt[-1, :diag.size] = 1.0
+        sol = np.linalg.lstsq(kkt, np.append(grad[idx], 0.0), rcond=None)[0]
+        step = np.zeros(n)
+        step[idx] = sol[:-1]
+        d = (coords @ step).reshape(t, t)
+        fb = np.flatnonzero(freed)
+        if fb.size == 0 or np.linalg.eigvalsh(d[np.ix_(fb, fb)])[0] >= -1e-12:
+            return basis, d, r, fb
+        freed[fb[np.argmin(np.diag(d)[fb].real)]] = False
+
+
+def _cone_point(direction: tuple, lam_on: np.ndarray, alpha: float,
+                boundary: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the trace-one PSD matrix that ``alpha`` times the step reaches.
+
+    In the basis W of the step the new covariance is L L^H with columns
+    [E a^1/2; B^H E a^-1/2] and those of the freed block alpha D_ff, where
+    E diag(a) E^H = A = diag(lam_on) + alpha D_aa and B = alpha D_a,off: its powered block
+    is A, its cross block B, and its off block the least PSD completion
+    B^H A^-1 B plus the freed powers, so directions held at zero power stay
+    at exactly zero. At the PSD boundary the eigenvalue of A reaching zero
+    is set exactly to zero and its direction dropped. The powers are
+    rescaled to unit trace.
+    """
+    basis, d, r, freed = direction
+    t = d.shape[0]
+    a, e = np.linalg.eigh(np.diag(lam_on) + alpha * d[:r, :r])
+    if boundary:
+        a[0] = 0.0
+    e, a = e[:, a > 0], a[a > 0]
+    cols = [np.vstack([e * np.sqrt(a), alpha * d[:r, r:].conj().T @ e / np.sqrt(a)])]
+    if freed.size:
+        f, ef = np.linalg.eigh(alpha * d[np.ix_(freed, freed)])
+        block = np.zeros((t, int(np.sum(f > 0))), dtype=complex)
+        block[freed] = ef[:, f > 0] * np.sqrt(f[f > 0])
+        cols.append(block)
+    u, sv, _ = np.linalg.svd(basis @ np.hstack(cols))
+    lam = np.zeros(t)
+    lam[:sv.size] = sv ** 2
+    return u, lam / lam.sum()
+
+
+def _covariance(vecs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    q = (vecs * lam) @ vecs.conj().T
+    return 0.5 * (q + q.conj().T)
+
+
+def _general_update(s_pool: np.ndarray, vecs: np.ndarray, lam: np.ndarray,
+                    direction: tuple, mi: float, still: float) -> tuple:
+    """:func:`_backtrack` on trace-one PSD matrices: the step D is cut where
+    Y_a + alpha D_aa, Y_a the powered eigenvalues, first turns singular, at
+    alpha = -1/min eig(Y_a^-1/2 D_aa Y_a^-1/2), where :func:`_cone_point`
+    sets the eigenvalue reaching zero exactly to zero. Returns the
+    eigenpairs of the new Q and its pool MI, or the current ones."""
+    d, r = direction[1], direction[2]
+    ya = lam[lam > 0]
+    nu = np.linalg.eigvalsh(d[:r, :r] / np.sqrt(np.outer(ya, ya)))[0]
+
+    def point(alpha, boundary):
+        cand = _cone_point(direction, ya, alpha, boundary)
+        return cand, _covariance(*cand)
+
+    new, mi = _backtrack(s_pool, point, -1.0 / nu if nu < 0 else np.inf, np.abs(d).max(),
+                         mi, still)
+    return (*((vecs, lam) if new is None else new), mi)
+
+
+def _pool_residual(x: np.ndarray, q: np.ndarray) -> float:
+    return _general_residual(x.mean(axis=0), chol_upper(q))
+
+
 def iterate_general(law: ChannelLaw, gamma: float,
                     opts: OptimizerOptions | dict | None = None,
                     init=None) -> CovOptResult:
-    """Iterative power allocation over the Cholesky factor (no basis needed).
+    """Optimal covariance by projected Newton steps on Hermitian Q (no basis needed).
 
-    Each step forms M on the current pool, updates T <- T (M + M^H), zeroes
-    the strict lower triangle, restores the real-diagonal gauge and rescales
-    to unit trace. The update is damped (convex combination with the previous
-    factor); the damping is halved whenever the pool MI drops by more than
-    twice its standard error. Non-convergence returns the best-MI iterate,
-    flagged.
+    Starting from Q = T^H T of the unit-trace factor ``init`` (default I/t),
+    each iteration takes one Newton step of the MI over trace-one PSD
+    matrices in the current eigenbasis of Q (:func:`_general_direction`),
+    with gradient E[X] and curvature E[tr(X D X D)] on the frozen pool, cut
+    at the PSD boundary (so off eigenvalues come out exactly zero) and
+    backtracked on the pool MI, which is the ``mi_trace`` entry. A pool is
+    left once a step moves no entry of Q by more than ``tol / 100``; the
+    next pool first serves as the fresh-pool check of the stationarity
+    residual of ``chol_upper(Q)``. The run stops, ``converged``, when that
+    residual is below ``tol`` or the last pool's step settled.
     """
     opts = _as_opts(opts)
     t = law.tx
     tfac = _normalize_ut(np.eye(t, dtype=complex) if init is None
                          else np.asarray(init, dtype=complex))
+    lam, vecs = np.linalg.eigh(ut_gram(tfac))
+    lam[lam <= t * np.finfo(float).eps * lam[-1]] = 0.0
+    lam /= lam.sum()
+    q = _covariance(vecs, lam)
     stream = as_stream(opts.seed)
-    alpha = DAMPING
+    still = opts.tol * 1e-2
     trace = []
     res_trace = []
     iters = 0
     converged = False
+    settled = False
     epoch = 0
     residual = np.inf
-    best = (-np.inf, tfac)
+    pool = _s_pool(law, gamma, None, opts.samples, stream.child(0))
+    x = _resolvent_gradient(pool, q)
     while iters < opts.max_iter and not converged:
+        mi = _pool_mi(pool, q)[0]
+        for _ in range(INNER_MAX):
+            if iters >= opts.max_iter:
+                break
+            res_trace.append(_pool_residual(x, q))
+            rank = np.count_nonzero(lam)
+            vecs, lam, mi = _general_update(pool, vecs, lam, _general_direction(x, vecs, lam),
+                                            mi, still)
+            new = _covariance(vecs, lam)
+            settled = bool(np.abs(new - q).max() <= still and np.count_nonzero(lam) == rank)
+            q = new
+            trace.append(mi)
+            iters += 1
+            if settled:
+                break
+            x = _resolvent_gradient(pool, q)
+        # the fresh check pool becomes the next epoch's solving pool
+        epoch += 1
+        pool = _s_pool(law, gamma, None, opts.samples, stream.child(epoch))
+        x = _resolvent_gradient(pool, q)
+        residual = _pool_residual(x, q)
+        converged = bool(residual <= opts.tol or settled)
+
+    if not np.all(np.isfinite(q)):
+        raise FloatingPointError("Newton step produced non-finite entries")
+    mi = ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983))
+    return CovOptResult(
+        q=q, factor=chol_upper(q), mi=mi, kkt_residual=float(residual),
+        mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
+        iterations=iters, converged=converged)
+
+
+def _cholesky_map_trace(law: ChannelLaw, gamma: float,
+                        opts: OptimizerOptions | dict | None = None) -> np.ndarray:
+    """Per-step pool MI of the paper's damped Cholesky-factor map.
+
+    Figures 9 and 10 plot this map's trajectory; the solver is
+    :func:`iterate_general`. Each step forms M on the current pool, updates
+    T <- T (M + M^H), zeroes the strict lower triangle, restores the
+    real-diagonal gauge and rescales to unit trace. The update is damped
+    (convex combination with the previous factor), the damping halved
+    whenever the pool MI drops by more than twice its standard error, and a
+    pool is left after 80 steps or five flat-MI steps. The map stops when
+    the residual on a fresh check pool is below ``tol`` or the MI went flat.
+    """
+    opts = _as_opts(opts)
+    tfac = _normalize_ut(np.eye(law.tx, dtype=complex))
+    stream = as_stream(opts.seed)
+    alpha = DAMPING
+    trace = []
+    epoch = 0
+    done = False
+    while len(trace) < opts.max_iter and not done:
         pool = _s_pool(law, gamma, None, opts.samples, stream.child(2 * epoch))
         mi_prev, _ = _pool_mi(pool, ut_gram(tfac))
         flat = 0
         for _ in range(INNER_MAX):
-            if iters >= opts.max_iter:
+            if len(trace) >= opts.max_iter:
                 break
             m = np.mean(_resolvent_gradient(pool, ut_gram(tfac)), axis=0)
-            res_trace.append(_general_residual(m, tfac))
             step = _normalize_ut(_phase_fix_rows(np.triu(tfac @ (m + m.conj().T))))
             cand = _normalize_ut(_phase_fix_rows((1 - alpha) * tfac + alpha * step))
             mi_new, se_new = _pool_mi(pool, ut_gram(cand))
-            iters += 1
             if mi_new < mi_prev - 2.0 * max(se_new, 1e-12):
                 alpha = max(alpha / 2.0, 0.02)
                 trace.append(mi_prev)
                 continue
             tfac = cand
             trace.append(mi_new)
-            if mi_new > best[0]:
-                best = (mi_new, tfac)
             if abs(mi_new - mi_prev) < opts.tol / 10.0 * max(abs(mi_new), 1.0):
                 flat += 1
             else:
@@ -451,21 +670,9 @@ def iterate_general(law: ChannelLaw, gamma: float,
                 break
         check = _s_pool(law, gamma, None, opts.samples, stream.child(2 * epoch + 1))
         mcheck = np.mean(_resolvent_gradient(check, ut_gram(tfac)), axis=0)
-        residual = _general_residual(mcheck, tfac)
-        if residual <= opts.tol or flat >= 5:
-            converged = True
+        done = _general_residual(mcheck, tfac) <= opts.tol or flat >= 5
         epoch += 1
-
-    if not converged and best[0] > -np.inf:
-        tfac = best[1]
-    if not np.all(np.isfinite(tfac)):
-        raise FloatingPointError("factor update produced non-finite entries")
-    q = ut_gram(tfac)
-    mi = ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983))
-    return CovOptResult(
-        q=q, factor=tfac, mi=mi, kkt_residual=float(residual),
-        mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
-        iterations=iters, converged=converged)
+    return np.asarray(trace)
 
 
 def _as_opts(opts) -> OptimizerOptions:

@@ -6,7 +6,9 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from mimocap.cli import main, validate_result
+from mimocap.cli import DEFAULT_SEED, main, validate_result
+from mimocap.linalg import haar_unitary
+from mimocap.montecarlo import SeededStream
 
 IID_2x2_JSON = json.dumps({
     "type": "kronecker",
@@ -327,13 +329,18 @@ INDEFINITE_JSON = json.dumps({
      "'interp' descriptor field 'kappa'"),
     (["optimize", "--channel", '{"type":"point","h":"identity"}', "--snr", "1"],
      "'point' descriptor field 'h'"),
+    (["waterfill", "--channel", '{"type":"wishart","m":true,"n":2}', "--snr", "1"],
+     "'wishart' descriptor field 'm'"),
+    (["waterfill", "--channel",
+      '{"type":"interp","kappa":false,"m0":[[[1,0]]],"noise_cov":[[[1,0]]]}', "--snr", "1"],
+     "'interp' descriptor field 'kappa'"),
 ], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
         "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
         "figure-1-sample", "optimize-5-samples", "optimize-999-samples",
         "wishart-fractional-n", "wishart-fractional-m", "onoff-fractional-m",
         "onoff-zero-m", "onoff-negative-m", "waterfill-indefinite-corr",
         "optimize-indefinite-corr", "wishart-list-m", "onoff-object-p", "interp-list-kappa",
-        "point-string-h"])
+        "point-string-h", "wishart-bool-m", "interp-bool-kappa"])
 def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -350,6 +357,30 @@ def test_fig9_draws_only_from_philox(monkeypatch):
     header, rows = read_csv(out)
     assert header == ["unitary", "iter", "capacity_gap_nats"]
     assert {r[0] for r in rows} == {"0", "1", "2", "3", "4"}
+
+
+def test_fig9_plots_the_damped_cholesky_map():
+    # the paper's map T <- T (M + M^H), damped by 1/2, by hand on fig9's first
+    # unitary: M = (I + S T^H T)^-1 S is exact for a point mass
+    rc, out = run_cli(["figures", "--figure", "fig9"])
+    assert rc == 0
+    gaps = [float(r[2]) for r in read_csv(out)[1] if r[0] == "0"][:3]
+    u = haar_unitary(2, SeededStream(DEFAULT_SEED).generator())
+    h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
+    s = h.conj().T @ h
+    cap = np.log(2.5) + np.log(1.25)
+
+    def gauge(t):
+        t = np.triu(t)
+        t = t * (np.abs(np.diag(t)) / np.diag(t))[:, None]
+        return t / np.linalg.norm(t)
+
+    tfac = np.eye(2) / np.sqrt(2)
+    for gap in gaps:
+        m = np.linalg.solve(np.eye(2) + s @ tfac.conj().T @ tfac, s)
+        tfac = gauge(0.5 * tfac + 0.5 * gauge(tfac @ (m + m.conj().T)))
+        mi = np.linalg.slogdet(np.eye(2) + s @ tfac.conj().T @ tfac)[1]
+        assert abs((cap - mi) - gap) <= 1e-12
 
 
 def test_validate_result_catches_missing_keys():

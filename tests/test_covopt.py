@@ -257,6 +257,64 @@ class TestIterateGeneral:
         assert abs(fresh.mean - res.mi.mean) <= 2 * (fresh.se + res.mi.se)
 
 
+class TestGeneralNewton:
+    """The general solver's projected Newton steps on a frozen pool."""
+
+    def test_lands_on_the_diagonal_optimum_of_a_kronecker_law(self):
+        # both solvers on 4x10^4-draw pools: at 10^4 draws the diagonal solver
+        # ends on its second pool, whose p1 sits 0.008 from the first one's
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
+                                         np.diag([1.4, 0.6]))
+        opts = {"samples": 40_000, "seed": 12345}
+        gen = covopt.iterate_general(law, 1.0, opts)
+        diag = covopt.fixed_point_diag(law, 1.0, None, opts)
+        assert abs(np.linalg.eigvalsh(gen.q)[-1] - diag.qhat.max()) <= 0.005
+
+    def test_ricean_law_lands_on_rank_two_exactly(self):
+        mean = np.zeros((4, 4), dtype=complex)
+        mean[0, 0] = 4.0
+        law = channels.KroneckerGaussian(mean, np.eye(4), 0.5 * np.ones((4, 4)) + 0.5 * np.eye(4))
+        res = covopt.iterate_general(law, 1.0, {"seed": 12345})
+        lam = np.linalg.eigvalsh(res.q)
+        assert np.all(np.abs(lam[:2]) <= 1e-12) and lam[2] > 0.1
+        assert res.iterations <= 10
+
+    def test_mi_trace_never_decreases_within_an_epoch(self, monkeypatch):
+        pools = []
+        s_pool = covopt._s_pool
+
+        def counted(*args):
+            pools.append(args)
+            return s_pool(*args)
+
+        monkeypatch.setattr(covopt, "_s_pool", counted)
+        law = channels.KroneckerGaussian(np.zeros((3, 3)), np.eye(3),
+                                         0.6 * np.ones((3, 3)) + 0.4 * np.eye(3))
+        res = covopt.iterate_general(law, 1.0, {"seed": 31})
+        assert len(pools) == 2  # one solving pool and its check pool: one epoch
+        assert res.iterations >= 3
+        assert np.all(np.diff(res.mi_trace) >= 0.0)
+
+    def test_rotated_point_mass_reaches_waterfilling_rate(self):
+        for seed in (11, 12, 13):
+            res = covopt.iterate_general(point_mass_with_unitary(seed), 1.0, {"tol": 1e-7})
+            assert abs(res.mi.mean - GOLDEN_MI) <= 1e-9
+            assert res.iterations <= 6
+
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8])
+    def test_rank_deficient_point_mass_optimum(self, seed):
+        # beamforming optima: the powered range must rotate onto the top
+        # eigenvectors after the first boundary hit, not freeze where it landed
+        rng = np.random.default_rng(seed)
+        h = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))) / np.sqrt(2)
+        gamma = 0.3
+        sol = waterfill.waterfill_det(np.linalg.eigvalsh(h.conj().T @ h)[::-1].clip(0), gamma)
+        res = covopt.iterate_general(channels.PointMass(h), gamma, {"tol": 1e-7})
+        assert abs(res.mi.mean - sol.rate) <= 1e-9
+        assert np.sum(np.linalg.eigvalsh(res.q) > 1e-12) <= 2
+        assert res.iterations <= 8
+
+
 class TestAgreementAcrossOptimizers:
     def test_point_mass_reduces_to_waterfilling(self):
         sol = waterfill.waterfill_det([2.0, 1.0], 1.0)

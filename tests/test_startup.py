@@ -36,3 +36,17 @@ with contextlib.redirect_stdout(io.StringIO()):
 waterfill.peak_limited_rate(channels.wishart_density(1, 1), 1.0, 2.4125523113175524)
 """
     assert _heavy_modules_after(code) == []
+
+
+def test_general_covariance_solve_loads_no_heavy_scipy_module():
+    code = """
+import contextlib, io, json
+from mimocap import cli
+law = {"type": "kronecker", "mean": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+       "rx_corr": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+       "tx_corr": [[[1.4, 0], [0.3, 0]], [[0.3, 0], [0.6, 0]]]}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["optimize", "--channel", json.dumps(law), "--snr", "1",
+                     "--method", "general", "--samples", "2000"]) == 0
+"""
+    assert _heavy_modules_after(code) == []
