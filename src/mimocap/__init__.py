@@ -35,10 +35,8 @@ from .channels import (
 )
 from .covopt import (
     CovOptResult,
-    GradMatrix,
     OptimizerOptions,
     fixed_point_diag,
-    grad_matrix,
     iterate_general,
     kkt_residual_diag,
     kkt_residual_general,

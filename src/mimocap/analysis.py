@@ -72,6 +72,8 @@ class BeamformVerdict:
 
 def _check_normalization(r_corr: np.ndarray, t_corr: np.ndarray) -> None:
     r, t = r_corr.shape[0], t_corr.shape[0]
+    if t < 2:
+        raise ValueError("beamforming needs at least two transmit modes")
     if abs(np.trace(r_corr).real - r) > 1e-6 * r:
         raise ValueError("beamforming test requires tr(R) = r")
     if abs(np.trace(t_corr).real - t) > 1e-6 * t:
@@ -93,8 +95,6 @@ def beamform_opt_mc(r_corr, t_corr, gamma: float,
     _check_normalization(r_corr, t_corr)
     r = r_corr.shape[0]
     taus = np.sort(np.linalg.eigvalsh(t_corr))[::-1]
-    if taus.size < 2:
-        raise ValueError("beamforming needs at least two transmit modes")
     tau1, tau2 = taus[0], taus[1]
     gen = as_stream(rng).generator()
     u = (gen.standard_normal((samples, r)) + 1j * gen.standard_normal((samples, r)))

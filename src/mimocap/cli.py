@@ -89,10 +89,16 @@ def _grid(text: str) -> np.ndarray:
     a, b, step = vals
     if step == 0:
         raise ValueError(f"grid {text!r} has a zero step")
-    grid = np.arange(a, b + 1e-9, step)
+    grid = np.arange(a, b + np.copysign(1e-9, step), step)
     if grid.size == 0:
         raise ValueError(f"empty grid {text!r}")
     return grid
+
+
+def _solver_opts(args, **overrides) -> OptimizerOptions:
+    """Solver options from the common flags, ``overrides`` taking precedence."""
+    return OptimizerOptions(**{"tol": args.tol, "max_iter": args.max_iter,
+                               "samples": args.samples, "seed": args.seed, **overrides})
 
 
 def _parse_snr(args) -> np.ndarray:
@@ -255,8 +261,7 @@ def cmd_optimize(args) -> int:
     gamma = float(gammas[0])
     if not np.any(channels.expected_gram(law)):
         raise InfeasibleError("zero channel: the capacity is 0 and every covariance is optimal")
-    opts = OptimizerOptions(tol=args.tol, max_iter=args.max_iter,
-                            samples=args.samples, seed=args.seed)
+    opts = _solver_opts(args)
     if args.method == "diag":
         res = covopt.fixed_point_diag(law, gamma, _diag_basis(law), opts)
     else:
@@ -388,9 +393,7 @@ def _figure_table(fig: str, args):
         grid_db = _grid(args.snr_db or "-10:20:5")
         tau = args.tau
         rows = []
-        opts = OptimizerOptions(tol=args.tol, max_iter=args.max_iter,
-                                samples=args.samples, seed=args.seed,
-                                final_samples=max(args.samples, 20_000))
+        opts = _solver_opts(args, final_samples=max(args.samples, 20_000))
         for n in (2, 3):
             t_corr = tau * np.ones((n, n)) + (1 - tau) * np.eye(n)
             mean = np.zeros((n, n), dtype=complex)
@@ -418,9 +421,7 @@ def _figure_table(fig: str, args):
         for k in range(5):
             u = haar_unitary(2, gen)
             h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
-            trace = covopt._cholesky_map_trace(PointMass(h), 1.0,
-                                               OptimizerOptions(tol=1e-7, max_iter=args.max_iter,
-                                                                seed=args.seed))
+            trace = covopt._cholesky_map_trace(PointMass(h), 1.0, _solver_opts(args, tol=1e-7))
             for i, mi in enumerate(trace):
                 rows.append([k, i + 1, (cap - float(mi)) * scale])
         return ["unitary", "iter", f"capacity_gap_{unit}"], rows
@@ -436,9 +437,7 @@ def _figure_table(fig: str, args):
             mean *= np.sqrt(n) / np.linalg.norm(mean)
             law = KroneckerGaussian(mean, np.eye(n), t_corr)
             trace = covopt._cholesky_map_trace(law, 1.0,
-                                               OptimizerOptions(tol=args.tol, samples=args.samples,
-                                                                max_iter=args.max_iter,
-                                                                seed=args.seed + trial))
+                                               _solver_opts(args, seed=args.seed + trial))
             best = max(trace)
             for i, mi in enumerate(trace):
                 rows.append([trial, i + 1, (best - float(mi)) * scale])
@@ -447,9 +446,7 @@ def _figure_table(fig: str, args):
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
         sig = np.diag([4.0, 1.0]).astype(complex)
         kappas = np.linspace(0.0, 1.0, args.kappa_points)
-        pts = analysis.interp_study(m0, sig, kappas, _parse_snr(args)[0],
-                                    OptimizerOptions(tol=args.tol, samples=args.samples,
-                                                     max_iter=args.max_iter, seed=args.seed))
+        pts = analysis.interp_study(m0, sig, kappas, _parse_snr(args)[0], _solver_opts(args))
         rows = []
         if fig == "fig11":
             for p in pts:

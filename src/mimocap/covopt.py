@@ -19,6 +19,10 @@ Two optimizers:
   with M = E[(I + S T^H T)^-1 S], survives only as the subject of figures 9
   and 10 (``_cholesky_map_trace``).
 
+Both are judged by one stationarity residual on Q (``_residual``): in the
+eigenbasis of Q, the powered rows of E[X] must equal mu I and the largest
+eigenvalue of E[X] on the off space must not exceed mu.
+
 Both use common random numbers: within a convergence epoch the channel pool
 is frozen, so the stochastic fixed point becomes a deterministic one per pool
 and the stopping rule is well defined; the pool is refreshed only between
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelLaw, PointMass, sample_batch
-from .linalg import chol_upper, ut_gram
+from .linalg import as_psd, ut_gram
 from .montecarlo import (
     DEFAULT_SAMPLES_FINAL,
     DEFAULT_SAMPLES_INNER,
@@ -47,18 +51,16 @@ from .montecarlo import (
 
 __all__ = [
     "CovOptResult",
-    "GradMatrix",
     "OptimizerOptions",
     "kkt_residual_diag",
     "fixed_point_diag",
     "powers_monotone",
     "monotonicity_check",
-    "grad_matrix",
     "iterate_general",
     "kkt_residual_general",
 ]
 
-#: power below which the diagonal residual counts a mode as off
+#: power below which the residual counts a mode of a given covariance as off
 MODE_OFF = 1e-6
 #: weight of the new iterate in the damped Cholesky-factor map of figures 9
 #: and 10 (halved when the pool MI drops)
@@ -88,14 +90,13 @@ class OptimizerOptions:
 
 @dataclass(frozen=True)
 class CovOptResult:
-    """Optimal covariance with its factor, MI estimate and iteration traces.
+    """Optimal covariance with its MI estimate and iteration traces.
 
     ``mi_trace`` and ``residual_trace`` are per-iteration values measured on
     the current sample pool; ``kkt_residual`` is the final fresh-pool check.
     """
 
     q: np.ndarray
-    factor: np.ndarray
     mi: McEstimate
     kkt_residual: float
     mi_trace: np.ndarray
@@ -104,15 +105,6 @@ class CovOptResult:
     converged: bool
     qhat: np.ndarray | None = None
     basis: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class GradMatrix:
-    """Monte Carlo estimate of M = E[(I + S T^H T)^-1 S] with entrywise SE."""
-
-    m: np.ndarray
-    se: np.ndarray
-    samples: int
 
 
 def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
@@ -141,6 +133,31 @@ def _pool_mi(s_pool: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return est.mean, est.se
 
 
+def _residual(g: np.ndarray, on: np.ndarray) -> float:
+    """Stationarity residual of a covariance from g = E[X] in its eigenbasis.
+
+    ``on`` marks the powered eigendirections and mu is the mean of g's
+    powered diagonal. The optimum has g = mu on the range of Q and g <= mu
+    off it, so the residual is the largest relative deviation of g's powered
+    rows from mu I plus the relative overshoot of the largest eigenvalue of
+    g's off block over mu.
+    """
+    if not np.any(on):
+        raise ValueError("no active modes")
+    mu = np.diag(g)[on].real.mean()
+    dev = np.abs(g[on] - mu * np.eye(on.size)[on]).max() / mu
+    off = 0.0
+    if not np.all(on):
+        off = max(0.0, np.linalg.eigvalsh(g[np.ix_(~on, ~on)])[-1] - mu) / mu
+    return float(dev + off)
+
+
+def _q_residual(m: np.ndarray, q: np.ndarray) -> float:
+    """:func:`_residual` of ``q`` for E[X] = ``m``; eigenvalues up to ``MODE_OFF`` are off."""
+    lam, vecs = np.linalg.eigh(q)
+    return _residual(vecs.conj().T @ m @ vecs, lam > MODE_OFF)
+
+
 # ---------------------------------------------------------------------------
 # diagonalizable case
 # ---------------------------------------------------------------------------
@@ -157,33 +174,20 @@ def _diag_moments(s_pool: np.ndarray, qvec: np.ndarray) -> tuple[np.ndarray, np.
     return d, h
 
 
-def _diag_residual_from_d(d: np.ndarray, qvec: np.ndarray) -> float:
-    active = qvec > MODE_OFF
-    if not np.any(active):
-        raise ValueError("no active modes")
-    mu = d[active].mean()
-    on = np.abs(d[active] - mu).max() / mu
-    off = 0.0
-    if np.any(~active):
-        off = max(0.0, (d[~active] - mu).max()) / mu
-    return float(on + off)
-
-
 def kkt_residual_diag(qvec, law: ChannelLaw, gamma: float, basis,
                       samples: int = DEFAULT_SAMPLES_INNER,
                       rng: SeededStream | int = 0) -> float:
     """Violation of the diagonal stationarity conditions for powers ``qvec``.
 
     With d_k = E[((I + S Qhat)^-1 S)_kk], active modes must share a common
-    value mu and inactive modes must sit below it. The residual is the
-    worst relative deviation of active d_k from their mean plus the worst
-    relative overshoot of inactive d_k.
+    value mu and inactive modes must sit below it: :func:`_residual` of
+    diag(d), modes above ``MODE_OFF`` counting as active.
     """
     qvec = np.asarray(qvec, dtype=float)
     if np.any(qvec < 0) or abs(qvec.sum() - 1.0) > 1e-9:
         raise ValueError("powers must be non-negative and sum to 1")
     pool = _s_pool(law, gamma, basis, samples, as_stream(rng))
-    return _diag_residual_from_d(_diag_moments(pool, qvec)[0], qvec)
+    return _residual(np.diag(_diag_moments(pool, qvec)[0]), qvec > MODE_OFF)
 
 
 def _newton_direction(d: np.ndarray, h: np.ndarray, qvec: np.ndarray) -> np.ndarray:
@@ -292,7 +296,7 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
         for _ in range(INNER_MAX):
             if iters >= opts.max_iter:
                 break
-            res_trace.append(_diag_residual_from_d(d, qvec))
+            res_trace.append(_residual(np.diag(d), qvec > MODE_OFF))
             new, mi = _newton_update(pool, qvec, _newton_direction(d, h, qvec), mi, still)
             settled = np.abs(new - qvec).max() <= still and np.array_equal(new > 0, qvec > 0)
             qvec = new
@@ -305,14 +309,14 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
         epoch += 1
         pool = _s_pool(law, gamma, basis, opts.samples, stream.child(epoch))
         d, h = _diag_moments(pool, qvec)
-        residual = _diag_residual_from_d(d, qvec)
+        residual = _residual(np.diag(d), qvec > MODE_OFF)
         converged = residual <= opts.tol
 
     q = (basis * qvec) @ basis.conj().T
     q = 0.5 * (q + q.conj().T)
     mi = ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983))
     return CovOptResult(
-        q=q, factor=chol_upper(q), mi=mi, kkt_residual=float(residual),
+        q=q, mi=mi, kkt_residual=float(residual),
         mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
         iterations=iters, converged=converged, qhat=qvec, basis=basis)
 
@@ -344,17 +348,6 @@ def monotonicity_check(law: ChannelLaw, basis, gamma_grid,
 # general case
 # ---------------------------------------------------------------------------
 
-def grad_matrix(tfac, law: ChannelLaw, gamma: float,
-                samples: int = DEFAULT_SAMPLES_INNER,
-                rng: SeededStream | int = 0) -> GradMatrix:
-    """Monte Carlo estimate of M = E[(I + S T^H T)^-1 S], S = gamma H^H H."""
-    tfac = np.asarray(tfac, dtype=complex)
-    q = ut_gram(tfac)
-    pool = _s_pool(law, gamma, None, samples, as_stream(rng))
-    est = McEstimate.of(_resolvent_gradient(pool, q))
-    return GradMatrix(est.mean, est.se, est.samples)
-
-
 def _phase_fix_rows(t: np.ndarray) -> np.ndarray:
     """Left-multiply by a diagonal unitary so the diagonal is real >= 0.
 
@@ -377,41 +370,15 @@ def _normalize_ut(t: np.ndarray) -> np.ndarray:
     return t / scale
 
 
-def _general_residual(m: np.ndarray, tfac: np.ndarray) -> float:
-    """Stationarity residual |G - 2 mu T| over the upper triangle.
-
-    G = T (M + M^H). The multiplier mu is fit by least squares over entries
-    with |T_ij| > 1e-8 since the source conditions leave it implicit. Zero
-    diagonal entries contribute their positive overshoot (G_ii)+ instead of
-    an absolute deviation: the off-mode condition is one-sided (reading the
-    stated strict negativity as 'at most the multiplier term').
-    """
-    g = tfac @ (m + m.conj().T)
-    t = tfac.shape[0]
-    iu, ju = np.triu_indices(t)
-    gv = g[iu, ju]
-    tv = tfac[iu, ju]
-    act = np.abs(tv) > 1e-8
-    denom = 2.0 * np.sum(np.abs(tv[act]) ** 2)
-    mu = float(np.real(np.vdot(tv[act], gv[act])) / denom) if denom > 0 else 0.0
-    zero_diag = (iu == ju) & ~act
-    keep = ~zero_diag
-    term1 = np.abs(gv[keep] - 2.0 * mu * tv[keep]).max() if np.any(keep) else 0.0
-    term2 = 0.0
-    if np.any(zero_diag):
-        term2 = max(0.0, np.real(gv[zero_diag]).max())
-    return float(term1 + term2)
-
-
-def kkt_residual_general(tfac, law: ChannelLaw, gamma: float,
+def kkt_residual_general(q, law: ChannelLaw, gamma: float,
                          samples: int = DEFAULT_SAMPLES_INNER,
                          rng: SeededStream | int = 0) -> float:
-    """Stationarity residual of an upper-triangular factor with tr(T^H T)=1."""
-    tfac = np.asarray(tfac, dtype=complex)
-    if abs(np.sum(np.abs(np.triu(tfac)) ** 2) - 1.0) > 1e-8:
-        raise ValueError("factor must satisfy tr(T^H T) = 1")
-    gm = grad_matrix(tfac, law, gamma, samples, rng)
-    return _general_residual(gm.m, np.triu(tfac))
+    """Stationarity residual (:func:`_residual`) of a unit-trace PSD covariance."""
+    q = as_psd(q)
+    if abs(np.trace(q).real - 1.0) > 1e-8:
+        raise ValueError("covariance must have unit trace")
+    pool = _s_pool(law, gamma, None, samples, as_stream(rng))
+    return _q_residual(_resolvent_gradient(pool, q).mean(axis=0), q)
 
 
 def _herm_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -552,33 +519,29 @@ def _general_update(s_pool: np.ndarray, vecs: np.ndarray, lam: np.ndarray,
     return (*((vecs, lam) if new is None else new), mi)
 
 
-def _pool_residual(x: np.ndarray, q: np.ndarray) -> float:
-    return _general_residual(x.mean(axis=0), chol_upper(q))
+def _pool_residual(x: np.ndarray, vecs: np.ndarray, lam: np.ndarray) -> float:
+    return _residual(vecs.conj().T @ x.mean(axis=0) @ vecs, lam > 0)
 
 
 def iterate_general(law: ChannelLaw, gamma: float,
-                    opts: OptimizerOptions | dict | None = None,
-                    init=None) -> CovOptResult:
+                    opts: OptimizerOptions | dict | None = None) -> CovOptResult:
     """Optimal covariance by projected Newton steps on Hermitian Q (no basis needed).
 
-    Starting from Q = T^H T of the unit-trace factor ``init`` (default I/t),
-    each iteration takes one Newton step of the MI over trace-one PSD
-    matrices in the current eigenbasis of Q (:func:`_general_direction`),
-    with gradient E[X] and curvature E[tr(X D X D)] on the frozen pool, cut
-    at the PSD boundary (so off eigenvalues come out exactly zero) and
-    backtracked on the pool MI, which is the ``mi_trace`` entry. A pool is
-    left once a step moves no entry of Q by more than ``tol / 100``; the
-    next pool first serves as the fresh-pool check of the stationarity
-    residual of ``chol_upper(Q)``. The run stops, ``converged``, when that
-    residual is below ``tol`` or the last pool's step settled.
+    Starting from Q = I/t, each iteration takes one Newton step of the MI
+    over trace-one PSD matrices in the current eigenbasis of Q
+    (:func:`_general_direction`), with gradient E[X] and curvature
+    E[tr(X D X D)] on the frozen pool, cut at the PSD boundary (so off
+    eigenvalues come out exactly zero) and backtracked on the pool MI, which
+    is the ``mi_trace`` entry. A pool is left once a step moves no entry of
+    Q by more than ``tol / 100``; the next pool first serves as the
+    fresh-pool check of the stationarity residual (:func:`_residual` in the
+    eigenbasis of Q). The run stops, ``converged``, when that residual is
+    below ``tol`` or the last pool's step settled.
     """
     opts = _as_opts(opts)
     t = law.tx
-    tfac = _normalize_ut(np.eye(t, dtype=complex) if init is None
-                         else np.asarray(init, dtype=complex))
-    lam, vecs = np.linalg.eigh(ut_gram(tfac))
-    lam[lam <= t * np.finfo(float).eps * lam[-1]] = 0.0
-    lam /= lam.sum()
+    lam = np.full(t, 1.0 / t)
+    vecs = np.eye(t, dtype=complex)
     q = _covariance(vecs, lam)
     stream = as_stream(opts.seed)
     still = opts.tol * 1e-2
@@ -596,7 +559,7 @@ def iterate_general(law: ChannelLaw, gamma: float,
         for _ in range(INNER_MAX):
             if iters >= opts.max_iter:
                 break
-            res_trace.append(_pool_residual(x, q))
+            res_trace.append(_pool_residual(x, vecs, lam))
             rank = np.count_nonzero(lam)
             vecs, lam, mi = _general_update(pool, vecs, lam, _general_direction(x, vecs, lam),
                                             mi, still)
@@ -612,14 +575,14 @@ def iterate_general(law: ChannelLaw, gamma: float,
         epoch += 1
         pool = _s_pool(law, gamma, None, opts.samples, stream.child(epoch))
         x = _resolvent_gradient(pool, q)
-        residual = _pool_residual(x, q)
+        residual = _pool_residual(x, vecs, lam)
         converged = bool(residual <= opts.tol or settled)
 
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("Newton step produced non-finite entries")
     mi = ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983))
     return CovOptResult(
-        q=q, factor=chol_upper(q), mi=mi, kkt_residual=float(residual),
+        q=q, mi=mi, kkt_residual=float(residual),
         mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
         iterations=iters, converged=converged)
 
@@ -669,8 +632,9 @@ def _cholesky_map_trace(law: ChannelLaw, gamma: float,
             if flat >= 5:
                 break
         check = _s_pool(law, gamma, None, opts.samples, stream.child(2 * epoch + 1))
-        mcheck = np.mean(_resolvent_gradient(check, ut_gram(tfac)), axis=0)
-        done = _general_residual(mcheck, tfac) <= opts.tol or flat >= 5
+        q = ut_gram(tfac)
+        m = np.mean(_resolvent_gradient(check, q), axis=0)
+        done = _q_residual(m, q) <= opts.tol or flat >= 5
         epoch += 1
     return np.asarray(trace)
 

@@ -51,7 +51,7 @@ def test_criterion_2_general_iteration_on_rotated_point_mass():
         res = covopt.iterate_general(law, 1.0, opts={"tol": 1e-9,
                                                      "max_iter": 6000})
         worst_mi = max(worst_mi, abs(res.mi.mean - GOLDEN_RATE))
-        resid = covopt.kkt_residual_general(res.factor, law, 1.0,
+        resid = covopt.kkt_residual_general(res.q, law, 1.0,
                                             samples=10, rng=0)
         worst_res = max(worst_res, resid)
     elapsed = time.perf_counter() - t0

@@ -77,11 +77,12 @@ class TestWaterfillCommand:
         assert np.isclose(float(rows[0][header.index("xi")]), xi_expect, rtol=1e-12)
 
     def test_snr_grid_rows(self):
-        rc, out = run_cli(["waterfill", "--channel",
-                           '{"type":"wishart","m":1,"n":1}', "--snr-db=-10:10:10"])
-        assert rc == 0
-        _, rows = read_csv(out)
-        assert len(rows) == 3
+        for grid in ("--snr-db=-10:10:10", "--snr-db=10:-10:-10"):
+            rc, out = run_cli(["waterfill", "--channel",
+                               '{"type":"wishart","m":1,"n":1}', grid])
+            assert rc == 0
+            _, rows = read_csv(out)
+            assert len(rows) == 3
 
     def test_bits_conversion(self):
         args = ["waterfill", "--channel", '{"type":"wishart","m":2,"n":2}',
@@ -288,6 +289,14 @@ INDEFINITE_JSON = json.dumps({
     "tx_corr": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]],
 })
 
+#: zero-mean 2x1 Kronecker law: one transmit antenna, nothing to beamform between
+ONE_TX_JSON = json.dumps({
+    "type": "kronecker",
+    "mean": [[[0, 0]], [[0, 0]]],
+    "rx_corr": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "tx_corr": [[[1, 0]]],
+})
+
 
 @pytest.mark.parametrize("argv, reason", [
     (["waterfill", "--channel", WISHART_JSON, "--snr-db=0:10:0"], "zero step"),
@@ -334,13 +343,18 @@ INDEFINITE_JSON = json.dumps({
     (["waterfill", "--channel",
       '{"type":"interp","kappa":false,"m0":[[[1,0]]],"noise_cov":[[[1,0]]]}', "--snr", "1"],
      "'interp' descriptor field 'kappa'"),
+    (["beamform", "--channel", ONE_TX_JSON, "--snr", "1", "--method", "closed"],
+     "at least two transmit modes"),
+    (["beamform", "--channel", ONE_TX_JSON, "--snr", "1", "--method", "mc"],
+     "at least two transmit modes"),
 ], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
         "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
         "figure-1-sample", "optimize-5-samples", "optimize-999-samples",
         "wishart-fractional-n", "wishart-fractional-m", "onoff-fractional-m",
         "onoff-zero-m", "onoff-negative-m", "waterfill-indefinite-corr",
         "optimize-indefinite-corr", "wishart-list-m", "onoff-object-p", "interp-list-kappa",
-        "point-string-h", "wishart-bool-m", "interp-bool-kappa"])
+        "point-string-h", "wishart-bool-m", "interp-bool-kappa", "beamform-closed-one-tx",
+        "beamform-mc-one-tx"])
 def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -71,7 +71,6 @@ class TestFixedPointDiag:
                                             "seed": 5, "final_samples": 20_000})
         assert abs(np.trace(res.q).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(res.q).min() >= -1e-10
-        assert np.allclose(linalg.ut_gram(res.factor), res.q, atol=1e-10)
         fresh = ergodic_mi(res.q, RAYLEIGH_2x2, 1.0, samples=20_000,
                            rng=SeededStream(777))
         assert abs(fresh.mean - res.mi.mean) <= 2 * (fresh.se + res.mi.se)
@@ -176,30 +175,6 @@ class TestMonotonicity:
         assert covopt.powers_monotone(gammas, qs)
 
 
-class TestGradMatrix:
-    def test_point_mass_exact(self):
-        t = 2
-        tfac = np.eye(t) / np.sqrt(t)
-        s0 = POINT_21.h0.conj().T @ POINT_21.h0
-        gm = covopt.grad_matrix(tfac, POINT_21, 1.0, samples=10, rng=0)
-        expect = np.linalg.solve(np.eye(t) + s0 / t, s0)
-        assert np.abs(gm.m - expect).max() <= 1e-12
-        assert np.all(gm.se == 0.0)
-
-    def test_iid_law_gives_diagonal_mean(self):
-        tfac = np.diag([0.8, 0.6])
-        gm = covopt.grad_matrix(tfac, RAYLEIGH_2x2, 1.0, samples=50_000, rng=6)
-        off = np.abs(gm.m[0, 1])
-        assert off <= 3 * gm.se[0, 1] + 1e-12
-
-    def test_se_shrinks_with_samples(self):
-        tfac = np.eye(2) / np.sqrt(2)
-        a = covopt.grad_matrix(tfac, RAYLEIGH_2x2, 1.0, samples=4_000, rng=7)
-        b = covopt.grad_matrix(tfac, RAYLEIGH_2x2, 1.0, samples=64_000, rng=7)
-        ratio = a.se.max() / b.se.max()
-        assert 3.0 <= ratio <= 5.3  # expect sqrt(16) = 4
-
-
 class TestIterateGeneral:
     def test_point_mass_random_unitaries(self):
         for seed in (11, 12, 13):
@@ -250,7 +225,6 @@ class TestIterateGeneral:
                                            "seed": 17, "final_samples": 20_000})
         assert abs(np.trace(res.q).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(res.q).min() >= -1e-10
-        assert np.allclose(linalg.ut_gram(res.factor), res.q, atol=1e-12)
         assert len(res.mi_trace) == len(res.residual_trace)
         fresh = ergodic_mi(res.q, RAYLEIGH_2x2, 0.8, samples=20_000,
                            rng=SeededStream(4242))
@@ -343,24 +317,30 @@ class TestKktResidualGeneral:
     def test_optimum_of_point_mass(self):
         law = point_mass_with_unitary(21)
         res = covopt.iterate_general(law, 1.0, opts={"tol": 1e-9, "max_iter": 6000})
-        resid = covopt.kkt_residual_general(res.factor, law, 1.0, samples=10, rng=0)
+        resid = covopt.kkt_residual_general(res.q, law, 1.0, samples=10, rng=0)
         assert resid <= 1e-4
 
-    def test_identity_factor_on_iid_rayleigh(self):
-        tfac = np.eye(2) / np.sqrt(2)
-        resid = covopt.kkt_residual_general(tfac, RAYLEIGH_2x2, 1.0,
+    def test_identity_on_iid_rayleigh(self):
+        resid = covopt.kkt_residual_general(np.eye(2) / 2, RAYLEIGH_2x2, 1.0,
                                             samples=100_000, rng=22)
         assert resid <= 0.02
 
     def test_perturbed_factor_fails(self):
         law = point_mass_with_unitary(23)
         res = covopt.iterate_general(law, 1.0, opts={"tol": 1e-7, "max_iter": 4000})
-        bumped = res.factor.copy()
+        bumped = linalg.chol_upper(res.q)
         bumped[0, 1] += 0.1
         bumped /= np.sqrt(np.sum(np.abs(bumped) ** 2))
-        r_opt = covopt.kkt_residual_general(res.factor, law, 1.0, samples=10, rng=0)
-        r_bad = covopt.kkt_residual_general(bumped, law, 1.0, samples=10, rng=0)
+        r_opt = covopt.kkt_residual_general(res.q, law, 1.0, samples=10, rng=0)
+        r_bad = covopt.kkt_residual_general(linalg.ut_gram(bumped), law, 1.0,
+                                            samples=10, rng=0)
         assert r_bad > 10 * max(r_opt, 1e-4)
+
+    def test_beamforming_on_iid_rayleigh_sees_the_off_direction(self):
+        # the off mode's gradient E[X_22] beats mu = E[X_11] on the powered one
+        resid = covopt.kkt_residual_general(np.diag([1.0, 0.0]), RAYLEIGH_2x2, 1.0,
+                                            samples=20_000, rng=1)
+        assert resid > 1
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):
