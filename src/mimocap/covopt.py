@@ -26,7 +26,9 @@ eigenvalue of E[X] on the off space must not exceed mu.
 Both use common random numbers: within a convergence epoch the channel pool
 is frozen, so the stochastic fixed point becomes a deterministic one per pool
 and the stopping rule is well defined; the pool is refreshed only between
-convergence checks.
+convergence checks. Zero-mean Kronecker laws with R = c I and r >= t draw no
+pools (``law.exact``): both solvers take the diagonal steps in T's eigenbasis
+on the closed-form MI and its gradient, and report that MI with SE 0.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelLaw, PointMass, sample_batch
-from .linalg import as_psd, ut_gram
+from .linalg import as_psd, herm_eig, ut_gram
 from .montecarlo import (
     DEFAULT_SAMPLES_FINAL,
     DEFAULT_SAMPLES_INNER,
@@ -115,10 +117,7 @@ def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
     else:
         h = sample_batch(law, samples, stream.generator())
     if basis is not None:
-        basis = np.asarray(basis, dtype=complex)
-        if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
-            raise ValueError("diagonalizing basis must be unitary")
-        h = (h.reshape(-1, h.shape[2]) @ basis).reshape(h.shape)
+        h = (h.reshape(-1, h.shape[2]) @ np.asarray(basis, dtype=complex)).reshape(h.shape)
     return _snr_gram(h, gamma)
 
 
@@ -174,6 +173,35 @@ def _diag_moments(s_pool: np.ndarray, qvec: np.ndarray) -> tuple[np.ndarray, np.
     return d, h
 
 
+def _exact_moments(law: ChannelLaw, gamma: float, basis: np.ndarray, qvec) -> tuple:
+    """:func:`_diag_moments` from the exact gradient diag(U^H G U), G that in Q,
+    and its central difference over 10^-4 q_k (at least 10^-4 / t; one-sided at 0)."""
+    def grad(qv):
+        g = law.exact_mi((basis * qv) @ basis.conj().T, gamma)[1]
+        return np.einsum("ij,ik,kj->j", basis.conj(), g, basis).real
+
+    h = np.empty((qvec.size, qvec.size))
+    for k, qk in enumerate(qvec):
+        lo, hi = qvec.copy(), qvec.copy()
+        step = 1e-4 * max(qk, 1.0 / qvec.size)
+        lo[k], hi[k] = max(qk - step, 0.0), qk + step
+        h[:, k] = (grad(lo) - grad(hi)) / (hi[k] - lo[k])
+    return grad(qvec), 0.5 * (h + h.T)
+
+
+def _powers_objective(law: ChannelLaw, gamma: float, basis: np.ndarray, samples: int,
+                      stream: SeededStream) -> tuple:
+    """Moments of powers over ``basis`` and the MI of a covariance in it: exact
+    on a law with a closed form, else on a fresh pool."""
+    if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
+        raise ValueError("diagonalizing basis must be unitary")
+    if law.exact:
+        return (lambda qv: _exact_moments(law, gamma, basis, qv),
+                lambda qm: law.exact_mi(basis @ qm @ basis.conj().T, gamma)[0])
+    pool = _s_pool(law, gamma, basis, samples, stream)
+    return (lambda qv: _diag_moments(pool, qv)), (lambda qm: _pool_mi(pool, qm)[0])
+
+
 def kkt_residual_diag(qvec, law: ChannelLaw, gamma: float, basis,
                       samples: int = DEFAULT_SAMPLES_INNER,
                       rng: SeededStream | int = 0) -> float:
@@ -181,13 +209,15 @@ def kkt_residual_diag(qvec, law: ChannelLaw, gamma: float, basis,
 
     With d_k = E[((I + S Qhat)^-1 S)_kk], active modes must share a common
     value mu and inactive modes must sit below it: :func:`_residual` of
-    diag(d), modes above ``MODE_OFF`` counting as active.
+    diag(d), modes above ``MODE_OFF`` counting as active. On a law with a
+    closed form d is exact, and ``samples`` and ``rng`` go unused.
     """
     qvec = np.asarray(qvec, dtype=float)
     if np.any(qvec < 0) or abs(qvec.sum() - 1.0) > 1e-9:
         raise ValueError("powers must be non-negative and sum to 1")
-    pool = _s_pool(law, gamma, basis, samples, as_stream(rng))
-    return _residual(np.diag(_diag_moments(pool, qvec)[0]), qvec > MODE_OFF)
+    basis = np.eye(qvec.size) if basis is None else np.asarray(basis, dtype=complex)
+    moments = _powers_objective(law, gamma, basis, samples, as_stream(rng))[0]
+    return _residual(np.diag(moments(qvec)[0]), qvec > MODE_OFF)
 
 
 def _newton_direction(d: np.ndarray, h: np.ndarray, qvec: np.ndarray) -> np.ndarray:
@@ -216,14 +246,14 @@ def _newton_direction(d: np.ndarray, h: np.ndarray, qvec: np.ndarray) -> np.ndar
         free &= ~blocked
 
 
-def _backtrack(s_pool: np.ndarray, point, ratio: float, size: float,
+def _backtrack(mi_of, point, ratio: float, size: float,
                mi: float, still: float) -> tuple:
-    """Longest part of a Newton step that does not lower the pool MI.
+    """Longest part of a Newton step that does not lower the MI ``mi_of(Q)``.
 
     ``point(alpha, boundary)`` returns the iterate ``alpha`` along the step
     and its covariance; ``boundary`` is set when alpha is ``ratio``, where
     the step leaves the feasible set. The step is cut at ``ratio``, then
-    halved while the pool MI (``mi`` at the current iterate) falls. Returns
+    halved while the MI (``mi`` at the current iterate) falls. Returns
     the new iterate and its pool MI, or None and ``mi`` once the step
     (largest entry ``size``) has shrunk to ``still``. A full step no longer
     than ``still`` is taken unchecked and keeps ``mi``: it raises the MI by
@@ -234,7 +264,7 @@ def _backtrack(s_pool: np.ndarray, point, ratio: float, size: float,
         return point(1.0, False)[0], mi
     while True:
         cand, q = point(alpha, alpha == ratio)
-        mi_cand = _pool_mi(s_pool, q)[0]
+        mi_cand = mi_of(q)
         if mi_cand >= mi:
             return cand, mi_cand
         alpha /= 2.0
@@ -242,11 +272,11 @@ def _backtrack(s_pool: np.ndarray, point, ratio: float, size: float,
             return None, mi
 
 
-def _newton_update(s_pool: np.ndarray, qvec: np.ndarray, step: np.ndarray,
+def _newton_update(mi_of, qvec: np.ndarray, step: np.ndarray,
                    mi: float, still: float) -> tuple[np.ndarray, float]:
     """:func:`_backtrack` on the simplex: the step is cut at the first mode
     it would drive negative, and that mode is set to exactly zero. Returns
-    the new powers and their pool MI, or ``qvec`` and ``mi``."""
+    the new powers and their MI, or ``qvec`` and ``mi``."""
     neg = step < 0
     ratio = np.full(qvec.shape, np.inf)
     ratio[neg] = qvec[neg] / -step[neg]
@@ -260,7 +290,7 @@ def _newton_update(s_pool: np.ndarray, qvec: np.ndarray, step: np.ndarray,
         cand /= cand.sum()
         return cand, np.diag(cand)
 
-    new, mi = _backtrack(s_pool, point, ratio[block], np.abs(step).max(), mi, still)
+    new, mi = _backtrack(mi_of, point, ratio[block], np.abs(step).max(), mi, still)
     return (qvec if new is None else new), mi
 
 
@@ -275,13 +305,16 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
     ``mi_trace`` entry. A pool is left once a step moves no power by more
     than ``tol / 100``; the next pool first serves as the fresh-pool check,
     and convergence is declared when the stationarity residual on it drops
-    below ``tol``.
+    below ``tol``. On a law with a closed form the steps use the exact MI,
+    gradient and curvature (:func:`_exact_moments`) in place of pools: one
+    epoch, as on a point mass, and the reported MI is exact with SE 0.
     """
     opts = _as_opts(opts)
     t = law.tx
     basis = np.eye(t) if basis is None else np.asarray(basis, dtype=complex)
     stream = as_stream(opts.seed)
-    still = opts.tol * 1e-2
+    # a step below 1e-7 moves the exact MI by less than its round-off
+    still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)
     qvec = np.full(t, 1.0 / t)
     trace = []
     res_trace = []
@@ -289,32 +322,33 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
     converged = False
     epoch = 0
     residual = np.inf
-    pool = _s_pool(law, gamma, basis, opts.samples, stream.child(0))
-    d, h = _diag_moments(pool, qvec)
+    moments, mi_of = _powers_objective(law, gamma, basis, opts.samples, stream.child(0))
+    d, h = moments(qvec)
     while iters < opts.max_iter and not converged:
-        mi = _pool_mi(pool, np.diag(qvec))[0]
+        mi = mi_of(np.diag(qvec))
         for _ in range(INNER_MAX):
             if iters >= opts.max_iter:
                 break
             res_trace.append(_residual(np.diag(d), qvec > MODE_OFF))
-            new, mi = _newton_update(pool, qvec, _newton_direction(d, h, qvec), mi, still)
+            new, mi = _newton_update(mi_of, qvec, _newton_direction(d, h, qvec), mi, still)
             settled = np.abs(new - qvec).max() <= still and np.array_equal(new > 0, qvec > 0)
             qvec = new
             trace.append(mi)
             iters += 1
             if settled:
                 break
-            d, h = _diag_moments(pool, qvec)
+            d, h = moments(qvec)
         # the fresh check pool becomes the next epoch's solving pool
         epoch += 1
-        pool = _s_pool(law, gamma, basis, opts.samples, stream.child(epoch))
-        d, h = _diag_moments(pool, qvec)
+        moments, mi_of = _powers_objective(law, gamma, basis, opts.samples, stream.child(epoch))
+        d, h = moments(qvec)
         residual = _residual(np.diag(d), qvec > MODE_OFF)
         converged = residual <= opts.tol
 
     q = (basis * qvec) @ basis.conj().T
     q = 0.5 * (q + q.conj().T)
-    mi = ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983))
+    mi = (McEstimate(law.exact_mi(q, gamma)[0], 0.0, 1) if law.exact
+          else ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983)))
     return CovOptResult(
         q=q, mi=mi, kkt_residual=float(residual),
         mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
@@ -373,10 +407,13 @@ def _normalize_ut(t: np.ndarray) -> np.ndarray:
 def kkt_residual_general(q, law: ChannelLaw, gamma: float,
                          samples: int = DEFAULT_SAMPLES_INNER,
                          rng: SeededStream | int = 0) -> float:
-    """Stationarity residual (:func:`_residual`) of a unit-trace PSD covariance."""
+    """Stationarity residual (:func:`_residual`) of a unit-trace PSD covariance;
+    exact, with ``samples`` and ``rng`` unused, on a law with a closed form."""
     q = as_psd(q)
     if abs(np.trace(q).real - 1.0) > 1e-8:
         raise ValueError("covariance must have unit trace")
+    if law.exact:
+        return _q_residual(law.exact_mi(q, gamma)[1], q)
     pool = _s_pool(law, gamma, None, samples, as_stream(rng))
     return _q_residual(_resolvent_gradient(pool, q).mean(axis=0), q)
 
@@ -514,8 +551,8 @@ def _general_update(s_pool: np.ndarray, vecs: np.ndarray, lam: np.ndarray,
         cand = _cone_point(direction, ya, alpha, boundary)
         return cand, _covariance(*cand)
 
-    new, mi = _backtrack(s_pool, point, -1.0 / nu if nu < 0 else np.inf, np.abs(d).max(),
-                         mi, still)
+    new, mi = _backtrack(lambda q: _pool_mi(s_pool, q)[0], point,
+                         -1.0 / nu if nu < 0 else np.inf, np.abs(d).max(), mi, still)
     return (*((vecs, lam) if new is None else new), mi)
 
 
@@ -536,9 +573,13 @@ def iterate_general(law: ChannelLaw, gamma: float,
     Q by more than ``tol / 100``; the next pool first serves as the
     fresh-pool check of the stationarity residual (:func:`_residual` in the
     eigenbasis of Q). The run stops, ``converged``, when that residual is
-    below ``tol`` or the last pool's step settled.
+    below ``tol`` or the last pool's step settled. On a law with a closed form
+    the optimum shares T's eigenvectors (Jafar & Goldsmith, IEEE Trans.
+    Wireless Commun. 2004): the solve is :func:`fixed_point_diag`'s in them.
     """
     opts = _as_opts(opts)
+    if law.exact:
+        return fixed_point_diag(law, gamma, herm_eig(law.tx_corr)[0], opts)
     t = law.tx
     lam = np.full(t, 1.0 / t)
     vecs = np.eye(t, dtype=complex)

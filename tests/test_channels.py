@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.special
 
 from mimocap import channels, linalg
-from mimocap.montecarlo import SeededStream, expect_matrix
+from mimocap.montecarlo import SeededStream, ergodic_mi, expect_matrix
 
 
 def rng(seed=0):
@@ -355,6 +355,113 @@ class TestLawMoments:
     def test_sample_mean_matches_law_mean(self, law, mean):
         est = expect_matrix(lambda h: h, law, samples=100_000, rng=SeededStream(77))
         assert np.all(np.abs(est.mean - mean) <= 3 * est.se + 1e-12)
+
+
+def _exact_law(r, t):
+    """Zero-mean Kronecker law with rx_corr = 0.8 I and a correlated T."""
+    tx = 0.5 * np.ones((t, t)) + np.diag(np.linspace(0.3, 1.0, t))
+    return channels.KroneckerGaussian(np.zeros((r, t)), 0.8 * np.eye(r), tx)
+
+
+def _unit_trace_psd(t, seed):
+    a = rng(seed).standard_normal((t, t)) + 1j * rng(seed + 1).standard_normal((t, t))
+    q = a @ a.conj().T
+    return q / np.trace(q).real
+
+
+class TestExactMi:
+    """Closed-form E ln det(I + gamma H Q H^H) of zero-mean Kronecker laws with R = c I."""
+
+    def test_capability(self):
+        assert _exact_law(2, 2).exact and _exact_law(3, 2).exact
+        assert not _exact_law(2, 3).exact  # r < t
+        z, eye = np.zeros((2, 2)), np.eye(2)
+        assert not channels.KroneckerGaussian(np.ones((2, 2)), eye, eye).exact
+        assert not channels.KroneckerGaussian(z, np.diag([1.0, 0.9]), eye).exact
+        assert not channels.PointMass(eye).exact
+        with pytest.raises(ValueError):
+            channels.KroneckerGaussian(z, np.diag([1.0, 0.9]), eye).exact_mi(eye / 2, 1.0)
+
+    def test_log1p_moment_keeps_the_shared_recursion_bit_for_bit(self):
+        # the J recursion moved into _log1p_integrals; this is its loop as it was
+        for m, n in [(2, 2), (3, 5)]:
+            d = channels.wishart_density(m, n)
+            for c in (1e-4, 0.3, 7.0, 2e3):
+                k = d._fact * linalg.scaled_expn(d._orders, 1.0 / c)
+                total = j_prev = 0.0
+                for j, (cj, kj) in enumerate(zip(d._coef, k)):
+                    j_prev = j * j_prev + kj
+                    total += cj * j_prev
+                assert d.log1p_moment(c) == float(total)
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4)], ids=str)
+    @pytest.mark.parametrize("kind", ["t-diagonal", "generic"])
+    def test_matches_monte_carlo(self, shape, gamma, kind):
+        law = _exact_law(*shape)
+        t = shape[1]
+        if kind == "generic":
+            q = _unit_trace_psd(t, 3 * t)
+        else:
+            u, _ = linalg.herm_eig(law.tx_corr)
+            q = (u * np.linspace(1.0, 2.0, t) / np.linspace(1.0, 2.0, t).sum()) @ u.conj().T
+        est = ergodic_mi(q, law, gamma, samples=400_000, rng=SeededStream(t * 10 + shape[0]))
+        assert abs(law.exact_mi(q, gamma)[0] - est.mean) <= 3 * est.se
+
+    @pytest.mark.parametrize("r, sigma", [
+        (2, [0.5, 0.5]),
+        (4, [0.7, 0.7, 0.7, 0.2]),
+        (4, [0.25, 0.25, 0.25, 0.25]),  # iid 4 x 4 at Q = I/4, gamma = 1
+        (5, [3.0, 3.0, 0.4, 0.4]),
+    ], ids=["2-fold", "3-fold", "4-fold", "two-2-fold"])
+    def test_continuous_across_coincident_sigma(self, r, sigma):
+        sigma = np.array(sigma)
+        f0, g0 = channels._log_det_moment(r, sigma)
+        spread = np.arange(sigma.size) * sigma
+        for eps in 10.0 ** -np.arange(1, 14):
+            f, g = channels._log_det_moment(r, sigma + eps * spread)
+            # first-order change plus a second-order term below 1e-9 for eps <= 1e-5
+            assert abs(f - f0 - eps * g0 @ spread) <= 1e-9 + 10 * eps ** 2
+            assert np.abs(g - g0).max() <= 1e-8 + 10 * eps
+
+    def test_continuous_across_the_cluster_edge(self):
+        for k in (2, 3, 4):
+            lo, hi = (channels._log_det_moment(4, 0.3 * np.exp(gap * np.arange(k)))
+                      for gap in channels._CLUSTER * (1.0 + np.array([-1e-9, 1e-9])))
+            assert abs(lo[0] - hi[0]) <= 1e-9 and np.abs(lo[1] - hi[1]).max() <= 1e-8
+
+    def test_continuous_as_a_power_switches_off(self):
+        law = _exact_law(3, 2)
+        f0, g0 = law.exact_mi(np.diag([1.0, 0.0]), 1.0)
+        for eps in (1e-8, 1e-11, 1e-13, 1e-15):
+            f, g = law.exact_mi(np.diag([1.0 - eps, eps]), 1.0)
+            assert abs(f - f0) <= 1e-9 + 10 * eps
+            assert np.abs(g - g0).max() <= 1e-8 + 100 * eps
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4)], ids=str)
+    def test_gradient_matches_central_differences(self, shape):
+        law = _exact_law(*shape)
+        t = shape[1]
+        q = _unit_trace_psd(t, 5 * t)
+        g = law.exact_mi(q, 1.0)[1]
+        for seed in range(3):
+            d = _unit_trace_psd(t, 40 + seed) - np.eye(t) / t
+            h = 1e-4
+            fd = (law.exact_mi(q + h * d, 1.0)[0] - law.exact_mi(q - h * d, 1.0)[0]) / (2 * h)
+            assert abs(np.trace(g @ d).real - fd) <= 1e-6 * abs(fd)
+
+    @pytest.mark.parametrize("r, sigma", [
+        (3, [0.9, 0.4, 0.0]), (4, [0.5, 0.5, 0.0, 0.0]), (4, [2.0, 0.7, 0.7, 0.1])])
+    def test_sigma_gradient_matches_differences(self, r, sigma):
+        # central differences on powered sigma, second-order one-sided ones at zero
+        sigma = np.array(sigma)
+        grad = channels._log_det_moment(r, sigma)[1]
+        for k, s in enumerate(sigma):
+            h = 1e-4 * max(s, 0.1)
+            f = [channels._log_det_moment(r, sigma + a * h * np.eye(sigma.size)[k])[0]
+                 for a in (-1, 0, 1, 2)]
+            fd = (f[2] - f[0]) / (2 * h) if s > 0 else (4 * f[2] - 3 * f[1] - f[3]) / (2 * h)
+            assert abs(grad[k] - fd) <= 1e-6 * abs(fd)
 
 
 #: one law of each kind and its descriptor, written out as users write it

@@ -159,6 +159,25 @@ class TestOptimizeCommand:
         doc = json.loads(out)
         assert abs(sum(doc["eigenvalues"]) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("tx, gamma", [
+        ([1.4, 0.6], 1.0), ([1.4, 0.6], 10.0), ([1.0] * 4, 1.0), ([0.471, 1.529], 1.0)],
+        ids=["kronecker-g1", "kronecker-g10", "iid-4x4", "stuck-g1"])
+    def test_exact_laws_converge_to_the_same_q_by_both_methods(self, tx, gamma):
+        # zero mean and rx_corr = I: both methods solve the closed form in T's basis
+        t = len(tx)
+        law = json.dumps({"type": "kronecker", "mean": np.zeros((t, t, 2)).tolist(),
+                          "rx_corr": np.stack([np.eye(t), np.zeros((t, t))], -1).tolist(),
+                          "tx_corr": np.stack([np.diag(tx), np.zeros((t, t))], -1).tolist()})
+        docs = []
+        for method in ("diag", "general"):
+            rc, out = run_cli(["optimize", "--channel", law, "--snr", str(gamma),
+                               "--method", method, "--tol", "1e-9"])
+            docs.append(json.loads(out))
+            assert rc == 0 and docs[-1]["converged"] is True and docs[-1]["mi_se"] == 0.0
+            assert docs[-1]["iterations"] <= 10 and docs[-1]["kkt_residual"] <= 1e-9
+        q = [np.asarray(doc["q"]) for doc in docs]
+        assert np.abs(q[0] - q[1]).max() <= 1e-9
+
     def test_bits_unit(self):
         rc, out = run_cli(["optimize", "--channel", POINT_21_JSON,
                            "--snr", "1.0", "--tol", "1e-6",

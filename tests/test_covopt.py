@@ -41,6 +41,14 @@ class TestKktResidualDiag:
         with pytest.raises(ValueError):
             covopt.kkt_residual_diag([0.7, 0.7], RAYLEIGH_2x2, 1.0, np.eye(2))
 
+    def test_basis_must_be_unitary_with_or_without_a_closed_form(self):
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+        for law in (RAYLEIGH_2x2, POINT_21):
+            with pytest.raises(ValueError, match="unitary"):
+                covopt.fixed_point_diag(law, 1.0, skew)
+            with pytest.raises(ValueError, match="unitary"):
+                covopt.kkt_residual_diag([0.5, 0.5], law, 1.0, skew)
+
 
 class TestFixedPointDiag:
     def test_point_mass_matches_waterfill(self):
@@ -125,25 +133,30 @@ class TestNewtonDiag:
         law = channels.PointMass(np.diag([np.sqrt(2.0), 1.0, 0.1]))
         pool = covopt._s_pool(law, 1.0, np.eye(3), 10, SeededStream(0))
 
+        def pool_mi(qm):
+            return covopt._pool_mi(pool, qm)[0]
+
         def mi_at(q):
-            return covopt._pool_mi(pool, np.diag(q))[0]
+            return pool_mi(np.diag(q))
 
         # the cut mode is set to 0: q + alpha * step leaves 5.6e-17 there
         q2, s2 = 0.364, 0.671
         q = np.array([0.5 * (1 - q2), 0.5 * (1 - q2), q2])
-        new, mi = covopt._newton_update(pool, q, np.array([s2 / 2, s2 / 2, -s2]), mi_at(q), 1e-9)
+        step = np.array([s2 / 2, s2 / 2, -s2])
+        new, mi = covopt._newton_update(pool_mi, q, step, mi_at(q), 1e-9)
         assert new[2] == 0.0 and mi == mi_at(new) > mi_at(q)
         # a step overshooting to (1, 0, 0) lowers the MI and is halved once
         q = np.array([0.6, 0.4, 0.0])
-        new, mi = covopt._newton_update(pool, q, np.array([0.4, -0.4, 0.0]), mi_at(q), 1e-9)
+        new, mi = covopt._newton_update(pool_mi, q, np.array([0.4, -0.4, 0.0]), mi_at(q), 1e-9)
         assert np.allclose(new, [0.8, 0.2, 0.0], rtol=0, atol=1e-15) and mi > mi_at(q)
         # a descent direction leaves the powers where they are
-        new, mi = covopt._newton_update(pool, q, np.array([-0.4, 0.4, 0.0]), mi_at(q), 1e-9)
+        new, mi = covopt._newton_update(pool_mi, q, np.array([-0.4, 0.4, 0.0]), mi_at(q), 1e-9)
         assert np.array_equal(new, q) and mi == mi_at(q)
 
     @pytest.mark.parametrize("gamma", [0.3, 3.0])
     def test_mi_never_falls_on_one_pool(self, monkeypatch, gamma):
-        law = channels.KroneckerGaussian(np.zeros((4, 4)), np.eye(4),
+        # receive correlation keeps the law off the closed form, on pools
+        law = channels.KroneckerGaussian(np.zeros((4, 4)), np.diag([1.3, 1.1, 0.9, 0.7]),
                                          np.diag([2.0, 1.0, 0.6, 0.4]))
         pool = covopt._s_pool(law, gamma, np.eye(4), 4_000, SeededStream(31))
         monkeypatch.setattr(covopt, "_s_pool", lambda *args: pool)
@@ -156,6 +169,26 @@ class TestNewtonDiag:
         assert res.converged and res.kkt_residual <= 1e-9
         assert np.isclose(res.mi_trace[-1], covopt._pool_mi(pool, np.diag(res.qhat))[0],
                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.3, 3.0])
+    def test_mi_never_falls_on_the_exact_objective(self, monkeypatch, gamma):
+        # R = I: the closed form replaces every pool, and Newton lands on the optimum
+        law = channels.KroneckerGaussian(np.zeros((4, 4)), np.eye(4),
+                                         np.diag([2.0, 1.0, 0.6, 0.4]))
+        monkeypatch.setattr(covopt, "_s_pool", None)
+        res = covopt.fixed_point_diag(law, gamma, np.eye(4), {"tol": 1e-9})
+        assert len(res.mi_trace) == res.iterations and 2 <= res.iterations <= 10
+        assert np.all(np.diff(res.mi_trace) >= 0.0)
+        assert res.converged and res.kkt_residual <= 1e-9
+        assert res.mi.se == 0.0
+        assert np.isclose(res.mi.mean, res.mi_trace[-1], rtol=0, atol=1e-12)
+        assert covopt.kkt_residual_diag(res.qhat, law, gamma, np.eye(4)) <= 1e-9
+
+    def test_cut_short_solve_is_not_converged(self):
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.diag([1.4, 0.6]))
+        for solve in (covopt.fixed_point_diag, covopt.iterate_general):
+            res = solve(law, 1.0, opts={"max_iter": 1})
+            assert res.iterations == 1 and not res.converged
 
 
 class TestMonotonicity:
@@ -236,13 +269,22 @@ class TestGeneralNewton:
 
     def test_lands_on_the_diagonal_optimum_of_a_kronecker_law(self):
         # both solvers on 4x10^4-draw pools: at 10^4 draws the diagonal solver
-        # ends on its second pool, whose p1 sits 0.008 from the first one's
-        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
+        # ends on its second pool, whose p1 sits 0.008 from the first one's;
+        # the receive correlation keeps the law off the closed form
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.diag([1.2, 0.8]),
                                          np.diag([1.4, 0.6]))
         opts = {"samples": 40_000, "seed": 12345}
         gen = covopt.iterate_general(law, 1.0, opts)
         diag = covopt.fixed_point_diag(law, 1.0, None, opts)
         assert abs(np.linalg.eigvalsh(gen.q)[-1] - diag.qhat.max()) <= 0.005
+
+    def test_solves_an_exact_law_in_the_eigenbasis_of_t(self, monkeypatch):
+        monkeypatch.setattr(covopt, "_s_pool", None)
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
+                                         np.array([[1.0, 0.4], [0.4, 0.6]]))
+        gen = covopt.iterate_general(law, 1.0)
+        diag = covopt.fixed_point_diag(law, 1.0, linalg.herm_eig(law.tx_corr)[0])
+        assert np.array_equal(gen.q, diag.q) and gen.mi == diag.mi
 
     def test_ricean_law_lands_on_rank_two_exactly(self):
         mean = np.zeros((4, 4), dtype=complex)
@@ -262,11 +304,20 @@ class TestGeneralNewton:
             return s_pool(*args)
 
         monkeypatch.setattr(covopt, "_s_pool", counted)
-        law = channels.KroneckerGaussian(np.zeros((3, 3)), np.eye(3),
+        law = channels.KroneckerGaussian(np.zeros((3, 3)), np.diag([1.2, 1.0, 0.8]),
                                          0.6 * np.ones((3, 3)) + 0.4 * np.eye(3))
         res = covopt.iterate_general(law, 1.0, {"seed": 31})
         assert len(pools) == 2  # one solving pool and its check pool: one epoch
         assert res.iterations >= 3
+        assert np.all(np.diff(res.mi_trace) >= 0.0)
+
+    def test_exact_law_draws_no_pool(self, monkeypatch):
+        monkeypatch.setattr(covopt, "_s_pool", None)
+        monkeypatch.setattr(covopt, "ergodic_mi", None)
+        law = channels.KroneckerGaussian(np.zeros((3, 3)), np.eye(3),
+                                         0.6 * np.ones((3, 3)) + 0.4 * np.eye(3))
+        res = covopt.iterate_general(law, 1.0, {"seed": 31})
+        assert res.converged and res.mi.se == 0.0
         assert np.all(np.diff(res.mi_trace) >= 0.0)
 
     def test_rotated_point_mass_reaches_waterfilling_rate(self):
@@ -348,10 +399,12 @@ class TestKktResidualGeneral:
 
 
 def test_optimizer_runs_are_bit_reproducible():
+    # receive correlation keeps the law off the closed form, on pools
+    law = channels.KroneckerGaussian(np.zeros((2, 2)), np.diag([1.2, 0.8]), np.eye(2))
     opts = {"tol": 1e-2, "samples": 10_000, "max_iter": 100, "seed": 60,
             "final_samples": 10_000}
-    a = covopt.iterate_general(RAYLEIGH_2x2, 1.0, opts)
-    b = covopt.iterate_general(RAYLEIGH_2x2, 1.0, opts)
+    a = covopt.iterate_general(law, 1.0, opts)
+    b = covopt.iterate_general(law, 1.0, opts)
     assert np.array_equal(a.q, b.q)
     assert a.mi.mean == b.mi.mean
     assert np.array_equal(a.mi_trace, b.mi_trace)

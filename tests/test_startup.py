@@ -38,15 +38,25 @@ waterfill.peak_limited_rate(channels.wishart_density(1, 1), 1.0, 2.4125523113175
     assert _heavy_modules_after(code) == []
 
 
-def test_general_covariance_solve_loads_no_heavy_scipy_module():
-    code = """
+def _optimize_code(rx_corr: str, method: str) -> str:
+    return f"""
 import contextlib, io, json
 from mimocap import cli
-law = {"type": "kronecker", "mean": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
-       "rx_corr": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
-       "tx_corr": [[[1.4, 0], [0.3, 0]], [[0.3, 0], [0.6, 0]]]}
+law = {{"type": "kronecker", "mean": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+       "rx_corr": {rx_corr},
+       "tx_corr": [[[1.4, 0], [0.3, 0]], [[0.3, 0], [0.6, 0]]]}}
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["optimize", "--channel", json.dumps(law), "--snr", "1",
-                     "--method", "general", "--samples", "2000"]) == 0
+                     "--method", "{method}", "--samples", "2000"]) == 0
 """
+
+
+def test_general_covariance_solve_loads_no_heavy_scipy_module():
+    # receive correlation keeps the law off the closed form, on pools
+    code = _optimize_code("[[[1, 0], [0.2, 0]], [[0.2, 0], [1, 0]]]", "general")
+    assert _heavy_modules_after(code) == []
+
+
+def test_exact_covariance_solve_loads_no_heavy_scipy_module():
+    code = _optimize_code("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]", "diag")
     assert _heavy_modules_after(code) == []
