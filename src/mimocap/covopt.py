@@ -26,9 +26,9 @@ eigenvalue of E[X] on the off space must not exceed mu.
 Both use common random numbers: within a convergence epoch the channel pool
 is frozen, so the stochastic fixed point becomes a deterministic one per pool
 and the stopping rule is well defined; the pool is refreshed only between
-convergence checks. Zero-mean Kronecker laws with R = c I and r >= t draw no
-pools (``law.exact``): both solvers take the diagonal steps in T's eigenbasis
-on the closed-form MI and its gradient, and report that MI with SE 0.
+convergence checks. Zero-mean Kronecker laws with R = c I, t <= r, t <= 5 and
+r <= 16 draw no pools (``law.exact``): both solvers step in T's eigenbasis on
+the closed-form MI and its gradient, and report that MI with SE 0.
 """
 
 from __future__ import annotations
@@ -173,20 +173,23 @@ def _diag_moments(s_pool: np.ndarray, qvec: np.ndarray) -> tuple[np.ndarray, np.
     return d, h
 
 
-def _exact_moments(law: ChannelLaw, gamma: float, basis: np.ndarray, qvec) -> tuple:
-    """:func:`_diag_moments` from the exact gradient diag(U^H G U), G that in Q,
-    and its central difference over 10^-4 q_k (at least 10^-4 / t; one-sided at 0)."""
-    def grad(qv):
-        g = law.exact_mi((basis * qv) @ basis.conj().T, gamma)[1]
-        return np.einsum("ij,ik,kj->j", basis.conj(), g, basis).real
+def _exact_d(law: ChannelLaw, gamma: float, basis: np.ndarray, qvec) -> np.ndarray:
+    """diag(U^H G U), G the exact gradient in Q = U diag(qvec) U^H."""
+    g = law.exact_mi((basis * qvec) @ basis.conj().T, gamma)[1]
+    return np.einsum("ij,ik,kj->j", basis.conj(), g, basis).real
 
+
+def _exact_moments(law: ChannelLaw, gamma: float, basis: np.ndarray, qvec) -> tuple:
+    """:func:`_diag_moments` from :func:`_exact_d` and its central difference
+    over 10^-4 q_k (at least 10^-4 / t; one-sided at 0)."""
     h = np.empty((qvec.size, qvec.size))
     for k, qk in enumerate(qvec):
         lo, hi = qvec.copy(), qvec.copy()
         step = 1e-4 * max(qk, 1.0 / qvec.size)
         lo[k], hi[k] = max(qk - step, 0.0), qk + step
-        h[:, k] = (grad(lo) - grad(hi)) / (hi[k] - lo[k])
-    return grad(qvec), 0.5 * (h + h.T)
+        h[:, k] = _exact_d(law, gamma, basis, lo) - _exact_d(law, gamma, basis, hi)
+        h[:, k] /= hi[k] - lo[k]
+    return _exact_d(law, gamma, basis, qvec), 0.5 * (h + h.T)
 
 
 def _powers_objective(law: ChannelLaw, gamma: float, basis: np.ndarray, samples: int,
@@ -217,7 +220,8 @@ def kkt_residual_diag(qvec, law: ChannelLaw, gamma: float, basis,
         raise ValueError("powers must be non-negative and sum to 1")
     basis = np.eye(qvec.size) if basis is None else np.asarray(basis, dtype=complex)
     moments = _powers_objective(law, gamma, basis, samples, as_stream(rng))[0]
-    return _residual(np.diag(moments(qvec)[0]), qvec > MODE_OFF)
+    d = _exact_d(law, gamma, basis, qvec) if law.exact else moments(qvec)[0]
+    return _residual(np.diag(d), qvec > MODE_OFF)
 
 
 def _newton_direction(d: np.ndarray, h: np.ndarray, qvec: np.ndarray) -> np.ndarray:
@@ -313,8 +317,7 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
     t = law.tx
     basis = np.eye(t) if basis is None else np.asarray(basis, dtype=complex)
     stream = as_stream(opts.seed)
-    # a step below 1e-7 moves the exact MI by less than its round-off
-    still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)
+    still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)  # 1e-7: exact MI round-off
     qvec = np.full(t, 1.0 / t)
     trace = []
     res_trace = []

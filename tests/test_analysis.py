@@ -180,7 +180,8 @@ class TestHighSnr:
         assert abs(res.approx.mean - res.exact.mean) <= 0.05
 
     def test_uniform_becomes_stationary_as_snr_grows(self):
-        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
+        # receive correlation keeps the law on pools
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.diag([1.2, 0.8]),
                                          np.diag([1.4, 0.6]))
         basis, _ = linalg.herm_eig(law.tx_corr)
         resids = [covopt.kkt_residual_diag([0.5, 0.5], law, g, basis,

@@ -382,6 +382,15 @@ class TestExactMi:
         with pytest.raises(ValueError):
             channels.KroneckerGaussian(z, np.diag([1.0, 0.9]), eye).exact_mi(eye / 2, 1.0)
 
+    def test_capability_ends_where_the_closed_form_was_checked(self):
+        # a chain of sigma spaced just under _CLUSTER is one cluster: at t = 9 its
+        # Taylor rows diverge; at t = 5, r = 32 and at t = 6, r = 40 the gradient
+        # lost 1e-3 and 7e-2 against 80-digit arithmetic
+        assert _exact_law(16, 5).exact
+        assert not _exact_law(6, 6).exact and not _exact_law(17, 5).exact
+        chain = np.diag(np.exp(0.14 * np.arange(9)))
+        assert not channels.KroneckerGaussian(np.zeros((9, 9)), np.eye(9), chain).exact
+
     def test_log1p_moment_keeps_the_shared_recursion_bit_for_bit(self):
         # the J recursion moved into _log1p_integrals; this is its loop as it was
         for m, n in [(2, 2), (3, 5)]:
@@ -429,6 +438,19 @@ class TestExactMi:
             lo, hi = (channels._log_det_moment(4, 0.3 * np.exp(gap * np.arange(k)))
                       for gap in channels._CLUSTER * (1.0 + np.array([-1e-9, 1e-9])))
             assert abs(lo[0] - hi[0]) <= 1e-9 and np.abs(lo[1] - hi[1]).max() <= 1e-8
+
+    def test_five_chained_sigma_at_r_16(self):
+        # the largest capable law: one cluster 0.56 wide in ln(sigma); 80-digit values
+        sigma = 0.7 * np.exp(0.14 * np.arange(5))
+        f, g = channels._log_det_moment(16, sigma)
+        assert abs(f - 13.070635505746935) <= 1e-9 * 13.07
+        ref = [1.2700592424112902, 1.1203715230283648, 0.9866168849419891,
+               0.8674900163361464, 0.7617001554841595]
+        assert np.abs(g - ref).max() <= 1e-6 * ref[0]
+        # and continuous, relative to f ~ 13, where the chain breaks into five clusters
+        lo, hi = (channels._log_det_moment(16, 0.7 * np.exp(gap * np.arange(5)))
+                  for gap in channels._CLUSTER * (1.0 + np.array([-1e-9, 1e-9])))
+        assert abs(lo[0] - hi[0]) <= 1e-9 * hi[0] and np.abs(lo[1] - hi[1]).max() <= 1e-6
 
     def test_continuous_as_a_power_switches_off(self):
         law = _exact_law(3, 2)

@@ -8,6 +8,9 @@ from mimocap.covopt import OptimizerOptions
 from mimocap.montecarlo import SeededStream, ergodic_mi
 
 RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
+# receive correlation keeps this law off the closed form, on pools; its law is
+# invariant under H -> H U for unitary U, so its optimum is still I/2
+RX_RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.diag([1.2, 0.8]), np.eye(2))
 POINT_21 = channels.PointMass(np.diag([np.sqrt(2.0), 1.0]))
 GOLDEN_MI = float(np.log(2.5) + np.log(1.25))
 
@@ -24,16 +27,22 @@ class TestKktResidualDiag:
         res = covopt.kkt_residual_diag(q, POINT_21, 1.0, np.eye(2), samples=10, rng=0)
         assert res <= 1e-6
 
-    def test_uniform_on_iid_rayleigh(self):
+    def test_uniform_on_rx_correlated_rayleigh(self):
         q = np.array([0.5, 0.5])
-        res = covopt.kkt_residual_diag(q, RAYLEIGH_2x2, 1.0, np.eye(2),
+        res = covopt.kkt_residual_diag(q, RX_RAYLEIGH_2x2, 1.0, np.eye(2),
                                        samples=100_000, rng=1)
         assert res <= 0.02  # noise floor of the Monte Carlo conditions
 
+    def test_uniform_on_iid_rayleigh_is_exactly_stationary(self, monkeypatch):
+        monkeypatch.setattr(covopt, "_s_pool", None)
+        res = [covopt.kkt_residual_diag([0.5, 0.5], RAYLEIGH_2x2, 1.0, np.eye(2),
+                                        samples=n, rng=seed) for n, seed in ((10, 0), (10**5, 1))]
+        assert res[0] == res[1] <= 1e-12
+
     def test_perturbed_point_is_not_stationary(self):
-        res_opt = covopt.kkt_residual_diag([0.5, 0.5], RAYLEIGH_2x2, 1.0, np.eye(2),
+        res_opt = covopt.kkt_residual_diag([0.5, 0.5], RX_RAYLEIGH_2x2, 1.0, np.eye(2),
                                            samples=50_000, rng=2)
-        res_bad = covopt.kkt_residual_diag([0.9, 0.1], RAYLEIGH_2x2, 1.0, np.eye(2),
+        res_bad = covopt.kkt_residual_diag([0.9, 0.1], RX_RAYLEIGH_2x2, 1.0, np.eye(2),
                                            samples=50_000, rng=2)
         assert res_bad > 10 * max(res_opt, 1e-3)
 
@@ -58,14 +67,14 @@ class TestFixedPointDiag:
         assert abs(res.mi.mean - GOLDEN_MI) <= 1e-3
         assert res.converged
 
-    def test_iid_rayleigh_uniform(self):
-        res = covopt.fixed_point_diag(RAYLEIGH_2x2, 1.0,
+    def test_rx_correlated_rayleigh_uniform(self):
+        res = covopt.fixed_point_diag(RX_RAYLEIGH_2x2, 1.0,
                                       opts={"tol": 8e-3, "samples": 50_000,
                                             "max_iter": 300, "seed": 3})
         assert np.abs(res.qhat - 0.5).max() <= 0.02
 
     def test_low_snr_beamforms_on_strong_mode(self):
-        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.diag([1.2, 0.8]),
                                          np.diag([1.5, 0.5]))
         res = covopt.fixed_point_diag(law, 0.05,
                                       opts={"tol": 2e-2, "samples": 20_000,
@@ -74,12 +83,12 @@ class TestFixedPointDiag:
         assert res.qhat[0] > 0.95  # trending to rank one as gamma -> 0
 
     def test_result_invariants(self):
-        res = covopt.fixed_point_diag(RAYLEIGH_2x2, 1.0,
+        res = covopt.fixed_point_diag(RX_RAYLEIGH_2x2, 1.0,
                                       opts={"tol": 1e-2, "samples": 20_000,
                                             "seed": 5, "final_samples": 20_000})
         assert abs(np.trace(res.q).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(res.q).min() >= -1e-10
-        fresh = ergodic_mi(res.q, RAYLEIGH_2x2, 1.0, samples=20_000,
+        fresh = ergodic_mi(res.q, RX_RAYLEIGH_2x2, 1.0, samples=20_000,
                            rng=SeededStream(777))
         assert abs(fresh.mean - res.mi.mean) <= 2 * (fresh.se + res.mi.se)
 
@@ -184,6 +193,19 @@ class TestNewtonDiag:
         assert np.isclose(res.mi.mean, res.mi_trace[-1], rtol=0, atol=1e-12)
         assert covopt.kkt_residual_diag(res.qhat, law, gamma, np.eye(4)) <= 1e-9
 
+    def test_law_past_the_closed_form_runs_on_pools(self, monkeypatch):
+        # t = 9 with T's eigenvalues chained 0.14 apart in ln: all nine sigma of
+        # Q = I/9 lie in one cluster, whose Taylor series would diverge
+        pools = []
+        s_pool = covopt._s_pool
+        monkeypatch.setattr(covopt, "_s_pool", lambda *args: pools.append(args) or s_pool(*args))
+        law = channels.KroneckerGaussian(np.zeros((9, 9)), np.eye(9),
+                                         np.diag(np.exp(0.14 * np.arange(9))))
+        res = covopt.fixed_point_diag(law, 1.0, None, {"samples": 1_000, "max_iter": 2,
+                                                       "final_samples": 1_000})
+        assert len(pools) == 2 and res.iterations == 2
+        assert np.isfinite(res.mi.mean) and res.mi.se > 0.0
+
     def test_cut_short_solve_is_not_converged(self):
         law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.diag([1.4, 0.6]))
         for solve in (covopt.fixed_point_diag, covopt.iterate_general):
@@ -217,8 +239,8 @@ class TestIterateGeneral:
             assert abs(res.mi.mean - GOLDEN_MI) <= 5e-3
             assert res.kkt_residual <= 1e-3
 
-    def test_iid_rayleigh_recovers_identity(self):
-        res = covopt.iterate_general(RAYLEIGH_2x2, 1.0,
+    def test_rx_correlated_rayleigh_recovers_identity(self):
+        res = covopt.iterate_general(RX_RAYLEIGH_2x2, 1.0,
                                      opts={"tol": 8e-3, "samples": 50_000,
                                            "max_iter": 300, "seed": 14})
         assert abs(res.q[0, 1]) < 0.03
@@ -245,7 +267,7 @@ class TestIterateGeneral:
         assert mine >= best - 1e-3
 
     def test_mi_trace_non_decreasing_within_noise(self):
-        res = covopt.iterate_general(RAYLEIGH_2x2, 1.0,
+        res = covopt.iterate_general(RX_RAYLEIGH_2x2, 1.0,
                                      opts={"tol": 8e-3, "samples": 20_000,
                                            "max_iter": 200, "seed": 16})
         mi = res.mi_trace
@@ -253,15 +275,24 @@ class TestIterateGeneral:
         assert np.all(np.diff(mi) >= -2 * se)
 
     def test_result_invariants(self):
-        res = covopt.iterate_general(RAYLEIGH_2x2, 0.8,
+        res = covopt.iterate_general(RX_RAYLEIGH_2x2, 0.8,
                                      opts={"tol": 1e-2, "samples": 20_000,
                                            "seed": 17, "final_samples": 20_000})
         assert abs(np.trace(res.q).real - 1.0) <= 1e-9
         assert np.linalg.eigvalsh(res.q).min() >= -1e-10
         assert len(res.mi_trace) == len(res.residual_trace)
-        fresh = ergodic_mi(res.q, RAYLEIGH_2x2, 0.8, samples=20_000,
+        fresh = ergodic_mi(res.q, RX_RAYLEIGH_2x2, 0.8, samples=20_000,
                            rng=SeededStream(4242))
         assert abs(fresh.mean - res.mi.mean) <= 2 * (fresh.se + res.mi.se)
+
+    def test_iid_rayleigh_is_solved_exactly(self, monkeypatch):
+        # the pooled twins above run on RX_RAYLEIGH_2x2; R = I takes the closed form
+        monkeypatch.setattr(covopt, "_s_pool", None)
+        for solve in (covopt.fixed_point_diag, covopt.iterate_general):
+            res = solve(RAYLEIGH_2x2, 0.8, opts={"tol": 1e-9})
+            assert res.converged and res.kkt_residual <= 1e-9 and res.mi.se == 0.0
+            assert np.abs(res.q - np.eye(2) / 2).max() <= 1e-12
+            assert res.mi.mean == RAYLEIGH_2x2.exact_mi(res.q, 0.8)[0]
 
 
 class TestGeneralNewton:
@@ -351,7 +382,8 @@ class TestAgreementAcrossOptimizers:
         assert abs(gen.mi.mean - sol.rate) <= 1e-3
 
     def test_kronecker_zero_mean_agreement(self):
-        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
+        # receive correlation keeps the law on pools; T's basis is still optimal
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.diag([1.2, 0.8]),
                                          np.diag([1.4, 0.6]))
         basis, _ = linalg.herm_eig(law.tx_corr)
         diag = covopt.fixed_point_diag(law, 1.0,
@@ -371,8 +403,8 @@ class TestKktResidualGeneral:
         resid = covopt.kkt_residual_general(res.q, law, 1.0, samples=10, rng=0)
         assert resid <= 1e-4
 
-    def test_identity_on_iid_rayleigh(self):
-        resid = covopt.kkt_residual_general(np.eye(2) / 2, RAYLEIGH_2x2, 1.0,
+    def test_identity_on_rx_correlated_rayleigh(self):
+        resid = covopt.kkt_residual_general(np.eye(2) / 2, RX_RAYLEIGH_2x2, 1.0,
                                             samples=100_000, rng=22)
         assert resid <= 0.02
 
@@ -390,6 +422,12 @@ class TestKktResidualGeneral:
     def test_beamforming_on_iid_rayleigh_sees_the_off_direction(self):
         # the off mode's gradient E[X_22] beats mu = E[X_11] on the powered one
         resid = covopt.kkt_residual_general(np.diag([1.0, 0.0]), RAYLEIGH_2x2, 1.0,
+                                            samples=20_000, rng=1)
+        assert resid > 1
+
+    def test_beamforming_on_rx_correlated_rayleigh_sees_the_off_direction(self):
+        # the same off direction, read from a pool
+        resid = covopt.kkt_residual_general(np.diag([1.0, 0.0]), RX_RAYLEIGH_2x2, 1.0,
                                             samples=20_000, rng=1)
         assert resid > 1
 
@@ -411,8 +449,8 @@ def test_optimizer_runs_are_bit_reproducible():
 
 
 def test_smoke_larger_dimension():
-    # desk-scale smoke at t = r = 4; bigger sizes are figure-driver territory
-    law = channels.KroneckerGaussian(np.zeros((4, 4)), np.eye(4),
+    # desk-scale smoke at t = r = 4 on pools; bigger sizes are figure-driver territory
+    law = channels.KroneckerGaussian(np.zeros((4, 4)), np.diag([1.3, 1.1, 0.9, 0.7]),
                                      0.3 * np.ones((4, 4)) + 0.7 * np.eye(4))
     res = covopt.iterate_general(law, 1.0, opts={"samples": 5_000, "tol": 3e-2,
                                                  "max_iter": 60, "seed": 50})
