@@ -55,7 +55,6 @@ from .analysis import (
 )
 from .linalg import (
     chol_upper,
-    expint_gamma0,
     herm_eig,
     log_det_plus,
     svd,

@@ -504,8 +504,27 @@ class WishartDensity(EigDensity):
         return float(total)
 
     def sample_eigs(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Eigenvalue draws of sampled Wishart matrices, shape (size, m)."""
-        return gram_eigs(_circular_gaussian(rng, (size, self.m, self.n)))
+        """Eigenvalue draws of sampled Wishart matrices, shape (size, m), rows ascending.
+
+        Drawn from the beta = 2 Laguerre model of Dumitriu & Edelman ("Matrix
+        models for beta ensembles", J. Math. Phys. 43(11), 2002): the
+        eigenvalues of G G^H have the joint law of those of B B^T, with B a
+        real m x m lower bidiagonal matrix whose squared entries are
+        independent, B_ii^2 ~ Gamma(n - i + 1) and B_(i+1),i^2 ~ Gamma(m - i)
+        (i from 1, unit scale for CN(0, 1) entries of G). A draw takes
+        2m - 1 Gamma variates and no complex matrix; det B B^T is the exact
+        product of the diagonal.
+        """
+        m, n = self.m, self.n
+        shapes = np.concatenate([np.arange(n, n - m, -1), np.arange(m - 1, 0, -1)])
+        sq = rng.standard_gamma(shapes, size=(size, 2 * m - 1))
+        diag, sub = sq[:, :m], sq[:, m:]
+        tri = np.zeros((size, m, m))
+        i = np.arange(m)
+        tri[:, i, i] = diag
+        tri[:, i[1:], i[1:]] += sub
+        tri[:, i[1:], i[:-1]] = tri[:, i[:-1], i[1:]] = np.sqrt(diag[:, :-1] * sub)
+        return np.maximum(_small_eigvalsh(tri, diag.prod(axis=1)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -669,6 +688,31 @@ def _small_gram(h: np.ndarray) -> np.ndarray:
     return np.einsum("sik,sjk->sij", h, h.conj())
 
 
+def _small_eigvalsh(g: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+    """Ascending eigenvalues of a stack of k x k Hermitian (or real symmetric)
+    PSD matrices, shape (N, k), by size: the entry itself for k = 1, the closed
+    form below for k = 2, and LAPACK beyond.
+
+    For [[a, b], [b*, c]], lam_max = (a + c)/2 + hypot((a - c)/2, |b|) adds
+    non-negative terms and keeps full relative accuracy. lam_min = det/lam_max
+    takes ``det`` where the caller has it as an exact product, and otherwise
+    a (c/lam_max) - |b| (|b|/lam_max), which cannot overflow where a c would.
+    """
+    k = g.shape[-1]
+    if k == 1:
+        return g[:, :, 0].real.copy()
+    if k > 2:
+        return np.linalg.eigvalsh(g)
+    a, c, b = g[:, 0, 0].real, g[:, 1, 1].real, np.abs(g[:, 0, 1])
+    big = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    if det is None:  # a zero row has lam_max = 0, and lam_min = 0 too
+        c_big, b_big = np.divide([c, b], big, out=np.zeros((2, big.size)), where=big > 0)
+        small = a * c_big - b * b_big
+    else:
+        small = det / big
+    return np.stack([small, big], axis=1)
+
+
 def gram_eigs(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of H H^H per draw (ascending), via the smaller Gram matrix.
 
@@ -676,7 +720,7 @@ def gram_eigs(h: np.ndarray) -> np.ndarray:
     a rank deficiency, and negative ones round-off of zero: both come back as
     exact zeros, so rank-deficient laws keep their zero modes off.
     """
-    w = np.linalg.eigvalsh(_small_gram(h))
+    w = _small_eigvalsh(_small_gram(h))
     tiny = 4 * (h.shape[1] + h.shape[2]) * np.finfo(float).eps
     w[w <= tiny * w[:, -1:]] = 0.0
     return w

@@ -24,7 +24,6 @@ __all__ = [
     "ut_gram",
     "chol_upper",
     "psd_sqrt",
-    "expint_gamma0",
     "scaled_expint_gamma0",
     "scaled_expn",
     "log_det_plus",
@@ -144,17 +143,6 @@ def psd_sqrt(a) -> np.ndarray:
     u, lam = herm_eig(a)
     lam = np.where(lam > lam[0] * lam.size * np.finfo(float).eps, lam, 0.0)
     return (u * np.sqrt(lam)) @ u.conj().T
-
-
-def expint_gamma0(x):
-    """Upper incomplete gamma ``Gamma(0, x) = int_x^inf exp(-t)/t dt``.
-
-    Defined for ``x > 0`` only (the integral diverges at 0). Vectorized.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("Gamma(0, x) requires x > 0")
-    return scipy.special.exp1(x)
 
 
 # Asymptotic expansion x*e^x*E1(x) ~ sum (-1)^k k!/x^k; switch point keeps the

@@ -15,6 +15,7 @@ the allocation at a peak-power cap.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -122,9 +123,17 @@ def st_water_level(density: EigDensity, budget: float) -> float:
     per symbol. The boundary terms of the derivative cancel, so the slope is
     exactly the tail mass, P'(xi) = mass(1/xi), and one ``tail_moments`` call
     gives both. P is increasing and convex, so Newton steps from an upper
-    bracket found by doubling descend onto the root without overshoot: fast
-    on Wishart densities, and exact in one step on a linear piece of a pooled
-    or discrete density.
+    bracket descend onto the root without overshoot: fast on Wishart
+    densities, and exact in one step on a linear piece of a pooled or
+    discrete density.
+
+    The upper bracket is xi = budget/m + 10, doubled until it holds. Below a
+    target of 0.1 that start sits far up an exponential tail, where P is so
+    flat that each Newton step moves 1/xi by only about one. There ln P is
+    instead close to linear in a = 1/xi, so up to four Newton steps on ln P in
+    a, from the asymptote a = ln(m/budget), come near the root first; a point
+    that ends below the root is lifted above it by its tangent, which meets
+    the target at or above the root because P is convex.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -132,15 +141,37 @@ def st_water_level(density: EigDensity, budget: float) -> float:
     if isinstance(density, EmpiricalDensity) and density.pool < 10_000:
         warnings.warn(f"water-level solving on a pool of {density.pool} "
                       "draws; 10^4 or more is recommended", stacklevel=2)
-    if density.tail_moments(0.0)[0] <= 0:
-        raise InfeasibleError("eigenvalue density has no mass above zero")
 
     def residual(xi):
         power, mass = _avg_power(density, xi, 1.0 / xi)
         return power - target, mass
 
+    if target < 0.1:
+        x = 1.0 / math.log(1.0 / target)
+        value, mass = at_x = residual(x)
+        for _ in range(4):
+            power = value + target
+            if power <= 0 or abs(math.log(power / target)) <= 0.1:
+                break
+            a = 1.0 / x + math.log(power / target) * power / (mass * x * x)
+            if a <= 0:  # a step from far below the root can leave the axis
+                break
+            x = 1.0 / a
+            value, mass = at_x = residual(x)
+        if value >= 0:
+            return float(_bracketed_root(residual, 0.0, x, at_x))
+        if mass > 0:
+            lo, x = x, x - value / mass
+            at_x = residual(x)
+            if at_x[0] < 0:  # below the root by the round-off of P only
+                return float(x)
+            return float(_bracketed_root(residual, lo, x, at_x))
+        # no mass above 1/x: fall back to the start below
+
     hi = target + 10.0
     at_hi = residual(hi)
+    if at_hi[1] <= 0 and density.tail_moments(0.0)[0] <= 0:
+        raise InfeasibleError("eigenvalue density has no mass above zero")
     tries = 0
     while at_hi[0] < 0:
         hi *= 2.0

@@ -188,6 +188,20 @@ class TestWishartDensity:
         ks = np.abs(emp - cdf_grid).max()
         assert ks < 0.01
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (4, 4)])
+    def test_bidiagonal_draws_match_wishart_moments(self, m, n):
+        # E tr W = mn, E tr W^2 = mn(m + n) and E ln det W = sum_i psi(n - i)
+        f = channels.wishart_density(m, n)
+        eigs = f.sample_eigs(100_000, SeededStream(m * 10 + n).generator())
+        assert eigs.shape == (100_000, m)
+        assert np.all(np.diff(eigs, axis=1) >= 0) and np.all(eigs >= 0)
+        stats = [eigs.sum(axis=1), (eigs ** 2).sum(axis=1), np.log(eigs).sum(axis=1)]
+        exact = [m * n, m * n * (m + n), scipy.special.digamma(n - np.arange(m)).sum()]
+        for x, mean in zip(stats, exact):
+            assert abs(x.mean() - mean) <= 4 * x.std() / np.sqrt(x.size)
+        again = f.sample_eigs(100_000, SeededStream(m * 10 + n).generator())
+        assert np.array_equal(eigs, again)
+
     def test_requires_m_le_n(self):
         with pytest.raises(ValueError):
             channels.wishart_density(3, 2)
@@ -310,6 +324,23 @@ class TestEmpiricalDensity:
             h = channels.sample_batch(law, size, rng(seed))
             ref = np.maximum(np.linalg.eigvalsh(channels._small_gram(h)), 0.0)
             assert np.array_equal(channels.gram_eigs(h), ref)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-100])
+    def test_closed_form_2x2_matches_lapack(self, scale):
+        g = rng(22)
+
+        def gram(h):
+            return np.einsum("sik,sjk->sij", h, h.conj())
+
+        h = g.normal(size=(2000, 2, 3)) + 1j * g.normal(size=(2000, 2, 3))
+        v = g.normal(size=(2000, 2, 1)) + 1j * g.normal(size=(2000, 2, 1))
+        diag = np.zeros((2000, 2, 2))
+        diag[:, 0, 0], diag[:, 1, 1] = g.exponential(size=2000), g.exponential(size=2000)
+        # random, rank-1 and diagonal rows; scaling H by 1e100 puts a c at 1e400
+        for rows in (gram(scale * h), gram(scale * v), scale ** 2 * diag):
+            ref = np.linalg.eigvalsh(rows)
+            got = channels._small_eigvalsh(rows)
+            assert np.all(np.abs(got - ref) <= 1e-13 * ref[:, -1:])
 
     def test_cdf_and_moments_consistent(self):
         d = channels.empirical_density(IID_2x2, 20_000, rng(17))

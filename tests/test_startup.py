@@ -38,6 +38,18 @@ waterfill.peak_limited_rate(channels.wishart_density(1, 1), 1.0, 2.4125523113175
     assert _heavy_modules_after(code) == []
 
 
+def test_per_symbol_baseline_figures_load_no_heavy_scipy_module():
+    # fig3/fig4 sample Wishart eigenvalues; no tridiagonal solver of scipy.linalg
+    code = """
+import contextlib, io
+from mimocap import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["figures", "--figure", "fig4", "--snr-db=10:10:1"]) == 0
+    assert cli.main(["figures", "--figure", "fig3"]) == 0
+"""
+    assert _heavy_modules_after(code) == []
+
+
 def _optimize_code(rx_corr: str, method: str) -> str:
     return f"""
 import contextlib, io, json

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
+import scipy.special
 
 from mimocap import channels, linalg, waterfill
 from mimocap.montecarlo import SeededStream
@@ -145,18 +146,18 @@ class TestSpaceTimeWaterLevel:
         xi_probe = 2.0
         quad, _ = scipy.integrate.quad(
             lambda lam: (xi_probe - 1 / lam) * np.exp(-lam), 1 / xi_probe, np.inf)
-        closed = xi_probe * np.exp(-1 / xi_probe) - linalg.expint_gamma0(1 / xi_probe)
+        closed = xi_probe * np.exp(-1 / xi_probe) - scipy.special.exp1(1 / xi_probe)
         assert np.isclose(quad, closed, atol=1e-10)
         for budget in (0.1, 1.0, 10.0):
             xi = waterfill.st_water_level(RAYLEIGH_M1, budget)
-            resid = xi * np.exp(-1 / xi) - linalg.expint_gamma0(1 / xi) - budget
+            resid = xi * np.exp(-1 / xi) - scipy.special.exp1(1 / xi) - budget
             assert abs(resid) <= 1e-8
 
     def test_rayleigh_m2_closed_equation(self):
         for budget in (0.1, 1.0, 10.0):
             xi = waterfill.st_water_level(RAYLEIGH_M2, budget)
             resid = np.exp(-1 / xi) * (2 * xi + 1) \
-                - 2 * linalg.expint_gamma0(1 / xi) - budget
+                - 2 * scipy.special.exp1(1 / xi) - budget
             assert abs(resid) <= 1e-8
 
     def test_low_snr_rayleigh_level_is_exact(self):
@@ -218,6 +219,22 @@ class TestSpaceTimeWaterLevel:
             points = np.array(points)
             assert np.all(points >= xi * (1 - 1e-13))
             assert np.all(np.diff(points) <= 1e-13 * points[1:])
+
+    @pytest.mark.parametrize("density", LEVEL_DENSITIES, ids=LEVEL_IDS)
+    def test_low_snr_levels_take_few_moment_calls(self, density, monkeypatch):
+        # on a flat exponential tail, Newton in xi alone moves 1/xi by about one per call
+        calls = []
+        tail_moments = type(density).tail_moments
+
+        def counted(self, a):
+            calls.append(a)
+            return tail_moments(self, a)
+
+        monkeypatch.setattr(type(density), "tail_moments", counted)
+        for db in range(-60, -29, 5):
+            calls.clear()
+            waterfill.st_water_level(density, 10.0 ** (db / 10))
+            assert len(calls) <= 8
 
     def test_no_mass_raises(self):
         d = channels.PointMassDensity([0.0], [1.0], m=1)
