@@ -40,7 +40,6 @@ from .covopt import (
     iterate_general,
     kkt_residual_diag,
     kkt_residual_general,
-    monotonicity_check,
 )
 from .analysis import (
     BeamformVerdict,
@@ -56,11 +55,10 @@ from .analysis import (
 from .linalg import (
     chol_upper,
     herm_eig,
-    log_det_plus,
     svd,
     ut_gram,
 )
-from .montecarlo import McEstimate, SeededStream, ergodic_mi, expect_matrix
+from .montecarlo import McEstimate, SeededStream, ergodic_mi
 from .waterfill import (
     InfeasibleError,
     WaterfillSolution,

@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,7 +55,8 @@ LN2 = float(np.log(2.0))
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, channel: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, channel: bool = True, solver: bool = True,
+                unit: bool = True) -> None:
     if channel:
         p.add_argument("--channel", help="channel descriptor: a JSON file path or inline JSON")
     snr = p.add_mutually_exclusive_group()
@@ -65,11 +67,13 @@ def _add_common(p: argparse.ArgumentParser, channel: bool = True) -> None:
     p.add_argument("--samples", type=_sample_count, default=10_000,
                    help="Monte Carlo samples (at least 2)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (fixed default)")
-    p.add_argument("--tol", type=float, default=1e-3, help="solver tolerance")
-    p.add_argument("--max-iter", type=int, default=500, help="iteration cap")
+    if solver:
+        p.add_argument("--tol", type=float, default=1e-3, help="solver tolerance (> 0)")
+        p.add_argument("--max-iter", type=int, default=500, help="iteration cap (>= 1)")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--unit", choices=("nats", "bits"), default="nats")
+    if unit:
+        p.add_argument("--unit", choices=("nats", "bits"), default="nats")
 
 
 def _sample_count(text: str) -> int:
@@ -95,10 +99,10 @@ def _grid(text: str) -> np.ndarray:
     return grid
 
 
-def _solver_opts(args, **overrides) -> OptimizerOptions:
-    """Solver options from the common flags, ``overrides`` taking precedence."""
-    return OptimizerOptions(**{"tol": args.tol, "max_iter": args.max_iter,
-                               "samples": args.samples, "seed": args.seed, **overrides})
+def _solver_opts(args) -> OptimizerOptions:
+    """Solver options from the common flags; ``ValueError`` on a bad tol or max_iter."""
+    return OptimizerOptions(tol=args.tol, max_iter=args.max_iter, samples=args.samples,
+                            seed=args.seed)
 
 
 def _parse_snr(args) -> np.ndarray:
@@ -251,6 +255,7 @@ def _diag_basis(law: ChannelLaw) -> np.ndarray:
 
 
 def cmd_optimize(args) -> int:
+    opts = _solver_opts(args)
     if args.samples < 1000:
         raise ValueError(f"optimize needs at least 10^3 samples for its solver pools, "
                          f"got {args.samples}")
@@ -261,7 +266,6 @@ def cmd_optimize(args) -> int:
     gamma = float(gammas[0])
     if not np.any(channels.expected_gram(law)):
         raise InfeasibleError("zero channel: the capacity is 0 and every covariance is optimal")
-    opts = _solver_opts(args)
     if args.method == "diag":
         res = covopt.fixed_point_diag(law, gamma, _diag_basis(law), opts)
     else:
@@ -346,6 +350,7 @@ def _rayleigh_rates(args, m: int):
 def _figure_table(fig: str, args):
     scale, unit = _rate_scale(args.unit)
     stream = SeededStream(args.seed)
+    opts = _solver_opts(args)  # every figure rejects a bad --tol or --max-iter
     if fig == "fig1":
         grid_db = _grid(args.snr_db or "-10:30:2")
         dens = wishart_density(1, 1)
@@ -393,7 +398,7 @@ def _figure_table(fig: str, args):
         grid_db = _grid(args.snr_db or "-10:20:5")
         tau = args.tau
         rows = []
-        opts = _solver_opts(args, final_samples=max(args.samples, 20_000))
+        opts = replace(opts, final_samples=max(args.samples, 20_000))
         for n in (2, 3):
             t_corr = tau * np.ones((n, n)) + (1 - tau) * np.eye(n)
             mean = np.zeros((n, n), dtype=complex)
@@ -421,7 +426,7 @@ def _figure_table(fig: str, args):
         for k in range(5):
             u = haar_unitary(2, gen)
             h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
-            trace = covopt._cholesky_map_trace(PointMass(h), 1.0, _solver_opts(args, tol=1e-7))
+            trace = covopt._cholesky_map_trace(PointMass(h), 1.0, replace(opts, tol=1e-7))
             for i, mi in enumerate(trace):
                 rows.append([k, i + 1, (cap - float(mi)) * scale])
         return ["unitary", "iter", f"capacity_gap_{unit}"], rows
@@ -437,7 +442,7 @@ def _figure_table(fig: str, args):
             mean *= np.sqrt(n) / np.linalg.norm(mean)
             law = KroneckerGaussian(mean, np.eye(n), t_corr)
             trace = covopt._cholesky_map_trace(law, 1.0,
-                                               _solver_opts(args, seed=args.seed + trial))
+                                               replace(opts, seed=args.seed + trial))
             best = max(trace)
             for i, mi in enumerate(trace):
                 rows.append([trial, i + 1, (best - float(mi)) * scale])
@@ -446,7 +451,7 @@ def _figure_table(fig: str, args):
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
         sig = np.diag([4.0, 1.0]).astype(complex)
         kappas = np.linspace(0.0, 1.0, args.kappa_points)
-        pts = analysis.interp_study(m0, sig, kappas, _parse_snr(args)[0], _solver_opts(args))
+        pts = analysis.interp_study(m0, sig, kappas, _parse_snr(args)[0], opts)
         rows = []
         if fig == "fig11":
             for p in pts:
@@ -483,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pw = sub.add_parser("waterfill", help="space-time water-filling over a density")
-    _add_common(pw)
+    _add_common(pw, solver=False)
     pw.set_defaults(fn=cmd_waterfill)
 
     po = sub.add_parser("optimize", help="optimal transmit covariance", description=(
@@ -495,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.set_defaults(fn=cmd_optimize)
 
     pb = sub.add_parser("beamform", help="beamforming optimality tests")
-    _add_common(pb)
+    _add_common(pb, solver=False, unit=False)
     pb.add_argument("--method", choices=("closed", "mc"), default="closed")
     pb.add_argument("--boundary", action="store_true",
                     help="emit the 2x2 transition boundary instead of a verdict")

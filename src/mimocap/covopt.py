@@ -23,12 +23,14 @@ Both are judged by one stationarity residual on Q (``_residual``): in the
 eigenbasis of Q, the powered rows of E[X] must equal mu I and the largest
 eigenvalue of E[X] on the off space must not exceed mu.
 
-Both use common random numbers: within a convergence epoch the channel pool
-is frozen, so the stochastic fixed point becomes a deterministic one per pool
-and the stopping rule is well defined; the pool is refreshed only between
-convergence checks. Zero-mean Kronecker laws with R = c I, t <= r, t <= 5 and
-r <= 16 draw no pools (``law.exact``): both solvers step in T's eigenbasis on
-the closed-form MI and its gradient, and report that MI with SE 0.
+Both run in one epoch loop (``_epoch_loop``) on common random numbers: each
+solver gives it only its face, the residual and Newton step on a pool. Within
+an epoch the pool is frozen, so the stochastic fixed point is a deterministic
+one per pool; an epoch ends when a step settles or after ``INNER_MAX`` steps,
+and the next pool first serves as the fresh-pool check. Zero-mean Kronecker
+laws with R = c I, t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``):
+both solvers step in T's eigenbasis on the closed-form MI and its gradient,
+and report that MI with SE 0.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ __all__ = [
     "OptimizerOptions",
     "kkt_residual_diag",
     "fixed_point_diag",
-    "powers_monotone",
-    "monotonicity_check",
     "iterate_general",
     "kkt_residual_general",
 ]
@@ -80,6 +80,12 @@ class OptimizerOptions:
     samples: int = DEFAULT_SAMPLES_INNER
     final_samples: int = DEFAULT_SAMPLES_FINAL
     seed: int = 0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"optimizer option tol must be finite and positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"optimizer option max_iter must be at least 1, got {self.max_iter}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "OptimizerOptions":
@@ -106,7 +112,6 @@ class CovOptResult:
     iterations: int
     converged: bool
     qhat: np.ndarray | None = None
-    basis: np.ndarray | None = None
 
 
 def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
@@ -132,6 +137,11 @@ def _pool_mi(s_pool: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return est.mean, est.se
 
 
+def _covariance(vecs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    q = (vecs * lam) @ vecs.conj().T
+    return 0.5 * (q + q.conj().T)
+
+
 def _residual(g: np.ndarray, on: np.ndarray) -> float:
     """Stationarity residual of a covariance from g = E[X] in its eigenbasis.
 
@@ -155,6 +165,57 @@ def _q_residual(m: np.ndarray, q: np.ndarray) -> float:
     """:func:`_residual` of ``q`` for E[X] = ``m``; eigenvalues up to ``MODE_OFF`` are off."""
     lam, vecs = np.linalg.eigh(q)
     return _residual(vecs.conj().T @ m @ vecs, lam > MODE_OFF)
+
+
+def _epoch_loop(law: ChannelLaw, gamma: float, opts: OptimizerOptions, face, point,
+                finish, stop_when_settled: bool = False) -> CovOptResult:
+    """Newton steps on frozen pools, epoch by epoch, for both solvers.
+
+    ``face(stream)`` draws one epoch's pool from ``stream`` (none on a law
+    with a closed form) and returns ``(mi_of, at)``: ``mi_of(point)`` is the
+    pool MI of an iterate, and ``at(point)`` its stationarity residual and
+    its Newton step ``step(mi, still) -> (new point, pool MI, settled)``.
+    An epoch ends when a step settles (moves nothing by more than ``still``)
+    or after ``INNER_MAX`` steps; the next pool first serves as the
+    fresh-pool check, and the run is ``converged`` when the residual on it
+    is at most ``tol``. ``finish(point)`` gives the covariance and ``qhat``.
+    """
+    stream = as_stream(opts.seed)
+    still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)  # 1e-7: exact MI round-off
+    trace, res_trace = [], []
+    iters = epoch = 0
+    converged = settled = False
+    mi_of, at = face(stream.child(0))
+    residual, step = at(point)
+    while iters < opts.max_iter and not converged:
+        mi = mi_of(point)
+        for _ in range(INNER_MAX):
+            if iters >= opts.max_iter:
+                break
+            res_trace.append(residual)
+            point, mi, settled = step(mi, still)
+            trace.append(mi)
+            iters += 1
+            if settled:
+                break
+            residual, step = at(point)
+        # the fresh check pool becomes the next epoch's solving pool
+        epoch += 1
+        mi_of, at = face(stream.child(epoch))
+        residual, step = at(point)
+        # a settled step is no evidence of stationarity: ``stop_when_settled``
+        # goes once ``converged`` is judged by a gap in nats (ROADMAP direction 1)
+        converged = bool(residual <= opts.tol or (stop_when_settled and settled))
+
+    q, qhat = finish(point)
+    if not np.all(np.isfinite(q)):
+        raise FloatingPointError("Newton step produced non-finite entries")
+    mi = (McEstimate(law.exact_mi(q, gamma)[0], 0.0, 1) if law.exact
+          else ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983)))
+    return CovOptResult(
+        q=q, mi=mi, kkt_residual=float(residual),
+        mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
+        iterations=iters, converged=converged, qhat=qhat)
 
 
 # ---------------------------------------------------------------------------
@@ -306,79 +367,34 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
     step of the MI on the simplex, with the gradient and curvature of
     ``_diag_moments`` on the frozen pool, cut at the simplex boundary (so off
     modes come out exactly zero) and backtracked on the pool MI, which is the
-    ``mi_trace`` entry. A pool is left once a step moves no power by more
-    than ``tol / 100``; the next pool first serves as the fresh-pool check,
-    and convergence is declared when the stationarity residual on it drops
-    below ``tol``. On a law with a closed form the steps use the exact MI,
-    gradient and curvature (:func:`_exact_moments`) in place of pools: one
-    epoch, as on a point mass, and the reported MI is exact with SE 0.
+    ``mi_trace`` entry. Pools and stopping are :func:`_epoch_loop`'s: a
+    pool is left once a step moves no power by more than ``tol / 100``, and
+    the run is ``converged`` when the stationarity residual on the next,
+    fresh pool is at most ``tol``. On a law with a closed form the steps use
+    the exact MI, gradient and curvature (:func:`_exact_moments`) in place
+    of pools: one epoch, as on a point mass, and the reported MI is exact
+    with SE 0.
     """
     opts = _as_opts(opts)
-    t = law.tx
-    basis = np.eye(t) if basis is None else np.asarray(basis, dtype=complex)
-    stream = as_stream(opts.seed)
-    still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)  # 1e-7: exact MI round-off
-    qvec = np.full(t, 1.0 / t)
-    trace = []
-    res_trace = []
-    iters = 0
-    converged = False
-    epoch = 0
-    residual = np.inf
-    moments, mi_of = _powers_objective(law, gamma, basis, opts.samples, stream.child(0))
-    d, h = moments(qvec)
-    while iters < opts.max_iter and not converged:
-        mi = mi_of(np.diag(qvec))
-        for _ in range(INNER_MAX):
-            if iters >= opts.max_iter:
-                break
-            res_trace.append(_residual(np.diag(d), qvec > MODE_OFF))
-            new, mi = _newton_update(mi_of, qvec, _newton_direction(d, h, qvec), mi, still)
-            settled = np.abs(new - qvec).max() <= still and np.array_equal(new > 0, qvec > 0)
-            qvec = new
-            trace.append(mi)
-            iters += 1
-            if settled:
-                break
+    basis = np.eye(law.tx) if basis is None else np.asarray(basis, dtype=complex)
+
+    def face(stream):
+        moments, mi_of = _powers_objective(law, gamma, basis, opts.samples, stream)
+
+        def at(qvec):
             d, h = moments(qvec)
-        # the fresh check pool becomes the next epoch's solving pool
-        epoch += 1
-        moments, mi_of = _powers_objective(law, gamma, basis, opts.samples, stream.child(epoch))
-        d, h = moments(qvec)
-        residual = _residual(np.diag(d), qvec > MODE_OFF)
-        converged = residual <= opts.tol
 
-    q = (basis * qvec) @ basis.conj().T
-    q = 0.5 * (q + q.conj().T)
-    mi = (McEstimate(law.exact_mi(q, gamma)[0], 0.0, 1) if law.exact
-          else ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983)))
-    return CovOptResult(
-        q=q, mi=mi, kkt_residual=float(residual),
-        mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
-        iterations=iters, converged=converged, qhat=qvec, basis=basis)
+            def step(mi, still):
+                new, mi = _newton_update(mi_of, qvec, _newton_direction(d, h, qvec), mi, still)
+                settled = np.abs(new - qvec).max() <= still and np.array_equal(new > 0, qvec > 0)
+                return new, mi, settled
 
+            return _residual(np.diag(d), qvec > MODE_OFF), step
 
-def powers_monotone(gammas, power_vectors) -> bool:
-    """True iff un-normalized powers gamma*q_k never decrease along the grid,
-    up to 1% of the larger budget of each consecutive pair."""
-    gammas = np.asarray(gammas, dtype=float)
-    pv = np.asarray(power_vectors, dtype=float)
-    for a in range(len(gammas) - 1):
-        lo = gammas[a] * pv[a]
-        hi = gammas[a + 1] * pv[a + 1]
-        if np.any(hi < lo - 0.01 * gammas[a + 1]):
-            return False
-    return True
+        return (lambda qvec: mi_of(np.diag(qvec))), at
 
-
-def monotonicity_check(law: ChannelLaw, basis, gamma_grid,
-                       opts: OptimizerOptions | dict | None = None) -> bool:
-    """Check that optimal per-mode powers are non-decreasing in the SNR."""
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
-    if np.any(np.diff(gamma_grid) <= 0):
-        raise ValueError("gamma grid must be ascending")
-    qs = [fixed_point_diag(law, g, basis, opts).qhat for g in gamma_grid]
-    return powers_monotone(gamma_grid, qs)
+    return _epoch_loop(law, gamma, opts, face, np.full(law.tx, 1.0 / law.tx),
+                       lambda qvec: (_covariance(basis, qvec), qvec))
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +550,6 @@ def _cone_point(direction: tuple, lam_on: np.ndarray, alpha: float,
     return u, lam / lam.sum()
 
 
-def _covariance(vecs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    q = (vecs * lam) @ vecs.conj().T
-    return 0.5 * (q + q.conj().T)
-
-
 def _general_update(s_pool: np.ndarray, vecs: np.ndarray, lam: np.ndarray,
                     direction: tuple, mi: float, still: float) -> tuple:
     """:func:`_backtrack` on trace-one PSD matrices: the step D is cut where
@@ -559,10 +570,6 @@ def _general_update(s_pool: np.ndarray, vecs: np.ndarray, lam: np.ndarray,
     return (*((vecs, lam) if new is None else new), mi)
 
 
-def _pool_residual(x: np.ndarray, vecs: np.ndarray, lam: np.ndarray) -> float:
-    return _residual(vecs.conj().T @ x.mean(axis=0) @ vecs, lam > 0)
-
-
 def iterate_general(law: ChannelLaw, gamma: float,
                     opts: OptimizerOptions | dict | None = None) -> CovOptResult:
     """Optimal covariance by projected Newton steps on Hermitian Q (no basis needed).
@@ -572,63 +579,41 @@ def iterate_general(law: ChannelLaw, gamma: float,
     (:func:`_general_direction`), with gradient E[X] and curvature
     E[tr(X D X D)] on the frozen pool, cut at the PSD boundary (so off
     eigenvalues come out exactly zero) and backtracked on the pool MI, which
-    is the ``mi_trace`` entry. A pool is left once a step moves no entry of
-    Q by more than ``tol / 100``; the next pool first serves as the
-    fresh-pool check of the stationarity residual (:func:`_residual` in the
-    eigenbasis of Q). The run stops, ``converged``, when that residual is
-    below ``tol`` or the last pool's step settled. On a law with a closed form
+    is the ``mi_trace`` entry. Pools and stopping are :func:`_epoch_loop`'s:
+    a pool is left once a step moves no entry of Q by more than ``tol / 100``,
+    and the run stops, ``converged``, when the stationarity residual
+    (:func:`_residual` in the eigenbasis of Q) on the next, fresh pool is at
+    most ``tol`` or the last pool's step settled. On a law with a closed form
     the optimum shares T's eigenvectors (Jafar & Goldsmith, IEEE Trans.
     Wireless Commun. 2004): the solve is :func:`fixed_point_diag`'s in them.
     """
     opts = _as_opts(opts)
     if law.exact:
         return fixed_point_diag(law, gamma, herm_eig(law.tx_corr)[0], opts)
-    t = law.tx
-    lam = np.full(t, 1.0 / t)
-    vecs = np.eye(t, dtype=complex)
-    q = _covariance(vecs, lam)
-    stream = as_stream(opts.seed)
-    still = opts.tol * 1e-2
-    trace = []
-    res_trace = []
-    iters = 0
-    converged = False
-    settled = False
-    epoch = 0
-    residual = np.inf
-    pool = _s_pool(law, gamma, None, opts.samples, stream.child(0))
-    x = _resolvent_gradient(pool, q)
-    while iters < opts.max_iter and not converged:
-        mi = _pool_mi(pool, q)[0]
-        for _ in range(INNER_MAX):
-            if iters >= opts.max_iter:
-                break
-            res_trace.append(_pool_residual(x, vecs, lam))
-            rank = np.count_nonzero(lam)
-            vecs, lam, mi = _general_update(pool, vecs, lam, _general_direction(x, vecs, lam),
-                                            mi, still)
-            new = _covariance(vecs, lam)
-            settled = bool(np.abs(new - q).max() <= still and np.count_nonzero(lam) == rank)
-            q = new
-            trace.append(mi)
-            iters += 1
-            if settled:
-                break
-            x = _resolvent_gradient(pool, q)
-        # the fresh check pool becomes the next epoch's solving pool
-        epoch += 1
-        pool = _s_pool(law, gamma, None, opts.samples, stream.child(epoch))
-        x = _resolvent_gradient(pool, q)
-        residual = _pool_residual(x, vecs, lam)
-        converged = bool(residual <= opts.tol or settled)
 
-    if not np.all(np.isfinite(q)):
-        raise FloatingPointError("Newton step produced non-finite entries")
-    mi = ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983))
-    return CovOptResult(
-        q=q, mi=mi, kkt_residual=float(residual),
-        mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
-        iterations=iters, converged=converged)
+    def face(stream):
+        pool = _s_pool(law, gamma, None, opts.samples, stream)
+
+        def at(point):
+            vecs, lam, q = point
+            x = _resolvent_gradient(pool, q)
+
+            def step(mi, still):
+                new_vecs, new_lam, mi = _general_update(
+                    pool, vecs, lam, _general_direction(x, vecs, lam), mi, still)
+                new = _covariance(new_vecs, new_lam)
+                settled = bool(np.abs(new - q).max() <= still
+                               and np.count_nonzero(new_lam) == np.count_nonzero(lam))
+                return (new_vecs, new_lam, new), mi, settled
+
+            return _residual(vecs.conj().T @ x.mean(axis=0) @ vecs, lam > 0), step
+
+        return (lambda point: _pool_mi(pool, point[2])[0]), at
+
+    lam = np.full(law.tx, 1.0 / law.tx)
+    vecs = np.eye(law.tx, dtype=complex)
+    return _epoch_loop(law, gamma, opts, face, (vecs, lam, _covariance(vecs, lam)),
+                       lambda point: (point[2], None), stop_when_settled=True)
 
 
 def _cholesky_map_trace(law: ChannelLaw, gamma: float,

@@ -26,7 +26,6 @@ __all__ = [
     "psd_sqrt",
     "scaled_expint_gamma0",
     "scaled_expn",
-    "log_det_plus",
     "haar_unitary",
 ]
 
@@ -187,24 +186,6 @@ def scaled_expn(n, x: float) -> np.ndarray:
         term = -term * (n + k) / x
         acc += term
     return acc / x
-
-
-def log_det_plus(s, q) -> float:
-    """Stable ``log det(I + S Q)`` for Hermitian PSD ``S`` and ``Q`` (nats).
-
-    Computed from the eigenvalues of the symmetrized product
-    ``Q^{1/2} S Q^{1/2}``, which are real non-negative, so the result is
-    a sum of ``log1p`` terms and never negative.
-    """
-    s = as_hermitian(s)
-    q = as_hermitian(q)
-    if s.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {s.shape} vs {q.shape}")
-    qh = psd_sqrt(q)
-    core = qh @ s @ qh
-    lam = np.linalg.eigvalsh(0.5 * (core + core.conj().T))
-    lam = np.where(lam < 0, 0.0, lam)
-    return float(np.sum(np.log1p(lam)))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,8 +17,7 @@ import numpy as np
 from .channels import ChannelLaw, PointMass, sample_batch
 from .linalg import as_hermitian
 
-__all__ = ["SeededStream", "McEstimate", "as_stream", "ergodic_mi",
-           "expect_matrix", "BATCH"]
+__all__ = ["SeededStream", "McEstimate", "as_stream", "ergodic_mi", "BATCH"]
 
 #: samples per accumulation batch; fixed so results don't depend on scheduling
 BATCH = 8192
@@ -139,12 +138,3 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     return McEstimate.of(_batched_values(lambda h: _log_dets(_snr_gram(h, gamma), q),
                                          law, samples, as_stream(rng)))
 
-
-def expect_matrix(fn, law: ChannelLaw, samples: int = DEFAULT_SAMPLES_INNER,
-                  rng: SeededStream | int = 0) -> McEstimate:
-    """Entrywise mean and standard error of a matrix-valued function of H.
-
-    ``fn`` must accept a (size, r, t) batch and return one array per draw
-    (stacked on axis 0). Point-mass laws are evaluated exactly.
-    """
-    return McEstimate.of(_batched_values(fn, law, samples, as_stream(rng)))

@@ -17,6 +17,7 @@ import scipy.integrate
 import scipy.special
 
 from mimocap import analysis, channels, covopt, linalg, waterfill
+from test_covopt import monotonicity_check
 
 GOLDEN_RATE = float(np.log(2.5) + np.log(1.25))  # two-mode {2,1}, unit budget
 RAYLEIGH_M1 = channels.wishart_density(1, 1)
@@ -183,11 +184,11 @@ def test_criterion_8_property_suite():
         d = rng.uniform(0.3, 1.7)
         law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
                                          np.diag([d, 2 - d]))
-        ok = covopt.monotonicity_check(law, np.eye(2), [0.1, 1.0, 10.0],
-                                       {"samples": 20_000, "tol": 2e-2,
-                                        "max_iter": 200,
-                                        "seed": int(rng.integers(2**31)),
-                                        "final_samples": 1000})
+        ok = monotonicity_check(law, np.eye(2), [0.1, 1.0, 10.0],
+                                {"samples": 20_000, "tol": 2e-2,
+                                 "max_iter": 200,
+                                 "seed": int(rng.integers(2**31)),
+                                 "final_samples": 1000})
         mono_ok = mono_ok and ok
     notes.append(f"monotone powers {mono_ok}")
 

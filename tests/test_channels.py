@@ -7,7 +7,8 @@ import scipy.integrate
 import scipy.special
 
 from mimocap import channels, linalg
-from mimocap.montecarlo import SeededStream, ergodic_mi, expect_matrix
+from mimocap.montecarlo import SeededStream, ergodic_mi
+from test_montecarlo import expect_matrix
 
 
 def rng(seed=0):

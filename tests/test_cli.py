@@ -366,6 +366,16 @@ ONE_TX_JSON = json.dumps({
      "at least two transmit modes"),
     (["beamform", "--channel", ONE_TX_JSON, "--snr", "1", "--method", "mc"],
      "at least two transmit modes"),
+    (["waterfill", "--channel", WISHART_JSON, "--snr", "1", "--tol", "1e-3"],
+     "unrecognized arguments: --tol"),
+    (["waterfill", "--channel", WISHART_JSON, "--snr", "1", "--max-iter", "10"],
+     "unrecognized arguments: --max-iter"),
+    (["beamform", "--boundary", "--snr-db=-15", "--tol", "1e-3"],
+     "unrecognized arguments: --tol"),
+    (["beamform", "--boundary", "--snr-db=-15", "--max-iter", "10"],
+     "unrecognized arguments: --max-iter"),
+    (["beamform", "--boundary", "--snr-db=-15", "--unit", "bits"],
+     "unrecognized arguments: --unit"),
 ], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
         "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
         "figure-1-sample", "optimize-5-samples", "optimize-999-samples",
@@ -373,11 +383,41 @@ ONE_TX_JSON = json.dumps({
         "onoff-zero-m", "onoff-negative-m", "waterfill-indefinite-corr",
         "optimize-indefinite-corr", "wishart-list-m", "onoff-object-p", "interp-list-kappa",
         "point-string-h", "wishart-bool-m", "interp-bool-kappa", "beamform-closed-one-tx",
-        "beamform-mc-one-tx"])
+        "beamform-mc-one-tx", "waterfill-tol", "waterfill-max-iter", "beamform-tol",
+        "beamform-max-iter", "beamform-unit"])
 def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert reason in err and "Traceback" not in err
+
+
+#: 2x2 Ricean law (mean [[1, 0], [1, 0]], R = I, T = [[1, .5], [.5, 1]]): on pools
+RICEAN_2x2_JSON = json.dumps({
+    "type": "kronecker",
+    "mean": [[[1, 0], [0, 0]], [[1, 0], [0, 0]]],
+    "rx_corr": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "tx_corr": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]],
+})
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--channel", RICEAN_2x2_JSON, "--snr", "1"],
+    ["optimize", "--channel", IID_2x2_JSON, "--snr", "1"],
+    ["optimize", "--channel", IID_2x2_JSON, "--snr", "1", "--method", "diag"],
+    ["figures", "--figure", "fig9"],
+    ["figures", "--figure", "fig1"],
+], ids=["optimize-ricean", "optimize-exact", "optimize-exact-diag", "fig9", "fig1"])
+@pytest.mark.parametrize("flags, field", [
+    (["--tol", "nan"], "tol"), (["--tol", "-1"], "tol"), (["--tol", "0"], "tol"),
+    (["--tol", "inf"], "tol"), (["--max-iter", "0"], "max_iter"),
+    (["--max-iter", "-3"], "max_iter"),
+], ids=["tol-nan", "tol-negative", "tol-zero", "tol-inf", "max-iter-0", "max-iter-negative"])
+def test_bad_solver_options_exit_2_naming_the_field(command, flags, field, capsys):
+    # a tol at or below 0 once left backtracking without a way out, and
+    # max_iter < 1 printed "kkt_residual": Infinity, which is not JSON
+    assert main(command + flags) == 2
+    err = capsys.readouterr().err
+    assert f"option {field} " in err and "Traceback" not in err
 
 
 def test_fig9_draws_only_from_philox(monkeypatch):

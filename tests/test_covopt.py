@@ -213,21 +213,43 @@ class TestNewtonDiag:
             assert res.iterations == 1 and not res.converged
 
 
+def powers_monotone(gammas, power_vectors) -> bool:
+    """True iff un-normalized powers gamma*q_k never decrease along the grid,
+    up to 1% of the larger budget of each consecutive pair."""
+    gammas = np.asarray(gammas, dtype=float)
+    pv = np.asarray(power_vectors, dtype=float)
+    for a in range(len(gammas) - 1):
+        lo = gammas[a] * pv[a]
+        hi = gammas[a + 1] * pv[a + 1]
+        if np.any(hi < lo - 0.01 * gammas[a + 1]):
+            return False
+    return True
+
+
+def monotonicity_check(law, basis, gamma_grid, opts=None) -> bool:
+    """Check that optimal per-mode powers are non-decreasing in the SNR."""
+    gamma_grid = np.asarray(gamma_grid, dtype=float)
+    if np.any(np.diff(gamma_grid) <= 0):
+        raise ValueError("gamma grid must be ascending")
+    qs = [covopt.fixed_point_diag(law, g, basis, opts).qhat for g in gamma_grid]
+    return powers_monotone(gamma_grid, qs)
+
+
 class TestMonotonicity:
     def test_point_mass_powers_rise_with_snr(self):
-        ok = covopt.monotonicity_check(POINT_21, np.eye(2), [0.1, 1.0, 10.0],
-                                       {"tol": 1e-6, "max_iter": 1000})
+        ok = monotonicity_check(POINT_21, np.eye(2), [0.1, 1.0, 10.0],
+                                {"tol": 1e-6, "max_iter": 1000})
         assert ok
 
     def test_checker_rejects_adversarial_sequence(self):
         gammas = [0.1, 1.0, 10.0]
         qs = [[0.9, 0.1], [0.5, 0.5], [0.02, 0.98]]  # mode 1 power drops
-        assert not covopt.powers_monotone(gammas, qs)
+        assert not powers_monotone(gammas, qs)
 
     def test_checker_accepts_valid_sequence(self):
         gammas = [0.1, 1.0]
         qs = [[0.8, 0.2], [0.6, 0.4]]  # 0.08->0.6 and 0.02->0.4 both rise
-        assert covopt.powers_monotone(gammas, qs)
+        assert powers_monotone(gammas, qs)
 
 
 class TestIterateGeneral:
@@ -464,3 +486,19 @@ def test_optimizer_options_from_json_dict():
     assert opts.tol == 1e-4 and opts.samples == 5000 and opts.seed == 9
     with pytest.raises(ValueError):
         OptimizerOptions.from_dict({"tol": 1e-4, "bogus": 1})
+
+
+@pytest.mark.parametrize("bad, field", [
+    ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": np.nan}, "tol"),
+    ({"tol": np.inf}, "tol"), ({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+])
+def test_bad_solver_options_are_rejected_before_any_step(bad, field, monkeypatch):
+    # tol = -1 once left _backtrack without a way out on a pooled Ricean law
+    law = channels.KroneckerGaussian(np.array([[1.0, 0.0], [1.0, 0.0]]), np.eye(2),
+                                     np.array([[1.0, 0.5], [0.5, 1.0]]))
+    monkeypatch.setattr(covopt, "_s_pool", None)
+    with pytest.raises(ValueError, match=f"option {field} "):
+        OptimizerOptions(**bad)
+    for solve in (covopt.fixed_point_diag, covopt.iterate_general):
+        with pytest.raises(ValueError, match=f"option {field} "):
+            solve(law, 1.0, opts={"max_iter": 20, **bad})

@@ -151,33 +151,6 @@ class TestExpintGamma0:
             linalg.scaled_expint_gamma0(-1.0)
 
 
-class TestLogDetPlus:
-    def test_zero_gain(self):
-        assert linalg.log_det_plus(np.zeros((2, 2)), np.eye(2) / 2) == 0.0
-
-    def test_scalar_arithmetic(self):
-        val = linalg.log_det_plus(np.diag([2.0, 1.0]), np.eye(2) / 2)
-        assert np.isclose(val, np.log(2.0) + np.log(1.5), atol=1e-12)
-
-    def test_identity_case(self):
-        assert np.isclose(linalg.log_det_plus(np.eye(3), np.eye(3)), 3 * np.log(2.0))
-
-    def test_symmetry_det_identity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = random_hermitian(rng, 3)
-            s = a @ a.conj().T
-            b = random_hermitian(rng, 3)
-            q = b @ b.conj().T
-            q /= np.trace(q).real
-            assert np.isclose(linalg.log_det_plus(s, q), linalg.log_det_plus(q, s),
-                              rtol=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.log_det_plus(np.eye(2), np.eye(3))
-
-
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(4)
     a = random_hermitian(rng, 4)
