@@ -218,12 +218,13 @@ def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.nda
         return np.stack(law.atoms)[idx]
     if isinstance(law, KroneckerGaussian):
         g = _circular_gaussian(rng, (size, r, t))
-        # Each factor is one 2-D product: T^1/2 on the stacked rows, R^1/2 on
-        # the stacked columns. Rebinding g keeps two arrays alive at a time.
+        # Each factor is one 2-D product: T^1/2 on the stacked rows, R^1/2 (skipped
+        # at R = I: same bits) on the stacked columns. Rebinding g keeps two arrays alive.
         g = (g.reshape(-1, t) @ psd_sqrt(law.tx_corr)).reshape(size, r, t)
-        g = g.transpose(1, 0, 2).reshape(r, size * t)
-        g = (psd_sqrt(law.rx_corr) @ g).reshape(r, size, t)
-        return np.add(g.transpose(1, 0, 2), law.mean, order="C")
+        if not np.array_equal(law.rx_corr, np.eye(r)):
+            g = g.transpose(1, 0, 2).reshape(r, size * t)
+            g = (psd_sqrt(law.rx_corr) @ g).reshape(r, size, t).transpose(1, 0, 2)
+        return np.add(g, law.mean, order="C")
     if isinstance(law, Interpolated):
         g = _circular_gaussian(rng, (size, r, t))
         g = (g.reshape(-1, t) @ psd_sqrt(law.noise_cov)).reshape(size, r, t)

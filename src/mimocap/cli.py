@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -481,6 +482,7 @@ def cmd_figures(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: each build formats every argument
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mimocap",

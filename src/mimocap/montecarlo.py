@@ -6,6 +6,8 @@ sequence forever and distinct indices give statistically independent streams.
 Estimators split work into fixed-size batches keyed by batch index and
 accumulate in batch order, which makes every estimate bit-reproducible for a
 given (seed, sample count).
+Per-draw MIs below full rank use ln det(I_t + S Q) = ln det(I_k + P^H S P)
+over Q's factor P (t x k, k = rank Q): closed form at k <= 2, slogdet above.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelLaw, PointMass, sample_batch
-from .linalg import as_hermitian
+from .linalg import as_psd
 
 __all__ = ["SeededStream", "McEstimate", "as_stream", "ergodic_mi", "BATCH"]
 
@@ -109,9 +111,47 @@ def _eye_plus(s: np.ndarray, q: np.ndarray) -> np.ndarray:
     return a
 
 
+def _factor(q: np.ndarray) -> np.ndarray:
+    """t x k factor P = V diag(lam)^1/2 of Q's powered eigenpairs, Q = P P^H;
+    eigenvalues up to t eps lam_max are round-off (:func:`linalg.psd_sqrt`)."""
+    lam, vecs = np.linalg.eigh(q)
+    on = lam > lam[-1] * lam.size * np.finfo(float).eps
+    return vecs[:, on] * np.sqrt(lam[on])
+
+
+def _log1p_gram(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-draw log det(I + G) of a 2 x 2 Hermitian PSD G with diagonal d = (a, c)
+    and corner b: log1p(a + c + (ac - |b|^2)), exactly log1p(a) when c = b = 0."""
+    a, c = d[:, 0], d[:, 1]
+    return np.log1p(a + c + (a * c - (b.real ** 2 + b.imag ** 2)))
+
+
 def _log_dets(s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-draw ``log det(I + S Q)`` in nats for a (size, t, t) stack of S."""
-    return np.linalg.slogdet(_eye_plus(s, q))[1]
+    """Per-draw ``log det(I + S Q)`` in nats for a (size, t, t) stack of S; below
+    full rank log det(I_k + P^H S P), P = :func:`_factor` padded to two columns:
+    S P and (S P)^T conj(P) = (P^H S P)^T, same log-det, are one 2-D product each."""
+    t = q.shape[0]
+    p = _factor(q)
+    if p.shape[1] == t:
+        return np.linalg.slogdet(_eye_plus(s, q))[1]
+    p = np.pad(p, ((0, 0), (0, max(2 - p.shape[1], 0))))
+    k = p.shape[1]
+    sp = (s.reshape(-1, t) @ p).reshape(len(s), t, k)
+    g = (sp.swapaxes(1, 2).reshape(-1, t) @ p.conj()).reshape(len(s), k, k)
+    if k > 2:
+        return np.linalg.slogdet(g + np.eye(k))[1]
+    return _log1p_gram(np.diagonal(g, axis1=1, axis2=2).real, g[:, 0, 1])
+
+
+def _mi_draws(h: np.ndarray, q: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-draw ``log det(I + gamma H^H H Q)`` for a (size, r, t) batch, Q = P P^H;
+    at rank <= 2 from the entries of gamma Y^H Y, Y = H P, without S."""
+    size, r, t = h.shape
+    if p.shape[1] > 2:
+        return _log_dets(_snr_gram(h, gamma), q)
+    y = (h.reshape(-1, t) @ np.pad(p, ((0, 0), (0, 2 - p.shape[1])))).reshape(size, r, 2)
+    d = gamma * np.einsum("sri,sri->si", y.conj(), y).real
+    return _log1p_gram(d, gamma * np.einsum("sr,sr->s", y[:, :, 0].conj(), y[:, :, 1]))
 
 
 def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_FINAL,
@@ -121,7 +161,7 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     Parameters
     ----------
     q : array_like
-        Transmit covariance, Hermitian PSD with trace at most 1.
+        Transmit covariance, Hermitian PSD (else ``ValueError``), trace at most 1.
     law : ChannelLaw
         Distribution of H.
     gamma : float
@@ -132,9 +172,10 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     rng : SeededStream or int
         Stream (or plain seed) controlling the draws.
     """
-    q = as_hermitian(q)
+    q = as_psd(q)
     if np.trace(q).real > 1.0 + 1e-9:
         raise ValueError("transmit covariance must have trace <= 1")
-    return McEstimate.of(_batched_values(lambda h: _log_dets(_snr_gram(h, gamma), q),
+    p = _factor(q)
+    return McEstimate.of(_batched_values(lambda h: _mi_draws(h, q, p, gamma),
                                          law, samples, as_stream(rng)))
 

@@ -78,6 +78,20 @@ class TestSampling:
                                linalg.psd_sqrt(law.tx_corr))
         assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("r,t", [(1, 3), (2, 2), (3, 4), (4, 2)])
+    def test_identity_rx_corr_draws_equal_the_two_product_formula(self, r, t):
+        # R = I skips the R^1/2 product; the draws must keep every bit
+        g = rng(13)
+        b = g.normal(size=(t, t)) + 1j * g.normal(size=(t, t))
+        mean = g.normal(size=(r, t)) + 1j * g.normal(size=(r, t))
+        law = channels.KroneckerGaussian(mean, np.eye(r), b @ b.conj().T)
+        z = channels._circular_gaussian(rng(14), (700, r, t))
+        z = (z.reshape(-1, t) @ linalg.psd_sqrt(law.tx_corr)).reshape(700, r, t)
+        z = z.transpose(1, 0, 2).reshape(r, 700 * t)
+        z = (linalg.psd_sqrt(np.eye(r)) @ z).reshape(r, 700, t)
+        ref = np.add(z.transpose(1, 0, 2), mean, order="C")
+        assert np.array_equal(channels.sample_batch(law, 700, rng(14)), ref)
+
     @pytest.mark.parametrize("r,t", [(2, 2), (3, 4), (4, 2)])
     def test_interpolated_product_matches_einsum(self, r, t):
         g = rng(10)

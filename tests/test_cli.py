@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mimocap.cli import DEFAULT_SEED, main, validate_result
+import mimocap
+from mimocap.cli import DEFAULT_SEED, build_parser, main, validate_result
 from mimocap.linalg import haar_unitary
 from mimocap.montecarlo import SeededStream
 
@@ -459,3 +464,20 @@ def test_fig9_plots_the_damped_cholesky_map():
 def test_validate_result_catches_missing_keys():
     with pytest.raises(ValueError):
         validate_result("optimize", {"gamma": 1.0})
+
+
+def test_one_parser_serves_a_whole_process(capsys):
+    # the parser is built once; a parse error and --help leave it reusable, and
+    # later commands write the bytes a fresh process writes
+    assert build_parser() is build_parser()
+    assert main(["optimize", "--snr", "1"]) == 2  # no --channel
+    assert main(["--help"]) == 0
+    assert "usage: mimocap" in capsys.readouterr().out
+    src = str(Path(mimocap.__file__).resolve().parents[1])
+    for argv in (["waterfill", "--channel", '{"type":"onoff","m":2,"p":0.5}', "--snr", "1"],
+                 ["optimize", "--channel", POINT_21_JSON, "--snr", "1"]):
+        rc, out = run_cli(argv)
+        fresh = subprocess.run([sys.executable, "-m", "mimocap.cli", *argv], check=True,
+                               capture_output=True, text=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": src})
+        assert rc == 0 and out == fresh.stdout

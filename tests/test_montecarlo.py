@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from mimocap import channels, linalg
+from mimocap import channels, covopt, linalg
 from mimocap.montecarlo import (McEstimate, SeededStream, _batched_values, _eye_plus,
-                                _log_dets, as_stream, ergodic_mi)
+                                _factor, _log_dets, _snr_gram, as_stream, ergodic_mi)
 
 RAYLEIGH_1x1 = channels.KroneckerGaussian(np.zeros((1, 1)), np.eye(1), np.eye(1))
 RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
+RICEAN_4x4 = channels.KroneckerGaussian(np.diag([4.0, 0, 0, 0]), np.eye(4),
+                                        0.5 * np.ones((4, 4)) + 0.5 * np.eye(4))
 
 
 def log_det_plus(s, q) -> float:
@@ -63,6 +65,34 @@ class TestErgodicMi:
     def test_trace_constraint(self):
         with pytest.raises(ValueError):
             ergodic_mi(np.eye(2), RAYLEIGH_2x2, 1.0, samples=10, rng=0)
+
+    @pytest.mark.parametrize("q", [np.diag([0.9, -0.9]), np.diag([1.5, -0.5])])
+    def test_rejects_a_covariance_that_is_not_psd(self, q):
+        # log det(I + S Q) of such a Q would have a sign slogdet drops
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            ergodic_mi(q, RAYLEIGH_2x2, 10.0, samples=100, rng=0)
+
+    def test_round_off_negative_eigenvalues_count_as_zero(self):
+        # a solver's exact zeros come back from its covariance as +-1e-17
+        vecs = linalg.haar_unitary(4, np.random.default_rng(1))
+        q = covopt._covariance(vecs, np.array([0.7, 0.3, -3e-19, -3e-19]))
+        clean = covopt._covariance(vecs, np.array([0.7, 0.3, 0.0, 0.0]))
+        est = ergodic_mi(q, RICEAN_4x4, 1.0, samples=5_000, rng=2)
+        ref = ergodic_mi(clean, RICEAN_4x4, 1.0, samples=5_000, rng=2)
+        assert abs(est.mean - ref.mean) <= 1e-13 * ref.mean
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_low_rank_matches_the_full_gram_path(self, rank):
+        vecs = linalg.haar_unitary(4, np.random.default_rng(rank))
+        lam = np.zeros(4)
+        lam[:rank] = np.arange(rank, 0, -1) / (rank * (rank + 1) / 2)
+        q = covopt._covariance(vecs, lam)
+        new = ergodic_mi(q, RICEAN_4x4, 1.0, samples=20_000, rng=6)
+        old = McEstimate.of(_batched_values(
+            lambda h: np.linalg.slogdet(_eye_plus(_snr_gram(h, 1.0), q))[1],
+            RICEAN_4x4, 20_000, as_stream(6)))
+        assert abs(new.mean - old.mean) <= 1e-12 * old.mean
+        assert abs(new.se - old.se) <= 1e-12 * old.se
 
 
 class TestExpectMatrix:
@@ -162,3 +192,30 @@ def test_eye_plus_is_one_product_per_stack(t):
     logs = _log_dets(s, q)
     for k in range(s.shape[0]):
         assert np.isclose(logs[k], log_det_plus(s[k], q), rtol=0, atol=1e-12)
+
+
+def _low_rank_cases():
+    for t in (1, 2, 3, 4, 8):
+        for k in range(1, t + 1):
+            yield t, k
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e3])
+@pytest.mark.parametrize("t,k", list(_low_rank_cases()))
+def test_log_dets_at_every_rank_match_per_draw_slogdet(t, k, gamma):
+    # below full rank _log_dets goes through Q's factor; the oracle does not
+    g = np.random.default_rng(10 * t + k)
+    vecs = linalg.haar_unitary(t, g)
+    lam = np.zeros(t)
+    lam[:k] = g.uniform(0.2, 1.0, k)
+    q = covopt._covariance(vecs, lam / lam.sum())
+    # Q with the round-off eigenvalues of a solver's exact zeros
+    off = np.where(np.arange(t) % 2, 2e-17, -3e-18)
+    q_noisy = covopt._covariance(vecs, np.where(lam > 0, lam / lam.sum(), off))
+    assert _factor(q).shape == _factor(q_noisy).shape == (t, k)
+    for r in (t, 1):  # S of full rank, then of rank one
+        h = g.normal(size=(50, r, t)) + 1j * g.normal(size=(50, r, t))
+        s = _snr_gram(h, gamma)
+        for qq in (q, q_noisy):
+            ref = np.array([np.linalg.slogdet(np.eye(t) + sk @ qq)[1] for sk in s])
+            assert np.abs(_log_dets(s, qq) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())

@@ -72,3 +72,21 @@ def test_general_covariance_solve_loads_no_heavy_scipy_module():
 def test_exact_covariance_solve_loads_no_heavy_scipy_module():
     code = _optimize_code("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]", "diag")
     assert _heavy_modules_after(code) == []
+
+
+def test_ricean_factor_path_loads_no_heavy_scipy_module():
+    # nonzero mean keeps the law on pools; its rank-deficient optimum takes
+    # the factor path of every per-draw MI
+    code = """
+import contextlib, io, json
+from mimocap import cli
+mean = [[[4 if (i, j) == (0, 0) else 0, 0] for j in range(4)] for i in range(4)]
+eye = [[[float(i == j), 0] for j in range(4)] for i in range(4)]
+tx = [[[0.5 + 0.5 * (i == j), 0] for j in range(4)] for i in range(4)]
+law = {"type": "kronecker", "mean": mean, "rx_corr": eye, "tx_corr": tx}
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["optimize", "--channel", json.dumps(law), "--snr", "1",
+                     "--samples", "2000"]) == 0
+assert sum(v > 1e-9 for v in json.loads(out.getvalue())["eigenvalues"]) < 4
+"""
+    assert _heavy_modules_after(code) == []
