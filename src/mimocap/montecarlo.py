@@ -6,8 +6,8 @@ sequence forever and distinct indices give statistically independent streams.
 Estimators split work into fixed-size batches keyed by batch index and
 accumulate in batch order, which makes every estimate bit-reproducible for a
 given (seed, sample count).
-Per-draw MIs below full rank use ln det(I_t + S Q) = ln det(I_k + P^H S P)
-over Q's factor P (t x k, k = rank Q): closed form at k <= 2, slogdet above.
+Per-draw MIs are slogdet(I + S Q), except at rank Q = k <= 2 below full rank:
+there ln det(I_t + S Q) = ln det(I_k + P^H S P) over Q's factor P has a closed form.
 """
 
 from __future__ import annotations
@@ -111,12 +111,16 @@ def _eye_plus(s: np.ndarray, q: np.ndarray) -> np.ndarray:
     return a
 
 
-def _factor(q: np.ndarray) -> np.ndarray:
-    """t x k factor P = V diag(lam)^1/2 of Q's powered eigenpairs, Q = P P^H;
-    eigenvalues up to t eps lam_max are round-off (:func:`linalg.psd_sqrt`)."""
+def _thin_factor(q: np.ndarray) -> np.ndarray | None:
+    """Q's factor P = V diag(lam)^1/2 (Q = P P^H) padded to t x 2 where rank Q <= 2
+    and rank Q < t, so ln det(I_t + S Q) = ln det(I_2 + P^H S P) has a closed form;
+    else None. Eigenvalues up to t eps lam_max are round-off (:func:`linalg.psd_sqrt`)."""
     lam, vecs = np.linalg.eigh(q)
     on = lam > lam[-1] * lam.size * np.finfo(float).eps
-    return vecs[:, on] * np.sqrt(lam[on])
+    k = np.count_nonzero(on)
+    if k > 2 or k == lam.size:
+        return None
+    return np.pad(vecs[:, on] * np.sqrt(lam[on]), ((0, 0), (0, 2 - k)))
 
 
 def _log1p_gram(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,29 +131,23 @@ def _log1p_gram(d: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _log_dets(s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-draw ``log det(I + S Q)`` in nats for a (size, t, t) stack of S; below
-    full rank log det(I_k + P^H S P), P = :func:`_factor` padded to two columns:
-    S P and (S P)^T conj(P) = (P^H S P)^T, same log-det, are one 2-D product each."""
-    t = q.shape[0]
-    p = _factor(q)
-    if p.shape[1] == t:
+    """Per-draw ``log det(I + S Q)`` in nats for a (size, t, t) stack of S; through
+    :func:`_thin_factor` P when it applies: S P and (S P)^T conj(P) = (P^H S P)^T,
+    same log-det, are one 2-D product each."""
+    p = _thin_factor(q)
+    if p is None:
         return np.linalg.slogdet(_eye_plus(s, q))[1]
-    p = np.pad(p, ((0, 0), (0, max(2 - p.shape[1], 0))))
-    k = p.shape[1]
-    sp = (s.reshape(-1, t) @ p).reshape(len(s), t, k)
-    g = (sp.swapaxes(1, 2).reshape(-1, t) @ p.conj()).reshape(len(s), k, k)
-    if k > 2:
-        return np.linalg.slogdet(g + np.eye(k))[1]
+    t = q.shape[0]
+    sp = (s.reshape(-1, t) @ p).reshape(len(s), t, 2)
+    g = (sp.swapaxes(1, 2).reshape(-1, t) @ p.conj()).reshape(len(s), 2, 2)
     return _log1p_gram(np.diagonal(g, axis1=1, axis2=2).real, g[:, 0, 1])
 
 
-def _mi_draws(h: np.ndarray, q: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-draw ``log det(I + gamma H^H H Q)`` for a (size, r, t) batch, Q = P P^H;
-    at rank <= 2 from the entries of gamma Y^H Y, Y = H P, without S."""
+def _thin_log_dets(h: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-draw ``log det(I + gamma H^H H Q)`` for a (size, r, t) batch and Q's
+    :func:`_thin_factor` P, from the entries of gamma Y^H Y, Y = H P, without S."""
     size, r, t = h.shape
-    if p.shape[1] > 2:
-        return _log_dets(_snr_gram(h, gamma), q)
-    y = (h.reshape(-1, t) @ np.pad(p, ((0, 0), (0, 2 - p.shape[1])))).reshape(size, r, 2)
+    y = (h.reshape(-1, t) @ p).reshape(size, r, 2)
     d = gamma * np.einsum("sri,sri->si", y.conj(), y).real
     return _log1p_gram(d, gamma * np.einsum("sr,sr->s", y[:, :, 0].conj(), y[:, :, 1]))
 
@@ -175,7 +173,8 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     q = as_psd(q)
     if np.trace(q).real > 1.0 + 1e-9:
         raise ValueError("transmit covariance must have trace <= 1")
-    p = _factor(q)
-    return McEstimate.of(_batched_values(lambda h: _mi_draws(h, q, p, gamma),
-                                         law, samples, as_stream(rng)))
+    p = _thin_factor(q)
+    draws = ((lambda h: np.linalg.slogdet(_eye_plus(_snr_gram(h, gamma), q))[1]) if p is None
+             else (lambda h: _thin_log_dets(h, p, gamma)))
+    return McEstimate.of(_batched_values(draws, law, samples, as_stream(rng)))
 

@@ -4,7 +4,7 @@ import scipy.integrate
 
 from mimocap import channels, covopt, linalg
 from mimocap.montecarlo import (McEstimate, SeededStream, _batched_values, _eye_plus,
-                                _factor, _log_dets, _snr_gram, as_stream, ergodic_mi)
+                                _log_dets, _snr_gram, _thin_factor, as_stream, ergodic_mi)
 
 RAYLEIGH_1x1 = channels.KroneckerGaussian(np.zeros((1, 1)), np.eye(1), np.eye(1))
 RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
@@ -203,7 +203,7 @@ def _low_rank_cases():
 @pytest.mark.parametrize("gamma", [1.0, 1e3])
 @pytest.mark.parametrize("t,k", list(_low_rank_cases()))
 def test_log_dets_at_every_rank_match_per_draw_slogdet(t, k, gamma):
-    # below full rank _log_dets goes through Q's factor; the oracle does not
+    # at rank <= 2 below full rank _log_dets goes through Q's factor; the oracle does not
     g = np.random.default_rng(10 * t + k)
     vecs = linalg.haar_unitary(t, g)
     lam = np.zeros(t)
@@ -212,7 +212,10 @@ def test_log_dets_at_every_rank_match_per_draw_slogdet(t, k, gamma):
     # Q with the round-off eigenvalues of a solver's exact zeros
     off = np.where(np.arange(t) % 2, 2e-17, -3e-18)
     q_noisy = covopt._covariance(vecs, np.where(lam > 0, lam / lam.sum(), off))
-    assert _factor(q).shape == _factor(q_noisy).shape == (t, k)
+    for qq in (q, q_noisy):  # round-off eigenvalues add no column
+        p = _thin_factor(qq)
+        assert (p is None) == (k > 2 or k == t)
+        assert p is None or np.count_nonzero(np.any(p != 0, axis=0)) == k
     for r in (t, 1):  # S of full rank, then of rank one
         h = g.normal(size=(50, r, t)) + 1j * g.normal(size=(50, r, t))
         s = _snr_gram(h, gamma)
