@@ -16,6 +16,7 @@ interpolation study tracking how the optimal eigenvectors rotate.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .covopt import (
     fixed_point_diag,
     iterate_general,
 )
-from .linalg import _bracketed_root, as_hermitian, as_psd, herm_eig, psd_sqrt, scaled_expint_gamma0
+from .linalg import _bracketed_root, as_hermitian, as_psd, herm_eig, psd_sqrt, scaled_expn
 from .montecarlo import (
     DEFAULT_SAMPLES_INNER,
     McEstimate,
@@ -106,43 +107,74 @@ def beamform_opt_mc(r_corr, t_corr, gamma: float,
     return BeamformVerdict(margin > 0, margin, "monte-carlo", est.se)
 
 
-def _f_expint(x):
-    """f(x) = exp(1/x) * Gamma(0, 1/x), computed in its overflow-safe form."""
-    return scaled_expint_gamma0(1.0 / np.asarray(x, dtype=float))
+#: a divided difference whose nodes span less than this, relative to the
+#: smallest, is summed from the Taylor series about that node
+_TAYLOR_SPAN = 0.25
+
+
+def _expint_divided_difference(x) -> float:
+    """Divided difference h[x_0, ..., x_k] of h(x) = e^x E_1(x) over nodes x > 0,
+    repeated nodes included.
+
+    Newton's recursion divides by x_b - x_a, which loses digits when the nodes
+    are close. A difference whose nodes lie within ``_TAYLOR_SPAN`` of the
+    smallest, x_a, is instead the sum over q of
+    (-1)^(q+l) f_(q+l+1)(x_a) h_q(u) / x_a^l, with l = b - a, f_n = e^x E_n(x),
+    h_q the complete symmetric polynomial of the u_i = x_i / x_a - 1 (the Taylor
+    coefficients of h at x_a are (-1)^p f_(p+1)(x_a) / x_a^p). Equal nodes
+    take the exact confluent limit, one term.
+    """
+    x = sorted(x)
+    dd = [scaled_expn(1, v) for v in x]
+    for level in range(1, len(x)):
+        for a in range(len(x) - level):
+            lo, hi = x[a], x[a + level]
+            span = hi / lo - 1.0
+            if span > _TAYLOR_SPAN:
+                dd[a] = (dd[a + 1] - dd[a]) / (hi - lo)
+                continue
+            # C(q + level, level) span^q bounds the q-th term
+            q, bound = 1, 1.0
+            while span and bound > 1e-17:
+                bound *= span * (q + level) / q
+                q += 1
+            h = np.zeros(q)
+            h[0] = 1.0
+            for v in x[a + 1:a + level + 1]:
+                if v > lo:
+                    h = np.convolve(h, (v / lo - 1.0) ** np.arange(q))[:q]
+            h[1::2] *= -1.0
+            f = scaled_expn(np.arange(level + 1, level + q + 1), lo)
+            dd[a] = (-1.0) ** level * float(f @ h) / lo ** level
+    return dd[0]
 
 
 def beamform_opt_closed(rho, tau1: float, tau2: float, gamma: float) -> BeamformVerdict:
     """Closed-form beamforming test from the exponential-integral expansion.
 
-    ``rho`` are the receive-correlation eigenvalues (all positive); nearly
-    equal values are separated by a relative 1e-9 jitter rather than taking
-    confluent limits, except the exactly-diagonal term which uses its stated
-    limit. Optimal iff
+    ``rho`` are the receive-correlation eigenvalues (all positive). Optimal iff
 
-        sum_{ij} rho_i (1 + gamma tau2 rho_i) rho_j^{r-1}
-                 / prod_{k != j}(rho_j - rho_k) * zeta_ij  >  r gamma tau2.
+        sum_i rho_i (1 + gamma tau2 rho_i) D_i  >  r gamma tau2,
+
+    D_i = gamma tau1 E[|u_i|^2 / (1 + gamma tau1 sum_k rho_k |u_k|^2)] for iid
+    CN(0, 1) u_k, that is c int_0^inf e^-s (1 + s b_i)^-1 prod_k (1 + s b_k)^-1 ds
+    with c = gamma tau1, b_k = c rho_k. Partial fractions make the integral
+    (-1)^r prod x h[x_i, x_1, ..., x_r], a divided difference of
+    h(x) = e^x E_1(x) at x_k = 1 / b_k (the product over the same r + 1 nodes),
+    which :func:`_expint_divided_difference` takes in its confluent limit
+    wherever receive eigenvalues coincide.
     """
-    rho = np.asarray(rho, dtype=float).copy()
+    rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise ValueError("receive eigenvalues must be positive")
     r = rho.size
-    # Deterministic jitter for repeated eigenvalues; the ii limit is exact.
-    scale = rho.max()
-    for i in range(r):
-        for j in range(i):
-            if abs(rho[i] - rho[j]) < 1e-12 * scale:
-                rho[i] *= 1.0 + 1e-9 * (i + 1)
-    a = gamma * tau1 * rho
-    f = _f_expint(a)
+    c = gamma * tau1
+    x = [1.0 / (c * v) for v in rho.tolist()]
     lhs = 0.0
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                zeta = (1.0 - f[i] / a[i]) / rho[i]
-            else:
-                zeta = (f[i] - f[j]) / (rho[i] - rho[j])
-            denom = np.prod([rho[j] - rho[k] for k in range(r) if k != j])
-            lhs += rho[i] * (1.0 + gamma * tau2 * rho[i]) * rho[j] ** (r - 1) / denom * zeta
+    for i, v in enumerate(rho.tolist()):
+        nodes = x + [x[i]]
+        integral = (-1.0) ** r * math.prod(nodes) * _expint_divided_difference(nodes)
+        lhs += v * (1.0 + gamma * tau2 * v) * c * integral
     margin = float(lhs - r * gamma * tau2)
     return BeamformVerdict(margin > 0, margin, "closed-form")
 

@@ -19,13 +19,13 @@ function and serves as the general query and the quadrature reference.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
-import scipy.special
 
 from .linalg import as_complex_matrix, as_psd, chol_upper, psd_sqrt, scaled_expn
 
@@ -310,11 +310,13 @@ class EigDensity:
         raise NotImplementedError
 
 
+@functools.lru_cache(maxsize=128)
 def _wishart_coefficients(m: int, n: int) -> np.ndarray:
-    """Coefficients c_j of the polynomial P with f(x) = P(x) e^-x.
+    """Coefficients c_j of the polynomial P with f(x) = P(x) e^-x, read-only.
 
     P(x) = x^d (1/m) sum_k k!/(k+d)! [L_k^d(x)]^2 with d = n - m, expanded in
-    exact rational arithmetic and rounded once per coefficient.
+    exact rational arithmetic and rounded once per coefficient; cached, so a
+    process expands each recent (m, n) once.
     """
     d = n - m
     poly = [Fraction(0)] * (2 * m - 1)
@@ -325,7 +327,35 @@ def _wishart_coefficients(m: int, n: int) -> np.ndarray:
         for i, li in enumerate(lag):
             for j, lj in enumerate(lag):
                 poly[i + j] += w * li * lj
-    return np.array([0.0] * d + [float(c) for c in poly])
+    coef = np.array([0.0] * d + [float(c) for c in poly])
+    coef.flags.writeable = False
+    return coef
+
+
+def _laguerre(count: int, d: int, x):
+    """Yield L_k^d(x), k = 0..count-1, from the three-term recurrence
+    k L_k = (2k - 1 + d - x) L_(k-1) - (k - 1 + d) L_(k-2)."""
+    prev, cur = 0.0, 1.0
+    for k in range(1, count + 1):
+        yield cur
+        prev, cur = cur, ((2 * k - 1 + d - x) * cur - (k - 1 + d) * prev) / k
+
+
+def _lower_gamma(top: int, x) -> np.ndarray:
+    """Regularized lower incomplete gammas P(j, x), j = 1..top, of x >= 0,
+    shape x.shape + (top,).
+
+    From the Poisson terms p_k = e^-x x^k / k!: below the order (x < j) the
+    series sum_(k >= j) p_k, which keeps the relative accuracy as x -> 0;
+    at and above it 1 - sum_(k < j) p_k, then at least about 1/2. The series
+    is cut where p_k / p_j < 1e-17 for every x < j.
+    """
+    x = np.minimum(np.asarray(x, dtype=float), 1e300)[..., None]  # e^-inf inf would be nan
+    k = np.arange(1, top + 40 + int(8 * math.sqrt(top)))
+    p = np.cumprod(np.concatenate([np.exp(-x), x / k], axis=-1), axis=-1)
+    tail = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
+    j = np.arange(1, top + 1)
+    return np.where(x < j, tail[..., 1:top + 1], 1.0 - np.cumsum(p[..., :top], axis=-1))
 
 
 def _log1p_integrals(c: float, fact: np.ndarray) -> np.ndarray:
@@ -341,7 +371,41 @@ def _log1p_integrals(c: float, fact: np.ndarray) -> np.ndarray:
     return out
 
 
-_FACT = scipy.special.factorial(np.arange(171))  # all finite factorials
+def _tail_sums(coef: tuple, a: float) -> tuple[float, float, float]:
+    """sum_j c_j Gamma(j + 1, a), sum_j c_j Gamma(j, a) and sum_j c_j I_j, with
+    I_j = int_a^inf ln(x) x^j e^-x dx: the three tail moments of f = sum_j c_j x^j e^-x.
+
+    Gamma(j + 1, a) = j Gamma(j, a) + a^j e^-a and I_j = a^j e^-a ln(a) +
+    j I_(j-1) + Gamma(j, a) run upward from Gamma(0, a) = E_1(a); the first
+    adds positive terms only, so it keeps the relative accuracy at any a.
+    a^j e^-a is kept as (a^j e^(-a/2)) e^(-a/2), which does not underflow
+    before the product does. A zero c_0 skips E_1(0) = inf.
+    """
+    a = max(float(a), 0.0)
+    half = math.exp(-0.5 * a)
+    if a > 0:
+        ln_a = math.log(a)
+        e1 = half * scaled_expn(1, a) * half
+        i_j = half * half * ln_a + e1
+    else:
+        ln_a, e1, i_j = 0.0, math.inf, -np.euler_gamma
+    c0 = coef[0]
+    gam = half * half                                   # Gamma(1, a)
+    mass, inv, log = c0 * gam, c0 * e1 if c0 else 0.0, c0 * i_j
+    rise = half                                         # a^j e^(-a/2)
+    for j, cj in enumerate(coef[1:], 1):
+        rise *= a
+        edge = rise * half
+        i_j = edge * ln_a + j * i_j + gam
+        inv += cj * gam
+        gam = j * gam + edge
+        mass += cj * gam
+        log += cj * i_j
+    return mass, inv, log
+
+
+_FACT = np.array([float(math.factorial(k)) for k in range(171)])  # all finite factorials
+_FACT.flags.writeable = False
 #: largest ln(sigma) gap within a cluster; at wider gaps the rows of five sigma
 #: lose no more than 1e-8 of the gradient to round-off. Against 80-digit sums, chained
 #: sigma lost 1e-3 of the gradient at t = 5, r = 32 and 7e-2 at t = 6 (``exact``).
@@ -439,29 +503,24 @@ class WishartDensity(EigDensity):
             raise ValueError("need 1 <= m <= n")
         coef = _wishart_coefficients(self.m, self.n)
         object.__setattr__(self, "_coef", coef)
-        object.__setattr__(self, "_orders", np.arange(1, coef.size + 1))
-        # Gamma(j + 1) = j!, so c_j j! Q(j + 1, a) = c_j Gamma(j + 1, a)
-        object.__setattr__(self, "_fact", scipy.special.factorial(np.arange(coef.size)))
+        object.__setattr__(self, "_terms", tuple(coef.tolist()))
+        object.__setattr__(self, "_fact", _FACT[:coef.size])
 
     def pdf(self, lam):
         lam = np.asarray(lam, dtype=float)
         d = self.n - self.m
-        out = np.zeros_like(lam)
-        pos = lam >= 0
-        x = lam[pos]
-        acc = np.zeros_like(x)
-        for k in range(self.m):
-            coeff = math.factorial(k) / math.factorial(k + d)
-            lk = scipy.special.eval_genlaguerre(k, d, x)
-            acc += coeff * lk**2
-        out[pos] = acc * x**d * np.exp(-x) / self.m
+        x = np.maximum(lam, 0.0) if lam.ndim else max(float(lam), 0.0)  # a float skips numpy
+        acc = 0.0
+        for k, lk in enumerate(_laguerre(self.m, d, x)):
+            acc = acc + math.factorial(k) / math.factorial(k + d) * lk**2
+        out = np.where(lam >= 0, acc * x**d * np.exp(-x) / self.m, 0.0)
         return out if out.ndim else float(out)
 
     def cdf(self, lam):
         # 1 - mass, summed from the lower incomplete gammas: near zero, where
         # f ~ lam^(n-m), this keeps the relative accuracy 1 - mass would lose.
         lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
-        out = scipy.special.gammainc(self._orders, lam[..., None]) @ (self._coef * self._fact)
+        out = _lower_gamma(self._coef.size, lam) @ (self._coef * self._fact)
         return out if out.ndim else float(out)
 
     def trunc_moment(self, fn, a: float) -> float:
@@ -473,26 +532,7 @@ class WishartDensity(EigDensity):
         return val
 
     def tail_moments(self, a: float) -> tuple[float, float, float]:
-        a = max(float(a), 0.0)
-        coef = self._coef
-        upper = self._fact * scipy.special.gammaincc(self._orders, a)  # Gamma(j + 1, a)
-        e1 = float(scipy.special.exp1(a))                              # Gamma(0, a)
-        mass = float(coef @ upper)
-        inv = float(coef[1:] @ upper[:-1])
-        if coef[0]:  # c_0 = 0 when n > m, and E1(0) is infinite
-            inv += coef[0] * e1
-        # I_j = int_a^inf ln(x) x^j e^-x dx = a^j e^-a ln(a) + j I_(j-1) + Gamma(j, a)
-        if a > 0:
-            edge = math.exp(-a) * math.log(a)
-            i_j = edge + e1
-        else:
-            edge, i_j = 0.0, -np.euler_gamma
-        log = coef[0] * i_j
-        for j in range(1, coef.size):
-            edge *= a
-            i_j = edge + j * i_j + upper[j - 1]
-            log += coef[j] * i_j
-        return mass, inv, float(log)
+        return _tail_sums(self._terms, a)
 
     def log1p_moment(self, c: float) -> float:
         if c < 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .channels import ChannelLaw, PointMass, sample_batch
 from .linalg import as_psd
@@ -36,8 +37,8 @@ class SeededStream:
     seed: int
     index: int = 0
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=np.array(
+    def generator(self) -> Generator:
+        return Generator(Philox(key=np.array(
             [self.seed % 2**64, self.index % 2**64], dtype=np.uint64)))
 
     def child(self, index: int) -> "SeededStream":

@@ -91,6 +91,36 @@ class TestBeamformClosed:
                                             gamma).margin
         assert abs(near - base) <= 1e-6 * max(abs(base), 1.0)
 
+    @pytest.mark.parametrize("rho, tau, margin", [
+        ((1.0, 1.0), 1.03, -2.9904862204509129888959459161e-5),
+        ((1.0, 1.0), 1.5, 0.053149911326443334493311537818),
+        ((1 + 1e-7, 1 - 1e-7), 1.03, -2.9904862204506821926751555315e-5),
+        ((1 + 1e-7, 1 - 1e-7), 1.5, 0.053149911326443319077272445949),
+    ])
+    def test_equal_rho_margin_matches_30_digit_values(self, rho, tau, margin):
+        # gamma tau1 (E[(w1 + g tau2 w2) / (1 + g tau1 w1)] - 2 tau2 / tau1) at
+        # g = 10^-1.5, by 2-D quadrature over the two Exp(1) gains in 32-digit
+        # mpmath; the 1-D integral of the docstring agrees to 4e-30
+        v = analysis.beamform_opt_closed(list(rho), tau, 2 - tau, 10 ** -1.5)
+        assert v.margin == pytest.approx(margin, rel=1e-10)
+
+    @pytest.mark.parametrize("rho", [(1.0, 1.0, 1.0), (1.0,) * 4, (1.2, 1.0, 0.8, 1.0),
+                                     (1.5, 0.5, 1.0), (2.0, 1e-3, 1.0 - 1e-3)])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.3, 30.0])
+    def test_repeated_receive_eigenvalues_match_the_integral(self, rho, gamma):
+        # D_i = c int_0^inf e^-s (1 + s b_i)^-1 prod_k (1 + s b_k)^-1 ds, b = c rho
+        tau1, tau2 = 1.4, 0.6
+        c = gamma * tau1
+        b = c * np.array(rho)
+        ref = -len(rho) * gamma * tau2
+        for i, ri in enumerate(rho):
+            d_i, _ = scipy.integrate.quad(
+                lambda s: np.exp(-s) / (1 + s * b[i]) / np.prod(1 + s * b), 0, np.inf,
+                epsabs=0, epsrel=1e-13, limit=200)
+            ref += ri * (1 + gamma * tau2 * ri) * c * d_i
+        v = analysis.beamform_opt_closed(list(rho), tau1, tau2, gamma)
+        assert v.margin == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
             analysis.beamform_opt_closed([1.0, -0.2], 1.2, 0.8, 1.0)

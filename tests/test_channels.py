@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -267,7 +268,7 @@ class TestClosedFormMoments:
     def test_rayleigh_log1p_moment(self):
         f = channels.wishart_density(1, 1)
         for c in (1e-4, 1e-3, 1.0 / 650, 0.1, 1.0, 10.0, 1e3):
-            assert f.log1p_moment(c) == pytest.approx(linalg.scaled_expint_gamma0(1 / c),
+            assert f.log1p_moment(c) == pytest.approx(linalg.scaled_expn(1, 1 / c),
                                                       rel=1e-13)
         assert f.log1p_moment(0.0) == 0.0
 
@@ -294,6 +295,112 @@ class TestClosedFormMoments:
                 np.testing.assert_allclose(d.tail_moments(a), sums, rtol=1e-12, atol=1e-15)
             assert d.log1p_moment(0.7) == pytest.approx(
                 d.trunc_moment(lambda x: np.log1p(0.7 * x), 0.0), rel=1e-12)
+
+
+def _scipy_moments(f, a):
+    """The Wishart tail moments from scipy.special, as the package took them
+    before its own routines; the log part also returns sum_j |c_j I_j|."""
+    coef, j = f._coef, np.arange(f._coef.size)
+    upper = scipy.special.factorial(j) * scipy.special.gammaincc(j + 1, a)  # Gamma(j + 1, a)
+    e1 = scipy.special.exp1(a)
+    mass = coef @ upper
+    inv = coef[1:] @ upper[:-1] + (coef[0] * e1 if coef[0] else 0.0)
+    edge = np.exp(-a) * np.log(a)
+    i_j = edge + e1
+    terms = [coef[0] * i_j]
+    for jj in range(1, coef.size):
+        edge *= a
+        i_j = edge + jj * i_j + upper[jj - 1]
+        terms.append(coef[jj] * i_j)
+    return mass, inv, sum(terms), sum(abs(t) for t in terms)
+
+
+class TestSpecialFunctions:
+    """The incomplete gammas, Laguerre polynomials and moments the Wishart density
+    takes from its own routines, against scipy.special and mpmath."""
+
+    def test_upper_gammas_to_order_40(self):
+        # one-hot coefficients read Gamma(j + 1, a) off the mass and Gamma(j, a) off
+        # the inverse moment; scipy's gammaincc is itself up to 1.1e-13 off mpmath
+        # above a = 550, so mpmath is the oracle
+        for a in (0.0, 1e-3, 0.4, 2.5, 9.0, 31.0, 120.0, 550.0, 700.0):
+            for j in range(41):
+                onehot = tuple(float(i == j) for i in range(41))
+                mass, inv, _ = channels._tail_sums(onehot, a)
+                with mpmath.workdps(40):
+                    upper = float(mpmath.gammainc(j + 1, a))
+                    lower = float(mpmath.gammainc(j, a)) if j or a else np.inf
+                assert mass == pytest.approx(upper, rel=1e-14)
+                assert inv == pytest.approx(lower, rel=1e-14)
+
+    def test_upper_gammas_agree_with_scipy_on_a_dense_grid(self):
+        a_grid = np.logspace(-3, np.log10(700), 400)
+        for j in range(41):
+            onehot = tuple(float(i == j) for i in range(41))
+            got = [channels._tail_sums(onehot, a)[0] for a in a_grid]
+            ref = scipy.special.gamma(j + 1) * scipy.special.gammaincc(j + 1, a_grid)
+            np.testing.assert_allclose(got, ref, rtol=2e-13)
+
+    def test_lower_gamma_keeps_relative_accuracy_near_zero(self):
+        got = channels._lower_gamma(40, 1e-8)
+        for j in range(1, 32):  # P(32, 1e-8) is below the normal range
+            with mpmath.workdps(40):
+                ref = float(mpmath.gammainc(j, 0, 1e-8, regularized=True))
+            assert got[j - 1] == pytest.approx(ref, rel=1e-14)
+
+    def test_lower_gamma_against_scipy_and_at_the_series_cut(self):
+        x = np.logspace(-8, np.log10(700), 500)
+        got = channels._lower_gamma(40, x)
+        ref = scipy.special.gammainc(np.arange(1, 41), x[:, None])
+        normal = ref > 1e-290
+        # scipy's own error reaches 1.8e-13 at small x
+        np.testing.assert_allclose(got[normal], ref[normal], rtol=3e-13)
+        for j in (1, 10, 40):  # just below the order the series is longest
+            x0 = j * (1 - 1e-9)
+            with mpmath.workdps(40):
+                ref = float(mpmath.gammainc(j, 0, x0, regularized=True))
+            assert channels._lower_gamma(40, x0)[j - 1] == pytest.approx(ref, rel=1e-14)
+
+    def test_laguerre_recurrence(self):
+        # judged against sum_i |terms| = L_k^d(-x), since L_k^d has roots
+        x = np.logspace(-3, 2, 400)
+        for d in range(9):
+            for k, lk in enumerate(channels._laguerre(9, d, x)):
+                ref = scipy.special.eval_genlaguerre(k, d, x)
+                scale = scipy.special.eval_genlaguerre(k, d, -x)
+                assert np.all(np.abs(lk - ref) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("m,n", MOMENT_SHAPES)
+    def test_density_matches_the_scipy_expressions(self, m, n):
+        f = channels.wishart_density(m, n)
+        d, j = n - m, np.arange(f._coef.size)
+        lam = np.logspace(-8, 2.5, 300)
+        pdf = sum(scipy.special.factorial(k) / scipy.special.factorial(k + d)
+                  * scipy.special.eval_genlaguerre(k, d, lam) ** 2 for k in range(m))
+        np.testing.assert_allclose(f.pdf(lam), pdf * lam**d * np.exp(-lam) / m, rtol=1e-13)
+        cdf = scipy.special.gammainc(j + 1, lam[:, None]) @ (f._coef * scipy.special.factorial(j))
+        np.testing.assert_allclose(f.cdf(lam), cdf, rtol=1e-13)
+        for a in np.logspace(-6, np.log10(700), 60):
+            mass, inv, log, log_scale = _scipy_moments(f, a)
+            got = f.tail_moments(a)
+            assert got[0] == pytest.approx(mass, rel=1e-13)
+            assert got[1] == pytest.approx(inv, rel=1e-13)
+            # near its zero the log part is a difference of terms up to 150 times larger
+            assert abs(got[2] - log) <= 1e-13 * log_scale
+        for c in np.logspace(np.log10(1 / 600), 4, 40):  # e^(1/c) E_n(1/c) from scipy
+            b = 1.0 / c
+            k = scipy.special.factorial(j) * np.exp(b) * scipy.special.expn(j + 1, b)
+            ref = j_prev = 0.0
+            for jj, (cj, kj) in enumerate(zip(f._coef, k)):  # J_j = j J_(j-1) + K_j
+                j_prev = jj * j_prev + kj
+                ref += cj * j_prev
+            assert f.log1p_moment(c) == pytest.approx(ref, rel=1e-13)
+
+    def test_coefficients_expand_once_read_only(self):
+        f, g = channels.wishart_density(3, 5), channels.wishart_density(3, 5)
+        assert f._coef is g._coef is channels._wishart_coefficients(3, 5)
+        with pytest.raises(ValueError):
+            f._coef[0] = 1.0
 
 
 class TestEmpiricalDensity:
@@ -442,7 +549,7 @@ class TestExactMi:
         for m, n in [(2, 2), (3, 5)]:
             d = channels.wishart_density(m, n)
             for c in (1e-4, 0.3, 7.0, 2e3):
-                k = d._fact * linalg.scaled_expn(d._orders, 1.0 / c)
+                k = d._fact * linalg.scaled_expn(np.arange(1, d._fact.size + 1), 1.0 / c)
                 total = j_prev = 0.0
                 for j, (cj, kj) in enumerate(zip(d._coef, k)):
                     j_prev = j * j_prev + kj

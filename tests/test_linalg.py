@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -114,7 +115,7 @@ class TestTriangular:
 
 def _expint_gamma0(x):
     """Gamma(0, x) = int_x^inf exp(-t)/t dt, unscaled from the package's form."""
-    return np.exp(-np.asarray(x, dtype=float)) * linalg.scaled_expint_gamma0(x)
+    return np.exp(-np.asarray(x, dtype=float)) * linalg.scaled_expn(1, x)
 
 
 class TestExpintGamma0:
@@ -137,18 +138,63 @@ class TestExpintGamma0:
 
     def test_asymptotic_normalization(self):
         # x e^x Gamma(0, x) -> 1
-        assert abs(500 * linalg.scaled_expint_gamma0(500.0) - 1.0) < 0.01
+        assert abs(500 * linalg.scaled_expn(1, 500.0) - 1.0) < 0.01
 
     def test_scaled_matches_plain_in_overlap(self):
         for x in (0.5, 5.0, 100.0, 650.0):
             direct = np.exp(min(x, 700)) * scipy.special.exp1(x)
-            assert np.isclose(linalg.scaled_expint_gamma0(x), direct, rtol=1e-9)
+            assert np.isclose(linalg.scaled_expn(1, x), direct, rtol=1e-9)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            linalg.scaled_expint_gamma0(0.0)
+            linalg.scaled_expn(1, 0.0)
         with pytest.raises(ValueError):
-            linalg.scaled_expint_gamma0(-1.0)
+            linalg.scaled_expn(1, -1.0)
+
+
+def _mp_scaled_expn(n, x):
+    """e^x E_n(x) in 80-digit mpmath (at 40 digits its E_n loses digits above order 50)."""
+    with mpmath.workdps(80):
+        return float(mpmath.exp(mpmath.mpf(x)) * mpmath.expint(int(n), mpmath.mpf(x)))
+
+
+class TestScaledExpn:
+    def test_matches_scipy_to_order_50(self):
+        # 2,000 log-spaced points on both sides of the asymptotic switch at 600
+        x = np.logspace(-3, np.log10(700), 2000)
+        n = np.arange(1, 51)[:, None]
+        ref = np.exp(x) * scipy.special.expn(n, x)
+        assert np.abs(linalg.scaled_expn(n, x) / ref - 1).max() <= 1e-14
+
+    def test_orders_above_50_match_mpmath(self):
+        # scipy's expn takes a large-order expansion above 50, itself up to 6e-14
+        # off 80-digit mpmath at x = 437; so it is no oracle there
+        for n in (51, 55, 60):
+            for x in (1e-3, 0.7, 3.3, 47.0, 112.9, 437.0, 599.9, 600.0, 700.0):
+                ref = _mp_scaled_expn(n, x)
+                assert linalg.scaled_expn(n, x) == pytest.approx(ref, rel=1e-14)
+
+    def test_order_one_across_its_pieces(self):
+        # series below 1, fitted polynomials to 64, asymptotic series above
+        for x in (1e-300, 1e-8, 0.5, np.nextafter(1.0, 0), 1.0, 1.5, 2.0, 3.9, 8.0,
+                  31.7, 63.99, 64.0, 200.0, 599.99, 600.0, 1e4):
+            assert linalg.scaled_expn(1, x) == pytest.approx(_mp_scaled_expn(1, x), rel=1e-15)
+
+    def test_one_table_matches_single_orders(self):
+        # the recurrence from one seed gives what each order alone gives
+        for x in (0.3, 1.9, 2.1, 9.5, 150.0, 800.0):
+            table = linalg.scaled_expn(np.arange(1, 41), x)
+            single = [linalg.scaled_expn(int(n), x) for n in range(1, 41)]
+            assert np.allclose(table, single, rtol=1e-15, atol=0)
+
+    def test_shapes_and_domain(self):
+        assert isinstance(linalg.scaled_expn(1, 2.0), float)
+        assert isinstance(linalg.scaled_expn(3, 2.0), float)
+        assert linalg.scaled_expn([1, 2], np.array([[1.0], [2.0], [3.0]])).shape == (3, 2)
+        with pytest.raises(ValueError):
+            linalg.scaled_expn(0, 1.0)
+        with pytest.raises(ValueError):
+            linalg.scaled_expn([1, 2], 0.0)
 
 
 def test_psd_sqrt_squares_back():

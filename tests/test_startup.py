@@ -1,7 +1,9 @@
-"""Start-up guard: the CLI loads scipy.special and none of the heavier scipy modules.
+"""Start-up guard: the CLI and every path below load no scipy module at all.
 
-Each check runs in a fresh interpreter, since the test process itself has
-imported scipy.optimize and scipy.integrate for its references.
+The package's special functions are numpy and plain floats; scipy is left to
+``WishartDensity.trunc_moment``'s general query, which no CLI path makes, and
+to the tests. Each check runs in a fresh interpreter, since the test process
+itself has imported scipy for its references.
 """
 
 import subprocess
@@ -9,20 +11,20 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.linalg")
+SCIPY = "scipy"
 
 
-def _heavy_modules_after(code: str) -> list:
-    """Run ``code`` with mimocap importable; return the heavy scipy modules it left loaded."""
+def _scipy_modules_after(code: str) -> list:
+    """Run ``code`` with mimocap importable; return the scipy modules it left loaded."""
     script = (f"import sys; sys.path.insert(0, {str(SRC)!r})\n{code}\n"
-              f"print(sorted(m for m in sys.modules if m.startswith({HEAVY!r})))")
+              f"print(sorted(m for m in sys.modules if m.startswith({SCIPY!r})))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True, timeout=120)
     return eval(proc.stdout.strip().splitlines()[-1])
 
 
 def test_importing_the_cli_loads_no_heavy_scipy_module():
-    assert _heavy_modules_after("import mimocap.cli") == []
+    assert _scipy_modules_after("import mimocap.cli") == []
 
 
 def test_water_levels_and_boundary_load_no_heavy_scipy_module():
@@ -35,11 +37,11 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["beamform", "--boundary", "--snr-db=-15"]) == 0
 waterfill.peak_limited_rate(channels.wishart_density(1, 1), 1.0, 2.4125523113175524)
 """
-    assert _heavy_modules_after(code) == []
+    assert _scipy_modules_after(code) == []
 
 
 def test_per_symbol_baseline_figures_load_no_heavy_scipy_module():
-    # fig3/fig4 sample Wishart eigenvalues; no tridiagonal solver of scipy.linalg
+    # fig3/fig4 sample Wishart eigenvalues and take their closed-form moments
     code = """
 import contextlib, io
 from mimocap import cli
@@ -47,7 +49,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["figures", "--figure", "fig4", "--snr-db=10:10:1"]) == 0
     assert cli.main(["figures", "--figure", "fig3"]) == 0
 """
-    assert _heavy_modules_after(code) == []
+    assert _scipy_modules_after(code) == []
 
 
 def _optimize_code(rx_corr: str, method: str) -> str:
@@ -66,12 +68,12 @@ with contextlib.redirect_stdout(io.StringIO()):
 def test_general_covariance_solve_loads_no_heavy_scipy_module():
     # receive correlation keeps the law off the closed form, on pools
     code = _optimize_code("[[[1, 0], [0.2, 0]], [[0.2, 0], [1, 0]]]", "general")
-    assert _heavy_modules_after(code) == []
+    assert _scipy_modules_after(code) == []
 
 
 def test_exact_covariance_solve_loads_no_heavy_scipy_module():
     code = _optimize_code("[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]", "diag")
-    assert _heavy_modules_after(code) == []
+    assert _scipy_modules_after(code) == []
 
 
 def test_ricean_factor_path_loads_no_heavy_scipy_module():
@@ -89,4 +91,4 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
                      "--samples", "2000"]) == 0
 assert sum(v > 1e-9 for v in json.loads(out.getvalue())["eigenvalues"]) < 4
 """
-    assert _heavy_modules_after(code) == []
+    assert _scipy_modules_after(code) == []
