@@ -341,21 +341,33 @@ def _laguerre(count: int, d: int, x):
         prev, cur = cur, ((2 * k - 1 + d - x) * cur - (k - 1 + d) * prev) / k
 
 
-def _lower_gamma(top: int, x) -> np.ndarray:
-    """Regularized lower incomplete gammas P(j, x), j = 1..top, of x >= 0,
-    shape x.shape + (top,).
+def _lower_gamma(top: int, x: float) -> list:
+    """Regularized lower incomplete gammas P(j, x), j = 1..top, of a float x >= 0.
 
-    From the Poisson terms p_k = e^-x x^k / k!: below the order (x < j) the
-    series sum_(k >= j) p_k, which keeps the relative accuracy as x -> 0;
-    at and above it 1 - sum_(k < j) p_k, then at least about 1/2. The series
-    is cut where p_k / p_j < 1e-17 for every x < j.
+    From the Poisson terms p_k = e^-x x^k / k!: at and below x the order's
+    1 - sum_(k < j) p_k, then at least about 1/2; above it the series
+    sum_(k >= j) p_k, summed from its small end, which keeps the relative
+    accuracy as x -> 0. Past k = top, where its terms shrink by x/k < 1, the
+    series runs until they fall below 1e-17 of its sum.
     """
-    x = np.minimum(np.asarray(x, dtype=float), 1e300)[..., None]  # e^-inf inf would be nan
-    k = np.arange(1, top + 40 + int(8 * math.sqrt(top)))
-    p = np.cumprod(np.concatenate([np.exp(-x), x / k], axis=-1), axis=-1)
-    tail = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1]
-    j = np.arange(1, top + 1)
-    return np.where(x < j, tail[..., 1:top + 1], 1.0 - np.cumsum(p[..., :top], axis=-1))
+    p = math.exp(-x)
+    x = min(x, 1e300)  # e^-inf inf would be nan
+    terms, out, head = [], [], 0.0
+    for k in range(1, top + 1):
+        terms.append(p)
+        head += p
+        out.append(1.0 - head)
+        p *= x / k
+    if x < top:
+        tail, k = 0.0, top
+        while p > 1e-17 * tail:
+            tail += p
+            k += 1
+            p *= x / k
+        for j in range(top, math.floor(x), -1):
+            out[j - 1] = tail
+            tail += terms[j - 1]
+    return out
 
 
 def _log1p_integrals(c: float, fact: np.ndarray) -> np.ndarray:
@@ -505,6 +517,7 @@ class WishartDensity(EigDensity):
         object.__setattr__(self, "_coef", coef)
         object.__setattr__(self, "_terms", tuple(coef.tolist()))
         object.__setattr__(self, "_fact", _FACT[:coef.size])
+        object.__setattr__(self, "_weights", tuple((coef * self._fact).tolist()))  # c_j j!
 
     def pdf(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -519,9 +532,11 @@ class WishartDensity(EigDensity):
     def cdf(self, lam):
         # 1 - mass, summed from the lower incomplete gammas: near zero, where
         # f ~ lam^(n-m), this keeps the relative accuracy 1 - mass would lose.
-        lam = np.maximum(np.asarray(lam, dtype=float), 0.0)
-        out = _lower_gamma(self._coef.size, lam) @ (self._coef * self._fact)
-        return out if out.ndim else float(out)
+        lam = np.asarray(lam, dtype=float)
+        weights = self._weights
+        out = [sum(w * q for w, q in zip(weights, _lower_gamma(len(weights), max(v, 0.0))))
+               for v in lam.ravel().tolist()]
+        return np.array(out).reshape(lam.shape) if lam.ndim else out[0]
 
     def trunc_moment(self, fn, a: float) -> float:
         import scipy.integrate  # the general query only; the solvers use closed forms
