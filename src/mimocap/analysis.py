@@ -133,9 +133,12 @@ def _expint_divided_difference(x) -> float:
             if span > _TAYLOR_SPAN:
                 dd[a] = (dd[a + 1] - dd[a]) / (hi - lo)
                 continue
+            if span == 0.0:  # equal nodes: the confluent limit, one term
+                dd[a] = (-1.0) ** level * scaled_expn(level + 1, lo) / lo ** level
+                continue
             # C(q + level, level) span^q bounds the q-th term
             q, bound = 1, 1.0
-            while span and bound > 1e-17:
+            while bound > 1e-17:
                 bound *= span * (q + level) / q
                 q += 1
             h = np.zeros(q)
