@@ -98,6 +98,7 @@ class MatrixGaussian(ChannelLaw):
 
     mean: np.ndarray
     cov: np.ndarray
+    _cov_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))
@@ -105,6 +106,7 @@ class MatrixGaussian(ChannelLaw):
         r, t = self.mean.shape
         if self.cov.shape != (r * t, r * t):
             raise ValueError("covariance must be rt x rt for an r x t mean")
+        object.__setattr__(self, "_cov_lower", chol_upper(self.cov).conj().T)  # cov = L L^H
 
     @property
     def shape(self):
@@ -118,6 +120,9 @@ class KroneckerGaussian(ChannelLaw):
     mean: np.ndarray
     rx_corr: np.ndarray
     tx_corr: np.ndarray
+    #: T^1/2, and R^1/2 or None at R = I (sampling skips it: same bits)
+    _tx_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
+    _rx_sqrt: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))
@@ -126,6 +131,9 @@ class KroneckerGaussian(ChannelLaw):
         r, t = self.mean.shape
         if self.rx_corr.shape != (r, r) or self.tx_corr.shape != (t, t):
             raise ValueError("correlation shapes must match the mean")
+        object.__setattr__(self, "_tx_sqrt", psd_sqrt(self.tx_corr))
+        object.__setattr__(self, "_rx_sqrt", None if np.array_equal(self.rx_corr, np.eye(r))
+                           else psd_sqrt(self.rx_corr))
         c = self.rx_corr[0, 0].real  # t <= 5 and r <= 16: see _CLUSTER
         object.__setattr__(self, "exact", bool(
             t <= 5 and t <= r <= 16 and c > 0 and not self.mean.any()
@@ -142,7 +150,7 @@ class KroneckerGaussian(ChannelLaw):
         Optim. 1996) spectral gradient gamma c T^1/2 V diag(df/dsigma) V^H T^1/2."""
         if not self.exact:
             raise ValueError("the MI of this law has no closed form")
-        th = psd_sqrt(self.tx_corr)
+        th = self._tx_sqrt
         gain = gamma * self.rx_corr[0, 0].real
         sigma, vecs = np.linalg.eigh(gain * (th @ np.asarray(q) @ th))
         mi, grad = _log_det_moment(self.rx, np.maximum(sigma, 0.0))
@@ -161,6 +169,7 @@ class Interpolated(ChannelLaw):
     kappa: float
     m0: np.ndarray
     noise_cov: np.ndarray
+    _noise_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
@@ -169,6 +178,7 @@ class Interpolated(ChannelLaw):
         object.__setattr__(self, "noise_cov", as_psd(self.noise_cov))
         if self.noise_cov.shape[0] != self.m0.shape[1]:
             raise ValueError("noise covariance must be t x t")
+        object.__setattr__(self, "_noise_sqrt", psd_sqrt(self.noise_cov))
 
     @property
     def shape(self):
@@ -218,21 +228,20 @@ def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.nda
         return np.stack(law.atoms)[idx]
     if isinstance(law, KroneckerGaussian):
         g = _circular_gaussian(rng, (size, r, t))
-        # Each factor is one 2-D product: T^1/2 on the stacked rows, R^1/2 (skipped
-        # at R = I: same bits) on the stacked columns. Rebinding g keeps two arrays alive.
-        g = (g.reshape(-1, t) @ psd_sqrt(law.tx_corr)).reshape(size, r, t)
-        if not np.array_equal(law.rx_corr, np.eye(r)):
+        # Each factor is one 2-D product: T^1/2 on the stacked rows, R^1/2 (if
+        # any) on the stacked columns. Rebinding g keeps two arrays alive.
+        g = (g.reshape(-1, t) @ law._tx_sqrt).reshape(size, r, t)
+        if law._rx_sqrt is not None:
             g = g.transpose(1, 0, 2).reshape(r, size * t)
-            g = (psd_sqrt(law.rx_corr) @ g).reshape(r, size, t).transpose(1, 0, 2)
+            g = (law._rx_sqrt @ g).reshape(r, size, t).transpose(1, 0, 2)
         return np.add(g, law.mean, order="C")
     if isinstance(law, Interpolated):
         g = _circular_gaussian(rng, (size, r, t))
-        g = (g.reshape(-1, t) @ psd_sqrt(law.noise_cov)).reshape(size, r, t)
+        g = (g.reshape(-1, t) @ law._noise_sqrt).reshape(size, r, t)
         return law.kappa * law.m0 + (1.0 - law.kappa) * g
     if isinstance(law, MatrixGaussian):
         z = _circular_gaussian(rng, (size, r * t))
-        l = chol_upper(law.cov).conj().T  # lower factor, cov = L L^H
-        v = z @ l.T
+        v = z @ law._cov_lower.T
         return law.mean + v.reshape(size, t, r).transpose(0, 2, 1)
     raise TypeError(f"unknown channel law {type(law).__name__}")
 

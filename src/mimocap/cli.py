@@ -22,7 +22,6 @@ so identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -173,25 +172,10 @@ def _write_rows(path, header, rows, fmt):
 
 
 def _write_csv(path, header, rows) -> None:
-    def dump(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt_cell(c) for c in row])
-
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            dump(fh)
-    else:
-        dump(sys.stdout)
-
-
-def _fmt_cell(c):
-    if isinstance(c, (float, np.floating)):
-        return repr(float(c))
-    if isinstance(c, (int, np.integer)):
-        return int(c)
-    return c
+    """One pass over rows of Python floats and ints: ``repr`` writes a float as
+    its shortest round-trip text, an int as an int."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_text(path, text: str) -> None:
@@ -239,8 +223,8 @@ def cmd_waterfill(args) -> int:
         xi = waterfill.st_water_level(density, g)
         cap = waterfill.st_capacity(density, xi) * scale
         rows.append([float(g), float(xi), float(cap),
-                     waterfill.papr(xi, g, density.m),
-                     waterfill.papr_bound(density, g)])
+                     float(waterfill.papr(xi, g, density.m)),
+                     float(waterfill.papr_bound(density, g))])
     _write_rows(args.out, header, rows, args.format)
     return 0
 
@@ -381,20 +365,19 @@ def _figure_table(fig: str, args):
             for m in (1, 2, 4):
                 dens = wishart_density(m, m)
                 xi = waterfill.st_water_level(dens, g)
-                row.append(10 * np.log10(waterfill.papr(xi, g, m)))
+                row.append(float(10 * np.log10(waterfill.papr(xi, g, m))))
             rows.append(row)
         return ["snr_db", "papr_db_m1", "papr_db_m2", "papr_db_m4"], rows
     if fig == "fig6":
         dens = wishart_density(2, 2)
-        rows = []
+        blocks = []
         for db in (-10, -5, 0, 5, 10):
             g = 10 ** (db / 10.0)
             xi = waterfill.st_water_level(dens, g)
             grid = np.linspace(xi * 1e-3, xi * 0.999, 200)
             pd = waterfill.power_density(dens, xi, grid)
-            for p, f in zip(pd.grid, pd.pdf):
-                rows.append([float(db), float(p), float(f), pd.atom0])
-        return ["snr_db", "power", "pdf", "atom0"], rows
+            blocks.append(np.column_stack(np.broadcast_arrays(db, pd.grid, pd.pdf, pd.atom0)))
+        return ["snr_db", "power", "pdf", "atom0"], np.concatenate(blocks).tolist()
     if fig == "fig7":
         grid_db = _grid(args.snr_db or "-10:20:5")
         tau = args.tau
@@ -446,7 +429,7 @@ def _figure_table(fig: str, args):
                                                replace(opts, seed=args.seed + trial))
             best = max(trace)
             for i, mi in enumerate(trace):
-                rows.append([trial, i + 1, (best - float(mi)) * scale])
+                rows.append([trial, i + 1, float(best - mi) * scale])
         return ["trial", "iter", f"mi_gap_{unit}"], rows
     if fig in ("fig11", "fig12"):
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)

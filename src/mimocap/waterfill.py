@@ -344,11 +344,17 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float) -> tuple[
     # both rises with xi and loses its top). The recovery hump can be very
     # narrow when the cap barely binds, so the bracket is expanded on a fine
     # geometric ladder of relative offsets and the smallest root is taken.
-    if residual(xi_unc)[0] >= -1e-15 * target:
+    # The residual rises by at most 1 per unit of xi (the slope of the full
+    # power is a tail mass, and the dropped power never falls), so no root
+    # lies within -r0 of xi_unc. Rungs short of half that gap (the other half
+    # is a margin for the round-off of the residual) are skipped.
+    r0 = residual(xi_unc)[0]
+    if r0 >= -1e-15 * target:
         xi = xi_unc
     else:
         xi = None
-        for delta in np.geomspace(1e-9, 1e4, 80):
+        ladder = np.geomspace(1e-9, 1e4, 80)
+        for delta in ladder[ladder * xi_unc >= -0.5 * r0]:
             hi = xi_unc * (1.0 + delta)
             at_hi = residual(hi)
             if at_hi[0] >= 0:

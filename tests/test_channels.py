@@ -123,6 +123,32 @@ class TestSampling:
             make(np.diag([1.5, -0.5]))
         make(np.array([[1.0, 1.0], [1.0, 1.0]]))  # rank one is PSD
 
+    def test_matrix_factors_are_built_once_per_law(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(a):
+                calls.append(fn.__name__)
+                return fn(a)
+            return wrapper
+
+        monkeypatch.setattr(channels, "psd_sqrt", counted(linalg.psd_sqrt))
+        monkeypatch.setattr(channels, "chol_upper", counted(linalg.chol_upper))
+        c = np.array([[1.0, 0.5], [0.5, 1.0]])
+        laws = [channels.KroneckerGaussian(np.ones((2, 2)), c, c),
+                channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), c),
+                _exact_law(3, 2),
+                channels.Interpolated(0.5, np.eye(2), c),
+                channels.MatrixGaussian(np.zeros((2, 1)), c)]
+        # two square roots per Kronecker law but one at R = I
+        assert sorted(calls) == ["chol_upper"] + ["psd_sqrt"] * 6
+        calls.clear()
+        for law in laws:
+            channels.sample_batch(law, 10, rng(15))
+        for _ in range(3):
+            laws[2].exact_mi(np.eye(2) / 2, 1.0)
+        assert calls == []
+
 
 class TestExpectedGram:
     def test_iid_closed_form(self):

@@ -481,3 +481,74 @@ def test_one_parser_serves_a_whole_process(capsys):
                                capture_output=True, text=True, timeout=120,
                                env={**os.environ, "PYTHONPATH": src})
         assert rc == 0 and out == fresh.stdout
+
+
+def _csv_reference(header, rows) -> str:
+    """The cell-by-cell rendering the one-pass writer replaced: ``csv.writer``
+    over floats as ``repr(float(c))`` and ints as ``int(c)``."""
+    def cell(c):
+        if isinstance(c, (float, np.floating)):
+            return repr(float(c))
+        if isinstance(c, (int, np.integer)):
+            return int(c)
+        return c
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(c) for c in row])
+    return buf.getvalue()
+
+
+KRONECKER_2x2_JSON = json.dumps({
+    "type": "kronecker",
+    "mean": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+    "rx_corr": [[[1, 0], [0.6, 0]], [[0.6, 0], [1, 0]]],
+    "tx_corr": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]],
+})
+
+
+@pytest.mark.parametrize("argv", [
+    ["waterfill", "--channel", '{"type":"wishart","m":2,"n":4}', "--snr-db=-10:30:4"],
+    ["waterfill", "--channel", '{"type":"onoff","m":2,"p":0.4}', "--snr-db=-10:30:4"],
+    ["waterfill", "--channel", KRONECKER_2x2_JSON, "--snr-db=-10:30:4", "--unit", "bits"],
+    ["figures", "--figure", "fig1", "--snr-db=-10:30:4"],
+    ["figures", "--figure", "fig5", "--snr-db=-10:20:3"],
+    ["figures", "--figure", "fig6"],
+    ["figures", "--figure", "fig8"],
+    ["figures", "--figure", "fig9"],
+    ["beamform", "--boundary", "--snr-db=-15"],
+    ["figures", "--figure", "fig10", "--size", "3", "--max-iter", "5"],
+    ["optimize", "--channel", POINT_21_JSON, "--snr", "1", "--tol", "1e-7"],
+], ids=["waterfill-wishart", "waterfill-onoff", "waterfill-pooled", "fig1", "fig5", "fig6",
+        "fig8", "fig9", "boundary", "fig10", "optimize-trace"])
+def test_csv_tables_keep_the_cell_by_cell_bytes(argv, tmp_path, monkeypatch):
+    # every table goes through _write_csv; capture what it was handed and
+    # render that the old way. waterfill, fig5 and fig10 compute numpy
+    # scalars, which must reach the file as their Python values.
+    written = []
+    write_csv = mimocap.cli._write_csv
+
+    def spy(path, header, rows):
+        written.append((path, header, rows))
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(mimocap.cli, "_write_csv", spy)
+    out = tmp_path / "out"
+    if argv[0] == "optimize":
+        argv = argv + ["--trace-out", str(tmp_path / "trace.csv")]
+    assert main(argv + ["--out", str(out)]) == 0
+    (path, header, rows), = written
+    assert {type(c) for row in rows for c in row} <= {float, int}
+    data = Path(path).read_bytes()
+    assert data == _csv_reference(header, rows).encode()
+    assert b"np." not in data
+
+
+def test_csv_cells_are_shortest_round_trip_floats_and_ints(tmp_path):
+    out = tmp_path / "t.csv"
+    rows = [[0.1, 3], [float("inf"), -1e-300], [float("nan"), 2**53 + 1], [1e16, -0.0]]
+    mimocap.cli._write_csv(str(out), ["a", "b"], rows)
+    assert out.read_bytes() == b"a,b\n0.1,3\ninf,-1e-300\nnan,9007199254740993\n1e+16,-0.0\n"
+    assert out.read_bytes() == _csv_reference(["a", "b"], rows).encode()

@@ -538,3 +538,78 @@ class TestPeakLimitedRate:
     def test_cap_validation(self):
         with pytest.raises(ValueError):
             waterfill.peak_limited_rate(RAYLEIGH_M1, 1.0, 0.0)
+
+
+#: the six (gamma, cap) ops of the benchmark's peak-limited Rayleigh m = 1 set
+BENCH_PEAK_CAPS = ((0.1, 0.7717752040686633), (0.5, 1.651187896842394),
+                   (1.0, 2.4125523113175524), (2.0, 3.8695853836571557),
+                   (5.0, 7.428285843713933), (10.0, 12.897484106245063))
+PEAK_DENSITIES = [RAYLEIGH_M1, RAYLEIGH_M2, channels.wishart_density(2, 4),
+                  LEVEL_DENSITIES[4], channels.onoff_density(2, 0.4)]
+PEAK_IDS = ["wishart-1x1", "wishart-2x2", "wishart-2x4", "pool-kronecker", "onoff"]
+
+
+def _full_ladder_peak_limited_rate(density, budget, peak):
+    """peak_limited_rate evaluating every rung of its 80-rung ladder from
+    delta = 1e-9 up to the first sign change, none skipped."""
+    xi_unc = waterfill.st_water_level(density, budget)
+    if peak >= xi_unc:
+        return xi_unc, waterfill.st_capacity(density, xi_unc)
+    target = budget / density.m
+    has_pdf = isinstance(density, channels.WishartDensity)
+
+    def residual(xi):
+        u = 1.0 / (xi - peak)
+        power, mass = waterfill._avg_power(density, xi, 1.0 / xi)
+        top, top_mass = waterfill._avg_power(density, xi, u)
+        slope = mass - top_mass - peak * u * u * density.pdf(u) if has_pdf else None
+        return power - top - target, slope
+
+    if residual(xi_unc)[0] >= -1e-15 * target:
+        xi = xi_unc
+    else:
+        for delta in np.geomspace(1e-9, 1e4, 80):
+            hi = xi_unc * (1.0 + delta)
+            at_hi = residual(hi)
+            if at_hi[0] >= 0:
+                xi = linalg._bracketed_root(residual, xi_unc, hi, at_hi, xtol=1e-13)
+                break
+        else:
+            raise InfeasibleError("unreachable")
+    rate = (waterfill._avg_rate(density, xi, 1.0 / xi)
+            - waterfill._avg_rate(density, xi, 1.0 / (xi - peak)))
+    return float(xi), float(density.m * rate)
+
+
+def _peak_outcome(solve, density, budget, peak):
+    try:
+        return solve(density, budget, peak)
+    except InfeasibleError:
+        return "infeasible"
+
+
+class TestPeakLadderBound:
+    """Rungs below the gap bound hold no root, so skipping them moves nothing."""
+
+    @pytest.mark.parametrize("density", PEAK_DENSITIES, ids=PEAK_IDS)
+    @pytest.mark.parametrize("budget", [0.1, 1.0, 10.0])
+    def test_same_level_and_rate_as_the_full_ladder(self, density, budget):
+        xi_unc = waterfill.st_water_level(density, budget)
+        for share in (0.5, 0.9, 0.99, 0.999999):
+            peak = share * xi_unc
+            assert (_peak_outcome(waterfill.peak_limited_rate, density, budget, peak)
+                    == _peak_outcome(_full_ladder_peak_limited_rate, density, budget, peak))
+
+    @pytest.mark.parametrize("gamma,cap", BENCH_PEAK_CAPS)
+    def test_bench_caps_match_and_skip_most_rungs(self, gamma, cap, monkeypatch):
+        ref = _full_ladder_peak_limited_rate(RAYLEIGH_M1, gamma, cap)
+        calls = []
+        tail_moments = channels.WishartDensity.tail_moments
+
+        def counted(self, a):
+            calls.append(a)
+            return tail_moments(self, a)
+
+        monkeypatch.setattr(channels.WishartDensity, "tail_moments", counted)
+        assert waterfill.peak_limited_rate(RAYLEIGH_M1, gamma, cap) == ref
+        assert len(calls) <= 30
