@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_complex_matrix, as_psd, chol_upper, psd_sqrt, scaled_expn
+from .linalg import as_complex_matrix, as_psd, chol_upper, herm_eig, psd_sqrt, scaled_expn
 
 __all__ = [
     "ChannelLaw",
@@ -57,7 +57,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class ChannelLaw:
-    """Base class for distributions of the channel matrix H (r x t)."""
+    """Law of the r x t channel H: a family defines shape, sample_batch and expected_gram."""
+
+    exact = False  #: whether ``exact_mi`` gives the ergodic MI in closed form
+    iid = False  #: whether H has iid CN(0, 1) entries, so H H^H is complex Wishart
+    diag_basis = None  #: a unitary known a priori to diagonalize the optimal Q, or None
+    support = None  #: ((k, r, t) atoms, (k,) weights) of a law with no continuous part
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -71,8 +76,18 @@ class ChannelLaw:
     def tx(self) -> int:
         return self.shape[1]
 
-    #: whether ``exact_mi`` gives the ergodic MI in closed form
-    exact = False
+    def sample_batch(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        raise NotImplementedError
+
+    def expected_gram(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def draw_rows(self, samples: int, rng: np.random.Generator) -> tuple:
+        """Eigenvalue rows of H H^H and their weights: one row per atom of
+        ``support``, else ``samples`` drawn rows, weights None (equally likely)."""
+        if self.support is None:
+            return gram_eigs(sample_batch(self, samples, rng)), None
+        return gram_eigs(self.support[0]), self.support[1]
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,20 @@ class PointMass(ChannelLaw):
     def shape(self):
         return self.h0.shape
 
+    @property
+    def support(self):
+        return self.h0[None, :, :], np.ones(1)
+
+    @property
+    def diag_basis(self):
+        return herm_eig(self.expected_gram())[0]
+
+    def sample_batch(self, size, rng):
+        return np.broadcast_to(self.h0, (size, *self.shape)).copy()
+
+    def expected_gram(self):
+        return self.h0.conj().T @ self.h0
+
 
 @dataclass(frozen=True)
 class MatrixGaussian(ChannelLaw):
@@ -98,7 +127,6 @@ class MatrixGaussian(ChannelLaw):
 
     mean: np.ndarray
     cov: np.ndarray
-    _cov_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))
@@ -106,11 +134,34 @@ class MatrixGaussian(ChannelLaw):
         r, t = self.mean.shape
         if self.cov.shape != (r * t, r * t):
             raise ValueError("covariance must be rt x rt for an r x t mean")
-        object.__setattr__(self, "_cov_lower", chol_upper(self.cov).conj().T)  # cov = L L^H
 
     @property
     def shape(self):
         return self.mean.shape
+
+    @property
+    def iid(self):
+        return np.allclose(self.mean, 0) and np.allclose(self.cov, np.eye(self.rx * self.tx))
+
+    @functools.cached_property
+    def _cov_lower(self) -> np.ndarray:
+        return chol_upper(self.cov).conj().T  # cov = L L^H
+
+    def sample_batch(self, size, rng):
+        r, t = self.shape
+        z = _circular_gaussian(rng, (size, r * t))
+        v = z @ self._cov_lower.T
+        return self.mean + v.reshape(size, t, r).transpose(0, 2, 1)
+
+    def expected_gram(self):
+        r, t = self.shape
+        g = np.zeros((t, t), dtype=complex)
+        # (E[X^H X])_{kl} = sum_i E[h_{lr+i} conj(h_{kr+i})] with h = vec(X),
+        # i.e. the trace of the (l, k) block of the stacked-column covariance.
+        for k in range(t):
+            for l in range(t):
+                g[k, l] = np.trace(self.cov[l * r:(l + 1) * r, k * r:(k + 1) * r])
+        return g + self.mean.conj().T @ self.mean
 
 
 @dataclass(frozen=True)
@@ -120,9 +171,6 @@ class KroneckerGaussian(ChannelLaw):
     mean: np.ndarray
     rx_corr: np.ndarray
     tx_corr: np.ndarray
-    #: T^1/2, and R^1/2 or None at R = I (sampling skips it: same bits)
-    _tx_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
-    _rx_sqrt: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))
@@ -131,9 +179,6 @@ class KroneckerGaussian(ChannelLaw):
         r, t = self.mean.shape
         if self.rx_corr.shape != (r, r) or self.tx_corr.shape != (t, t):
             raise ValueError("correlation shapes must match the mean")
-        object.__setattr__(self, "_tx_sqrt", psd_sqrt(self.tx_corr))
-        object.__setattr__(self, "_rx_sqrt", None if np.array_equal(self.rx_corr, np.eye(r))
-                           else psd_sqrt(self.rx_corr))
         c = self.rx_corr[0, 0].real  # t <= 5 and r <= 16: see _CLUSTER
         object.__setattr__(self, "exact", bool(
             t <= 5 and t <= r <= 16 and c > 0 and not self.mean.any()
@@ -142,6 +187,38 @@ class KroneckerGaussian(ChannelLaw):
     @property
     def shape(self):
         return self.mean.shape
+
+    @property
+    def iid(self):
+        return (np.allclose(self.mean, 0) and np.allclose(self.rx_corr, np.eye(self.rx))
+                and np.allclose(self.tx_corr, np.eye(self.tx)))
+
+    @property
+    def diag_basis(self):
+        return herm_eig(self.tx_corr)[0] if np.allclose(self.mean, 0) else None
+
+    @functools.cached_property
+    def _tx_sqrt(self) -> np.ndarray:
+        return psd_sqrt(self.tx_corr)
+
+    @functools.cached_property
+    def _rx_sqrt(self) -> np.ndarray | None:
+        """R^1/2, or None at R = I (sampling skips it: same bits)."""
+        return None if np.array_equal(self.rx_corr, np.eye(self.rx)) else psd_sqrt(self.rx_corr)
+
+    def sample_batch(self, size, rng):
+        r, t = self.shape
+        g = _circular_gaussian(rng, (size, r, t))
+        # Each factor is one 2-D product: T^1/2 on the stacked rows, R^1/2 (if
+        # any) on the stacked columns. Rebinding g keeps two arrays alive.
+        g = (g.reshape(-1, t) @ self._tx_sqrt).reshape(size, r, t)
+        if self._rx_sqrt is not None:
+            g = g.transpose(1, 0, 2).reshape(r, size * t)
+            g = (self._rx_sqrt @ g).reshape(r, size, t).transpose(1, 0, 2)
+        return np.add(g, self.mean, order="C")
+
+    def expected_gram(self):
+        return self.tx_corr * np.trace(self.rx_corr).real + self.mean.conj().T @ self.mean
 
     def exact_mi(self, q, gamma: float) -> tuple[float, np.ndarray]:
         """Closed-form E[ln det(I + gamma H Q H^H)] and its gradient in Q, given
@@ -169,7 +246,6 @@ class Interpolated(ChannelLaw):
     kappa: float
     m0: np.ndarray
     noise_cov: np.ndarray
-    _noise_sqrt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
@@ -178,11 +254,25 @@ class Interpolated(ChannelLaw):
         object.__setattr__(self, "noise_cov", as_psd(self.noise_cov))
         if self.noise_cov.shape[0] != self.m0.shape[1]:
             raise ValueError("noise covariance must be t x t")
-        object.__setattr__(self, "_noise_sqrt", psd_sqrt(self.noise_cov))
 
     @property
     def shape(self):
         return self.m0.shape
+
+    @functools.cached_property
+    def _noise_sqrt(self) -> np.ndarray:
+        return psd_sqrt(self.noise_cov)
+
+    def sample_batch(self, size, rng):
+        r, t = self.shape
+        g = _circular_gaussian(rng, (size, r, t))
+        g = (g.reshape(-1, t) @ self._noise_sqrt).reshape(size, r, t)
+        return self.kappa * self.m0 + (1.0 - self.kappa) * g
+
+    def expected_gram(self):
+        # M0 and the zero-mean part are independent; E[X^H X] = r * Sigma.
+        k = self.kappa
+        return k**2 * (self.m0.conj().T @ self.m0) + (1 - k) ** 2 * self.rx * self.noise_cov
 
 
 @dataclass(frozen=True)
@@ -208,6 +298,17 @@ class FiniteMixture(ChannelLaw):
     def shape(self):
         return self.atoms[0].shape
 
+    @property
+    def support(self):
+        return np.stack(self.atoms), self.weights
+
+    def sample_batch(self, size, rng):
+        idx = rng.choice(len(self.atoms), size=size, p=self.weights)
+        return np.stack(self.atoms)[idx]
+
+    def expected_gram(self):
+        return sum(w * (a.conj().T @ a) for w, a in zip(self.weights, self.atoms))
+
 
 def _circular_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     # Unit-variance circular complex entries: Re, Im iid N(0, 1/2).
@@ -220,30 +321,7 @@ def _circular_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` iid channel matrices, returned as a (size, r, t) array."""
-    r, t = law.shape
-    if isinstance(law, PointMass):
-        return np.broadcast_to(law.h0, (size, r, t)).copy()
-    if isinstance(law, FiniteMixture):
-        idx = rng.choice(len(law.atoms), size=size, p=law.weights)
-        return np.stack(law.atoms)[idx]
-    if isinstance(law, KroneckerGaussian):
-        g = _circular_gaussian(rng, (size, r, t))
-        # Each factor is one 2-D product: T^1/2 on the stacked rows, R^1/2 (if
-        # any) on the stacked columns. Rebinding g keeps two arrays alive.
-        g = (g.reshape(-1, t) @ law._tx_sqrt).reshape(size, r, t)
-        if law._rx_sqrt is not None:
-            g = g.transpose(1, 0, 2).reshape(r, size * t)
-            g = (law._rx_sqrt @ g).reshape(r, size, t).transpose(1, 0, 2)
-        return np.add(g, law.mean, order="C")
-    if isinstance(law, Interpolated):
-        g = _circular_gaussian(rng, (size, r, t))
-        g = (g.reshape(-1, t) @ law._noise_sqrt).reshape(size, r, t)
-        return law.kappa * law.m0 + (1.0 - law.kappa) * g
-    if isinstance(law, MatrixGaussian):
-        z = _circular_gaussian(rng, (size, r * t))
-        v = z @ law._cov_lower.T
-        return law.mean + v.reshape(size, t, r).transpose(0, 2, 1)
-    raise TypeError(f"unknown channel law {type(law).__name__}")
+    return law.sample_batch(size, rng)
 
 
 def sample(law: ChannelLaw, rng: np.random.Generator) -> np.ndarray:
@@ -258,31 +336,7 @@ def expected_gram(law: ChannelLaw) -> np.ndarray:
     on t x t objects, so the expected Gram matrix is taken as H^H H even where
     source formulas are written for H H^H (they coincide at t = r only).
     """
-    if isinstance(law, PointMass):
-        return law.h0.conj().T @ law.h0
-    if isinstance(law, FiniteMixture):
-        return sum(
-            w * (a.conj().T @ a) for w, a in zip(law.weights, law.atoms)
-        )
-    if isinstance(law, KroneckerGaussian):
-        m = law.mean
-        return law.tx_corr * np.trace(law.rx_corr).real + m.conj().T @ m
-    if isinstance(law, Interpolated):
-        # M0 and the zero-mean part are independent; E[X^H X] = r * Sigma.
-        r = law.rx
-        k = law.kappa
-        return k**2 * (law.m0.conj().T @ law.m0) + (1 - k) ** 2 * r * law.noise_cov
-    if isinstance(law, MatrixGaussian):
-        r, t = law.shape
-        m = law.mean
-        g = np.zeros((t, t), dtype=complex)
-        # (E[X^H X])_{kl} = sum_i E[h_{lr+i} conj(h_{kr+i})] with h = vec(X),
-        # i.e. the trace of the (l, k) block of the stacked-column covariance.
-        for k in range(t):
-            for l in range(t):
-                g[k, l] = np.trace(law.cov[l * r:(l + 1) * r, k * r:(k + 1) * r])
-        return g + m.conj().T @ m
-    raise TypeError(f"unknown channel law {type(law).__name__}")
+    return law.expected_gram()
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +348,9 @@ class EigDensity:
 
     #: number of eigenvalues per channel draw (min(r, t))
     m: int
+    pool = math.inf  #: draws behind a pooled density; inf where the density is exact
+    exact_pdf = False  #: whether ``pdf`` is the exact density
+    discrete = False  #: whether the density is a finite set of point masses
 
     def pdf(self, lam):
         raise NotImplementedError
@@ -316,6 +373,10 @@ class EigDensity:
 
     def log1p_moment(self, c: float) -> float:
         """E[ln(1 + c lam)] for c >= 0: the rate of power c on every mode."""
+        raise NotImplementedError
+
+    def draw_rows(self, samples: int, rng: np.random.Generator) -> tuple:
+        """Per-draw eigenvalue rows and weights, as :meth:`ChannelLaw.draw_rows`."""
         raise NotImplementedError
 
 
@@ -518,6 +579,7 @@ class WishartDensity(EigDensity):
 
     m: int
     n: int
+    exact_pdf = True
 
     def __post_init__(self):
         if self.m < 1 or self.n < self.m:
@@ -591,6 +653,9 @@ class WishartDensity(EigDensity):
         tri[:, i[1:], i[:-1]] = tri[:, i[:-1], i[1:]] = np.sqrt(diag[:, :-1] * sub)
         return np.maximum(_small_eigvalsh(tri, diag.prod(axis=1)), 0.0)
 
+    def draw_rows(self, samples, rng):
+        return self.sample_eigs(samples, rng), None
+
 
 @dataclass(frozen=True)
 class EmpiricalDensity(EigDensity):
@@ -661,6 +726,9 @@ class EmpiricalDensity(EigDensity):
     def log1p_moment(self, c: float) -> float:
         return float(np.sum(np.log1p(c * self._sorted)) / self._sorted.size)
 
+    def draw_rows(self, samples, rng):
+        return self.draws, None
+
 
 @dataclass(frozen=True)
 class PointMassDensity(EigDensity):
@@ -671,6 +739,7 @@ class PointMassDensity(EigDensity):
     m: int = 1
     #: whether the m per-draw eigenvalues are iid copies of this marginal
     independent_modes: bool = field(default=False)
+    discrete = True
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -707,6 +776,20 @@ class PointMassDensity(EigDensity):
     def log1p_moment(self, c: float) -> float:
         return float(np.sum(self.weights * np.log1p(c * self.values)))
 
+    def draw_rows(self, samples, rng):
+        vals, m = self.values, self.m
+        if self.independent_modes:
+            if len(vals) ** m > 20_000:
+                raise ValueError("mode enumeration too large; use a sampled law instead")
+            combos = np.indices((len(vals),) * m).reshape(m, -1).T
+            return vals[combos], self.weights[combos].prod(axis=1)
+        # Marginal of a fixed multiset: weights are counts / m.
+        counts = self.weights * m
+        if np.any(np.abs(counts - np.round(counts)) > 1e-9):
+            raise ValueError("discrete density is not a fixed-multiset marginal; "
+                             "set independent_modes or pass the channel law itself")
+        return np.repeat(vals, np.round(counts).astype(int))[None, :], None
+
 
 def wishart_density(m: int, n: int) -> WishartDensity:
     """Closed-form unordered eigenvalue density of an m x m complex Wishart
@@ -717,33 +800,18 @@ def wishart_density(m: int, n: int) -> WishartDensity:
 def empirical_density(law: ChannelLaw, pool: int, rng: np.random.Generator) -> EigDensity:
     """Empirical eigenvalue density of H H^H from ``pool`` draws of the law.
 
-    Point-mass and finite-mixture laws short-circuit to the exact discrete
-    density of their atoms' eigenvalues.
+    A law with a ``support`` short-circuits to the exact discrete density of
+    its atoms' eigenvalues.
     """
     if pool < 1000:
         raise ValueError("pool must be at least 10^3")
-    atoms = _atom_spectra(law)
-    if atoms is not None:
-        eigs, weights = atoms
-        m = eigs.shape[1]
-        vals, where = np.unique(np.round(eigs, 12), return_inverse=True)
-        mass = np.bincount(where.ravel(), weights=np.repeat(weights / m, m))
-        return PointMassDensity(vals, mass, m=m)
-    h = sample_batch(law, pool, rng)
-    return EmpiricalDensity(gram_eigs(h))
-
-
-def _atom_spectra(law: ChannelLaw):
-    """Eigenvalue rows of H H^H for each atom of a discrete law, with weights.
-
-    Returns ((atoms, m) eigenvalues, (atoms,) weights) for point-mass and
-    finite-mixture laws, and None for laws with a continuous part.
-    """
-    if isinstance(law, PointMass):
-        return gram_eigs(law.h0[None, :, :]), np.ones(1)
-    if isinstance(law, FiniteMixture):
-        return gram_eigs(np.stack(law.atoms)), law.weights
-    return None
+    eigs, weights = law.draw_rows(pool, rng)
+    if weights is None:
+        return EmpiricalDensity(eigs)
+    m = eigs.shape[1]
+    vals, where = np.unique(np.round(eigs, 12), return_inverse=True)
+    mass = np.bincount(where.ravel(), weights=np.repeat(weights / m, m))
+    return PointMassDensity(vals, mass, m=m)
 
 
 def _small_gram(h: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import analysis, channels, covopt, waterfill
 from .channels import (
-    ChannelLaw,
     EigDensity,
     KroneckerGaussian,
     PointMass,
@@ -146,15 +145,8 @@ def _density_from_descriptor(desc: dict, samples: int, seed: int) -> EigDensity:
         channels._require_keys(desc, ("m", "n"))
         return wishart_density(_mode_count(desc, "m"), _mode_count(desc, "n"))
     law = law_from_json(desc)
-    iid = False
-    if isinstance(law, KroneckerGaussian):
-        iid = (np.allclose(law.mean, 0) and np.allclose(law.rx_corr, np.eye(law.rx))
-               and np.allclose(law.tx_corr, np.eye(law.tx)))
-    elif isinstance(law, channels.MatrixGaussian):
-        iid = np.allclose(law.mean, 0) and np.allclose(law.cov, np.eye(law.rx * law.tx))
-    if iid:
-        m, n = min(law.shape), max(law.shape)
-        return wishart_density(m, n)
+    if law.iid:
+        return wishart_density(min(law.shape), max(law.shape))
     pool = max(samples, 10_000)
     return empirical_density(law, pool, SeededStream(seed).generator())
 
@@ -229,16 +221,6 @@ def cmd_waterfill(args) -> int:
     return 0
 
 
-def _diag_basis(law: ChannelLaw) -> np.ndarray:
-    if isinstance(law, PointMass):
-        u, _ = herm_eig(law.h0.conj().T @ law.h0)
-        return u
-    if isinstance(law, KroneckerGaussian) and np.allclose(law.mean, 0):
-        u, _ = herm_eig(law.tx_corr)
-        return u
-    raise ValueError("no a-priori diagonalizing basis for this law; use --method general")
-
-
 def cmd_optimize(args) -> int:
     opts = _solver_opts(args)
     if args.samples < 1000:
@@ -252,7 +234,10 @@ def cmd_optimize(args) -> int:
     if not np.any(channels.expected_gram(law)):
         raise InfeasibleError("zero channel: the capacity is 0 and every covariance is optimal")
     if args.method == "diag":
-        res = covopt.fixed_point_diag(law, gamma, _diag_basis(law), opts)
+        basis = law.diag_basis
+        if basis is None:
+            raise ValueError("no a-priori diagonalizing basis for this law; use --method general")
+        res = covopt.fixed_point_diag(law, gamma, basis, opts)
     else:
         res = covopt.iterate_general(law, gamma, opts)
     if not res.converged:
@@ -291,8 +276,9 @@ def cmd_beamform(args) -> int:
         _write_rows(args.out, ["rho", "tau_star"],
                     [[float(r), float(t)] for r, t in curve], args.format)
         return 0
-    law = law_from_json(_load_descriptor(args.channel))
-    if not isinstance(law, KroneckerGaussian) or not np.allclose(law.mean, 0):
+    desc = _load_descriptor(args.channel)
+    law = law_from_json(desc)
+    if desc["type"] != "kronecker" or not np.allclose(law.mean, 0):
         raise ValueError("beamforming verdicts need a zero-mean kronecker descriptor")
     analysis._check_normalization(law.rx_corr, law.tx_corr)
     if args.method == "mc":

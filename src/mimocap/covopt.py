@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelLaw, PointMass, sample_batch
-from .linalg import as_psd, herm_eig, ut_gram
+from .channels import ChannelLaw, sample_batch
+from .linalg import as_psd, ut_gram
 from .montecarlo import (
     DEFAULT_SAMPLES_FINAL,
     DEFAULT_SAMPLES_INNER,
@@ -117,10 +117,8 @@ class CovOptResult:
 def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
             stream: SeededStream) -> np.ndarray:
     """Pool of S = gamma * (H U)^H (H U) draws, shape (pool, t, t)."""
-    if isinstance(law, PointMass):
-        h = law.h0[None, :, :]
-    else:
-        h = sample_batch(law, samples, stream.generator())
+    one_atom = law.support is not None and law.support[1].size == 1
+    h = law.support[0] if one_atom else sample_batch(law, samples, stream.generator())
     if basis is not None:
         h = (h.reshape(-1, h.shape[2]) @ np.asarray(basis, dtype=complex)).reshape(h.shape)
     return _snr_gram(h, gamma)
@@ -589,7 +587,7 @@ def iterate_general(law: ChannelLaw, gamma: float,
     """
     opts = _as_opts(opts)
     if law.exact:
-        return fixed_point_diag(law, gamma, herm_eig(law.tx_corr)[0], opts)
+        return fixed_point_diag(law, gamma, law.diag_basis, opts)
 
     def face(stream):
         pool = _s_pool(law, gamma, None, opts.samples, stream)

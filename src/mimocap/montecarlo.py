@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .channels import ChannelLaw, PointMass, sample_batch
+from .channels import ChannelLaw, sample_batch
 from .linalg import as_psd
 
 __all__ = ["SeededStream", "McEstimate", "as_stream", "ergodic_mi", "BATCH"]
@@ -78,8 +78,8 @@ class McEstimate:
 
 def _batched_values(fn, law, samples, stream):
     """Evaluate fn on iid channel batches; returns the stacked value array."""
-    if isinstance(law, PointMass):  # one exact value, whatever ``samples``
-        return np.asarray(fn(law.h0[None, :, :]))
+    if law.support is not None and law.support[1].size == 1:  # one exact value
+        return np.asarray(fn(law.support[0]))
     chunks = []
     n_done = 0
     b = 0
@@ -166,7 +166,7 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     gamma : float
         Signal-to-noise ratio (linear).
     samples : int
-        Monte Carlo sample count; ignored for point-mass laws, whose value
+        Monte Carlo sample count; ignored for a one-atom law, whose value
         is computed exactly with zero standard error.
     rng : SeededStream or int
         Stream (or plain seed) controlling the draws.

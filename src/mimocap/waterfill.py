@@ -21,16 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    ChannelLaw,
-    EigDensity,
-    EmpiricalDensity,
-    PointMassDensity,
-    WishartDensity,
-    _atom_spectra,
-    gram_eigs,
-    sample_batch,
-)
+from .channels import EigDensity
 from .linalg import _bracketed_root, svd
 from .montecarlo import SeededStream, as_stream
 
@@ -138,7 +129,7 @@ def st_water_level(density: EigDensity, budget: float) -> float:
     if budget <= 0:
         raise ValueError("budget must be positive")
     target = budget / density.m
-    if isinstance(density, EmpiricalDensity) and density.pool < 10_000:
+    if density.pool < 10_000:
         warnings.warn(f"water-level solving on a pool of {density.pool} "
                       "draws; 10^4 or more is recommended", stacklevel=2)
 
@@ -202,52 +193,20 @@ def instantaneous_covariance(h, xi: float) -> np.ndarray:
     return (vh.conj().T * powers) @ vh
 
 
-def _naive_rows(source, samples: int, rng) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-draw eigenvalue rows of a baseline source and their weights.
-
-    Weights are None where every row is one equally likely draw.
-    """
-    if isinstance(source, ChannelLaw):
-        atoms = _atom_spectra(source)
-        if atoms is not None:
-            return atoms
-        h = sample_batch(source, samples, as_stream(rng).generator())
-        return gram_eigs(h), None
-    if isinstance(source, EmpiricalDensity):
-        return source.draws, None
-    if isinstance(source, WishartDensity):
-        return source.sample_eigs(samples, as_stream(rng).generator()), None
-    if isinstance(source, PointMassDensity):
-        vals, m = source.values, source.m
-        if source.independent_modes:
-            if len(vals) ** m > 20_000:
-                raise ValueError("mode enumeration too large; use a sampled law instead")
-            combos = np.indices((len(vals),) * m).reshape(m, -1).T
-            return vals[combos], source.weights[combos].prod(axis=1)
-        # Marginal of a fixed multiset: weights are counts / m.
-        counts = source.weights * m
-        if np.any(np.abs(counts - np.round(counts)) > 1e-9):
-            raise ValueError(
-                "discrete density is not a fixed-multiset marginal; "
-                "set independent_modes or pass the channel law itself")
-        return np.repeat(vals, np.round(counts).astype(int))[None, :], None
-    raise TypeError(f"cannot compute a per-draw baseline from {type(source).__name__}")
-
-
 def naive_avg_rate(source, budget: float, samples: int = 100_000,
                    rng: SeededStream | int = 0) -> float:
     """Per-symbol-budget baseline: water-fill every draw, then average.
 
     The joint structure of each draw's eigenvalues matters here, so the
-    source must carry it: a channel law (drawn directly), an empirical
-    density (per-draw rows of its pool), a Wishart density (fresh Gaussian
-    draws), or a discrete density that is either the marginal of a fixed
-    eigenvalue multiset or flagged as independent across modes. A draw with
-    no usable mode transmits nothing and contributes rate 0.
+    source must carry it in ``draw_rows``: a channel law (drawn directly), an
+    empirical density (per-draw rows of its pool), a Wishart density (fresh
+    Gaussian draws), or a discrete density that is either the marginal of a
+    fixed eigenvalue multiset or flagged as independent across modes. A draw
+    with no usable mode transmits nothing and contributes rate 0.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    rows, weights = _naive_rows(source, samples, rng)
+    rows, weights = source.draw_rows(samples, as_stream(rng).generator())
     rates = _waterfill_rows(rows, budget)[2]
     return float(np.average(rates, weights=weights))
 
@@ -285,7 +244,7 @@ class PowerDensity:
 
     def total_mass(self) -> float:
         mass = self.atom0 + sum(w for _, w in self.atoms)
-        if self._source is not None and not isinstance(self._source, PointMassDensity):
+        if self._source is not None and not self._source.discrete:
             # the continuous part on (0, xi) is the eigenvalue mass above 1/xi
             mass += self._source.tail_moments(1.0 / self.xi)[0]
         return float(mass)
@@ -301,7 +260,7 @@ def power_density(density: EigDensity, xi: float, grid) -> PowerDensity:
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0) or np.any(grid >= xi):
         raise ValueError("power grid must lie strictly inside (0, xi)")
-    if isinstance(density, PointMassDensity):
+    if density.discrete:
         v, w = density.values, density.weights
         on = (v > 1.0 / xi) & ~np.isclose(v, 1.0 / xi)
         return PowerDensity(xi, float(w[~on].sum()), grid, np.zeros_like(grid),
@@ -328,7 +287,6 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float) -> tuple[
     if peak >= xi_unc:
         return xi_unc, st_capacity(density, xi_unc)
     target = budget / density.m
-    has_pdf = isinstance(density, WishartDensity)
 
     def residual(xi):
         # xi >= xi_unc > peak throughout. As xi grows the window [1/xi, u]
@@ -337,7 +295,7 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float) -> tuple[
         u = 1.0 / (xi - peak)
         power, mass = _avg_power(density, xi, 1.0 / xi)
         top, top_mass = _avg_power(density, xi, u)
-        slope = mass - top_mass - peak * u * u * density.pdf(u) if has_pdf else None
+        slope = mass - top_mass - peak * u * u * density.pdf(u) if density.exact_pdf else None
         return power - top - target, slope
 
     # Beyond xi_unc the truncated power is not monotone (the spendable window

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from mimocap import channels, linalg
+from mimocap import channels, covopt, linalg, waterfill
 from mimocap.montecarlo import SeededStream, ergodic_mi
 from test_montecarlo import expect_matrix
 
@@ -140,6 +140,10 @@ class TestSampling:
                 _exact_law(3, 2),
                 channels.Interpolated(0.5, np.eye(2), c),
                 channels.MatrixGaussian(np.zeros((2, 1)), c)]
+        assert calls == []  # none at construction: a law never sampled builds none
+        laws[2].exact_mi(np.eye(2) / 2, 1.0)
+        for law in laws:
+            channels.sample_batch(law, 10, rng(15))
         # two square roots per Kronecker law but one at R = I
         assert sorted(calls) == ["chol_upper"] + ["psd_sqrt"] * 6
         calls.clear()
@@ -534,6 +538,42 @@ class TestLawMoments:
     def test_sample_mean_matches_law_mean(self, law, mean):
         est = expect_matrix(lambda h: h, law, samples=100_000, rng=SeededStream(77))
         assert np.all(np.abs(est.mean - mean) <= 3 * est.se + 1e-12)
+
+
+class ScaledColumns(channels.ChannelLaw):
+    """H = G diag(a), G iid CN(0, 1): a law family the package does not know,
+    defining only what every family must."""
+
+    def __init__(self, r, a):
+        self.r, self.a = r, np.asarray(a, dtype=float)
+
+    @property
+    def shape(self):
+        return self.r, self.a.size
+
+    def sample_batch(self, size, rng):
+        shape = (size, *self.shape)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2) * self.a
+
+    def expected_gram(self):
+        return self.r * np.diag(self.a ** 2).astype(complex)
+
+
+def test_a_law_family_the_package_never_saw_runs_everywhere():
+    law = ScaledColumns(3, [1.2, 0.6])
+    twin = channels.KroneckerGaussian(np.zeros((3, 2)), np.eye(3), np.diag([1.44, 0.36]))
+    assert np.allclose(channels.expected_gram(law), channels.expected_gram(twin))
+    q = np.diag([0.7, 0.3])
+    mi = ergodic_mi(q, law, 2.0, 20_000, SeededStream(1))
+    ref = ergodic_mi(q, twin, 2.0, 20_000, SeededStream(2))
+    assert mi.se > 0 and abs(mi.mean - ref.mean) <= 4 * np.hypot(mi.se, ref.se)
+    opts = {"samples": 2000, "final_samples": 4000, "max_iter": 40, "tol": 1e-2}
+    res = covopt.iterate_general(law, 2.0, opts)
+    assert np.all(np.isfinite(res.q)) and np.isfinite(res.mi.mean) and res.iterations > 0
+    dens = channels.empirical_density(law, 10_000, rng(3))
+    assert isinstance(dens, channels.EmpiricalDensity) and dens.m == 2
+    assert np.isfinite(waterfill.st_capacity(dens, waterfill.st_water_level(dens, 1.0)))
+    assert np.isfinite(waterfill.naive_avg_rate(law, 1.0, samples=2000))
 
 
 def _exact_law(r, t):

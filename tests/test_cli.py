@@ -27,6 +27,13 @@ POINT_21_JSON = json.dumps({
     "h": [[[np.sqrt(2.0), 0], [0, 0]], [[0, 0], [1, 0]]],
 })
 
+RICEAN_2x2_JSON = json.dumps({
+    "type": "kronecker",
+    "mean": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+    "rx_corr": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "tx_corr": [[[1.2, 0], [0, 0]], [[0, 0], [0.8, 0]]],
+})
+
 
 def run_cli(argv):
     buf = io.StringIO()
@@ -155,6 +162,12 @@ class TestOptimizeCommand:
         q_c = q[..., 0] + 1j * q[..., 1]
         assert np.abs(q_c - np.eye(2) / 2).max() < 0.05
 
+    def test_diag_method_without_a_basis_exits_2(self, capsys):
+        assert main(["optimize", "--channel", RICEAN_2x2_JSON, "--snr", "1",
+                     "--method", "diag"]) == 2
+        assert capsys.readouterr().err == ("error: no a-priori diagonalizing basis for "
+                                           "this law; use --method general\n")
+
     def test_diag_method(self):
         rc, out = run_cli(["optimize", "--channel", IID_2x2_JSON,
                            "--snr", "1.0", "--samples", "20000",
@@ -224,6 +237,12 @@ class TestBeamformCommand:
         assert main(["beamform", "--channel", json.dumps(law), "--snr-db=-15",
                      "--method", method]) == 2
         assert "requires tr(T) = t" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("desc", [POINT_21_JSON, RICEAN_2x2_JSON], ids=["point", "ricean"])
+    def test_verdict_needs_a_zero_mean_kronecker_descriptor(self, desc, capsys):
+        assert main(["beamform", "--channel", desc, "--snr-db=-15"]) == 2
+        assert capsys.readouterr().err == ("error: beamforming verdicts need a zero-mean "
+                                           "kronecker descriptor\n")
 
     def test_boundary_csv(self):
         rc, out = run_cli(["beamform", "--boundary", "--snr-db=-15",

@@ -1,0 +1,60 @@
+"""Design guard: only ``channels`` asks which family a channel law or density is.
+
+Every other module reads what a law or density says of itself (``support``,
+``diag_basis``, ``iid``, ``draw_rows``, ``discrete``, ...), so a new family
+is one class in ``channels`` and nothing else to thread through.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+from mimocap import channels
+
+SRC = Path(channels.__file__).parent
+#: every class ``channels`` defines: the laws, the densities and their bases
+CHANNEL_CLASSES = frozenset(name for name, obj in vars(channels).items()
+                            if inspect.isclass(obj) and obj.__module__ == channels.__name__)
+
+
+def _class_names(node) -> list:
+    """Class names in the second argument of ``isinstance``: a name, a dotted
+    attribute or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _class_names(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return []
+
+
+def channel_class_tests(source: str, filename: str) -> list:
+    """``file:line name`` for each ``isinstance`` call that names a channels class."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            found += [f"{filename}:{node.lineno} {name}" for name in _class_names(node.args[1])
+                      if name in CHANNEL_CLASSES]
+    return found
+
+
+def test_the_guard_knows_every_family_and_sees_every_spelling():
+    assert {"ChannelLaw", "PointMass", "MatrixGaussian", "KroneckerGaussian", "Interpolated",
+            "FiniteMixture", "EigDensity", "WishartDensity", "EmpiricalDensity",
+            "PointMassDensity"} <= CHANNEL_CLASSES
+    snippet = ("isinstance(law, PointMass)\n"
+               "isinstance(law, channels.MatrixGaussian)\n"
+               "isinstance(d, (int, EmpiricalDensity))\n"
+               "isinstance(x, (int, float))\n")
+    assert channel_class_tests(snippet, "x.py") == [
+        "x.py:1 PointMass", "x.py:2 MatrixGaussian", "x.py:3 EmpiricalDensity"]
+
+
+def test_no_module_but_channels_tests_a_law_or_density_class():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "channels.py":
+            found += channel_class_tests(path.read_text(encoding="utf-8"), path.name)
+    assert found == []

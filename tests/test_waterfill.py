@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,19 @@ class TestSpaceTimeWaterLevel:
     def test_point_mass_reduces_to_deterministic(self):
         d = channels.PointMassDensity([1.0], [1.0], m=1)
         assert np.isclose(waterfill.st_water_level(d, 1.0), 2.0)
+
+    def test_only_a_small_pool_warns(self):
+        law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.diag([1.5, 0.5]))
+        small = channels.empirical_density(law, 2000, np.random.default_rng(8))
+        with pytest.warns(UserWarning) as record:
+            waterfill.st_water_level(small, 1.0)
+        assert [str(w.message) for w in record] == [
+            "water-level solving on a pool of 2000 draws; 10^4 or more is recommended"]
+        big = channels.empirical_density(law, 10_000, np.random.default_rng(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for density in (RAYLEIGH_M2, channels.onoff_density(2, 0.4), big):
+                waterfill.st_water_level(density, 1.0)
 
     def test_rayleigh_m1_closed_equation(self):
         # The power integral for f(lam)=exp(-lam) evaluates to
@@ -395,6 +409,20 @@ class TestNaiveBaseline:
         assert np.isclose(waterfill.naive_avg_rate(d, budget), expect, atol=1e-12)
 
 
+    @pytest.mark.parametrize("density, message", [
+        (channels.PointMassDensity([0.0, 1.0, 2.0], [0.2, 0.3, 0.5], m=10,
+                                   independent_modes=True),
+         "mode enumeration too large; use a sampled law instead"),
+        (channels.PointMassDensity([0.5, 2.0], [0.3, 0.7], m=2),
+         "discrete density is not a fixed-multiset marginal; "
+         "set independent_modes or pass the channel law itself"),
+    ], ids=["enumeration-too-large", "not-a-multiset"])
+    def test_discrete_density_without_per_draw_rows_raises(self, density, message):
+        with pytest.raises(ValueError) as err:
+            waterfill.naive_avg_rate(density, 1.0)
+        assert str(err.value) == message
+
+
 class TestPapr:
     def test_point_mass_tight(self):
         d = channels.PointMassDensity([1.0], [1.0], m=1)
@@ -556,7 +584,7 @@ def _full_ladder_peak_limited_rate(density, budget, peak):
     if peak >= xi_unc:
         return xi_unc, waterfill.st_capacity(density, xi_unc)
     target = budget / density.m
-    has_pdf = isinstance(density, channels.WishartDensity)
+    has_pdf = density.exact_pdf
 
     def residual(xi):
         u = 1.0 / (xi - peak)
