@@ -38,7 +38,8 @@ from .covopt import (
     fixed_point_diag,
     iterate_general,
 )
-from .linalg import _bracketed_root, as_hermitian, as_psd, herm_eig, psd_sqrt, scaled_expn
+from .linalg import (_bracketed_root, _circular_gaussian, as_hermitian, as_psd, herm_eig,
+                     psd_sqrt, scaled_expn)
 from .montecarlo import (
     DEFAULT_SAMPLES_INNER,
     McEstimate,
@@ -97,11 +98,12 @@ def beamform_opt_mc(r_corr, t_corr, gamma: float,
     r = r_corr.shape[0]
     taus = np.sort(np.linalg.eigvalsh(t_corr))[::-1]
     tau1, tau2 = taus[0], taus[1]
-    gen = as_stream(rng).generator()
-    u = (gen.standard_normal((samples, r)) + 1j * gen.standard_normal((samples, r)))
-    u /= np.sqrt(2)
-    w1 = np.einsum("si,ij,sj->s", u.conj(), r_corr, u).real
-    w2 = np.einsum("si,ij,sj->s", u.conj(), r_corr @ r_corr, u).real
+    u = _circular_gaussian(as_stream(rng).generator(), (samples, r))
+    # u^H R u and u^H R^2 u as |V^H u|^2 rho and |V^H u|^2 rho^2, R = V diag(rho) V^H
+    rho, vecs = np.linalg.eigh(r_corr)
+    z = u @ vecs.conj()
+    z = z.real ** 2 + z.imag ** 2
+    w1, w2 = z @ rho, z @ rho ** 2
     est = McEstimate.of((w1 + gamma * tau2 * w2) / (1.0 + gamma * tau1 * w1))
     margin = float(est.mean - r * tau2 / tau1)
     return BeamformVerdict(margin > 0, margin, "monte-carlo", est.se)

@@ -27,7 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import as_complex_matrix, as_psd, chol_upper, herm_eig, psd_sqrt, scaled_expn
+from .linalg import (_circular_gaussian, as_complex_matrix, as_psd, chol_upper, herm_eig,
+                     psd_sqrt, scaled_expn)
 
 __all__ = [
     "ChannelLaw",
@@ -81,6 +82,10 @@ class ChannelLaw:
 
     def expected_gram(self) -> np.ndarray:
         raise NotImplementedError
+
+    def sample_projected(self, size: int, rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
+        """Draw ``size`` iid H P for a t x k matrix ``p``, returned as (size, r, k)."""
+        return sample_batch(self, size, rng) @ p
 
     def draw_rows(self, samples: int, rng: np.random.Generator) -> tuple:
         """Eigenvalue rows of H H^H and their weights: one row per atom of
@@ -206,16 +211,26 @@ class KroneckerGaussian(ChannelLaw):
         """R^1/2, or None at R = I (sampling skips it: same bits)."""
         return None if np.array_equal(self.rx_corr, np.eye(self.rx)) else psd_sqrt(self.rx_corr)
 
-    def sample_batch(self, size, rng):
-        r, t = self.shape
-        g = _circular_gaussian(rng, (size, r, t))
-        # Each factor is one 2-D product: T^1/2 on the stacked rows, R^1/2 (if
-        # any) on the stacked columns. Rebinding g keeps two arrays alive.
-        g = (g.reshape(-1, t) @ self._tx_sqrt).reshape(size, r, t)
+    def _draw(self, size, rng, right, mean):
+        """mean + R^1/2 G right for iid CN(0, 1) G of shape (size, r, k)."""
+        r, k = self.rx, right.shape[1]
+        g = _circular_gaussian(rng, (size, r, k))
+        # Each factor is one 2-D product: ``right`` on the stacked rows, R^1/2
+        # (if any) on the stacked columns. Rebinding g keeps two arrays alive.
+        g = (g.reshape(-1, k) @ right).reshape(size, r, k)
         if self._rx_sqrt is not None:
-            g = g.transpose(1, 0, 2).reshape(r, size * t)
-            g = (self._rx_sqrt @ g).reshape(r, size, t).transpose(1, 0, 2)
-        return np.add(g, self.mean, order="C")
+            g = g.transpose(1, 0, 2).reshape(r, size * k)
+            g = (self._rx_sqrt @ g).reshape(r, size, k).transpose(1, 0, 2)
+        return np.add(g, mean, order="C")
+
+    def sample_batch(self, size, rng):
+        return self._draw(size, rng, self._tx_sqrt, self.mean)
+
+    def sample_projected(self, size, rng, p):
+        """H P as M P + R^1/2 G_k (P^H T P)^1/2, G_k r x k iid: the rows of
+        G T^1/2 P are iid CN(0, P^H T P), so r k normals replace r t. A zero
+        column of P gives an exactly zero column."""
+        return self._draw(size, rng, psd_sqrt(p.conj().T @ self.tx_corr @ p), self.mean @ p)
 
     def expected_gram(self):
         return self.tx_corr * np.trace(self.rx_corr).real + self.mean.conj().T @ self.mean
@@ -308,15 +323,6 @@ class FiniteMixture(ChannelLaw):
 
     def expected_gram(self):
         return sum(w * (a.conj().T @ a) for w, a in zip(self.weights, self.atoms))
-
-
-def _circular_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    # Unit-variance circular complex entries: Re, Im iid N(0, 1/2).
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    z /= np.sqrt(2)
-    return z
 
 
 def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -40,7 +40,7 @@ from .channels import (
     wishart_density,
 )
 from .covopt import OptimizerOptions
-from .linalg import haar_unitary, herm_eig
+from .linalg import _circular_gaussian, haar_unitary, herm_eig
 from .montecarlo import SeededStream, ergodic_mi
 from .waterfill import InfeasibleError
 
@@ -124,7 +124,10 @@ def _load_descriptor(text: str) -> dict:
     if t.startswith("{"):
         return json.loads(t)
     with open(text, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        desc = json.load(fh)
+    if not isinstance(desc, dict):
+        raise ValueError("channel descriptor must be a JSON object")
+    return desc
 
 
 def _mode_count(desc: dict, key: str) -> int:
@@ -211,12 +214,11 @@ def cmd_waterfill(args) -> int:
     scale, unit = _rate_scale(args.unit)
     header = ["gamma", "xi", f"capacity_{unit}", "papr_exact", "papr_bound"]
     rows = []
-    for g in gammas:
+    for g, bound in zip(gammas, waterfill.papr_bound(density, gammas)):
         xi = waterfill.st_water_level(density, g)
         cap = waterfill.st_capacity(density, xi) * scale
         rows.append([float(g), float(xi), float(cap),
-                     float(waterfill.papr(xi, g, density.m)),
-                     float(waterfill.papr_bound(density, g))])
+                     float(waterfill.papr(xi, g, density.m)), float(bound)])
     _write_rows(args.out, header, rows, args.format)
     return 0
 
@@ -407,7 +409,7 @@ def _figure_table(fig: str, args):
         gen = stream.generator()
         rows = []
         for trial in range(3):
-            mu = (gen.standard_normal(n) + 1j * gen.standard_normal(n)) / np.sqrt(2)
+            mu = _circular_gaussian(gen, n)
             mean = np.outer(mu, mu.conj())
             mean *= np.sqrt(n) / np.linalg.norm(mean)
             law = KroneckerGaussian(mean, np.eye(n), t_corr)

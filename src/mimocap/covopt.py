@@ -464,7 +464,8 @@ def _general_direction(x: np.ndarray, vecs: np.ndarray, lam: np.ndarray) -> tupl
     the step is Delta = W D W^H with D Hermitian and tr D = 0, in the real
     coordinates of :func:`_herm_coords`: the gradient is tr(W^H M W B_a) and
     the curvature E[tr(Xw B_a Xw B_b)], Xw = W^H X W, the contraction of
-    E[vec(Xw) vec(Xw)^T] (one (N, t*t)^T (N, t*t) product). The step solves
+    E[vec(Xw) vec(Xw)^T] = K^T E[vec(X) vec(X)^T] K, K = conj(W) (x) W: one
+    (N, t*t)^T (N, t*t) product of the unrotated draws, rotated once. The step solves
     [[H, c], [c^T, 0]] [x; nu] = [grad; 0] on the coordinates it may move:
 
     * the powered block and the rotations of powered directions into off
@@ -486,10 +487,10 @@ def _general_direction(x: np.ndarray, vecs: np.ndarray, lam: np.ndarray) -> tupl
     mu = np.trace(act.conj().T @ m @ act).real / r
     w, e = np.linalg.eigh(off.conj().T @ m @ off)
     basis = np.hstack([act, off @ e])
-    xw = (x.reshape(-1, t) @ basis).reshape(-1, t, t)
-    xw = (xw.swapaxes(1, 2).reshape(-1, t) @ basis.conj()).reshape(-1, t, t)
-    vx = xw.swapaxes(1, 2).reshape(-1, t * t)
-    kk = np.moveaxis((vx.T @ vx / vx.shape[0]).reshape(t, t, t, t), 0, -1).reshape(t * t, t * t)
+    vx = x.reshape(-1, t * t)
+    kron = np.kron(basis.conj(), basis)
+    kk = kron.T @ (vx.T @ vx / vx.shape[0]) @ kron
+    kk = np.moveaxis(kk.reshape(t, t, t, t), 0, -1).reshape(t * t, t * t)
     coords, rows, cols = _herm_coords(t)
     g = basis.conj().T @ m @ basis
     hess = (coords.T @ kk @ coords).real

@@ -291,9 +291,19 @@ def scaled_expn(n, x):
     return out if out.ndim else float(out)
 
 
+def _circular_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """The package's one complex Gaussian draw: iid CN(0, 1) entries, the same bits as
+    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)``."""
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z /= np.sqrt(2)
+    return z
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary via phase-fixed QR of a Ginibre matrix."""
-    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    g = _circular_gaussian(rng, (n, n))
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))

@@ -7,7 +7,9 @@ Estimators split work into fixed-size batches keyed by batch index and
 accumulate in batch order, which makes every estimate bit-reproducible for a
 given (seed, sample count).
 Per-draw MIs are slogdet(I + S Q), except at rank Q = k <= 2 below full rank:
-there ln det(I_t + S Q) = ln det(I_k + P^H S P) over Q's factor P has a closed form.
+there ln det(I_t + S Q) = ln det(I_k + P^H S P) over Q's factor P has a closed form,
+and :func:`ergodic_mi` draws only Y = H P (``ChannelLaw.sample_projected``),
+r x 2 per draw; a Kronecker law draws it from r k normals in place of r t.
 """
 
 from __future__ import annotations
@@ -76,16 +78,17 @@ class McEstimate:
         return cls(mean, se, n)
 
 
-def _batched_values(fn, law, samples, stream):
-    """Evaluate fn on iid channel batches; returns the stacked value array."""
+def _batched_values(fn, law, samples, stream, p=None):
+    """Evaluate fn on iid batches of H (of H P given ``p``); the stacked value array."""
     if law.support is not None and law.support[1].size == 1:  # one exact value
-        return np.asarray(fn(law.support[0]))
+        return np.asarray(fn(law.support[0] if p is None else law.support[0] @ p))
     chunks = []
     n_done = 0
     b = 0
     while n_done < samples:
         size = min(BATCH, samples - n_done)
-        h = sample_batch(law, size, stream.child(b).generator())
+        gen = stream.child(b).generator()
+        h = sample_batch(law, size, gen) if p is None else law.sample_projected(size, gen, p)
         chunks.append(fn(h))
         n_done += size
         b += 1
@@ -144,11 +147,9 @@ def _log_dets(s: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _log1p_gram(np.diagonal(g, axis1=1, axis2=2).real, g[:, 0, 1])
 
 
-def _thin_log_dets(h: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-draw ``log det(I + gamma H^H H Q)`` for a (size, r, t) batch and Q's
-    :func:`_thin_factor` P, from the entries of gamma Y^H Y, Y = H P, without S."""
-    size, r, t = h.shape
-    y = (h.reshape(-1, t) @ p).reshape(size, r, 2)
+def _thin_log_dets(y: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-draw ``log det(I + gamma H^H H Q)`` for a (size, r, 2) batch of Y = H P,
+    P Q's :func:`_thin_factor`, from the entries of gamma Y^H Y, without S."""
     d = gamma * np.einsum("sri,sri->si", y.conj(), y).real
     return _log1p_gram(d, gamma * np.einsum("sr,sr->s", y[:, :, 0].conj(), y[:, :, 1]))
 
@@ -156,6 +157,10 @@ def _thin_log_dets(h: np.ndarray, p: np.ndarray, gamma: float) -> np.ndarray:
 def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_FINAL,
                rng: SeededStream | int = 0) -> McEstimate:
     """Ergodic mutual information E[log det(I + gamma H Q H^H)] in nats.
+
+    Where Q has rank k <= 2 below full rank (:func:`_thin_factor`), the draws
+    are of Y = H P (``law.sample_projected``), not of H: the same law, but a
+    Kronecker law draws it from other normals than ``sample_batch``.
 
     Parameters
     ----------
@@ -176,6 +181,6 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
         raise ValueError("transmit covariance must have trace <= 1")
     p = _thin_factor(q)
     draws = ((lambda h: np.linalg.slogdet(_eye_plus(_snr_gram(h, gamma), q))[1]) if p is None
-             else (lambda h: _thin_log_dets(h, p, gamma)))
-    return McEstimate.of(_batched_values(draws, law, samples, as_stream(rng)))
+             else (lambda y: _thin_log_dets(y, gamma)))
+    return McEstimate.of(_batched_values(draws, law, samples, as_stream(rng), p))
 

@@ -216,14 +216,14 @@ def papr(xi: float, budget: float, m: int) -> float:
     return m * xi / budget
 
 
-def papr_bound(density: EigDensity, budget: float) -> float:
-    """Upper bound 1 + (m/budget) E[1/lam], m = ``density.m``; inf if E[1/lam] diverges."""
+def papr_bound(density: EigDensity, budget):
+    """Upper bound 1 + (m/budget) E[1/lam], m = ``density.m``; inf if E[1/lam] diverges.
+    ``budget`` may be an array: one E[1/lam] query serves all of it."""
     # The tail query covers lam > 0 only, so mass at zero (an atom, or the
     # zero modes of a rank-deficient pool) is checked here; the Wishart
     # inverse moment is itself infinite for n = m.
-    if density.cdf(0.0) > 0:
-        return np.inf
-    return 1.0 + density.m / budget * density.tail_moments(0.0)[1]
+    inv = np.inf if density.cdf(0.0) > 0 else density.tail_moments(0.0)[1]
+    return 1.0 + density.m / np.asarray(budget, dtype=float) * inv
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,31 @@ class TestBeamformMc:
             analysis.beamform_opt_mc(r_corr, t_corr, 1.0, 20_000, 1)
 
 
+def _beamform_mc_oracle(r_corr, t_corr, gamma, samples, seed):
+    """Margin and SE of the beamforming test from three-operand quadratic forms."""
+    r = r_corr.shape[0]
+    taus = np.sort(np.linalg.eigvalsh(t_corr))[::-1]
+    gen = SeededStream(seed).generator()
+    u = (gen.standard_normal((samples, r)) + 1j * gen.standard_normal((samples, r))) / np.sqrt(2)
+    w1 = np.einsum("si,ij,sj->s", u.conj(), r_corr, u).real
+    w2 = np.einsum("si,ij,sj->s", u.conj(), r_corr @ r_corr, u).real
+    vals = (w1 + gamma * taus[1] * w2) / (1.0 + gamma * taus[0] * w1)
+    return vals.mean() - r * taus[1] / taus[0], vals.std(ddof=1) / np.sqrt(samples)
+
+
+@pytest.mark.parametrize("r_corr", [
+    np.diag([1.3, 0.7]),
+    np.array([[1.2, 0.3 - 0.4j], [0.3 + 0.4j, 0.8]]),
+    np.array([[1.0, 0.5j, 0.2], [-0.5j, 1.5, 0.1 - 0.3j], [0.2, 0.1 + 0.3j, 0.5]]),
+], ids=["diagonal", "hermitian-2x2", "hermitian-3x3"])
+def test_beamform_mc_eigenbasis_forms_match_the_quadratic_forms(r_corr):
+    t_corr = np.diag([1.4, 0.6])
+    v = analysis.beamform_opt_mc(r_corr, t_corr, 2.0, samples=50_000, rng=7)
+    margin, se = _beamform_mc_oracle(linalg.as_psd(r_corr), t_corr, 2.0, 50_000, 7)
+    assert abs(v.margin - margin) <= 1e-13 * abs(margin)
+    assert abs(v.se - se) <= 1e-13 * se
+
+
 class TestBeamformClosed:
     def test_agrees_with_mc_in_sign(self):
         rng = np.random.default_rng(3)

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from mimocap import channels, covopt, linalg, waterfill
+from mimocap import channels, covopt, linalg, montecarlo, waterfill
 from mimocap.montecarlo import SeededStream, ergodic_mi
 from test_montecarlo import expect_matrix
 
@@ -74,7 +74,7 @@ class TestSampling:
         mean = g.normal(size=(r, t)) + 1j * g.normal(size=(r, t))
         law = channels.KroneckerGaussian(mean, a @ a.conj().T, b @ b.conj().T)
         h = channels.sample_batch(law, 500, rng(9))
-        z = channels._circular_gaussian(rng(9), (500, r, t))
+        z = linalg._circular_gaussian(rng(9), (500, r, t))
         ref = mean + np.einsum("ij,sjk,kl->sil", linalg.psd_sqrt(law.rx_corr), z,
                                linalg.psd_sqrt(law.tx_corr))
         assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -86,12 +86,50 @@ class TestSampling:
         b = g.normal(size=(t, t)) + 1j * g.normal(size=(t, t))
         mean = g.normal(size=(r, t)) + 1j * g.normal(size=(r, t))
         law = channels.KroneckerGaussian(mean, np.eye(r), b @ b.conj().T)
-        z = channels._circular_gaussian(rng(14), (700, r, t))
+        z = linalg._circular_gaussian(rng(14), (700, r, t))
         z = (z.reshape(-1, t) @ linalg.psd_sqrt(law.tx_corr)).reshape(700, r, t)
         z = z.transpose(1, 0, 2).reshape(r, 700 * t)
         z = (linalg.psd_sqrt(np.eye(r)) @ z).reshape(r, 700, t)
         ref = np.add(z.transpose(1, 0, 2), mean, order="C")
         assert np.array_equal(channels.sample_batch(law, 700, rng(14)), ref)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("rx", ["identity", "correlated"])
+    def test_kronecker_projected_draws_have_the_moments_of_h_p(self, rx, rank):
+        # Y = M P + R^1/2 G_k (P^H T P)^1/2: E[Y] = M P, E[Y^H Y] = P^H (M^H M + tr R T) P
+        r, t, n = 3, 4, 200_000
+        g = rng(15)
+        a = g.normal(size=(r, r)) + 1j * g.normal(size=(r, r))
+        b = g.normal(size=(t, t)) + 1j * g.normal(size=(t, t))
+        mean = g.normal(size=(r, t)) + 1j * g.normal(size=(r, t))
+        law = channels.KroneckerGaussian(mean, np.eye(r) if rx == "identity" else a @ a.conj().T,
+                                         b @ b.conj().T / t)
+        lam = np.zeros(t)
+        lam[:rank] = 1.0 / rank
+        p = montecarlo._thin_factor(covopt._covariance(linalg.haar_unitary(t, rng(16)), lam))
+        y = law.sample_projected(n, rng(17), p)
+        assert y.shape == (n, r, 2)
+        if rank == 1:  # the padded column of P stays exactly zero
+            assert not y[:, :, 1].any()
+        gram = np.einsum("sri,srj->sij", y.conj(), y)
+        ref_gram = p.conj().T @ (mean.conj().T @ mean
+                                 + np.trace(law.rx_corr).real * law.tx_corr) @ p
+        for draws, ref in ((y, mean @ p), (gram, ref_gram)):
+            for part in (np.real, np.imag):
+                v = part(draws)
+                se = v.std(axis=0, ddof=1) / np.sqrt(n)
+                assert np.all(np.abs(v.mean(axis=0) - part(ref)) <= 4 * se + 1e-12)
+
+    @pytest.mark.parametrize("law", [
+        channels.MatrixGaussian(np.ones((2, 3)), np.diag(np.linspace(0.5, 1.5, 6))),
+        channels.Interpolated(0.4, np.arange(6.0).reshape(2, 3), np.diag([1.0, 0.5, 2.0])),
+        channels.FiniteMixture([0.3, 0.7], [np.ones((2, 3)), np.eye(2, 3)]),
+        channels.PointMass(np.arange(6.0).reshape(2, 3)),
+    ], ids=["matrix-gaussian", "interpolated", "mixture", "point"])
+    def test_projected_draws_of_other_laws_are_sample_batch_times_p(self, law):
+        p = rng(18).normal(size=(3, 2)) + 1j * rng(19).normal(size=(3, 2))
+        assert np.array_equal(law.sample_projected(300, rng(20), p),
+                              channels.sample_batch(law, 300, rng(20)) @ p)
 
     @pytest.mark.parametrize("r,t", [(2, 2), (3, 4), (4, 2)])
     def test_interpolated_product_matches_einsum(self, r, t):
@@ -100,7 +138,7 @@ class TestSampling:
         m0 = g.normal(size=(r, t)) + 1j * g.normal(size=(r, t))
         law = channels.Interpolated(0.3, m0, b @ b.conj().T)
         h = channels.sample_batch(law, 500, rng(11))
-        z = channels._circular_gaussian(rng(11), (500, r, t))
+        z = linalg._circular_gaussian(rng(11), (500, r, t))
         ref = 0.3 * m0 + 0.7 * np.einsum("sij,jk->sik", z, linalg.psd_sqrt(law.noise_cov))
         assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
 

@@ -128,6 +128,14 @@ class TestWaterfillCommand:
         assert main(["waterfill", "--channel", desc, "--snr", "1"]) == 2
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"', "null"],
+                             ids=["array", "number", "string", "null"])
+    def test_descriptor_file_that_is_no_object_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "desc.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["waterfill", "--channel", str(path), "--snr", "1"]) == 2
+        assert "channel descriptor must be a JSON object" in capsys.readouterr().err
+
 
 class TestOptimizeCommand:
     def test_point_mass_golden_mi(self, tmp_path):
@@ -563,6 +571,26 @@ def test_csv_tables_keep_the_cell_by_cell_bytes(argv, tmp_path, monkeypatch):
     data = Path(path).read_bytes()
     assert data == _csv_reference(header, rows).encode()
     assert b"np." not in data
+
+
+@pytest.mark.parametrize("desc", [
+    '{"type":"wishart","m":2,"n":2}', '{"type":"onoff","m":2,"p":0.4}', KRONECKER_2x2_JSON,
+], ids=["wishart-2x2", "onoff", "pooled-kronecker"])
+def test_waterfill_sweep_bounds_papr_once_with_the_per_point_bytes(desc, tmp_path, monkeypatch):
+    argv = ["waterfill", "--channel", desc, "--snr-db=-10:30:4"]
+    swept, per_point = tmp_path / "swept.csv", tmp_path / "per_point.csv"
+    assert main(argv + ["--out", str(swept)]) == 0
+    bound = mimocap.waterfill.papr_bound
+    calls = []
+
+    def one_point_at_a_time(density, budgets):
+        calls.append(np.size(budgets))
+        return [bound(density, float(b)) for b in budgets]
+
+    monkeypatch.setattr(mimocap.waterfill, "papr_bound", one_point_at_a_time)
+    assert main(argv + ["--out", str(per_point)]) == 0
+    assert calls == [11]
+    assert swept.read_bytes() == per_point.read_bytes()
 
 
 def test_csv_cells_are_shortest_round_trip_floats_and_ints(tmp_path):

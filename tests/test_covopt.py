@@ -393,6 +393,64 @@ class TestGeneralNewton:
         assert res.iterations <= 8
 
 
+def _general_direction_oracle(x, vecs, lam):
+    """The Newton step of ``covopt._general_direction`` with its curvature
+    E[vec(Xw) vec(Xw)^T] formed from every per-draw Xw = W^H X W."""
+    t = x.shape[1]
+    on = lam > 0
+    r = int(on.sum())
+    m = x.mean(axis=0)
+    act, off = vecs[:, on], vecs[:, ~on]
+    mu = np.trace(act.conj().T @ m @ act).real / r
+    w, e = np.linalg.eigh(off.conj().T @ m @ off)
+    basis = np.hstack([act, off @ e])
+    xw = np.einsum("ai,sab,bj->sij", basis.conj(), x, basis)
+    vx = xw.reshape(-1, t * t)
+    kk = np.moveaxis((vx.T @ vx / vx.shape[0]).reshape(t, t, t, t), 0, -1).reshape(t * t, t * t)
+    coords, rows, cols = covopt._herm_coords(t)
+    hess = (coords.T @ kk @ coords).real
+    hess = 0.5 * (hess + hess.T)
+    grad = (coords.T @ (basis.conj().T @ m @ basis).T.ravel()).real
+    gain = np.concatenate([np.zeros(r), mu - w])
+    rot = (rows < r) & (cols >= r)
+    hess[rot, rot] += 2.0 * np.maximum(gain[cols[rot]], 0.0) / lam[on][rows[rot]]
+    freed = gain < 0
+    while True:
+        idx = np.flatnonzero((freed[rows] & freed[cols]) | rot | ((rows < r) & (cols < r)))
+        diag = idx[idx < t]
+        kkt = np.zeros((idx.size + 1, idx.size + 1))
+        kkt[:-1, :-1] = hess[np.ix_(idx, idx)]
+        kkt[:diag.size, -1] = kkt[-1, :diag.size] = 1.0
+        step = np.zeros(t * t)
+        step[idx] = np.linalg.lstsq(kkt, np.append(grad[idx], 0.0), rcond=None)[0][:-1]
+        d = (coords @ step).reshape(t, t)
+        fb = np.flatnonzero(freed)
+        if fb.size == 0 or np.linalg.eigvalsh(d[np.ix_(fb, fb)])[0] >= -1e-12:
+            return basis, d, r, fb
+        freed[fb[np.argmin(np.diag(d)[fb].real)]] = False
+
+
+@pytest.mark.parametrize("lam, rotated", [
+    ([0.4, 0.3, 0.2, 0.1], True),
+    ([0.0, 0.0, 0.0, 1.0], False),
+    ([0.0, 0.6, 0.4, 0.0], True),
+], ids=["full-rank", "rank-one", "rank-two"])
+def test_general_direction_matches_the_rotated_draw_oracle(lam, rotated):
+    mean = np.zeros((4, 4), dtype=complex)
+    mean[0, 0] = 4.0
+    law = channels.KroneckerGaussian(mean, np.diag([1.3, 1.0, 0.9, 0.8]),
+                                     0.5 * np.ones((4, 4)) + 0.5 * np.eye(4))
+    pool = covopt._s_pool(law, 1.0, None, 5_000, SeededStream(3))
+    lam = np.asarray(lam)
+    vecs = linalg.haar_unitary(4, np.random.default_rng(2)) if rotated else np.eye(4, dtype=complex)
+    x = covopt._resolvent_gradient(pool, covopt._covariance(vecs, lam))
+    basis, d, r, fb = covopt._general_direction(x, vecs, lam)
+    ref_basis, ref_d, ref_r, ref_fb = _general_direction_oracle(x, vecs, lam)
+    assert np.array_equal(basis, ref_basis) and r == ref_r and np.array_equal(fb, ref_fb)
+    assert (fb.size > 0) == (r < 4)  # the rank-deficient cases free off directions
+    assert np.abs(d - ref_d).max() <= 1e-13 * np.abs(ref_d).max()
+
+
 class TestAgreementAcrossOptimizers:
     def test_point_mass_reduces_to_waterfilling(self):
         sol = waterfill.waterfill_det([2.0, 1.0], 1.0)

@@ -58,3 +58,29 @@ def test_no_module_but_channels_tests_a_law_or_density_class():
         if path.name != "channels.py":
             found += channel_class_tests(path.read_text(encoding="utf-8"), path.name)
     assert found == []
+
+
+def standard_normal_calls(source: str, filename: str) -> list:
+    """``file:line function`` for each ``.standard_normal`` attribute, with the
+    innermost function it sits in."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "standard_normal":
+            found.append(f"{filename}:{node.lineno} {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source, filename), "<module>")
+    return found
+
+
+def test_one_complex_gaussian_draw_in_the_package():
+    # every normal the package draws comes through linalg._circular_gaussian
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += standard_normal_calls(path.read_text(encoding="utf-8"), path.name)
+    assert [f.split(" ")[1] for f in found] == ["_circular_gaussian"] * 2
+    assert all(f.startswith("linalg.py:") for f in found)

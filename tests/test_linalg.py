@@ -209,3 +209,12 @@ def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(5)
     u = linalg.haar_unitary(4, rng)
     assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
+
+
+def test_circular_gaussian_is_the_complex_normal_expression():
+    shape = (300, 3, 2)
+    a = linalg._circular_gaussian(np.random.default_rng(4), shape)
+    gen = np.random.default_rng(4)
+    b = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2)
+    assert a.dtype == np.complex128 and a.shape == shape
+    assert np.array_equal(a.view(float), b.view(float))

@@ -10,6 +10,8 @@ RAYLEIGH_1x1 = channels.KroneckerGaussian(np.zeros((1, 1)), np.eye(1), np.eye(1)
 RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
 RICEAN_4x4 = channels.KroneckerGaussian(np.diag([4.0, 0, 0, 0]), np.eye(4),
                                         0.5 * np.ones((4, 4)) + 0.5 * np.eye(4))
+#: the same law as RICEAN_4x4, by the rt x rt covariance T (x) I of its stacked columns
+RICEAN_4x4_VEC = channels.MatrixGaussian(RICEAN_4x4.mean, np.kron(RICEAN_4x4.tx_corr, np.eye(4)))
 
 
 def log_det_plus(s, q) -> float:
@@ -81,16 +83,33 @@ class TestErgodicMi:
         ref = ergodic_mi(clean, RICEAN_4x4, 1.0, samples=5_000, rng=2)
         assert abs(est.mean - ref.mean) <= 1e-13 * ref.mean
 
-    @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_low_rank_matches_the_full_gram_path(self, rank):
+    @staticmethod
+    def _low_rank_and_full_gram_mis(law, rank, samples):
         vecs = linalg.haar_unitary(4, np.random.default_rng(rank))
         lam = np.zeros(4)
         lam[:rank] = np.arange(rank, 0, -1) / (rank * (rank + 1) / 2)
         q = covopt._covariance(vecs, lam)
-        new = ergodic_mi(q, RICEAN_4x4, 1.0, samples=20_000, rng=6)
+        new = ergodic_mi(q, law, 1.0, samples=samples, rng=6)
         old = McEstimate.of(_batched_values(
             lambda h: np.linalg.slogdet(_eye_plus(_snr_gram(h, 1.0), q))[1],
-            RICEAN_4x4, 20_000, as_stream(6)))
+            law, samples, as_stream(6)))
+        return new, old
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_low_rank_matches_the_full_gram_path(self, rank):
+        if rank == 3:  # full-Gram path itself: the same draws
+            new, old = self._low_rank_and_full_gram_mis(RICEAN_4x4, rank, 20_000)
+            assert abs(new.mean - old.mean) <= 1e-12 * old.mean
+            assert abs(new.se - old.se) <= 1e-12 * old.se
+            return
+        # at rank <= 2 a Kronecker law draws H P from its own normals
+        new, old = self._low_rank_and_full_gram_mis(RICEAN_4x4, rank, 200_000)
+        assert abs(new.mean - old.mean) <= 4 * np.hypot(new.se, old.se)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_low_rank_matches_the_full_gram_path_on_the_same_draws(self, rank):
+        # RICEAN_4x4 as a vec-covariance law: H P is sample_batch(...) @ P
+        new, old = self._low_rank_and_full_gram_mis(RICEAN_4x4_VEC, rank, 20_000)
         assert abs(new.mean - old.mean) <= 1e-12 * old.mean
         assert abs(new.se - old.se) <= 1e-12 * old.se
 

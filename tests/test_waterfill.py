@@ -451,6 +451,20 @@ class TestPapr:
         assert np.isfinite(bound)
         assert np.isclose(bound, 1.0 + 2 * oracle, rtol=1e-6)
 
+    @pytest.mark.parametrize("d", [channels.wishart_density(2, 4), RAYLEIGH_M2,
+                                   channels.onoff_density(2, 0.4)],
+                             ids=["wishart-2x4", "wishart-2x2", "onoff"])
+    def test_array_of_budgets_is_the_per_budget_bounds(self, d, monkeypatch):
+        budgets = np.logspace(-1, 3, 11)
+        ref = [waterfill.papr_bound(d, float(b)) for b in budgets]
+        queries = []
+        for name in ("cdf", "tail_moments"):
+            query = getattr(type(d), name)
+            monkeypatch.setattr(type(d), name,
+                                lambda *a, q=query, n=name: queries.append(n) or q(*a))
+        assert np.array_equal(waterfill.papr_bound(d, budgets), ref)
+        assert queries.count("cdf") == 1 and queries.count("tail_moments") <= 1
+
 
 class TestPowerDensity:
     def test_point_mass_above_threshold(self):
