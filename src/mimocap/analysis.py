@@ -322,7 +322,8 @@ def interp_study(m0, noise_cov, kappa_grid, gamma: float,
     For each kappa runs the general optimizer on H = kappa*M0 + (1-kappa)*X
     and records the eigen-structure of the optimum plus the angle between its
     top eigenvector and that of E[H^H H] (they differ: the optimum is not a
-    straight interpolation of the mean and noise axes).
+    straight interpolation of the mean and noise axes). The powers are the
+    solver's own (``qhat``), largest first: an off direction reads 0.0.
     """
     m0 = np.asarray(m0, dtype=complex)
     base = _as_opts(opts)
@@ -332,8 +333,8 @@ def interp_study(m0, noise_cov, kappa_grid, gamma: float,
                            else Interpolated(float(kappa), m0, noise_cov))
         res = iterate_general(law, gamma,
                               dataclasses.replace(base, seed=base.seed + 7919 * i))
-        u, lam = herm_eig(res.q)
+        u, _ = herm_eig(res.q)
         gu, _ = herm_eig(expected_gram(law))
-        out.append(InterpPoint(float(kappa), res, u, lam,
+        out.append(InterpPoint(float(kappa), res, u, np.sort(res.qhat)[::-1],
                                _principal_angle(u[:, 0], gu[:, 0])))
     return out

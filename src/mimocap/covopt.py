@@ -1,36 +1,25 @@
 """Capacity-achieving transmit covariance under statistical channel knowledge.
 
-Two optimizers:
+With X = (I + S Q)^-1 S per draw, S = gamma H^H H, the optimal covariance has
+E[X] = mu on the range of Q and E[X] <= mu off it. Both optimizers reach that
+condition by one Newton face (``_solve``) on frozen pools, in one of two
+coordinate sets:
 
-* ``fixed_point_diag``: when a basis U diagonalizing the optimal covariance
-  is known a priori (e.g. zero-mean Kronecker laws), the problem reduces to a
-  power vector q on the simplex. With X = (I + S Q)^-1 S per draw, the
-  stationarity condition is d_k = E[X_kk] = mu on active modes and d_k <= mu
-  on off modes. It is solved by active-set Newton steps: d is the gradient of
-  the MI in q and E[|X_kl|^2] its negated Hessian, both read off the same
-  per-draw solve, and off modes are set exactly to zero.
+* ``iterate_general``: all Hermitian coordinates of a step W D W^H in the
+  eigenbasis of Q, with gradient E[X] and curvature E[tr(X D X D)];
+* ``fixed_point_diag``: only the diagonal units in a basis U known to
+  diagonalize the optimum (T's eigenvectors on zero-mean Kronecker laws), so
+  only the powers q move, with gradient E[X_kk] and curvature E[|X_kl|^2].
 
-* ``iterate_general``: no structural assumptions. The same condition holds
-  for Hermitian Q: E[X] = mu on the range of Q and E[X] <= mu off it. It is
-  solved by projected Newton steps on trace-one PSD matrices in the current
-  eigenbasis of Q, with gradient E[X] and curvature E[tr(X D X D)] from the
-  same per-draw solve; eigenvalues that reach zero are set exactly to zero.
-  The paper's own solver, the damped Cholesky-factor map T <- T (M + M^H)
-  with M = E[(I + S T^H T)^-1 S], survives only as the subject of figures 9
-  and 10 (``_cholesky_map_trace``).
-
-Both are judged by one stationarity residual on Q (``_residual``): in the
-eigenbasis of Q, the powered rows of E[X] must equal mu I and the largest
-eigenvalue of E[X] on the off space must not exceed mu.
-
-Both run in one epoch loop (``_epoch_loop``) on common random numbers: each
-solver gives it only its face, the residual and Newton step on a pool. Within
-an epoch the pool is frozen, so the stochastic fixed point is a deterministic
-one per pool; an epoch ends when a step settles or after ``INNER_MAX`` steps,
-and the next pool first serves as the fresh-pool check. Zero-mean Kronecker
-laws with R = c I, t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``):
-both solvers step in T's eigenbasis on the closed-form MI and its gradient,
-and report that MI with SE 0.
+Each step is cut at the PSD boundary, where a power reaching zero is set to
+exactly zero, and backtracked on the pool MI. The next epoch's pool first
+checks the stationarity residual (``_residual``): in the eigenbasis of Q, the
+powered rows of E[X] must equal mu I and the largest eigenvalue of E[X] on
+the off space must not exceed mu. Zero-mean Kronecker laws with R = c I,
+t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``): both solvers step
+in T's eigenbasis on the closed-form MI and report it with SE 0. The paper's
+damped Cholesky-factor map T <- T (M + M^H), M = E[(I + S T^H T)^-1 S],
+survives only as the subject of figures 9 and 10 (``_cholesky_map_trace``).
 """
 
 from __future__ import annotations
@@ -102,6 +91,7 @@ class CovOptResult:
 
     ``mi_trace`` and ``residual_trace`` are per-iteration values measured on
     the current sample pool; ``kkt_residual`` is the final fresh-pool check.
+    ``qhat`` holds the solver's powers: over the given basis, or Q's eigenvalues.
     """
 
     q: np.ndarray
@@ -165,103 +155,61 @@ def _q_residual(m: np.ndarray, q: np.ndarray) -> float:
     return _residual(vecs.conj().T @ m @ vecs, lam > MODE_OFF)
 
 
-def _epoch_loop(law: ChannelLaw, gamma: float, opts: OptimizerOptions, face, point,
-                finish, stop_when_settled: bool = False) -> CovOptResult:
-    """Newton steps on frozen pools, epoch by epoch, for both solvers.
-
-    ``face(stream)`` draws one epoch's pool from ``stream`` (none on a law
-    with a closed form) and returns ``(mi_of, at)``: ``mi_of(point)`` is the
-    pool MI of an iterate, and ``at(point)`` its stationarity residual and
-    its Newton step ``step(mi, still) -> (new point, pool MI, settled)``.
-    An epoch ends when a step settles (moves nothing by more than ``still``)
-    or after ``INNER_MAX`` steps; the next pool first serves as the
-    fresh-pool check, and the run is ``converged`` when the residual on it
-    is at most ``tol``. ``finish(point)`` gives the covariance and ``qhat``.
-    """
-    stream = as_stream(opts.seed)
-    still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)  # 1e-7: exact MI round-off
-    trace, res_trace = [], []
-    iters = epoch = 0
-    converged = settled = False
-    mi_of, at = face(stream.child(0))
-    residual, step = at(point)
-    while iters < opts.max_iter and not converged:
-        mi = mi_of(point)
-        for _ in range(INNER_MAX):
-            if iters >= opts.max_iter:
-                break
-            res_trace.append(residual)
-            point, mi, settled = step(mi, still)
-            trace.append(mi)
-            iters += 1
-            if settled:
-                break
-            residual, step = at(point)
-        # the fresh check pool becomes the next epoch's solving pool
-        epoch += 1
-        mi_of, at = face(stream.child(epoch))
-        residual, step = at(point)
-        # a settled step is no evidence of stationarity: ``stop_when_settled``
-        # goes once ``converged`` is judged by a gap in nats (ROADMAP direction 1)
-        converged = bool(residual <= opts.tol or (stop_when_settled and settled))
-
-    q, qhat = finish(point)
-    if not np.all(np.isfinite(q)):
-        raise FloatingPointError("Newton step produced non-finite entries")
-    mi = (McEstimate(law.exact_mi(q, gamma)[0], 0.0, 1) if law.exact
-          else ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983)))
-    return CovOptResult(
-        q=q, mi=mi, kkt_residual=float(residual),
-        mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
-        iterations=iters, converged=converged, qhat=qhat)
-
-
 # ---------------------------------------------------------------------------
-# diagonalizable case
+# one Newton face, on all Hermitian coordinates or on the diagonal in a basis
 # ---------------------------------------------------------------------------
 
-def _diag_moments(s_pool: np.ndarray, qvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and curvature of the pool MI in the powers ``qvec``.
+def _objective(law: ChannelLaw, gamma: float, basis, samples: int,
+               stream: SeededStream) -> tuple:
+    """The MI and its moments on one fresh pool, or exact on a law with a closed form.
 
-    With X = (I + S Qhat)^-1 S per draw (Hermitian), d_k = E[X_kk] is
-    dMI/dq_k and h_kl = E[|X_kl|^2] is -d2MI/(dq_k dq_l).
+    Returns ``(mi_of, moments)``: ``mi_of(Q)`` is the MI of a covariance in
+    the coordinates of ``basis`` (if given), and ``moments(vecs, lam)`` gives
+    E[X] at Q = vecs diag(lam) vecs^H and ``curv(W, coords)``, the curvature
+    E[tr(X B_a X B_b)] of a step W D W^H over the ``coords`` of
+    :func:`_herm_coords`, formed only when called. With a basis only the
+    powers move, so E[X] is cut to its real diagonal. The exact objective
+    needs a basis; its curvature is the central difference of the exact
+    gradient over 10^-4 of each power (at least 10^-4 / t; one-sided at 0).
     """
-    x = _resolvent_gradient(s_pool, np.diag(qvec))
-    d = np.mean(np.diagonal(x, axis1=1, axis2=2).real, axis=0)
-    h = np.mean(x.real ** 2 + x.imag ** 2, axis=0)
-    return d, h
-
-
-def _exact_d(law: ChannelLaw, gamma: float, basis: np.ndarray, qvec) -> np.ndarray:
-    """diag(U^H G U), G the exact gradient in Q = U diag(qvec) U^H."""
-    g = law.exact_mi((basis * qvec) @ basis.conj().T, gamma)[1]
-    return np.einsum("ij,ik,kj->j", basis.conj(), g, basis).real
-
-
-def _exact_moments(law: ChannelLaw, gamma: float, basis: np.ndarray, qvec) -> tuple:
-    """:func:`_diag_moments` from :func:`_exact_d` and its central difference
-    over 10^-4 q_k (at least 10^-4 / t; one-sided at 0)."""
-    h = np.empty((qvec.size, qvec.size))
-    for k, qk in enumerate(qvec):
-        lo, hi = qvec.copy(), qvec.copy()
-        step = 1e-4 * max(qk, 1.0 / qvec.size)
-        lo[k], hi[k] = max(qk - step, 0.0), qk + step
-        h[:, k] = _exact_d(law, gamma, basis, lo) - _exact_d(law, gamma, basis, hi)
-        h[:, k] /= hi[k] - lo[k]
-    return _exact_d(law, gamma, basis, qvec), 0.5 * (h + h.T)
-
-
-def _powers_objective(law: ChannelLaw, gamma: float, basis: np.ndarray, samples: int,
-                      stream: SeededStream) -> tuple:
-    """Moments of powers over ``basis`` and the MI of a covariance in it: exact
-    on a law with a closed form, else on a fresh pool."""
-    if np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
+    if basis is not None and np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
         raise ValueError("diagonalizing basis must be unitary")
     if law.exact:
-        return (lambda qv: _exact_moments(law, gamma, basis, qv),
-                lambda qm: law.exact_mi(basis @ qm @ basis.conj().T, gamma)[0])
+        def grad(lam):
+            g = law.exact_mi((basis * lam) @ basis.conj().T, gamma)[1]
+            return np.einsum("ij,ik,kj->j", basis.conj(), g, basis).real
+
+        def exact_moments(vecs, lam):
+            def curv(w, coords):
+                h = np.empty((lam.size, lam.size))
+                for k, qk in enumerate(lam):
+                    lo, hi = lam.copy(), lam.copy()
+                    step = 1e-4 * max(qk, 1.0 / lam.size)
+                    lo[k], hi[k] = max(qk - step, 0.0), qk + step
+                    h[:, k] = (grad(lo) - grad(hi)) / (hi[k] - lo[k])
+                return h
+
+            return np.diag(grad(lam)), curv
+
+        return (lambda q: law.exact_mi(basis @ q @ basis.conj().T, gamma)[0]), exact_moments
     pool = _s_pool(law, gamma, basis, samples, stream)
-    return (lambda qv: _diag_moments(pool, qv)), (lambda qm: _pool_mi(pool, qm)[0])
+
+    def moments(vecs, lam):
+        x = _resolvent_gradient(pool, _covariance(vecs, lam))
+        m = x.mean(axis=0)
+
+        def curv(w, coords):
+            # E[vec Xw vec Xw^T] = K^T E[vec X vec X^T] K, Xw = W^H X W, K = conj(W) (x) W
+            t = w.shape[0]
+            vx = x.reshape(-1, t * t)
+            kron = np.kron(w.conj(), w)
+            kk = kron.T @ (vx.T @ vx / vx.shape[0]) @ kron
+            kk = np.moveaxis(kk.reshape(t, t, t, t), 0, -1).reshape(t * t, t * t)
+            return (coords.T @ kk @ coords).real
+
+        return (m if basis is None else np.diag(np.diag(m).real)), curv
+
+    return (lambda q: _pool_mi(pool, q)[0]), moments
 
 
 def kkt_residual_diag(qvec, law: ChannelLaw, gamma: float, basis,
@@ -278,161 +226,8 @@ def kkt_residual_diag(qvec, law: ChannelLaw, gamma: float, basis,
     if np.any(qvec < 0) or abs(qvec.sum() - 1.0) > 1e-9:
         raise ValueError("powers must be non-negative and sum to 1")
     basis = np.eye(qvec.size) if basis is None else np.asarray(basis, dtype=complex)
-    moments = _powers_objective(law, gamma, basis, samples, as_stream(rng))[0]
-    d = _exact_d(law, gamma, basis, qvec) if law.exact else moments(qvec)[0]
-    return _residual(np.diag(d), qvec > MODE_OFF)
-
-
-def _newton_direction(d: np.ndarray, h: np.ndarray, qvec: np.ndarray) -> np.ndarray:
-    """Newton step of the pool MI on the face of the simplex it may move in.
-
-    The free modes are the powered ones and the off modes whose gradient d_k
-    exceeds the powered modes' mean. On them the step solves the bordered
-    system [[H, 1], [1^T, 0]] [step; nu] = [d; 0], the Newton step under
-    sum(q) = 1; an off mode the step would drive negative is fixed at zero
-    and the system solved again.
-    """
-    on = qvec > 0
-    free = on | (d > d[on].mean())
-    while True:
-        idx = np.flatnonzero(free)
-        k = idx.size
-        kkt = np.ones((k + 1, k + 1))
-        kkt[:k, :k] = h[np.ix_(idx, idx)]
-        kkt[k, k] = 0.0
-        sol = np.linalg.lstsq(kkt, np.append(d[idx], 0.0), rcond=None)[0]
-        step = np.zeros_like(qvec)
-        step[idx] = sol[:k]
-        blocked = ~on & (step < 0)
-        if not np.any(blocked):
-            return step
-        free &= ~blocked
-
-
-def _backtrack(mi_of, point, ratio: float, size: float,
-               mi: float, still: float) -> tuple:
-    """Longest part of a Newton step that does not lower the MI ``mi_of(Q)``.
-
-    ``point(alpha, boundary)`` returns the iterate ``alpha`` along the step
-    and its covariance; ``boundary`` is set when alpha is ``ratio``, where
-    the step leaves the feasible set. The step is cut at ``ratio``, then
-    halved while the MI (``mi`` at the current iterate) falls. Returns
-    the new iterate and its pool MI, or None and ``mi`` once the step
-    (largest entry ``size``) has shrunk to ``still``. A full step no longer
-    than ``still`` is taken unchecked and keeps ``mi``: it raises the MI by
-    its quadratic term, below what the pool resolves.
-    """
-    alpha = min(1.0, ratio)
-    if alpha == 1.0 and size <= still:
-        return point(1.0, False)[0], mi
-    while True:
-        cand, q = point(alpha, alpha == ratio)
-        mi_cand = mi_of(q)
-        if mi_cand >= mi:
-            return cand, mi_cand
-        alpha /= 2.0
-        if alpha * size <= still:
-            return None, mi
-
-
-def _newton_update(mi_of, qvec: np.ndarray, step: np.ndarray,
-                   mi: float, still: float) -> tuple[np.ndarray, float]:
-    """:func:`_backtrack` on the simplex: the step is cut at the first mode
-    it would drive negative, and that mode is set to exactly zero. Returns
-    the new powers and their MI, or ``qvec`` and ``mi``."""
-    neg = step < 0
-    ratio = np.full(qvec.shape, np.inf)
-    ratio[neg] = qvec[neg] / -step[neg]
-    block = int(np.argmin(ratio))
-
-    def point(alpha, boundary):
-        cand = qvec + alpha * step
-        if boundary:
-            cand[block] = 0.0
-        cand = np.maximum(cand, 0.0)
-        cand /= cand.sum()
-        return cand, np.diag(cand)
-
-    new, mi = _backtrack(mi_of, point, ratio[block], np.abs(step).max(), mi, still)
-    return (qvec if new is None else new), mi
-
-
-def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
-                     opts: OptimizerOptions | dict | None = None) -> CovOptResult:
-    """Optimal power allocation over a known basis by active-set Newton steps.
-
-    Starting from uniform powers, each iteration takes one projected Newton
-    step of the MI on the simplex, with the gradient and curvature of
-    ``_diag_moments`` on the frozen pool, cut at the simplex boundary (so off
-    modes come out exactly zero) and backtracked on the pool MI, which is the
-    ``mi_trace`` entry. Pools and stopping are :func:`_epoch_loop`'s: a
-    pool is left once a step moves no power by more than ``tol / 100``, and
-    the run is ``converged`` when the stationarity residual on the next,
-    fresh pool is at most ``tol``. On a law with a closed form the steps use
-    the exact MI, gradient and curvature (:func:`_exact_moments`) in place
-    of pools: one epoch, as on a point mass, and the reported MI is exact
-    with SE 0.
-    """
-    opts = _as_opts(opts)
-    basis = np.eye(law.tx) if basis is None else np.asarray(basis, dtype=complex)
-
-    def face(stream):
-        moments, mi_of = _powers_objective(law, gamma, basis, opts.samples, stream)
-
-        def at(qvec):
-            d, h = moments(qvec)
-
-            def step(mi, still):
-                new, mi = _newton_update(mi_of, qvec, _newton_direction(d, h, qvec), mi, still)
-                settled = np.abs(new - qvec).max() <= still and np.array_equal(new > 0, qvec > 0)
-                return new, mi, settled
-
-            return _residual(np.diag(d), qvec > MODE_OFF), step
-
-        return (lambda qvec: mi_of(np.diag(qvec))), at
-
-    return _epoch_loop(law, gamma, opts, face, np.full(law.tx, 1.0 / law.tx),
-                       lambda qvec: (_covariance(basis, qvec), qvec))
-
-
-# ---------------------------------------------------------------------------
-# general case
-# ---------------------------------------------------------------------------
-
-def _phase_fix_rows(t: np.ndarray) -> np.ndarray:
-    """Left-multiply by a diagonal unitary so the diagonal is real >= 0.
-
-    This is a pure gauge change: (P T)^H (P T) = T^H T, so the covariance is
-    untouched while the factor regains Cholesky normal form.
-    """
-    d = np.diag(t).copy()
-    phase = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1)), 1.0)
-    out = (t.T * np.conj(phase)).T
-    # The rotation leaves ~1 ulp of imaginary residue on the diagonal.
-    np.fill_diagonal(out, np.abs(np.diag(out)))
-    return out
-
-
-def _normalize_ut(t: np.ndarray) -> np.ndarray:
-    t = np.triu(t)
-    scale = np.sqrt(np.sum(np.abs(t) ** 2))
-    if scale == 0:
-        raise FloatingPointError("triangular factor collapsed to zero")
-    return t / scale
-
-
-def kkt_residual_general(q, law: ChannelLaw, gamma: float,
-                         samples: int = DEFAULT_SAMPLES_INNER,
-                         rng: SeededStream | int = 0) -> float:
-    """Stationarity residual (:func:`_residual`) of a unit-trace PSD covariance;
-    exact, with ``samples`` and ``rng`` unused, on a law with a closed form."""
-    q = as_psd(q)
-    if abs(np.trace(q).real - 1.0) > 1e-8:
-        raise ValueError("covariance must have unit trace")
-    if law.exact:
-        return _q_residual(law.exact_mi(q, gamma)[1], q)
-    pool = _s_pool(law, gamma, None, samples, as_stream(rng))
-    return _q_residual(_resolvent_gradient(pool, q).mean(axis=0), q)
+    moments = _objective(law, gamma, basis, samples, as_stream(rng))[1]
+    return _residual(moments(np.eye(qvec.size), qvec)[0], qvec > MODE_OFF)
 
 
 def _herm_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -455,18 +250,17 @@ def _herm_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return coords.reshape(k * k, k * k), rows, cols
 
 
-def _general_direction(x: np.ndarray, vecs: np.ndarray, lam: np.ndarray) -> tuple:
-    """Newton step of the pool MI over trace-one PSD matrices near the current Q.
+def _direction(m: np.ndarray, curv, vecs: np.ndarray, lam: np.ndarray,
+               full: bool = True) -> tuple:
+    """Newton step of the MI over trace-one PSD matrices near Q = vecs diag(lam) vecs^H.
 
-    Q = vecs diag(lam) vecs^H with exact zeros for off directions, and ``x``
-    holds the per-draw X = (I + S Q)^-1 S. In the basis W of the r powered
-    eigenvectors followed by the eigenvectors of W_off^H M W_off (M = E[X]),
-    the step is Delta = W D W^H with D Hermitian and tr D = 0, in the real
-    coordinates of :func:`_herm_coords`: the gradient is tr(W^H M W B_a) and
-    the curvature E[tr(Xw B_a Xw B_b)], Xw = W^H X W, the contraction of
-    E[vec(Xw) vec(Xw)^T] = K^T E[vec(X) vec(X)^T] K, K = conj(W) (x) W: one
-    (N, t*t)^T (N, t*t) product of the unrotated draws, rotated once. The step solves
-    [[H, c], [c^T, 0]] [x; nu] = [grad; 0] on the coordinates it may move:
+    ``m`` is E[X] and ``curv`` its curvature (:func:`_objective`); off
+    directions have exactly zero power. The step is W D W^H, D Hermitian with
+    tr D = 0 in the real coordinates of :func:`_herm_coords`: all of them when
+    ``full``, W being the powered eigenvectors followed by the eigenvectors of
+    M on the off space; else the diagonal units only, with W = vecs. With
+    gradient tr(W^H M W B_a) it solves [[H, c], [c^T, 0]] [x; nu] = [grad; 0]
+    on the coordinates it may move:
 
     * the powered block and the rotations of powered directions into off
       ones, whose PSD completion D_uu = |D_ui|^2 / lam_i adds the curvature
@@ -476,66 +270,73 @@ def _general_direction(x: np.ndarray, vecs: np.ndarray, lam: np.ndarray) -> tupl
       direction whose block of D is not PSD is held at zero power (the one
       with the smallest diagonal entry first) and the step solved again.
 
-    Returns W, D, r and the indices of the freed directions.
+    On the diagonal units H = E|X_kl|^2: the powers' Newton step on the
+    simplex. Returns W, D and the indices of the freed directions.
     """
-    t = x.shape[1]
+    t = lam.size
     on = lam > 0
-    r = int(on.sum())
-    m = x.mean(axis=0)
-    act = vecs[:, on]
-    off = vecs[:, ~on]
-    mu = np.trace(act.conj().T @ m @ act).real / r
-    w, e = np.linalg.eigh(off.conj().T @ m @ off)
-    basis = np.hstack([act, off @ e])
-    vx = x.reshape(-1, t * t)
-    kron = np.kron(basis.conj(), basis)
-    kk = kron.T @ (vx.T @ vx / vx.shape[0]) @ kron
-    kk = np.moveaxis(kk.reshape(t, t, t, t), 0, -1).reshape(t * t, t * t)
+    act, off = vecs[:, on], vecs[:, ~on]
+    mu = np.trace(act.conj().T @ m @ act).real / np.count_nonzero(on)
     coords, rows, cols = _herm_coords(t)
+    gain = np.zeros(t)
+    if full:
+        w, e = np.linalg.eigh(off.conj().T @ m @ off)
+        basis = np.hstack([act, off @ e])
+        lam = np.concatenate([lam[on], np.zeros(w.size)])
+        on = lam > 0
+    else:
+        basis = vecs
+        coords, rows, cols = coords[:, :t], rows[:t], cols[:t]
     g = basis.conj().T @ m @ basis
-    hess = (coords.T @ kk @ coords).real
+    gain[~on] = mu - (w if full else np.diag(g)[~on].real)
+    hess = curv(basis, coords)
     hess = 0.5 * (hess + hess.T)
     grad = (coords.T @ g.T.ravel()).real
-    gain = np.concatenate([np.zeros(r), mu - w])
-    rot = (rows < r) & (cols >= r)
-    hess[rot, rot] += 2.0 * np.maximum(gain[cols[rot]], 0.0) / lam[on][rows[rot]]
+    rot = on[rows] & ~on[cols]
+    hess[rot, rot] += 2.0 * np.maximum(gain[cols[rot]], 0.0) / lam[rows[rot]]
     freed = gain < 0
-    n = t * t
     while True:
-        move = (freed[rows] & freed[cols]) | rot | ((rows < r) & (cols < r))
-        idx = np.flatnonzero(move)
+        idx = np.flatnonzero((freed[rows] & freed[cols]) | rot | (on[rows] & on[cols]))
         diag = idx[idx < t]
         kkt = np.zeros((idx.size + 1, idx.size + 1))
         kkt[:-1, :-1] = hess[np.ix_(idx, idx)]
         kkt[:diag.size, -1] = kkt[-1, :diag.size] = 1.0
         sol = np.linalg.lstsq(kkt, np.append(grad[idx], 0.0), rcond=None)[0]
-        step = np.zeros(n)
+        step = np.zeros(rows.size)
         step[idx] = sol[:-1]
         d = (coords @ step).reshape(t, t)
         fb = np.flatnonzero(freed)
         if fb.size == 0 or np.linalg.eigvalsh(d[np.ix_(fb, fb)])[0] >= -1e-12:
-            return basis, d, r, fb
+            return basis, d, fb
         freed[fb[np.argmin(np.diag(d)[fb].real)]] = False
 
 
-def _cone_point(direction: tuple, lam_on: np.ndarray, alpha: float,
-                boundary: bool) -> tuple[np.ndarray, np.ndarray]:
+def _cone_point(direction: tuple, lam: np.ndarray, alpha: float, boundary: int | None,
+                full: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the trace-one PSD matrix that ``alpha`` times the step reaches.
 
-    In the basis W of the step the new covariance is L L^H with columns
-    [E a^1/2; B^H E a^-1/2] and those of the freed block alpha D_ff, where
-    E diag(a) E^H = A = diag(lam_on) + alpha D_aa and B = alpha D_a,off: its powered block
-    is A, its cross block B, and its off block the least PSD completion
-    B^H A^-1 B plus the freed powers, so directions held at zero power stay
-    at exactly zero. At the PSD boundary the eigenvalue of A reaching zero
-    is set exactly to zero and its direction dropped. The powers are
-    rescaled to unit trace.
+    The power with index ``boundary`` (None: none) reaches zero at this alpha
+    and is set to exactly zero. On the diagonal the powers are lam + alpha
+    diag(D) in the same W. On all coordinates the covariance is, in W, L L^H
+    with columns [E a^1/2; B^H E a^-1/2] and those of the freed block alpha
+    D_ff, where E diag(a) E^H = A = diag(lam_on) + alpha D_aa and B = alpha
+    D_a,off: powered block A, cross block B and off block the least PSD
+    completion B^H A^-1 B plus the freed powers. Either way directions held
+    at zero power stay at exactly zero. The powers are rescaled to unit trace.
     """
-    basis, d, r, freed = direction
+    basis, d, freed = direction
+    if not full:
+        new = lam + alpha * np.diag(d).real
+        if boundary is not None:
+            new[boundary] = 0.0
+        new = np.maximum(new, 0.0)
+        return basis, new / new.sum()
     t = d.shape[0]
+    lam_on = lam[lam > 0]
+    r = lam_on.size
     a, e = np.linalg.eigh(np.diag(lam_on) + alpha * d[:r, :r])
-    if boundary:
-        a[0] = 0.0
+    if boundary is not None:
+        a[boundary] = 0.0
     e, a = e[:, a > 0], a[a > 0]
     cols = [np.vstack([e * np.sqrt(a), alpha * d[:r, r:].conj().T @ e / np.sqrt(a)])]
     if freed.size:
@@ -549,24 +350,123 @@ def _cone_point(direction: tuple, lam_on: np.ndarray, alpha: float,
     return u, lam / lam.sum()
 
 
-def _general_update(s_pool: np.ndarray, vecs: np.ndarray, lam: np.ndarray,
-                    direction: tuple, mi: float, still: float) -> tuple:
-    """:func:`_backtrack` on trace-one PSD matrices: the step D is cut where
-    Y_a + alpha D_aa, Y_a the powered eigenvalues, first turns singular, at
-    alpha = -1/min eig(Y_a^-1/2 D_aa Y_a^-1/2), where :func:`_cone_point`
-    sets the eigenvalue reaching zero exactly to zero. Returns the
-    eigenpairs of the new Q and its pool MI, or the current ones."""
-    d, r = direction[1], direction[2]
-    ya = lam[lam > 0]
-    nu = np.linalg.eigvalsh(d[:r, :r] / np.sqrt(np.outer(ya, ya)))[0]
+def _update(mi_of, vecs: np.ndarray, lam: np.ndarray, direction: tuple,
+            mi: float, still: float, full: bool = True) -> tuple:
+    """Longest part of a Newton step that does not lower the MI ``mi_of(Q)``.
 
-    def point(alpha, boundary):
-        cand = _cone_point(direction, ya, alpha, boundary)
-        return cand, _covariance(*cand)
+    The step is cut where it leaves the PSD cone: on the diagonal at the
+    first power it drives negative, else where Y_a + alpha D_aa (Y_a the
+    powered eigenvalues) turns singular, alpha = -1/min eig(Y_a^-1/2 D_aa
+    Y_a^-1/2); then it is halved while the MI (``mi`` now) falls. Returns
+    the eigenpairs of the new Q and its MI, or the current ones and ``mi``
+    once the step (largest entry of D) has shrunk to ``still``. A full step
+    no longer than ``still`` is taken unchecked and keeps ``mi``: it raises
+    the MI by its quadratic term, below what the pool resolves.
+    """
+    d = direction[1]
+    if full:
+        ya = lam[lam > 0]
+        nu = np.linalg.eigvalsh(d[:ya.size, :ya.size] / np.sqrt(np.outer(ya, ya)))[0]
+        block, cut = 0, (-1.0 / nu if nu < 0 else np.inf)
+    else:
+        step = np.diag(d).real
+        neg = (step < 0) & (lam > 0)
+        ratio = np.full(lam.shape, np.inf)
+        ratio[neg] = lam[neg] / -step[neg]
+        block = int(np.argmin(ratio))
+        cut = ratio[block]
+    size = np.abs(d).max()
+    alpha = min(1.0, cut)
+    if alpha == 1.0 and size <= still:
+        return (*_cone_point(direction, lam, 1.0, None, full), mi)
+    while True:
+        cand = _cone_point(direction, lam, alpha, block if alpha == cut else None, full)
+        mi_cand = mi_of(_covariance(*cand))
+        if mi_cand >= mi:
+            return (*cand, mi_cand)
+        alpha /= 2.0
+        if alpha * size <= still:
+            return vecs, lam, mi
 
-    new, mi = _backtrack(lambda q: _pool_mi(s_pool, q)[0], point,
-                         -1.0 / nu if nu < 0 else np.inf, np.abs(d).max(), mi, still)
-    return (*((vecs, lam) if new is None else new), mi)
+
+def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovOptResult:
+    """Newton steps on frozen pools, epoch by epoch, from Q = I/t.
+
+    With a ``basis`` the steps move only the powers over it, else all of Q
+    (:func:`_direction`). Each iteration takes one step, cut at the PSD
+    boundary and backtracked on the pool MI (:func:`_update`), which is the
+    ``mi_trace`` entry. An epoch ends when a step settles (moves no entry of
+    Q by more than ``tol / 100`` and powers no new direction) or after
+    ``INNER_MAX`` steps; the next pool first serves as the fresh-pool check,
+    and the run is ``converged`` when the residual on it is at most ``tol``.
+    """
+    full = basis is None
+    stream = as_stream(opts.seed)
+    still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)  # 1e-7: exact MI round-off
+    vecs = np.eye(law.tx)
+    lam = np.full(law.tx, 1.0 / law.tx)
+    trace, res_trace = [], []
+    iters = epoch = 0
+    converged = settled = False
+    mi_of, moments = _objective(law, gamma, basis, opts.samples, stream.child(0))
+    m, curv = moments(vecs, lam)
+    while iters < opts.max_iter and not converged:
+        q = _covariance(vecs, lam)
+        mi = mi_of(q)
+        for _ in range(INNER_MAX):
+            if iters >= opts.max_iter:
+                break
+            res_trace.append(_residual(vecs.conj().T @ m @ vecs, lam > MODE_OFF))
+            new_vecs, new_lam, mi = _update(
+                mi_of, vecs, lam, _direction(m, curv, vecs, lam, full), mi, still, full)
+            new = _covariance(new_vecs, new_lam)
+            settled = bool(np.abs(new - q).max() <= still
+                           and np.array_equal(new_lam > 0, lam > 0))
+            vecs, lam, q = new_vecs, new_lam, new
+            trace.append(mi)
+            iters += 1
+            if settled:
+                break
+            m, curv = moments(vecs, lam)
+        # the fresh check pool becomes the next epoch's solving pool
+        epoch += 1
+        mi_of, moments = _objective(law, gamma, basis, opts.samples, stream.child(epoch))
+        m, curv = moments(vecs, lam)
+        residual = _residual(vecs.conj().T @ m @ vecs, lam > MODE_OFF)
+        # a settled step is no evidence of stationarity: the general solver's
+        # settled stop goes once ``converged`` is judged by a gap in nats
+        # (ROADMAP direction 1)
+        converged = bool(residual <= opts.tol or (full and settled))
+
+    q = _covariance(vecs if full else basis, lam)
+    if not np.all(np.isfinite(q)):
+        raise FloatingPointError("Newton step produced non-finite entries")
+    mi = (McEstimate(law.exact_mi(q, gamma)[0], 0.0, 1) if law.exact
+          else ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983)))
+    return CovOptResult(
+        q=q, mi=mi, kkt_residual=float(residual),
+        mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
+        iterations=iters, converged=converged, qhat=lam)
+
+
+def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
+                     opts: OptimizerOptions | dict | None = None) -> CovOptResult:
+    """Optimal power allocation over a known basis by active-set Newton steps.
+
+    Starting from uniform powers, each iteration takes one Newton step of
+    the MI on the power simplex (:func:`_solve` on the diagonal coordinates
+    of ``basis``, the identity if None), with gradient d_k = E[X_kk] and
+    curvature E[|X_kl|^2] on the frozen pool, cut at the simplex boundary so
+    off modes come out exactly zero. A pool is left once a step moves no
+    power by more than ``tol / 100``, and the run is ``converged`` when the
+    stationarity residual on the next, fresh pool is at most ``tol``. On a
+    law with a closed form the steps use the exact MI, gradient and
+    curvature in place of pools: one epoch, as on a point mass, and the
+    reported MI is exact with SE 0. ``qhat`` holds the powers.
+    """
+    opts = _as_opts(opts)
+    return _solve(law, gamma, opts,
+                  np.eye(law.tx) if basis is None else np.asarray(basis, dtype=complex))
 
 
 def iterate_general(law: ChannelLaw, gamma: float,
@@ -575,44 +475,60 @@ def iterate_general(law: ChannelLaw, gamma: float,
 
     Starting from Q = I/t, each iteration takes one Newton step of the MI
     over trace-one PSD matrices in the current eigenbasis of Q
-    (:func:`_general_direction`), with gradient E[X] and curvature
-    E[tr(X D X D)] on the frozen pool, cut at the PSD boundary (so off
-    eigenvalues come out exactly zero) and backtracked on the pool MI, which
-    is the ``mi_trace`` entry. Pools and stopping are :func:`_epoch_loop`'s:
-    a pool is left once a step moves no entry of Q by more than ``tol / 100``,
-    and the run stops, ``converged``, when the stationarity residual
-    (:func:`_residual` in the eigenbasis of Q) on the next, fresh pool is at
-    most ``tol`` or the last pool's step settled. On a law with a closed form
-    the optimum shares T's eigenvectors (Jafar & Goldsmith, IEEE Trans.
-    Wireless Commun. 2004): the solve is :func:`fixed_point_diag`'s in them.
+    (:func:`_solve` on all Hermitian coordinates), with gradient E[X] and
+    curvature E[tr(X D X D)] on the frozen pool, cut at the PSD boundary so
+    off eigenvalues come out exactly zero. The run stops, ``converged``,
+    when the stationarity residual (:func:`_residual` in the eigenbasis of
+    Q) on a fresh pool is at most ``tol`` or the last pool's step settled.
+    ``qhat`` holds Q's eigenvalues, zero exactly on the off directions. On a
+    law with a closed form the optimum shares T's eigenvectors (Jafar &
+    Goldsmith, IEEE Trans. Wireless Commun. 2004): the solve is
+    :func:`fixed_point_diag`'s in them.
     """
     opts = _as_opts(opts)
     if law.exact:
         return fixed_point_diag(law, gamma, law.diag_basis, opts)
+    return _solve(law, gamma, opts, None)
 
-    def face(stream):
-        pool = _s_pool(law, gamma, None, opts.samples, stream)
 
-        def at(point):
-            vecs, lam, q = point
-            x = _resolvent_gradient(pool, q)
+def kkt_residual_general(q, law: ChannelLaw, gamma: float,
+                         samples: int = DEFAULT_SAMPLES_INNER,
+                         rng: SeededStream | int = 0) -> float:
+    """Stationarity residual (:func:`_residual`) of a unit-trace PSD covariance;
+    exact, with ``samples`` and ``rng`` unused, on a law with a closed form."""
+    q = as_psd(q)
+    if abs(np.trace(q).real - 1.0) > 1e-8:
+        raise ValueError("covariance must have unit trace")
+    if law.exact:
+        return _q_residual(law.exact_mi(q, gamma)[1], q)
+    pool = _s_pool(law, gamma, None, samples, as_stream(rng))
+    return _q_residual(_resolvent_gradient(pool, q).mean(axis=0), q)
 
-            def step(mi, still):
-                new_vecs, new_lam, mi = _general_update(
-                    pool, vecs, lam, _general_direction(x, vecs, lam), mi, still)
-                new = _covariance(new_vecs, new_lam)
-                settled = bool(np.abs(new - q).max() <= still
-                               and np.count_nonzero(new_lam) == np.count_nonzero(lam))
-                return (new_vecs, new_lam, new), mi, settled
 
-            return _residual(vecs.conj().T @ x.mean(axis=0) @ vecs, lam > 0), step
+# ---------------------------------------------------------------------------
+# the paper's damped Cholesky-factor map (figures 9 and 10)
+# ---------------------------------------------------------------------------
 
-        return (lambda point: _pool_mi(pool, point[2])[0]), at
+def _phase_fix_rows(t: np.ndarray) -> np.ndarray:
+    """Left-multiply by a diagonal unitary so the diagonal is real >= 0.
 
-    lam = np.full(law.tx, 1.0 / law.tx)
-    vecs = np.eye(law.tx, dtype=complex)
-    return _epoch_loop(law, gamma, opts, face, (vecs, lam, _covariance(vecs, lam)),
-                       lambda point: (point[2], None), stop_when_settled=True)
+    This is a pure gauge change: (P T)^H (P T) = T^H T, so the covariance is
+    untouched while the factor regains Cholesky normal form.
+    """
+    d = np.diag(t).copy()
+    phase = np.where(np.abs(d) > 0, d / np.abs(np.where(np.abs(d) > 0, d, 1)), 1.0)
+    out = (t.T * np.conj(phase)).T
+    # The rotation leaves ~1 ulp of imaginary residue on the diagonal.
+    np.fill_diagonal(out, np.abs(np.diag(out)))
+    return out
+
+
+def _normalize_ut(t: np.ndarray) -> np.ndarray:
+    t = np.triu(t)
+    scale = np.sqrt(np.sum(np.abs(t) ** 2))
+    if scale == 0:
+        raise FloatingPointError("triangular factor collapsed to zero")
+    return t / scale
 
 
 def _cholesky_map_trace(law: ChannelLaw, gamma: float,

@@ -319,6 +319,17 @@ class TestInterpStudy:
         # optimal axes are not those of E[H^H H] at every kappa
         assert max(p.angle_vs_gram for p in pts) > 1e-3
 
+    def test_powers_are_the_solver_s_own_with_exact_zeros(self):
+        # figure 12 at its defaults: near the mean the second direction is off,
+        # and the powers read exactly (1, 0), never round-off or a negative power
+        m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
+        sigma = np.diag([4.0, 1.0]).astype(complex)
+        pts = analysis.interp_study(m0, sigma, np.linspace(0.0, 1.0, 11), 1.0, {"seed": 12345})
+        assert all(np.all(p.powers >= 0.0) and p.powers[0] >= p.powers[1] for p in pts)
+        for p in pts[7:]:
+            assert np.array_equal(p.powers, [1.0, 0.0])
+            assert np.array_equal(p.powers, np.sort(p.result.qhat)[::-1])
+
     def test_kappa_one_waterfalls_single_mode(self):
         # budget 1 on modes {2.618, 0.382}: mu = 1/2.618 + 1 < 1/0.382
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]])

@@ -21,6 +21,22 @@ def point_mass_with_unitary(seed):
     return channels.PointMass(h)
 
 
+def power_step(d, h, qvec):
+    """Newton step of the powers ``qvec`` on the diagonal coordinates, for
+    gradient ``d`` and curvature ``h``."""
+    eye = np.eye(qvec.size)
+    _, step, _ = covopt._direction(np.diag(d), lambda basis, coords: h, eye, qvec, full=False)
+    return np.diag(step).real
+
+
+def power_update(mi_of, qvec, step, mi, still):
+    """:func:`covopt._update` of the powers ``qvec`` along ``step``: new powers and MI."""
+    eye = np.eye(qvec.size)
+    direction = (eye, np.diag(step).astype(complex), np.array([], dtype=int))
+    _, new, mi = covopt._update(mi_of, eye, qvec, direction, mi, still, full=False)
+    return new, mi
+
+
 class TestKktResidualDiag:
     def test_waterfill_solution_is_stationary(self):
         q = np.array([0.75, 0.25])
@@ -129,12 +145,12 @@ class TestNewtonDiag:
 
     def test_direction_frees_off_mode_above_the_level(self):
         # mode 1 is off but its gradient beats the powered mode's: it re-enters
-        step = covopt._newton_direction(np.array([1.0, 2.0]), np.eye(2), np.array([1.0, 0.0]))
+        step = power_step(np.array([1.0, 2.0]), np.eye(2), np.array([1.0, 0.0]))
         assert step[1] > 0 and np.isclose(step.sum(), 0.0, atol=1e-15)
 
     def test_direction_keeps_off_mode_below_the_level_at_zero(self):
         d = np.array([1.0, 1.2, 0.5])
-        step = covopt._newton_direction(d, np.diag([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.0]))
+        step = power_step(d, np.diag([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 0.0]))
         assert step[2] == 0.0
         assert np.isclose(step[0], -step[1]) and step[1] > 0
 
@@ -152,14 +168,14 @@ class TestNewtonDiag:
         q2, s2 = 0.364, 0.671
         q = np.array([0.5 * (1 - q2), 0.5 * (1 - q2), q2])
         step = np.array([s2 / 2, s2 / 2, -s2])
-        new, mi = covopt._newton_update(pool_mi, q, step, mi_at(q), 1e-9)
+        new, mi = power_update(pool_mi, q, step, mi_at(q), 1e-9)
         assert new[2] == 0.0 and mi == mi_at(new) > mi_at(q)
         # a step overshooting to (1, 0, 0) lowers the MI and is halved once
         q = np.array([0.6, 0.4, 0.0])
-        new, mi = covopt._newton_update(pool_mi, q, np.array([0.4, -0.4, 0.0]), mi_at(q), 1e-9)
+        new, mi = power_update(pool_mi, q, np.array([0.4, -0.4, 0.0]), mi_at(q), 1e-9)
         assert np.allclose(new, [0.8, 0.2, 0.0], rtol=0, atol=1e-15) and mi > mi_at(q)
         # a descent direction leaves the powers where they are
-        new, mi = covopt._newton_update(pool_mi, q, np.array([-0.4, 0.4, 0.0]), mi_at(q), 1e-9)
+        new, mi = power_update(pool_mi, q, np.array([-0.4, 0.4, 0.0]), mi_at(q), 1e-9)
         assert np.array_equal(new, q) and mi == mi_at(q)
 
     @pytest.mark.parametrize("gamma", [0.3, 3.0])
@@ -394,7 +410,7 @@ class TestGeneralNewton:
 
 
 def _general_direction_oracle(x, vecs, lam):
-    """The Newton step of ``covopt._general_direction`` with its curvature
+    """The Newton step of ``covopt._direction`` on all coordinates, with its curvature
     E[vec(Xw) vec(Xw)^T] formed from every per-draw Xw = W^H X W."""
     t = x.shape[1]
     on = lam > 0
@@ -444,11 +460,51 @@ def test_general_direction_matches_the_rotated_draw_oracle(lam, rotated):
     lam = np.asarray(lam)
     vecs = linalg.haar_unitary(4, np.random.default_rng(2)) if rotated else np.eye(4, dtype=complex)
     x = covopt._resolvent_gradient(pool, covopt._covariance(vecs, lam))
-    basis, d, r, fb = covopt._general_direction(x, vecs, lam)
+    m, curv = covopt._objective(law, 1.0, None, 5_000, SeededStream(3))[1](vecs, lam)
+    basis, d, fb = covopt._direction(m, curv, vecs, lam)
     ref_basis, ref_d, ref_r, ref_fb = _general_direction_oracle(x, vecs, lam)
-    assert np.array_equal(basis, ref_basis) and r == ref_r and np.array_equal(fb, ref_fb)
-    assert (fb.size > 0) == (r < 4)  # the rank-deficient cases free off directions
+    assert np.array_equal(basis, ref_basis) and np.array_equal(fb, ref_fb)
+    assert (fb.size > 0) == (ref_r < 4)  # the rank-deficient cases free off directions
     assert np.abs(d - ref_d).max() <= 1e-13 * np.abs(ref_d).max()
+
+
+def _bordered_power_step_oracle(d, h, qvec):
+    """The Newton step of the powers on the simplex from d = E[X_kk] and
+    H = E|X_kl|^2: the bordered system [[H, 1], [1^T, 0]] [step; nu] = [d; 0]
+    on the powered modes and the off ones with d_k above the powered mean,
+    solved again without the off modes the step drives negative."""
+    on = qvec > 0
+    free = on | (d > d[on].mean())
+    while True:
+        idx = np.flatnonzero(free)
+        k = idx.size
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = h[np.ix_(idx, idx)]
+        kkt[k, k] = 0.0
+        step = np.zeros_like(qvec)
+        step[idx] = np.linalg.lstsq(kkt, np.append(d[idx], 0.0), rcond=None)[0][:k]
+        blocked = ~on & (step < 0)
+        if not np.any(blocked):
+            return step
+        free &= ~blocked
+
+
+@pytest.mark.parametrize("qvec", [[0.4, 0.3, 0.2, 0.1], [0.0, 0.5, 0.3, 0.2]],
+                         ids=["full-rank", "one-off"])
+def test_diagonal_direction_is_the_bordered_power_step(qvec):
+    # receive correlation keeps the law off the closed form, on a pool
+    law = channels.KroneckerGaussian(np.zeros((4, 4)), np.diag([1.3, 1.1, 0.9, 0.7]),
+                                     np.diag([2.0, 1.0, 0.6, 0.4]))
+    qvec, eye = np.asarray(qvec), np.eye(4)
+    m, curv = covopt._objective(law, 1.0, eye, 5_000, SeededStream(3))[1](eye, qvec)
+    step = np.diag(covopt._direction(m, curv, eye, qvec, full=False)[1]).real
+    x = covopt._resolvent_gradient(covopt._s_pool(law, 1.0, eye, 5_000, SeededStream(3)),
+                                   np.diag(qvec))
+    ref = _bordered_power_step_oracle(np.mean(np.diagonal(x, axis1=1, axis2=2).real, axis=0),
+                                      np.mean(x.real ** 2 + x.imag ** 2, axis=0), qvec)
+    assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the strongest mode gains power; off, it beats the powered mean and re-enters
+    assert step[0] > 0
 
 
 class TestAgreementAcrossOptimizers:

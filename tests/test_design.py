@@ -60,15 +60,15 @@ def test_no_module_but_channels_tests_a_law_or_density_class():
     assert found == []
 
 
-def standard_normal_calls(source: str, filename: str) -> list:
-    """``file:line function`` for each ``.standard_normal`` attribute, with the
-    innermost function it sits in."""
+def attribute_uses(source: str, filename: str, attr: str) -> list:
+    """``file:line function`` for each ``.attr`` attribute, with the innermost
+    function it sits in."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "standard_normal":
+        if isinstance(node, ast.Attribute) and node.attr == attr:
             found.append(f"{filename}:{node.lineno} {where}")
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -81,6 +81,15 @@ def test_one_complex_gaussian_draw_in_the_package():
     # every normal the package draws comes through linalg._circular_gaussian
     found = []
     for path in sorted(SRC.glob("*.py")):
-        found += standard_normal_calls(path.read_text(encoding="utf-8"), path.name)
+        found += attribute_uses(path.read_text(encoding="utf-8"), path.name, "standard_normal")
     assert [f.split(" ")[1] for f in found] == ["_circular_gaussian"] * 2
     assert all(f.startswith("linalg.py:") for f in found)
+
+
+def test_one_bordered_newton_solve_in_the_package():
+    # both covariance solvers take their Newton step through covopt._direction
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += attribute_uses(path.read_text(encoding="utf-8"), path.name, "lstsq")
+    assert [f.split(" ")[0].split(":")[0] for f in found] == ["covopt.py"]
+    assert [f.split(" ")[1] for f in found] == ["_direction"]
