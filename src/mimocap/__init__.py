@@ -25,11 +25,9 @@ from .channels import (
     PointMassDensity,
     WishartDensity,
     empirical_density,
-    expected_gram,
     law_from_json,
     law_to_json,
     onoff_density,
-    sample,
     sample_batch,
     wishart_density,
 )
@@ -55,7 +53,6 @@ from .analysis import (
 from .linalg import (
     chol_upper,
     herm_eig,
-    svd,
     ut_gram,
 )
 from .montecarlo import McEstimate, SeededStream, ergodic_mi

@@ -28,7 +28,6 @@ from .channels import (
     KroneckerGaussian,
     PointMass,
     _small_gram,
-    expected_gram,
     sample_batch,
 )
 from .covopt import (
@@ -219,7 +218,7 @@ def low_snr_cov(law: ChannelLaw) -> tuple[np.ndarray, float]:
     Q spread over a k-fold top eigenvalue lam1, the first-order rate is
     gamma * lam1 regardless of k, so the slope reported is lam1.
     """
-    g = expected_gram(law)
+    g = law.expected_gram()
     u, lam = herm_eig(g)
     if lam[0] <= 0:
         raise ValueError("expected Gram matrix has no positive eigenvalue")
@@ -334,7 +333,7 @@ def interp_study(m0, noise_cov, kappa_grid, gamma: float,
         res = iterate_general(law, gamma,
                               dataclasses.replace(base, seed=base.seed + 7919 * i))
         u, _ = herm_eig(res.q)
-        gu, _ = herm_eig(expected_gram(law))
+        gu, _ = herm_eig(law.expected_gram())
         out.append(InterpPoint(float(kappa), res, u, np.sort(res.qhat)[::-1],
                                _principal_angle(u[:, 0], gu[:, 0])))
     return out

@@ -37,9 +37,7 @@ __all__ = [
     "KroneckerGaussian",
     "Interpolated",
     "FiniteMixture",
-    "sample",
     "sample_batch",
-    "expected_gram",
     "EigDensity",
     "WishartDensity",
     "EmpiricalDensity",
@@ -81,6 +79,12 @@ class ChannelLaw:
         raise NotImplementedError
 
     def expected_gram(self) -> np.ndarray:
+        """The t x t matrix E[H^H H], in closed form for every law family.
+
+        Note the transmit-side ordering: downstream covariance optimization acts
+        on t x t objects, so the expected Gram matrix is taken as H^H H even where
+        source formulas are written for H H^H (they coincide at t = r only).
+        """
         raise NotImplementedError
 
     def sample_projected(self, size: int, rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
@@ -328,21 +332,6 @@ class FiniteMixture(ChannelLaw):
 def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` iid channel matrices, returned as a (size, r, t) array."""
     return law.sample_batch(size, rng)
-
-
-def sample(law: ChannelLaw, rng: np.random.Generator) -> np.ndarray:
-    """Draw a single channel matrix."""
-    return sample_batch(law, 1, rng)[0]
-
-
-def expected_gram(law: ChannelLaw) -> np.ndarray:
-    """The t x t matrix E[H^H H], in closed form for every law family.
-
-    Note the transmit-side ordering: downstream covariance optimization acts
-    on t x t objects, so the expected Gram matrix is taken as H^H H even where
-    source formulas are written for H H^H (they coincide at t = r only).
-    """
-    return law.expected_gram()
 
 
 # ---------------------------------------------------------------------------

@@ -104,17 +104,24 @@ def _solver_opts(args) -> OptimizerOptions:
                             seed=args.seed)
 
 
-def _parse_snr(args) -> np.ndarray:
-    if args.snr is not None:
-        gammas = np.array([args.snr])
-    elif args.snr_db is None:
-        return np.array([1.0])
-    else:
+def _snr_points(args, default: str | None = "0", single: bool = False):
+    """SNR points as (dB, linear) arrays: from ``--snr`` or ``--snr-db``, else
+    from the ``default`` dB grid. A default of None fixes the SNR at 1 and
+    refuses both flags; ``single`` refuses more than one point."""
+    name = getattr(args, "figure", args.command)
+    if default is None and (args.snr is not None or args.snr_db is not None):
+        raise ValueError(f"{name} runs at SNR 1 and takes no --snr or --snr-db")
+    if args.snr is None:
+        db = _grid(args.snr_db or default or "0")
         with np.errstate(over="ignore"):
-            gammas = 10.0 ** (_grid(args.snr_db) / 10.0)
+            gammas = 10.0 ** (db / 10.0)
+    else:
+        db, gammas = None, np.array([args.snr])
     if not np.all(np.isfinite(gammas) & (gammas > 0)):
         raise ValueError("SNR must be finite and positive")
-    return gammas
+    if single and gammas.size != 1:
+        raise ValueError(f"{name} expects a single SNR")
+    return (10.0 * np.log10(gammas) if db is None else db), gammas
 
 
 def _load_descriptor(text: str) -> dict:
@@ -210,7 +217,7 @@ def validate_result(kind: str, obj: dict) -> None:
 def cmd_waterfill(args) -> int:
     desc = _load_descriptor(args.channel)
     density = _density_from_descriptor(desc, args.samples, args.seed)
-    gammas = _parse_snr(args)
+    _, gammas = _snr_points(args)
     scale, unit = _rate_scale(args.unit)
     header = ["gamma", "xi", f"capacity_{unit}", "papr_exact", "papr_bound"]
     rows = []
@@ -229,11 +236,8 @@ def cmd_optimize(args) -> int:
         raise ValueError(f"optimize needs at least 10^3 samples for its solver pools, "
                          f"got {args.samples}")
     law = law_from_json(_load_descriptor(args.channel))
-    gammas = _parse_snr(args)
-    if gammas.size != 1:
-        raise ValueError("optimize expects a single SNR")
-    gamma = float(gammas[0])
-    if not np.any(channels.expected_gram(law)):
+    gamma = float(_snr_points(args, single=True)[1][0])
+    if not np.any(law.expected_gram()):
         raise InfeasibleError("zero channel: the capacity is 0 and every covariance is optimal")
     if args.method == "diag":
         basis = law.diag_basis
@@ -269,10 +273,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_beamform(args) -> int:
-    gammas = _parse_snr(args)
-    if gammas.size != 1:
-        raise ValueError("beamform expects a single SNR")
-    gamma = float(gammas[0])
+    gamma = float(_snr_points(args, single=True)[1][0])
     if args.boundary:
         curve = analysis.beamform_boundary(gamma, _grid(args.rho_grid))
         _write_rows(args.out, ["rho", "tau_star"],
@@ -307,12 +308,20 @@ def _uniform_rate(density: EigDensity, gamma: float) -> float:
     return density.m * density.log1p_moment(gamma / density.m)
 
 
-def _rayleigh_rates(args, m: int):
+#: each figure's SNR: (default dB grid, whether it takes one point only); a
+#: grid of None fixes the SNR at 1 and refuses --snr and --snr-db
+_FIGURE_SNR = {**dict.fromkeys(("fig1", "fig2", "fig3", "fig4"), ("-10:30:2", False)),
+              "fig5": ("-10:20:1", False), "fig6": ("-10:10:5", False),
+              "fig7": ("-10:20:5", False), "fig8": ("-15:15:5", False),
+              "fig9": (None, False), "fig10": (None, False),
+              "fig11": ("0", True), "fig12": ("0", True)}
+
+
+def _rayleigh_rates(args, m: int, dbs, gammas):
     """Per SNR point on m x m Rayleigh: (dB, capacity, per-symbol rate, Q = I/t rate)."""
     dens = wishart_density(m, m)
     stream = SeededStream(args.seed)
-    for k, db in enumerate(_grid(args.snr_db or "-10:30:2")):
-        g = 10 ** (db / 10.0)
+    for k, (db, g) in enumerate(zip(dbs, gammas)):
         xi = waterfill.st_water_level(dens, g)
         st = waterfill.st_capacity(dens, xi)
         naive = waterfill.naive_avg_rate(dens, g, samples=args.samples,
@@ -321,15 +330,14 @@ def _rayleigh_rates(args, m: int):
 
 
 def _figure_table(fig: str, args):
+    dbs, gammas = _snr_points(args, *_FIGURE_SNR[fig])
     scale, unit = _rate_scale(args.unit)
     stream = SeededStream(args.seed)
     opts = _solver_opts(args)  # every figure rejects a bad --tol or --max-iter
     if fig == "fig1":
-        grid_db = _grid(args.snr_db or "-10:30:2")
         dens = wishart_density(1, 1)
         rows = []
-        for db in grid_db:
-            g = 10 ** (db / 10.0)
+        for db, g in zip(dbs, gammas):
             xi = waterfill.st_water_level(dens, g)
             cap = waterfill.st_capacity(dens, xi) * scale
             const = dens.log1p_moment(g) * scale
@@ -337,18 +345,16 @@ def _figure_table(fig: str, args):
         return ["snr_db", f"capacity_{unit}", f"const_power_rate_{unit}"], rows
     if fig == "fig2":
         rows = [[db, st * scale, naive * scale, uni * scale]
-                for db, st, naive, uni in _rayleigh_rates(args, 2)]
+                for db, st, naive, uni in _rayleigh_rates(args, 2, dbs, gammas)]
         return ["snr_db", f"capacity_{unit}", f"space_waterfill_{unit}",
                 f"uniform_{unit}"], rows
     if fig in ("fig3", "fig4"):
-        rows = [[db, st / uni, naive / uni]
-                for db, st, naive, uni in _rayleigh_rates(args, 2 if fig == "fig3" else 4)]
+        rows = [[db, st / uni, naive / uni] for db, st, naive, uni
+                in _rayleigh_rates(args, 2 if fig == "fig3" else 4, dbs, gammas)]
         return ["snr_db", "gain_space_time", "gain_space"], rows
     if fig == "fig5":
-        grid_db = _grid(args.snr_db or "-10:20:1")
         rows = []
-        for db in grid_db:
-            g = 10 ** (db / 10.0)
+        for db, g in zip(dbs, gammas):
             row = [float(db)]
             for m in (1, 2, 4):
                 dens = wishart_density(m, m)
@@ -359,15 +365,13 @@ def _figure_table(fig: str, args):
     if fig == "fig6":
         dens = wishart_density(2, 2)
         blocks = []
-        for db in (-10, -5, 0, 5, 10):
-            g = 10 ** (db / 10.0)
+        for db, g in zip(dbs, gammas):
             xi = waterfill.st_water_level(dens, g)
             grid = np.linspace(xi * 1e-3, xi * 0.999, 200)
             pd = waterfill.power_density(dens, xi, grid)
             blocks.append(np.column_stack(np.broadcast_arrays(db, pd.grid, pd.pdf, pd.atom0)))
         return ["snr_db", "power", "pdf", "atom0"], np.concatenate(blocks).tolist()
     if fig == "fig7":
-        grid_db = _grid(args.snr_db or "-10:20:5")
         tau = args.tau
         rows = []
         opts = replace(opts, final_samples=max(args.samples, 20_000))
@@ -376,8 +380,7 @@ def _figure_table(fig: str, args):
             mean = np.zeros((n, n), dtype=complex)
             mean[0, 0] = n
             law = KroneckerGaussian(mean, np.eye(n), t_corr)
-            for k, db in enumerate(grid_db):
-                g = 10 ** (db / 10.0)
+            for k, (db, g) in enumerate(zip(dbs, gammas)):
                 res = covopt.iterate_general(law, g, opts)
                 qa, _ = analysis.wishart_approx_covariance(mean, t_corr, g, opts)
                 mi_a = ergodic_mi(qa, law, g, opts.final_samples, stream.child(100 + k))
@@ -385,8 +388,7 @@ def _figure_table(fig: str, args):
         return ["n", "snr_db", f"capacity_{unit}", f"mi_approx_{unit}"], rows
     if fig == "fig8":
         rows = []
-        for db in (-15, -10, -5, 0, 5, 10, 15):
-            g = 10 ** (db / 10.0)
+        for db, g in zip(dbs, gammas):
             curve = analysis.beamform_boundary(g, _grid("1.0:1.95:0.05"))
             for rho, tau_star in curve:
                 rows.append([float(db), float(rho), float(tau_star)])
@@ -398,7 +400,7 @@ def _figure_table(fig: str, args):
         for k in range(5):
             u = haar_unitary(2, gen)
             h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
-            trace = covopt._cholesky_map_trace(PointMass(h), 1.0, replace(opts, tol=1e-7))
+            trace = covopt._cholesky_map_trace(PointMass(h), gammas[0], replace(opts, tol=1e-7))
             for i, mi in enumerate(trace):
                 rows.append([k, i + 1, (cap - float(mi)) * scale])
         return ["unitary", "iter", f"capacity_gap_{unit}"], rows
@@ -413,7 +415,7 @@ def _figure_table(fig: str, args):
             mean = np.outer(mu, mu.conj())
             mean *= np.sqrt(n) / np.linalg.norm(mean)
             law = KroneckerGaussian(mean, np.eye(n), t_corr)
-            trace = covopt._cholesky_map_trace(law, 1.0,
+            trace = covopt._cholesky_map_trace(law, gammas[0],
                                                replace(opts, seed=args.seed + trial))
             best = max(trace)
             for i, mi in enumerate(trace):
@@ -423,7 +425,7 @@ def _figure_table(fig: str, args):
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
         sig = np.diag([4.0, 1.0]).astype(complex)
         kappas = np.linspace(0.0, 1.0, args.kappa_points)
-        pts = analysis.interp_study(m0, sig, kappas, _parse_snr(args)[0], opts)
+        pts = analysis.interp_study(m0, sig, kappas, gammas[0], opts)
         rows = []
         if fig == "fig11":
             for p in pts:
@@ -440,7 +442,6 @@ def _figure_table(fig: str, args):
         for p in pts:
             rows.append([p.kappa, float(p.powers[0]), float(p.powers[1])])
         return ["kappa", "q1", "q2"], rows
-    raise ValueError(f"unknown figure id {fig!r}")
 
 
 def cmd_figures(args) -> int:
@@ -482,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(fn=cmd_beamform)
 
     pf = sub.add_parser("figures", help="regenerate figure data tables")
-    pf.add_argument("--figure", required=True,
-                    choices=[f"fig{i}" for i in range(1, 13)])
+    pf.add_argument("--figure", required=True, choices=list(_FIGURE_SNR))
     _add_common(pf, channel=False)
     pf.add_argument("--tau", type=float, default=0.5,
                     help="off-diagonal transmit correlation for fig7/fig10")

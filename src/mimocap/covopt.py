@@ -575,10 +575,8 @@ def _cholesky_map_trace(law: ChannelLaw, gamma: float,
             mi_prev = mi_new
             if flat >= 5:
                 break
-        check = _s_pool(law, gamma, None, opts.samples, stream.child(2 * epoch + 1))
-        q = ut_gram(tfac)
-        m = np.mean(_resolvent_gradient(check, q), axis=0)
-        done = _q_residual(m, q) <= opts.tol or flat >= 5
+        done = flat >= 5 or kkt_residual_general(ut_gram(tfac), law, gamma, opts.samples,
+                                                 stream.child(2 * epoch + 1)) <= opts.tol
         epoch += 1
     return np.asarray(trace)
 

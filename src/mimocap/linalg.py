@@ -25,7 +25,6 @@ __all__ = [
     "as_hermitian",
     "as_psd",
     "herm_eig",
-    "svd",
     "ut_gram",
     "chol_upper",
     "psd_sqrt",
@@ -71,17 +70,6 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     lam, u = np.linalg.eigh(m)
     order = np.argsort(lam)[::-1]
     return u[:, order], lam[order]
-
-
-def svd(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin singular value decomposition ``H = U diag(s) Vh``.
-
-    Singular values are non-negative and sorted descending (LAPACK order).
-    ``U`` has orthonormal columns, ``Vh`` orthonormal rows.
-    """
-    m = as_complex_matrix(h)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh
 
 
 def _check_upper_triangular(t) -> np.ndarray:

@@ -64,9 +64,6 @@ class McEstimate:
     se: np.ndarray | float
     samples: int
 
-    def __iter__(self):
-        return iter((self.mean, self.se, self.samples))
-
     @classmethod
     def of(cls, vals: np.ndarray) -> "McEstimate":
         """Mean and SE over axis 0 of per-draw values; floats for scalar draws."""
@@ -180,7 +177,7 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     if np.trace(q).real > 1.0 + 1e-9:
         raise ValueError("transmit covariance must have trace <= 1")
     p = _thin_factor(q)
-    draws = ((lambda h: np.linalg.slogdet(_eye_plus(_snr_gram(h, gamma), q))[1]) if p is None
+    draws = ((lambda h: _log_dets(_snr_gram(h, gamma), q)) if p is None
              else (lambda y: _thin_log_dets(y, gamma)))
     return McEstimate.of(_batched_values(draws, law, samples, as_stream(rng), p))
 

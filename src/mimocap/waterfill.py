@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import EigDensity
-from .linalg import _bracketed_root, svd
+from .linalg import _bracketed_root, as_complex_matrix
 from .montecarlo import SeededStream, as_stream
 
 __all__ = [
@@ -186,7 +186,7 @@ def instantaneous_covariance(h, xi: float) -> np.ndarray:
     """
     if xi <= 0:
         raise ValueError("water level must be positive")
-    u, s, vh = svd(h)
+    _, s, vh = np.linalg.svd(as_complex_matrix(h), full_matrices=False)
     lam = s**2
     powers = np.where(lam > 0, np.maximum(xi - np.divide(
         1.0, lam, out=np.full_like(lam, np.inf), where=lam > 0), 0.0), 0.0)
@@ -240,14 +240,6 @@ class PowerDensity:
     grid: np.ndarray
     pdf: np.ndarray
     atoms: tuple = ()
-    _source: EigDensity | None = None
-
-    def total_mass(self) -> float:
-        mass = self.atom0 + sum(w for _, w in self.atoms)
-        if self._source is not None and not self._source.discrete:
-            # the continuous part on (0, xi) is the eigenvalue mass above 1/xi
-            mass += self._source.tail_moments(1.0 / self.xi)[0]
-        return float(mass)
 
 
 def power_density(density: EigDensity, xi: float, grid) -> PowerDensity:
@@ -264,11 +256,11 @@ def power_density(density: EigDensity, xi: float, grid) -> PowerDensity:
         v, w = density.values, density.weights
         on = (v > 1.0 / xi) & ~np.isclose(v, 1.0 / xi)
         return PowerDensity(xi, float(w[~on].sum()), grid, np.zeros_like(grid),
-                            tuple(zip(xi - 1.0 / v[on], w[on])), density)
+                            tuple(zip(xi - 1.0 / v[on], w[on])))
     atom0 = float(density.cdf(1.0 / xi))
     lam = 1.0 / (xi - grid)
     pdf = density.pdf(lam) / (xi - grid) ** 2
-    return PowerDensity(xi, atom0, grid, pdf, (), density)
+    return PowerDensity(xi, atom0, grid, pdf)
 
 
 def peak_limited_rate(density: EigDensity, budget: float, peak: float) -> tuple[float, float]:

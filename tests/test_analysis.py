@@ -308,7 +308,7 @@ class TestInterpStudy:
         # kappa = 1: deterministic M0, beamforming on its top right-singular
         # direction (gamma=1 keeps only one active mode for eigs {2.618, 0.382})
         p1 = pts[-1]
-        _, _, vh = linalg.svd(m0)
+        _, _, vh = np.linalg.svd(m0)
         top = vh.conj().T[:, 0]
         assert p1.powers[0] > 0.96
         overlap = abs(np.vdot(top, p1.eigvecs[:, 0]))

@@ -24,7 +24,7 @@ class TestSampling:
         h0 = np.array([[1.0, 2j], [0.5, 1.0]])
         law = channels.PointMass(h0)
         for _ in range(3):
-            assert np.array_equal(channels.sample(law, rng()), h0)
+            assert np.array_equal(channels.sample_batch(law, 1, rng())[0], h0)
 
     def test_kronecker_unit_variance(self):
         h = channels.sample_batch(IID_2x2, 100_000, rng(1))
@@ -40,7 +40,7 @@ class TestSampling:
     def test_interpolated_endpoints(self):
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]])
         law1 = channels.Interpolated(1.0, m0, np.diag([4.0, 1.0]))
-        assert np.allclose(channels.sample(law1, rng(3)), m0)
+        assert np.allclose(channels.sample_batch(law1, 1, rng(3))[0], m0)
         law0 = channels.Interpolated(0.0, m0, np.diag([4.0, 1.0]))
         h = channels.sample_batch(law0, 50_000, rng(4))
         assert np.abs(h.mean(axis=0)).max() < 0.05
@@ -196,20 +196,20 @@ class TestExpectedGram:
     def test_iid_closed_form(self):
         r = 3
         law = channels.KroneckerGaussian(np.zeros((r, 2)), np.eye(r), np.eye(2))
-        assert np.allclose(channels.expected_gram(law), r * np.eye(2))
+        assert np.allclose(law.expected_gram(), r * np.eye(2))
 
     def test_diagonal_correlations(self):
         rho, tau = 1.3, 0.4
         law = channels.KroneckerGaussian(
             np.zeros((2, 2)), np.diag([rho, 2 - rho]), np.diag([tau, 2 - tau]))
-        assert np.allclose(channels.expected_gram(law), 2 * np.diag([tau, 2 - tau]))
+        assert np.allclose(law.expected_gram(), 2 * np.diag([tau, 2 - tau]))
 
     def test_kronecker_with_mean_vs_monte_carlo(self):
         m = np.array([[1.0, 0.5j], [0.0, 1.0]])
         law = channels.KroneckerGaussian(m, np.diag([1.5, 0.5]), np.diag([0.8, 1.2]))
         est = expect_matrix(lambda h: np.einsum("ski,skj->sij", h.conj(), h),
                             law, samples=100_000, rng=SeededStream(8))
-        closed = channels.expected_gram(law)
+        closed = law.expected_gram()
         assert np.all(np.abs(est.mean - closed) <= 3 * est.se + 1e-12)
 
     def test_interpolated_closed_form(self):
@@ -218,7 +218,7 @@ class TestExpectedGram:
         for kappa in (0.0, 0.3, 0.8):
             law = channels.Interpolated(kappa, m0, sig)
             expect = kappa**2 * m0.conj().T @ m0 + (1 - kappa) ** 2 * 2 * sig
-            assert np.allclose(channels.expected_gram(law), expect)
+            assert np.allclose(law.expected_gram(), expect)
             est = expect_matrix(lambda h: np.einsum("ski,skj->sij", h.conj(), h),
                                 law, samples=60_000, rng=SeededStream(9))
             assert np.all(np.abs(est.mean - expect) <= 3 * est.se + 1e-12)
@@ -229,7 +229,7 @@ class TestExpectedGram:
         law = channels.MatrixGaussian(np.zeros((2, 2)), cov)
         est = expect_matrix(lambda h: np.einsum("ski,skj->sij", h.conj(), h),
                             law, samples=100_000, rng=SeededStream(11))
-        closed = channels.expected_gram(law)
+        closed = law.expected_gram()
         assert np.all(np.abs(est.mean - closed) <= 3 * est.se + 1e-12)
 
 
@@ -600,7 +600,7 @@ class ScaledColumns(channels.ChannelLaw):
 def test_a_law_family_the_package_never_saw_runs_everywhere():
     law = ScaledColumns(3, [1.2, 0.6])
     twin = channels.KroneckerGaussian(np.zeros((3, 2)), np.eye(3), np.diag([1.44, 0.36]))
-    assert np.allclose(channels.expected_gram(law), channels.expected_gram(twin))
+    assert np.allclose(law.expected_gram(), twin.expected_gram())
     q = np.diag([0.7, 0.3])
     mi = ergodic_mi(q, law, 2.0, 20_000, SeededStream(1))
     ref = ergodic_mi(q, twin, 2.0, 20_000, SeededStream(2))
@@ -793,8 +793,8 @@ class TestJsonDescriptors:
         doc = channels.law_to_json(law)
         back = channels.law_from_json(doc)
         assert type(back) is type(law)
-        h1 = channels.sample(law, rng(18))
-        h2 = channels.sample(back, rng(18))
+        h1 = channels.sample_batch(law, 1, rng(18))[0]
+        h2 = channels.sample_batch(back, 1, rng(18))[0]
         assert np.allclose(h1, h2)
 
     def test_rejects_unknown_type(self):

@@ -313,6 +313,41 @@ class TestFiguresCommand:
         assert rc == 2
 
 
+class TestFigureSnr:
+    @pytest.mark.parametrize("fig", ["fig9", "fig10"])
+    @pytest.mark.parametrize("flag", [["--snr", "2"], ["--snr-db=30"]], ids=["snr", "snr-db"])
+    def test_figures_at_snr_one_refuse_an_snr(self, fig, flag, capsys):
+        assert main(["figures", "--figure", fig, *flag]) == 2
+        err = capsys.readouterr().err
+        assert f"{fig} runs at SNR 1 and takes no --snr or --snr-db" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fig", ["fig11", "fig12"])
+    def test_single_snr_figures_refuse_a_grid(self, fig, capsys):
+        assert main(["figures", "--figure", fig, "--snr-db=0:10:10"]) == 2
+        assert f"{fig} expects a single SNR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fig", ["fig1", "fig6", "fig8"])
+    def test_linear_snr_is_honoured(self, fig):
+        rc, out = run_cli(["figures", "--figure", fig, "--snr", "5"])
+        assert rc == 0
+        header, rows = read_csv(out)
+        assert header[0] == "snr_db" and rows
+        assert {float(r[0]) for r in rows} == {10 * np.log10(5.0)}
+
+    def test_fig6_draws_one_block_at_the_given_db(self):
+        rc, out = run_cli(["figures", "--figure", "fig6", "--snr-db=20"])
+        assert rc == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 200 and {float(r[0]) for r in rows} == {20.0}
+
+    @pytest.mark.parametrize("snr", ["-1", "0"])
+    def test_non_positive_snr_exits_2_without_a_numpy_warning(self, snr, recwarn, capsys):
+        assert main(["figures", "--figure", "fig1", "--snr", snr]) == 2
+        assert "SNR must be finite and positive" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

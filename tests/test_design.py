@@ -1,15 +1,16 @@
-"""Design guard: only ``channels`` asks which family a channel law or density is.
+"""Design guards: only ``channels`` asks which family a channel law or density is.
 
 Every other module reads what a law or density says of itself (``support``,
 ``diag_basis``, ``iid``, ``draw_rows``, ``discrete``, ...), so a new family
-is one class in ``channels`` and nothing else to thread through.
+is one class in ``channels`` and nothing else to thread through. The CLI
+reads its SNR flags in one place, and its figure ids come from one table.
 """
 
 import ast
 import inspect
 from pathlib import Path
 
-from mimocap import channels
+from mimocap import channels, cli
 
 SRC = Path(channels.__file__).parent
 #: every class ``channels`` defines: the laws, the densities and their bases
@@ -93,3 +94,17 @@ def test_one_bordered_newton_solve_in_the_package():
         found += attribute_uses(path.read_text(encoding="utf-8"), path.name, "lstsq")
     assert [f.split(" ")[0].split(":")[0] for f in found] == ["covopt.py"]
     assert [f.split(" ")[1] for f in found] == ["_direction"]
+
+
+def test_one_snr_reader_in_the_cli():
+    # every command and figure gets its SNR points from cli._snr_points
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    for attr in ("snr", "snr_db"):
+        found = attribute_uses(source, "cli.py", attr)
+        assert found and {f.split(" ")[1] for f in found} == {"_snr_points"}
+
+
+def test_figure_choices_are_the_figure_table():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    figure = next(a for a in sub.choices["figures"]._actions if a.dest == "figure")
+    assert list(figure.choices) == list(cli._FIGURE_SNR)

@@ -46,22 +46,6 @@ class TestHermEig:
             linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestSvd:
-    def test_zero_matrix(self):
-        _, s, _ = linalg.svd(np.zeros((2, 3)))
-        assert np.allclose(s, 0.0)
-
-    def test_diagonal_sorted(self):
-        _, s, _ = linalg.svd(np.diag([3.0, 4.0]))
-        assert np.allclose(s, [4.0, 3.0])
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        u, s, vh = linalg.svd(g)
-        assert np.abs((u * s) @ vh - g).max() <= 1e-10
-
-
 class TestTriangular:
     def test_gram_identity(self):
         assert np.allclose(linalg.ut_gram(np.eye(3)), np.eye(3))

@@ -120,7 +120,7 @@ class TestExpectMatrix:
             np.zeros((2, 2)), np.diag([1.2, 0.8]), np.diag([0.5, 1.5]))
         est = expect_matrix(lambda h: np.einsum("ski,skj->sij", h.conj(), h),
                             law, samples=100_000, rng=3)
-        closed = channels.expected_gram(law)
+        closed = law.expected_gram()
         assert np.all(np.abs(est.mean - closed) <= 3 * est.se + 1e-12)
 
     def test_constant_function(self):
@@ -191,11 +191,6 @@ def test_se_halves_when_samples_quadruple():
     s1 = ergodic_mi(np.eye(1), RAYLEIGH_1x1, 1.0, samples=20_000, rng=11).se
     s4 = ergodic_mi(np.eye(1), RAYLEIGH_1x1, 1.0, samples=80_000, rng=11).se
     assert 1.6 <= s1 / s4 <= 2.4
-
-
-def test_mcestimate_unpacks():
-    mean, se, n = McEstimate(1.0, 0.1, 5)
-    assert (mean, se, n) == (1.0, 0.1, 5)
 
 
 @pytest.mark.parametrize("t", [1, 2, 4, 8])

@@ -485,7 +485,8 @@ class TestPowerDensity:
             xi = waterfill.st_water_level(RAYLEIGH_M2, budget)
             grid = np.linspace(xi * 1e-3, xi * 0.99, 50)
             pd = waterfill.power_density(RAYLEIGH_M2, xi, grid)
-            assert abs(pd.total_mass() - 1.0) <= 1e-6
+            mass = pd.atom0 + RAYLEIGH_M2.tail_moments(1 / xi)[0]
+            assert abs(mass - 1.0) <= 1e-6
 
     def test_concentration_at_high_snr(self):
         # mass within +-25% of the per-mode budget grows with SNR
