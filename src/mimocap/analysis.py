@@ -27,8 +27,9 @@ from .channels import (
     Interpolated,
     KroneckerGaussian,
     PointMass,
+    _blocks,
+    _law_blocks,
     _small_gram,
-    sample_batch,
 )
 from .covopt import (
     CovOptResult,
@@ -90,6 +91,7 @@ def beamform_opt_mc(r_corr, t_corr, gamma: float,
     against r*tau2/tau1, with u a length-r circular complex Gaussian vector.
     Only the largest non-leading transmit eigenvalue tau2 is tested: the
     condition is linear in tau_k on one side, so it is tightest there.
+    The draws of u stream: working memory is one value per draw and one block.
     """
     r_corr = as_psd(r_corr)
     t_corr = as_psd(t_corr)
@@ -97,13 +99,17 @@ def beamform_opt_mc(r_corr, t_corr, gamma: float,
     r = r_corr.shape[0]
     taus = np.sort(np.linalg.eigvalsh(t_corr))[::-1]
     tau1, tau2 = taus[0], taus[1]
-    u = _circular_gaussian(as_stream(rng).generator(), (samples, r))
-    # u^H R u and u^H R^2 u as |V^H u|^2 rho and |V^H u|^2 rho^2, R = V diag(rho) V^H
+    gen = as_stream(rng).generator()
     rho, vecs = np.linalg.eigh(r_corr)
-    z = u @ vecs.conj()
-    z = z.real ** 2 + z.imag ** 2
-    w1, w2 = z @ rho, z @ rho ** 2
-    est = McEstimate.of((w1 + gamma * tau2 * w2) / (1.0 + gamma * tau1 * w1))
+
+    def values(n):
+        # u^H R u and u^H R^2 u as |V^H u|^2 rho and |V^H u|^2 rho^2, R = V diag(rho) V^H
+        z = _circular_gaussian(gen, (n, r)) @ vecs.conj()
+        z = z.real ** 2 + z.imag ** 2
+        w1, w2 = z @ rho, z @ rho ** 2
+        return (w1 + gamma * tau2 * w2) / (1.0 + gamma * tau1 * w1)
+
+    est = McEstimate.of(_blocks(samples, values))
     margin = float(est.mean - r * tau2 / tau1)
     return BeamformVerdict(margin > 0, margin, "monte-carlo", est.se)
 
@@ -252,8 +258,8 @@ def high_snr_capacity(law: ChannelLaw, gamma: float,
     """
     t = law.tx
     stream = as_stream(rng)
-    h = sample_batch(law, samples, stream.child(0).generator())
-    sign, logdet = np.linalg.slogdet(_small_gram(h))
+    sign, logdet = _law_blocks(law, samples, stream.child(0).generator(),
+                               lambda h: np.column_stack(np.linalg.slogdet(_small_gram(h)))).T
     good = (sign.real > 0) & np.isfinite(logdet)
     excluded = int(samples - good.sum())
     if excluded:

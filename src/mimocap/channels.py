@@ -51,6 +51,26 @@ __all__ = [
 ]
 
 
+_BLOCK = 2048  #: draws per block of a streamed reduction: 4 x 4 complex ones fill 512 KiB
+
+
+def _blocks(samples: int, draw) -> np.ndarray:
+    """Per-draw values of ``samples`` draws, ``draw(n)`` giving those of the next n <= ``_BLOCK``,
+    each written into one output and dropped: the working memory is the output and one block."""
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
+    for lo in range(0, samples, _BLOCK):
+        block = draw(min(_BLOCK, samples - lo))
+        out = out if lo else np.empty((samples, *block.shape[1:]), block.dtype)
+        out[lo:lo + len(block)] = block
+    return out
+
+
+def _law_blocks(law: "ChannelLaw", samples: int, rng: np.random.Generator, reduce) -> np.ndarray:
+    """``reduce(H)`` per draw of ``samples`` iid draws of H, in :func:`_blocks`."""
+    return _blocks(samples, lambda n: reduce(sample_batch(law, n, rng)))
+
+
 # ---------------------------------------------------------------------------
 # channel laws
 # ---------------------------------------------------------------------------
@@ -62,6 +82,9 @@ class ChannelLaw:
     iid = False  #: whether H has iid CN(0, 1) entries, so H H^H is complex Wishart
     diag_basis = None  #: a unitary known a priori to diagonalize the optimal Q, or None
     support = None  #: ((k, r, t) atoms, (k,) weights) of a law with no continuous part
+    #: whether H H^H has eigenvalue density > 0 at 0+ (square H with a nonsingular Gaussian
+    #: part: P(lam_min < e) ~ c e), so E[1/lam] = inf though no pool shows it
+    _dense_at_zero = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -91,12 +114,12 @@ class ChannelLaw:
         """Draw ``size`` iid H P for a t x k matrix ``p``, returned as (size, r, k)."""
         return sample_batch(self, size, rng) @ p
 
-    def draw_rows(self, samples: int, rng: np.random.Generator) -> tuple:
-        """Eigenvalue rows of H H^H and their weights: one row per atom of
-        ``support``, else ``samples`` drawn rows, weights None (equally likely)."""
+    def draw_rows(self, samples: int, rng: np.random.Generator, reduce=np.asarray) -> tuple:
+        """``reduce(rows)`` of the eigenvalue rows of H H^H, one per atom of ``support``, else
+        ``samples`` drawn rows streamed in :func:`_blocks`; and weights, None if equally likely."""
         if self.support is None:
-            return gram_eigs(sample_batch(self, samples, rng)), None
-        return gram_eigs(self.support[0]), self.support[1]
+            return _law_blocks(self, samples, rng, lambda h: reduce(gram_eigs(h))), None
+        return reduce(gram_eigs(self.support[0])), self.support[1]
 
 
 @dataclass(frozen=True)
@@ -136,6 +159,7 @@ class MatrixGaussian(ChannelLaw):
 
     mean: np.ndarray
     cov: np.ndarray
+    _dense_at_zero = property(lambda s: s.rx == s.tx and _nonsingular(s.cov))
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))
@@ -180,6 +204,7 @@ class KroneckerGaussian(ChannelLaw):
     mean: np.ndarray
     rx_corr: np.ndarray
     tx_corr: np.ndarray
+    _dense_at_zero = property(lambda s: s.rx == s.tx and _nonsingular(s.rx_corr, s.tx_corr))
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))
@@ -265,6 +290,7 @@ class Interpolated(ChannelLaw):
     kappa: float
     m0: np.ndarray
     noise_cov: np.ndarray
+    _dense_at_zero = property(lambda s: s.rx == s.tx and s.kappa < 1 and _nonsingular(s.noise_cov))
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
@@ -329,6 +355,11 @@ class FiniteMixture(ChannelLaw):
         return sum(w * (a.conj().T @ a) for w, a in zip(self.weights, self.atoms))
 
 
+def _nonsingular(*mats) -> bool:
+    """Full rank, eigenvalues up to n eps times the largest being round-off (as in psd_sqrt)."""
+    return all(np.linalg.matrix_rank(a) == len(a) for a in mats)
+
+
 def sample_batch(law: ChannelLaw, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` iid channel matrices, returned as a (size, r, t) array."""
     return law.sample_batch(size, rng)
@@ -346,6 +377,7 @@ class EigDensity:
     pool = math.inf  #: draws behind a pooled density; inf where the density is exact
     exact_pdf = False  #: whether ``pdf`` is the exact density
     discrete = False  #: whether the density is a finite set of point masses
+    _dense_at_zero = False  #: E[1/lam] = inf though no pool shows it, as ChannelLaw's
 
     def pdf(self, lam):
         raise NotImplementedError
@@ -370,7 +402,7 @@ class EigDensity:
         """E[ln(1 + c lam)] for c >= 0: the rate of power c on every mode."""
         raise NotImplementedError
 
-    def draw_rows(self, samples: int, rng: np.random.Generator) -> tuple:
+    def draw_rows(self, samples: int, rng: np.random.Generator, reduce=np.asarray) -> tuple:
         """Per-draw eigenvalue rows and weights, as :meth:`ChannelLaw.draw_rows`."""
         raise NotImplementedError
 
@@ -625,7 +657,7 @@ class WishartDensity(EigDensity):
             total += cj * jj
         return float(total)
 
-    def sample_eigs(self, size: int, rng: np.random.Generator) -> np.ndarray:
+    def sample_eigs(self, size: int, rng: np.random.Generator, reduce=np.asarray) -> np.ndarray:
         """Eigenvalue draws of sampled Wishart matrices, shape (size, m), rows ascending.
 
         Drawn from the beta = 2 Laguerre model of Dumitriu & Edelman ("Matrix
@@ -635,8 +667,12 @@ class WishartDensity(EigDensity):
         independent, B_ii^2 ~ Gamma(n - i + 1) and B_(i+1),i^2 ~ Gamma(m - i)
         (i from 1, unit scale for CN(0, 1) entries of G). A draw takes
         2m - 1 Gamma variates and no complex matrix; det B B^T is the exact
-        product of the diagonal.
+        product of the diagonal. The rows stream in :func:`_blocks`, as ``reduce(rows)``;
+        a block draws its variates as one call for all rows would, so no row depends on it.
         """
+        return _blocks(size, lambda k: reduce(self._block_eigs(k, rng)))
+
+    def _block_eigs(self, size: int, rng: np.random.Generator) -> np.ndarray:
         m, n = self.m, self.n
         shapes = np.concatenate([np.arange(n, n - m, -1), np.arange(m - 1, 0, -1)])
         sq = rng.standard_gamma(shapes, size=(size, 2 * m - 1))
@@ -648,8 +684,8 @@ class WishartDensity(EigDensity):
         tri[:, i[1:], i[:-1]] = tri[:, i[:-1], i[1:]] = np.sqrt(diag[:, :-1] * sub)
         return np.maximum(_small_eigvalsh(tri, diag.prod(axis=1)), 0.0)
 
-    def draw_rows(self, samples, rng):
-        return self.sample_eigs(samples, rng), None
+    def draw_rows(self, samples, rng, reduce=np.asarray):
+        return self.sample_eigs(samples, rng, reduce), None
 
 
 @dataclass(frozen=True)
@@ -662,6 +698,7 @@ class EmpiricalDensity(EigDensity):
     """
 
     draws: np.ndarray  # (pool, m), rows are one channel draw's eigenvalues
+    _dense_at_zero: bool = False  # that of the law drawn
 
     def __post_init__(self):
         d = np.asarray(self.draws, dtype=float)
@@ -671,12 +708,13 @@ class EmpiricalDensity(EigDensity):
         flat = np.sort(d, axis=None)
         object.__setattr__(self, "_sorted", flat)
         # Tail sums of 1/lam and ln(lam) over the positive pool, summed from the
-        # top: entry i covers flat[i:], so a tail query is one binary search.
+        # top in place: entry i covers flat[i:], so a tail query is one binary search.
         pos = flat > 0
-        inv = np.divide(1.0, flat, out=np.zeros_like(flat), where=pos)
-        log = np.log(flat, out=np.zeros_like(flat), where=pos)
-        object.__setattr__(self, "_inv_tail", np.append(np.cumsum(inv[::-1])[::-1], 0.0))
-        object.__setattr__(self, "_log_tail", np.append(np.cumsum(log[::-1])[::-1], 0.0))
+        for name, fn in (("_inv_tail", np.reciprocal), ("_log_tail", np.log)):
+            tail = np.zeros(flat.size + 1)
+            fn(flat, out=tail[:-1], where=pos)
+            np.cumsum(tail[-2::-1], out=tail[-2::-1])
+            object.__setattr__(self, name, tail)
 
     @property
     def m(self) -> int:
@@ -721,8 +759,8 @@ class EmpiricalDensity(EigDensity):
     def log1p_moment(self, c: float) -> float:
         return float(np.sum(np.log1p(c * self._sorted)) / self._sorted.size)
 
-    def draw_rows(self, samples, rng):
-        return self.draws, None
+    def draw_rows(self, samples, rng, reduce=np.asarray):
+        return reduce(self.draws), None
 
 
 @dataclass(frozen=True)
@@ -771,19 +809,19 @@ class PointMassDensity(EigDensity):
     def log1p_moment(self, c: float) -> float:
         return float(np.sum(self.weights * np.log1p(c * self.values)))
 
-    def draw_rows(self, samples, rng):
+    def draw_rows(self, samples, rng, reduce=np.asarray):
         vals, m = self.values, self.m
         if self.independent_modes:
             if len(vals) ** m > 20_000:
                 raise ValueError("mode enumeration too large; use a sampled law instead")
             combos = np.indices((len(vals),) * m).reshape(m, -1).T
-            return vals[combos], self.weights[combos].prod(axis=1)
+            return reduce(vals[combos]), self.weights[combos].prod(axis=1)
         # Marginal of a fixed multiset: weights are counts / m.
         counts = self.weights * m
         if np.any(np.abs(counts - np.round(counts)) > 1e-9):
             raise ValueError("discrete density is not a fixed-multiset marginal; "
                              "set independent_modes or pass the channel law itself")
-        return np.repeat(vals, np.round(counts).astype(int))[None, :], None
+        return reduce(np.repeat(vals, np.round(counts).astype(int))[None, :]), None
 
 
 def wishart_density(m: int, n: int) -> WishartDensity:
@@ -793,16 +831,16 @@ def wishart_density(m: int, n: int) -> WishartDensity:
 
 
 def empirical_density(law: ChannelLaw, pool: int, rng: np.random.Generator) -> EigDensity:
-    """Empirical eigenvalue density of H H^H from ``pool`` draws of the law.
+    """Empirical eigenvalue density of H H^H from ``pool`` streamed draws of the law.
 
-    A law with a ``support`` short-circuits to the exact discrete density of
-    its atoms' eigenvalues.
+    Working memory is the (pool, m) eigenvalues and one block. A law with a
+    ``support`` short-circuits to the exact discrete density of its atoms' eigenvalues.
     """
     if pool < 1000:
         raise ValueError("pool must be at least 10^3")
     eigs, weights = law.draw_rows(pool, rng)
     if weights is None:
-        return EmpiricalDensity(eigs)
+        return EmpiricalDensity(eigs, law._dense_at_zero)
     m = eigs.shape[1]
     vals, where = np.unique(np.round(eigs, 12), return_inverse=True)
     mass = np.bincount(where.ravel(), weights=np.repeat(weights / m, m))

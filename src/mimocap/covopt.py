@@ -75,6 +75,9 @@ class OptimizerOptions:
             raise ValueError(f"optimizer option tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"optimizer option max_iter must be at least 1, got {self.max_iter}")
+        for key in ("samples", "final_samples"):
+            if (n := getattr(self, key)) < 2:
+                raise ValueError(f"optimizer option {key} must be at least 2, got {n}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "OptimizerOptions":

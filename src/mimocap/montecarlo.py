@@ -79,6 +79,8 @@ def _batched_values(fn, law, samples, stream, p=None):
     """Evaluate fn on iid batches of H (of H P given ``p``); the stacked value array."""
     if law.support is not None and law.support[1].size == 1:  # one exact value
         return np.asarray(fn(law.support[0] if p is None else law.support[0] @ p))
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
     chunks = []
     n_done = 0
     b = 0

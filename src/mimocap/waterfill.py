@@ -202,12 +202,13 @@ def naive_avg_rate(source, budget: float, samples: int = 100_000,
     empirical density (per-draw rows of its pool), a Wishart density (fresh
     Gaussian draws), or a discrete density that is either the marginal of a
     fixed eigenvalue multiset or flagged as independent across modes. A draw
-    with no usable mode transmits nothing and contributes rate 0.
+    with no usable mode transmits nothing and contributes rate 0. Drawn rows
+    stream: working memory is ``samples`` rates and one block of draws.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    rows, weights = source.draw_rows(samples, as_stream(rng).generator())
-    rates = _waterfill_rows(rows, budget)[2]
+    rates, weights = source.draw_rows(samples, as_stream(rng).generator(),
+                                      lambda rows: _waterfill_rows(rows, budget)[2])
     return float(np.average(rates, weights=weights))
 
 
@@ -220,9 +221,9 @@ def papr_bound(density: EigDensity, budget):
     """Upper bound 1 + (m/budget) E[1/lam], m = ``density.m``; inf if E[1/lam] diverges.
     ``budget`` may be an array: one E[1/lam] query serves all of it."""
     # The tail query covers lam > 0 only, so mass at zero (an atom, or the
-    # zero modes of a rank-deficient pool) is checked here; the Wishart
-    # inverse moment is itself infinite for n = m.
-    inv = np.inf if density.cdf(0.0) > 0 else density.tail_moments(0.0)[1]
+    # zero modes of a rank-deficient pool) is checked here, as is a law's density
+    # at 0+; the Wishart inverse moment is itself infinite for n = m.
+    inv = np.inf if density.cdf(0.0) > 0 or density._dense_at_zero else density.tail_moments(0.0)[1]
     return 1.0 + density.m / np.asarray(budget, dtype=float) * inv
 
 

@@ -5,6 +5,7 @@ import scipy.optimize
 
 from mimocap import analysis, channels, covopt, linalg
 from mimocap.montecarlo import SeededStream, ergodic_mi
+from test_channels import traced_peak
 
 
 def diag_2x2(rho, tau):
@@ -51,7 +52,10 @@ def _beamform_mc_oracle(r_corr, t_corr, gamma, samples, seed):
     r = r_corr.shape[0]
     taus = np.sort(np.linalg.eigvalsh(t_corr))[::-1]
     gen = SeededStream(seed).generator()
-    u = (gen.standard_normal((samples, r)) + 1j * gen.standard_normal((samples, r))) / np.sqrt(2)
+    # u is drawn in blocks of channels._BLOCK draws, each block's real parts first
+    blocks = [min(channels._BLOCK, samples - lo) for lo in range(0, samples, channels._BLOCK)]
+    u = np.concatenate([gen.standard_normal((n, r)) + 1j * gen.standard_normal((n, r))
+                        for n in blocks]) / np.sqrt(2)
     w1 = np.einsum("si,ij,sj->s", u.conj(), r_corr, u).real
     w2 = np.einsum("si,ij,sj->s", u.conj(), r_corr @ r_corr, u).real
     vals = (w1 + gamma * taus[1] * w2) / (1.0 + gamma * taus[0] * w1)
@@ -69,6 +73,14 @@ def test_beamform_mc_eigenbasis_forms_match_the_quadratic_forms(r_corr):
     margin, se = _beamform_mc_oracle(linalg.as_psd(r_corr), t_corr, 2.0, 50_000, 7)
     assert abs(v.margin - margin) <= 1e-13 * abs(margin)
     assert abs(v.se - se) <= 1e-13 * se
+
+
+def test_beamform_mc_keeps_one_value_per_draw_and_one_block():
+    # 10^6 values are 8 MB, and their mean and SE take two more; 91.6 MiB once
+    samples = 1_000_000
+    _, peak = traced_peak(lambda: analysis.beamform_opt_mc(
+        np.diag([1.5, 0.5]), np.diag([1.9, 0.1]), 10 ** -1.5, samples=samples, rng=3))
+    assert peak <= 3 * 8 * samples + 2**22
 
 
 class TestBeamformClosed:

@@ -605,6 +605,7 @@ def test_optimizer_options_from_json_dict():
 @pytest.mark.parametrize("bad, field", [
     ({"tol": -1.0}, "tol"), ({"tol": 0.0}, "tol"), ({"tol": np.nan}, "tol"),
     ({"tol": np.inf}, "tol"), ({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+    ({"samples": 0}, "samples"), ({"samples": 1}, "samples"), ({"final_samples": 0}, "final_samples"),
 ])
 def test_bad_solver_options_are_rejected_before_any_step(bad, field, monkeypatch):
     # tol = -1 once left _backtrack without a way out on a pooled Ricean law

@@ -4,6 +4,7 @@ Every other module reads what a law or density says of itself (``support``,
 ``diag_basis``, ``iid``, ``draw_rows``, ``discrete``, ...), so a new family
 is one class in ``channels`` and nothing else to thread through. The CLI
 reads its SNR flags in one place, and its figure ids come from one table.
+Per-draw reductions draw their channels in blocks, never as one whole pool.
 """
 
 import ast
@@ -94,6 +95,44 @@ def test_one_bordered_newton_solve_in_the_package():
         found += attribute_uses(path.read_text(encoding="utf-8"), path.name, "lstsq")
     assert [f.split(" ")[0].split(":")[0] for f in found] == ["covopt.py"]
     assert [f.split(" ")[1] for f in found] == ["_direction"]
+
+
+def call_sites(source: str, filename: str, name: str) -> list:
+    """``file:line function`` for each call of ``name`` or ``x.name``, with the
+    innermost function it sits in (a lambda's is the function around it)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.append(f"{filename}:{node.lineno} {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source, filename), "<module>")
+    return found
+
+
+def test_call_sites_sees_names_attributes_and_lambdas():
+    snippet = ("def f(law):\n"
+               "    return sample_batch(law, 2, None)\n"
+               "def g(law):\n"
+               "    return lambda n: channels.sample_batch(law, n, None)\n")
+    assert call_sites(snippet, "x.py", "sample_batch") == ["x.py:2 f", "x.py:4 g"]
+
+
+def test_whole_pools_are_drawn_only_where_meant():
+    # per-draw reductions stream through channels._law_blocks; the other
+    # callers are the module entry point (it forwards to the family's method),
+    # ergodic_mi's batches, the solver pools and H P's default draw
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += call_sites(path.read_text(encoding="utf-8"), path.name, "sample_batch")
+    assert sorted({f"{f.split(':')[0]} {f.split(' ')[1]}" for f in found}) == [
+        "channels.py _law_blocks", "channels.py sample_batch", "channels.py sample_projected",
+        "covopt.py _s_pool", "montecarlo.py _batched_values"]
 
 
 def test_one_snr_reader_in_the_cli():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from mimocap import channels, covopt, linalg
+from mimocap import analysis, channels, covopt, linalg, waterfill
 from mimocap.montecarlo import (McEstimate, SeededStream, _batched_values, _eye_plus,
                                 _log_dets, _snr_gram, _thin_factor, as_stream, ergodic_mi)
 
@@ -236,3 +236,18 @@ def test_log_dets_at_every_rank_match_per_draw_slogdet(t, k, gamma):
         for qq in (q, q_noisy):
             ref = np.array([np.linalg.slogdet(np.eye(t) + sk @ qq)[1] for sk in s])
             assert np.abs(_log_dets(s, qq) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("draw", [
+    lambda n: ergodic_mi(np.eye(2) / 2, RAYLEIGH_2x2, 1.0, samples=n),
+    lambda n: waterfill.naive_avg_rate(channels.wishart_density(2, 2), 1.0, samples=n),
+    lambda n: waterfill.naive_avg_rate(RAYLEIGH_2x2, 1.0, samples=n),
+    lambda n: analysis.beamform_opt_mc(np.eye(2), np.diag([1.4, 0.6]), 1.0, samples=n),
+    lambda n: analysis.high_snr_capacity(RAYLEIGH_2x2, 10.0, samples=n),
+], ids=["ergodic-mi", "naive-wishart", "naive-law", "beamform-mc",
+        "high-snr"])
+@pytest.mark.parametrize("samples", [0, 1])
+def test_a_draw_of_fewer_than_two_samples_is_refused(draw, samples):
+    # 0 ended in numpy errors or NaN, and 1 reported a standard error of 0
+    with pytest.raises(ValueError, match=f"need at least 2 samples, got {samples}"):
+        draw(samples)

@@ -10,6 +10,7 @@ import scipy.special
 from mimocap import channels, linalg, waterfill
 from mimocap.montecarlo import SeededStream
 from mimocap.waterfill import InfeasibleError
+from test_channels import traced_peak
 
 RAYLEIGH_M1 = channels.wishart_density(1, 1)
 RAYLEIGH_M2 = channels.wishart_density(2, 2)
@@ -398,6 +399,14 @@ class TestNaiveBaseline:
             naive = waterfill.naive_avg_rate(dens, budget, samples=40_000, rng=7)
             assert st >= naive - 1e-3
 
+    def test_wishart_draws_stream_through_the_water_filling(self):
+        # 2x10^5 rates are 1.6 MB; all rows and their temporaries at once took 47.3 MiB
+        dens, samples = channels.wishart_density(4, 4), 200_000
+        got, peak = traced_peak(lambda: waterfill.naive_avg_rate(dens, 1.0, samples=samples, rng=8))
+        assert peak <= 8 * samples + 2**21
+        rows = dens.sample_eigs(samples, SeededStream(8).generator())
+        assert got == float(np.average(waterfill._waterfill_rows(rows, 1.0)[2]))
+
     def test_onoff_enumeration(self):
         # E[k ln(1 + P/k)], k ~ Binomial(m, p): exact enumeration oracle
         from math import comb
@@ -443,6 +452,22 @@ class TestPapr:
         assert np.isclose(bound, 1.0 + 0.75)
         assert waterfill.papr(xi, budget, 1) <= bound
 
+    @pytest.mark.parametrize("law, dense", [
+        (channels.KroneckerGaussian(np.zeros((2, 2)), [[1.0, 0.6], [0.6, 1.0]],
+                                    [[1.0, 0.5], [0.5, 1.0]]), True),
+        (channels.MatrixGaussian(np.eye(2), np.diag([1.0, 0.5, 0.3, 2.0])), True),
+        (channels.Interpolated(0.5, np.eye(2), np.diag([1.0, 0.2])), True),
+        (channels.Interpolated(1.0, np.eye(2), np.diag([1.0, 0.2])), False),
+        (channels.KroneckerGaussian(np.zeros((2, 3)), np.eye(2), np.eye(3)), False),
+    ], ids=["kronecker", "gaussian", "interp", "interp-kappa-1", "kronecker-2x3"])
+    def test_pool_of_a_square_law_with_a_nonsingular_gaussian_part_has_no_bound(self, law,
+                                                                                dense):
+        # P(lam_min < e) ~ c e there, so E[1/lam] = inf though the pool's mean is finite
+        d = channels.empirical_density(law, 20_000, SeededStream(4).generator())
+        pooled = 1.0 + d.m * d.tail_moments(0.0)[1]
+        assert np.isfinite(pooled)
+        assert waterfill.papr_bound(d, 1.0) == (np.inf if dense else pooled)
+
     def test_rectangular_wishart_bound_finite(self):
         d = channels.wishart_density(2, 4)
         bound = waterfill.papr_bound(d, 1.0)
@@ -452,8 +477,8 @@ class TestPapr:
         assert np.isclose(bound, 1.0 + 2 * oracle, rtol=1e-6)
 
     @pytest.mark.parametrize("d", [channels.wishart_density(2, 4), RAYLEIGH_M2,
-                                   channels.onoff_density(2, 0.4)],
-                             ids=["wishart-2x4", "wishart-2x2", "onoff"])
+                                   channels.onoff_density(2, 0.4), LEVEL_DENSITIES[4]],
+                             ids=["wishart-2x4", "wishart-2x2", "onoff", "pool-kronecker"])
     def test_array_of_budgets_is_the_per_budget_bounds(self, d, monkeypatch):
         budgets = np.logspace(-1, 3, 11)
         ref = [waterfill.papr_bound(d, float(b)) for b in budgets]
