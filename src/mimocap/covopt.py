@@ -20,6 +20,11 @@ t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``): both solvers step
 in T's eigenbasis on the closed-form MI and report it with SE 0. The paper's
 damped Cholesky-factor map T <- T (M + M^H), M = E[(I + S T^H T)^-1 S],
 survives only as the subject of figures 9 and 10 (``_cholesky_map_trace``).
+
+A pool is drawn and formed one ``channels._BLOCK`` of draws at a time
+(``_s_pool``) and reduced the same way (``_resolvent_moments``, ``_pool_mi``):
+a pooled solve holds one pool and one block, and drops each epoch's pool
+before it draws the next.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelLaw, sample_batch
+from .channels import _BLOCK, ChannelLaw, _blocks, sample_batch
 from .linalg import as_psd, ut_gram
 from .montecarlo import (
     DEFAULT_SAMPLES_FINAL,
@@ -109,12 +114,19 @@ class CovOptResult:
 
 def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
             stream: SeededStream) -> np.ndarray:
-    """Pool of S = gamma * (H U)^H (H U) draws, shape (pool, t, t)."""
-    one_atom = law.support is not None and law.support[1].size == 1
-    h = law.support[0] if one_atom else sample_batch(law, samples, stream.generator())
-    if basis is not None:
-        h = (h.reshape(-1, h.shape[2]) @ np.asarray(basis, dtype=complex)).reshape(h.shape)
-    return _snr_gram(h, gamma)
+    """Pool of S = gamma * (H U)^H (H U) draws, shape (pool, t, t), drawn, rotated
+    and formed block by block (:func:`channels._blocks`): the pool and one block."""
+    u = None if basis is None else np.asarray(basis, dtype=complex)
+
+    def gram(h):
+        if u is not None:
+            h = (h.reshape(-1, h.shape[2]) @ u).reshape(h.shape)
+        return _snr_gram(h, gamma)
+
+    if law.support is not None and law.support[1].size == 1:
+        return gram(law.support[0])
+    gen = stream.generator()
+    return _blocks(samples, lambda n: gram(sample_batch(law, n, gen)))
 
 
 def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -122,9 +134,31 @@ def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.linalg.solve(_eye_plus(s_pool, q), s_pool)
 
 
+def _resolvent_moments(s_pool: np.ndarray, q: np.ndarray, second: bool = False) -> tuple:
+    """E[X] over the pool, X = (I + S Q)^-1 S per draw, and with ``second`` the
+    t^2 x t^2 moment E[vec X vec X^T] (else None), one ``_BLOCK`` of X at a time.
+
+    Each block's row sum starts from the running sum, so E[X] has the bits of
+    ``_resolvent_gradient(s_pool, q).mean(axis=0)``, one sequential row sum.
+    """
+    t = q.shape[0]
+    total, mom = None, 0.0
+    for lo in range(0, len(s_pool), _BLOCK):
+        x = _resolvent_gradient(s_pool[lo:lo + _BLOCK], q)
+        total = np.add.reduce(x if total is None else np.concatenate([total[None], x]))
+        if second:
+            vx = x.reshape(-1, t * t)
+            mom = mom + vx.T @ vx
+    n = len(s_pool)
+    return total / n, (mom / n if second else None)
+
+
 def _pool_mi(s_pool: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """Mean and SE of log det(I + S Q) over the pool."""
-    est = McEstimate.of(_log_dets(s_pool, q))
+    """Mean and SE of log det(I + S Q) over the pool, one ``_BLOCK`` of log-dets at a time."""
+    vals = np.empty(len(s_pool))
+    for lo in range(0, len(s_pool), _BLOCK):
+        vals[lo:lo + _BLOCK] = _log_dets(s_pool[lo:lo + _BLOCK], q)
+    est = McEstimate.of(vals)
     return est.mean, est.se
 
 
@@ -198,15 +232,13 @@ def _objective(law: ChannelLaw, gamma: float, basis, samples: int,
     pool = _s_pool(law, gamma, basis, samples, stream)
 
     def moments(vecs, lam):
-        x = _resolvent_gradient(pool, _covariance(vecs, lam))
-        m = x.mean(axis=0)
+        m, mom = _resolvent_moments(pool, _covariance(vecs, lam), second=True)
 
         def curv(w, coords):
             # E[vec Xw vec Xw^T] = K^T E[vec X vec X^T] K, Xw = W^H X W, K = conj(W) (x) W
             t = w.shape[0]
-            vx = x.reshape(-1, t * t)
             kron = np.kron(w.conj(), w)
-            kk = kron.T @ (vx.T @ vx / vx.shape[0]) @ kron
+            kk = kron.T @ mom @ kron
             kk = np.moveaxis(kk.reshape(t, t, t, t), 0, -1).reshape(t * t, t * t)
             return (coords.T @ kk @ coords).real
 
@@ -433,6 +465,7 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
             m, curv = moments(vecs, lam)
         # the fresh check pool becomes the next epoch's solving pool
         epoch += 1
+        del mi_of, moments  # the old pool goes before the new one is drawn
         mi_of, moments = _objective(law, gamma, basis, opts.samples, stream.child(epoch))
         m, curv = moments(vecs, lam)
         residual = _residual(vecs.conj().T @ m @ vecs, lam > MODE_OFF)
@@ -441,6 +474,7 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
         # (ROADMAP direction 1)
         converged = bool(residual <= opts.tol or (full and settled))
 
+    del mi_of, moments
     q = _covariance(vecs if full else basis, lam)
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("Newton step produced non-finite entries")
@@ -505,7 +539,7 @@ def kkt_residual_general(q, law: ChannelLaw, gamma: float,
     if law.exact:
         return _q_residual(law.exact_mi(q, gamma)[1], q)
     pool = _s_pool(law, gamma, None, samples, as_stream(rng))
-    return _q_residual(_resolvent_gradient(pool, q).mean(axis=0), q)
+    return _q_residual(_resolvent_moments(pool, q)[0], q)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +595,7 @@ def _cholesky_map_trace(law: ChannelLaw, gamma: float,
         for _ in range(INNER_MAX):
             if len(trace) >= opts.max_iter:
                 break
-            m = np.mean(_resolvent_gradient(pool, ut_gram(tfac)), axis=0)
+            m = _resolvent_moments(pool, ut_gram(tfac))[0]
             step = _normalize_ut(_phase_fix_rows(np.triu(tfac @ (m + m.conj().T))))
             cand = _normalize_ut(_phase_fix_rows((1 - alpha) * tfac + alpha * step))
             mi_new, se_new = _pool_mi(pool, ut_gram(cand))

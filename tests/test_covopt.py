@@ -1,11 +1,12 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mimocap import channels, covopt, linalg, waterfill
 from mimocap.covopt import OptimizerOptions
-from mimocap.montecarlo import SeededStream, ergodic_mi
+from mimocap.montecarlo import SeededStream, _snr_gram, ergodic_mi
 
 RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
 # receive correlation keeps this law off the closed form, on pools; its law is
@@ -617,3 +618,57 @@ def test_bad_solver_options_are_rejected_before_any_step(bad, field, monkeypatch
     for solve in (covopt.fixed_point_diag, covopt.iterate_general):
         with pytest.raises(ValueError, match=f"option {field} "):
             solve(law, 1.0, opts={"max_iter": 20, **bad})
+
+
+RICEAN_4x4 = channels.KroneckerGaussian(np.diag([4.0, 0.0, 0.0, 0.0]), np.eye(4),
+                                        0.5 * np.ones((4, 4)) + 0.5 * np.eye(4))
+
+
+class TestStreamedPools:
+    @pytest.mark.parametrize("samples", [2, 700, channels._BLOCK])
+    @pytest.mark.parametrize("rotate", [False, True], ids=["no-basis", "basis"])
+    def test_pool_of_one_block_is_one_draw(self, samples, rotate):
+        u = linalg.haar_unitary(4, np.random.default_rng(4)) if rotate else None
+        h = channels.sample_batch(RICEAN_4x4, samples, SeededStream(41).generator())
+        ref = _snr_gram(h if u is None else (h.reshape(-1, 4) @ u).reshape(h.shape), 2.0)
+        assert np.array_equal(covopt._s_pool(RICEAN_4x4, 2.0, u, samples, SeededStream(41)), ref)
+
+    def test_one_atom_law_pools_its_atom(self):
+        h = np.array([[1.0, 0.5j], [0.2, 2.0]])
+        pool = covopt._s_pool(channels.PointMass(h), 3.0, None, 10**5, SeededStream(0))
+        assert np.array_equal(pool, _snr_gram(h[None], 3.0))
+
+    @pytest.mark.parametrize("samples", [2, channels._BLOCK - 1, channels._BLOCK,
+                                         3 * channels._BLOCK + 17])
+    def test_mean_resolvent_has_the_whole_pool_bits(self, samples):
+        pool = covopt._s_pool(RICEAN_4x4, 1.0, None, samples, SeededStream(42))
+        vecs = linalg.haar_unitary(4, np.random.default_rng(5))
+        q = covopt._covariance(vecs, np.array([0.4, 0.3, 0.2, 0.1]))
+        x = covopt._resolvent_gradient(pool, q)
+        m, mom = covopt._resolvent_moments(pool, q)
+        assert np.array_equal(m, x.mean(axis=0)) and mom is None
+        logdets = np.linalg.slogdet(np.eye(4) + pool @ q)[1]
+        assert np.allclose(covopt._pool_mi(pool, q), (logdets.mean(), logdets.std(ddof=1)
+                                                      / np.sqrt(samples)), rtol=1e-14, atol=0)
+
+    def test_curvature_moment_is_the_whole_pool_moment(self):
+        samples = 3 * channels._BLOCK + 17
+        pool = covopt._s_pool(RICEAN_4x4, 1.0, None, samples, SeededStream(43))
+        q = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        vx = covopt._resolvent_gradient(pool, q).reshape(samples, 16)
+        ref = vx.T @ vx / samples
+        mom = covopt._resolvent_moments(pool, q, second=True)[1]
+        assert np.abs(mom - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("samples", [10**4, 10**5])
+    def test_solve_holds_one_pool_and_one_block(self, samples):
+        # the pool, 16 complex per draw, and one block; 12.3 and 122.2 MiB when
+        # pools were drawn and reduced whole
+        tracemalloc.start()
+        try:
+            res = covopt.iterate_general(RICEAN_4x4, 1.0, {"samples": samples, "seed": 12345})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak <= (6 * 2**20 if samples == 10**4 else 1.25 * samples * 16 * 16 + 4 * 2**20)

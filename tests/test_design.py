@@ -4,7 +4,8 @@ Every other module reads what a law or density says of itself (``support``,
 ``diag_basis``, ``iid``, ``draw_rows``, ``discrete``, ...), so a new family
 is one class in ``channels`` and nothing else to thread through. The CLI
 reads its SNR flags in one place, and its figure ids come from one table.
-Per-draw reductions draw their channels in blocks, never as one whole pool.
+Per-draw reductions draw their channels in blocks, never as one whole pool,
+and the covariance solvers reduce their pools one block at a time.
 """
 
 import ast
@@ -124,15 +125,28 @@ def test_call_sites_sees_names_attributes_and_lambdas():
 
 
 def test_whole_pools_are_drawn_only_where_meant():
-    # per-draw reductions stream through channels._law_blocks; the other
-    # callers are the module entry point (it forwards to the family's method),
-    # ergodic_mi's batches, the solver pools and H P's default draw
+    # per-draw reductions stream through channels._law_blocks and the solver
+    # pools through channels._blocks in covopt._s_pool; the other callers are
+    # the module entry point (it forwards to the family's method), ergodic_mi's
+    # batches and H P's default draw
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += call_sites(path.read_text(encoding="utf-8"), path.name, "sample_batch")
     assert sorted({f"{f.split(':')[0]} {f.split(' ')[1]}" for f in found}) == [
         "channels.py _law_blocks", "channels.py sample_batch", "channels.py sample_projected",
         "covopt.py _s_pool", "montecarlo.py _batched_values"]
+
+
+def test_solver_pools_are_reduced_block_by_block():
+    # per-draw X = (I + S Q)^-1 S is formed only in covopt._resolvent_moments,
+    # one channels._BLOCK of the pool at a time; I + S Q besides for log-dets
+    found = {"_resolvent_gradient": set(), "_eye_plus": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for name, where in found.items():
+            where.update(f"{f.split(':')[0]} {f.split(' ')[1]}" for f in
+                         call_sites(path.read_text(encoding="utf-8"), path.name, name))
+    assert found == {"_resolvent_gradient": {"covopt.py _resolvent_moments"},
+                     "_eye_plus": {"covopt.py _resolvent_gradient", "montecarlo.py _log_dets"}}
 
 
 def test_one_snr_reader_in_the_cli():
