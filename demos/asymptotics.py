@@ -13,6 +13,7 @@ import numpy as np
 
 from mimocap import (
     KroneckerGaussian,
+    OptimizerOptions,
     ergodic_mi,
     high_snr_capacity,
     iterate_general,
@@ -50,8 +51,8 @@ mean[0, 0] = n
 ricean = KroneckerGaussian(mean, np.eye(n), t_corr)
 print("\nRank-one mean plus correlated fading: capacity vs the "
       "Wishart-approximated input")
-opts = {"tol": 8e-3, "samples": 20_000, "max_iter": 200, "seed": 3,
-        "final_samples": 50_000}
+opts = OptimizerOptions(tol=8e-3, samples=20_000, max_iter=200, seed=3,
+                        final_samples=50_000)
 for db in (-10, 0, 10):
     g = 10 ** (db / 10)
     cap = iterate_general(ricean, g, opts)

@@ -13,6 +13,7 @@ import numpy as np
 from mimocap import (
     PointMass,
     KroneckerGaussian,
+    OptimizerOptions,
     fixed_point_diag,
     interp_study,
     iterate_general,
@@ -24,7 +25,7 @@ from mimocap.linalg import haar_unitary
 
 law = PointMass(np.diag([np.sqrt(2.0), 1.0]))
 sol = waterfill_det([2.0, 1.0], 1.0)
-res = fixed_point_diag(law, 1.0, opts={"tol": 1e-7, "max_iter": 2000})
+res = fixed_point_diag(law, 1.0, opts=OptimizerOptions(tol=1e-7, max_iter=2000))
 print("Deterministic eigenvalues {2, 1}, unit budget:")
 print(f"  water-filling: powers {sol.powers.round(6)}, rate {sol.rate:.6f} nats")
 print(f"  Newton (diag): powers {res.qhat.round(6)}, MI  {res.mi.mean:.6f} nats")
@@ -34,7 +35,7 @@ print(f"  Newton (diag): powers {res.qhat.round(6)}, MI  {res.mi.mean:.6f} nats"
 rng = np.random.default_rng(1)
 u = haar_unitary(2, rng)
 law_rot = PointMass((u * np.sqrt([2.0, 1.0])) @ u.conj().T)
-res_rot = iterate_general(law_rot, 1.0, opts={"tol": 1e-9})
+res_rot = iterate_general(law_rot, 1.0, opts=OptimizerOptions(tol=1e-9))
 print("\nSame spectrum behind a random unitary, general Newton solver:")
 print(f"  MI {res_rot.mi.mean:.6f} nats (capacity {sol.rate:.6f}), "
       f"{res_rot.iterations} iterations, residual {res_rot.kkt_residual:.1e}")
@@ -42,8 +43,8 @@ print(f"  MI {res_rot.mi.mean:.6f} nats (capacity {sol.rate:.6f}), "
 # --- iid Rayleigh: uniform power is optimal and the optimizer agrees ---------
 
 iid = KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
-res_iid = iterate_general(iid, 1.0, opts={"samples": 30_000, "tol": 8e-3,
-                                          "max_iter": 300, "seed": 2})
+res_iid = iterate_general(iid, 1.0, opts=OptimizerOptions(samples=30_000, tol=8e-3,
+                                                          max_iter=300, seed=2))
 print("\niid Rayleigh 2x2 at SNR 1: Q should be I/2")
 print(np.array_str(res_iid.q, precision=3, suppress_small=True))
 
@@ -56,7 +57,7 @@ print("\nInterpolated channel H = k*M0 + (1-k)*X, X zero-mean with "
 print("(M0 and Sigma do not commute; the optimal axes are not an "
       "interpolation of either)")
 pts = interp_study(m0, sigma, [0.0, 0.25, 0.5, 0.75, 1.0], 1.0,
-                   {"tol": 5e-3, "samples": 15_000, "max_iter": 300, "seed": 3})
+                   OptimizerOptions(tol=5e-3, samples=15_000, max_iter=300, seed=3))
 print(f"{'kappa':>6} {'q1':>7} {'q2':>7} {'angle to E[S] axes (rad)':>26}")
 for p in pts:
     print(f"{p.kappa:>6.2f} {p.powers[0]:>7.3f} {p.powers[1]:>7.3f} "

@@ -34,7 +34,6 @@ from .channels import (
 from .covopt import (
     CovOptResult,
     OptimizerOptions,
-    _as_opts,
     fixed_point_diag,
     iterate_general,
 )
@@ -285,7 +284,7 @@ def wishart_approx(mean, tx_corr, q) -> np.ndarray:
 
 
 def wishart_approx_covariance(mean, tx_corr, gamma: float,
-                              opts: OptimizerOptions | dict | None = None
+                              opts: OptimizerOptions = OptimizerOptions()
                               ) -> tuple[np.ndarray, ChannelLaw]:
     """Input covariance that is optimal under the central-Wishart stand-in.
 
@@ -321,7 +320,7 @@ def _principal_angle(u, v) -> float:
 
 
 def interp_study(m0, noise_cov, kappa_grid, gamma: float,
-                 opts: OptimizerOptions | dict | None = None) -> list[InterpPoint]:
+                 opts: OptimizerOptions = OptimizerOptions()) -> list[InterpPoint]:
     """Track the optimal covariance as the channel slides from noise to mean.
 
     For each kappa runs the general optimizer on H = kappa*M0 + (1-kappa)*X
@@ -331,13 +330,12 @@ def interp_study(m0, noise_cov, kappa_grid, gamma: float,
     solver's own (``qhat``), largest first: an off direction reads 0.0.
     """
     m0 = np.asarray(m0, dtype=complex)
-    base = _as_opts(opts)
     out = []
     for i, kappa in enumerate(np.asarray(kappa_grid, dtype=float)):
         law: ChannelLaw = (PointMass(m0) if kappa == 1.0
                            else Interpolated(float(kappa), m0, noise_cov))
         res = iterate_general(law, gamma,
-                              dataclasses.replace(base, seed=base.seed + 7919 * i))
+                              dataclasses.replace(opts, seed=opts.seed + 7919 * i))
         u, _ = herm_eig(res.q)
         gu, _ = herm_eig(law.expected_gram())
         out.append(InterpPoint(float(kappa), res, u, np.sort(res.qhat)[::-1],

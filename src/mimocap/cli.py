@@ -63,7 +63,7 @@ def _add_common(p: argparse.ArgumentParser, channel: bool = True, solver: bool =
                      help="SNR grid in dB as a:b:step, or a single value "
                           "(write --snr-db=-10:30:2 for negative starts)")
     snr.add_argument("--snr", type=float, help="single linear SNR")
-    p.add_argument("--samples", type=_sample_count, default=10_000,
+    p.add_argument("--samples", type=_count("samples"), default=10_000,
                    help="Monte Carlo samples (at least 2)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (fixed default)")
     if solver:
@@ -75,11 +75,14 @@ def _add_common(p: argparse.ArgumentParser, channel: bool = True, solver: bool =
         p.add_argument("--unit", choices=("nats", "bits"), default="nats")
 
 
-def _sample_count(text: str) -> int:
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {n}")
-    return n
+def _count(what: str):
+    """argparse type of a count of at least 2 ``what``."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < 2:
+            raise argparse.ArgumentTypeError(f"need at least 2 {what}, got {n}")
+        return n
+    return count
 
 
 def _grid(text: str) -> np.ndarray:
@@ -98,10 +101,15 @@ def _grid(text: str) -> np.ndarray:
     return grid
 
 
-def _solver_opts(args) -> OptimizerOptions:
-    """Solver options from the common flags; ``ValueError`` on a bad tol or max_iter."""
-    return OptimizerOptions(tol=args.tol, max_iter=args.max_iter, samples=args.samples,
+def _solver_opts(args, pools: bool = True) -> OptimizerOptions:
+    """Solver options from the common flags; ``ValueError`` on a bad tol or
+    max_iter and, where the solver runs on ``pools``, on fewer than 10^3 samples."""
+    opts = OptimizerOptions(tol=args.tol, max_iter=args.max_iter, samples=args.samples,
                             seed=args.seed)
+    if pools and args.samples < 1000:
+        raise ValueError(f"{getattr(args, 'figure', args.command)} needs at least 10^3 "
+                         f"samples for its solver pools, got {args.samples}")
+    return opts
 
 
 def _snr_points(args, default: str | None = "0", single: bool = False):
@@ -232,9 +240,6 @@ def cmd_waterfill(args) -> int:
 
 def cmd_optimize(args) -> int:
     opts = _solver_opts(args)
-    if args.samples < 1000:
-        raise ValueError(f"optimize needs at least 10^3 samples for its solver pools, "
-                         f"got {args.samples}")
     law = law_from_json(_load_descriptor(args.channel))
     gamma = float(_snr_points(args, single=True)[1][0])
     if not np.any(law.expected_gram()):
@@ -308,13 +313,14 @@ def _uniform_rate(density: EigDensity, gamma: float) -> float:
     return density.m * density.log1p_moment(gamma / density.m)
 
 
-#: each figure's SNR: (default dB grid, whether it takes one point only); a
-#: grid of None fixes the SNR at 1 and refuses --snr and --snr-db
-_FIGURE_SNR = {**dict.fromkeys(("fig1", "fig2", "fig3", "fig4"), ("-10:30:2", False)),
-              "fig5": ("-10:20:1", False), "fig6": ("-10:10:5", False),
-              "fig7": ("-10:20:5", False), "fig8": ("-15:15:5", False),
-              "fig9": (None, False), "fig10": (None, False),
-              "fig11": ("0", True), "fig12": ("0", True)}
+# A recipe maps (args, dB points, linear points, rate scale, unit) to one
+# figure's (header, rows); those that solve take their options from _solver_opts.
+
+def _fig1(args, dbs, gammas, scale, unit):
+    dens = wishart_density(1, 1)
+    rows = [[float(db), waterfill.st_capacity(dens, waterfill.st_water_level(dens, g)) * scale,
+             dens.log1p_moment(g) * scale] for db, g in zip(dbs, gammas)]
+    return ["snr_db", f"capacity_{unit}", f"const_power_rate_{unit}"], rows
 
 
 def _rayleigh_rates(args, m: int, dbs, gammas):
@@ -329,123 +335,133 @@ def _rayleigh_rates(args, m: int, dbs, gammas):
         yield float(db), st, naive, _uniform_rate(dens, g)
 
 
-def _figure_table(fig: str, args):
-    dbs, gammas = _snr_points(args, *_FIGURE_SNR[fig])
-    scale, unit = _rate_scale(args.unit)
+def _fig2(args, dbs, gammas, scale, unit):
+    rows = [[db, st * scale, naive * scale, uni * scale]
+            for db, st, naive, uni in _rayleigh_rates(args, 2, dbs, gammas)]
+    return ["snr_db", f"capacity_{unit}", f"space_waterfill_{unit}", f"uniform_{unit}"], rows
+
+
+def _gains(m: int, args, dbs, gammas, scale, unit):
+    """fig3 (m = 2) and fig4 (m = 4): both water-fillings' gains over Q = I/t."""
+    rows = [[db, st / uni, naive / uni]
+            for db, st, naive, uni in _rayleigh_rates(args, m, dbs, gammas)]
+    return ["snr_db", "gain_space_time", "gain_space"], rows
+
+
+def _fig5(args, dbs, gammas, scale, unit):
+    rows = []
+    for db, g in zip(dbs, gammas):
+        row = [float(db)]
+        for m in (1, 2, 4):
+            xi = waterfill.st_water_level(wishart_density(m, m), g)
+            row.append(float(10 * np.log10(waterfill.papr(xi, g, m))))
+        rows.append(row)
+    return ["snr_db", "papr_db_m1", "papr_db_m2", "papr_db_m4"], rows
+
+
+def _fig6(args, dbs, gammas, scale, unit):
+    dens = wishart_density(2, 2)
+    blocks = []
+    for db, g in zip(dbs, gammas):
+        xi = waterfill.st_water_level(dens, g)
+        pd = waterfill.power_density(dens, xi, np.linspace(xi * 1e-3, xi * 0.999, 200))
+        blocks.append(np.column_stack(np.broadcast_arrays(db, pd.grid, pd.pdf, pd.atom0)))
+    return ["snr_db", "power", "pdf", "atom0"], np.concatenate(blocks).tolist()
+
+
+def _fig7(args, dbs, gammas, scale, unit):
     stream = SeededStream(args.seed)
-    opts = _solver_opts(args)  # every figure rejects a bad --tol or --max-iter
-    if fig == "fig1":
-        dens = wishart_density(1, 1)
-        rows = []
-        for db, g in zip(dbs, gammas):
-            xi = waterfill.st_water_level(dens, g)
-            cap = waterfill.st_capacity(dens, xi) * scale
-            const = dens.log1p_moment(g) * scale
-            rows.append([float(db), cap, const])
-        return ["snr_db", f"capacity_{unit}", f"const_power_rate_{unit}"], rows
-    if fig == "fig2":
-        rows = [[db, st * scale, naive * scale, uni * scale]
-                for db, st, naive, uni in _rayleigh_rates(args, 2, dbs, gammas)]
-        return ["snr_db", f"capacity_{unit}", f"space_waterfill_{unit}",
-                f"uniform_{unit}"], rows
-    if fig in ("fig3", "fig4"):
-        rows = [[db, st / uni, naive / uni] for db, st, naive, uni
-                in _rayleigh_rates(args, 2 if fig == "fig3" else 4, dbs, gammas)]
-        return ["snr_db", "gain_space_time", "gain_space"], rows
-    if fig == "fig5":
-        rows = []
-        for db, g in zip(dbs, gammas):
-            row = [float(db)]
-            for m in (1, 2, 4):
-                dens = wishart_density(m, m)
-                xi = waterfill.st_water_level(dens, g)
-                row.append(float(10 * np.log10(waterfill.papr(xi, g, m))))
-            rows.append(row)
-        return ["snr_db", "papr_db_m1", "papr_db_m2", "papr_db_m4"], rows
-    if fig == "fig6":
-        dens = wishart_density(2, 2)
-        blocks = []
-        for db, g in zip(dbs, gammas):
-            xi = waterfill.st_water_level(dens, g)
-            grid = np.linspace(xi * 1e-3, xi * 0.999, 200)
-            pd = waterfill.power_density(dens, xi, grid)
-            blocks.append(np.column_stack(np.broadcast_arrays(db, pd.grid, pd.pdf, pd.atom0)))
-        return ["snr_db", "power", "pdf", "atom0"], np.concatenate(blocks).tolist()
-    if fig == "fig7":
-        tau = args.tau
-        rows = []
-        opts = replace(opts, final_samples=max(args.samples, 20_000))
-        for n in (2, 3):
-            t_corr = tau * np.ones((n, n)) + (1 - tau) * np.eye(n)
-            mean = np.zeros((n, n), dtype=complex)
-            mean[0, 0] = n
-            law = KroneckerGaussian(mean, np.eye(n), t_corr)
-            for k, (db, g) in enumerate(zip(dbs, gammas)):
-                res = covopt.iterate_general(law, g, opts)
-                qa, _ = analysis.wishart_approx_covariance(mean, t_corr, g, opts)
-                mi_a = ergodic_mi(qa, law, g, opts.final_samples, stream.child(100 + k))
-                rows.append([n, float(db), res.mi.mean * scale, mi_a.mean * scale])
-        return ["n", "snr_db", f"capacity_{unit}", f"mi_approx_{unit}"], rows
-    if fig == "fig8":
-        rows = []
-        for db, g in zip(dbs, gammas):
-            curve = analysis.beamform_boundary(g, _grid("1.0:1.95:0.05"))
-            for rho, tau_star in curve:
-                rows.append([float(db), float(rho), float(tau_star)])
-        return ["snr_db", "rho", "tau_star"], rows
-    if fig == "fig9":
-        cap = float(np.log(2.5) + np.log(1.25))
-        rows = []
-        gen = stream.generator()
-        for k in range(5):
-            u = haar_unitary(2, gen)
-            h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
-            trace = covopt._cholesky_map_trace(PointMass(h), gammas[0], replace(opts, tol=1e-7))
-            for i, mi in enumerate(trace):
-                rows.append([k, i + 1, (cap - float(mi)) * scale])
-        return ["unitary", "iter", f"capacity_gap_{unit}"], rows
-    if fig == "fig10":
-        n = args.size
-        tau = args.tau
-        t_corr = tau * np.ones((n, n)) + (1 - tau) * np.eye(n)
-        gen = stream.generator()
-        rows = []
-        for trial in range(3):
-            mu = _circular_gaussian(gen, n)
-            mean = np.outer(mu, mu.conj())
-            mean *= np.sqrt(n) / np.linalg.norm(mean)
-            law = KroneckerGaussian(mean, np.eye(n), t_corr)
-            trace = covopt._cholesky_map_trace(law, gammas[0],
-                                               replace(opts, seed=args.seed + trial))
-            best = max(trace)
-            for i, mi in enumerate(trace):
-                rows.append([trial, i + 1, float(best - mi) * scale])
-        return ["trial", "iter", f"mi_gap_{unit}"], rows
-    if fig in ("fig11", "fig12"):
-        m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
-        sig = np.diag([4.0, 1.0]).astype(complex)
-        kappas = np.linspace(0.0, 1.0, args.kappa_points)
-        pts = analysis.interp_study(m0, sig, kappas, gammas[0], opts)
-        rows = []
-        if fig == "fig11":
-            for p in pts:
-                v = p.eigvecs
-                rows.append([p.kappa,
-                             float(v[0, 0].real), float(v[0, 0].imag),
-                             float(v[1, 0].real), float(v[1, 0].imag),
-                             float(v[0, 1].real), float(v[0, 1].imag),
-                             float(v[1, 1].real), float(v[1, 1].imag),
-                             p.angle_vs_gram])
-            return ["kappa", "v1_x_re", "v1_x_im", "v1_y_re", "v1_y_im",
-                    "v2_x_re", "v2_x_im", "v2_y_re", "v2_y_im",
-                    "angle_vs_gram_rad"], rows
-        for p in pts:
-            rows.append([p.kappa, float(p.powers[0]), float(p.powers[1])])
-        return ["kappa", "q1", "q2"], rows
+    opts = replace(_solver_opts(args), final_samples=max(args.samples, 20_000))
+    rows = []
+    for n in (2, 3):
+        t_corr = args.tau * np.ones((n, n)) + (1 - args.tau) * np.eye(n)
+        mean = np.zeros((n, n), dtype=complex)
+        mean[0, 0] = n
+        law = KroneckerGaussian(mean, np.eye(n), t_corr)
+        for k, (db, g) in enumerate(zip(dbs, gammas)):
+            res = covopt.iterate_general(law, g, opts)
+            qa, _ = analysis.wishart_approx_covariance(mean, t_corr, g, opts)
+            mi_a = ergodic_mi(qa, law, g, opts.final_samples, stream.child(100 + k))
+            rows.append([n, float(db), res.mi.mean * scale, mi_a.mean * scale])
+    return ["n", "snr_db", f"capacity_{unit}", f"mi_approx_{unit}"], rows
+
+
+def _fig8(args, dbs, gammas, scale, unit):
+    rows = [[float(db), float(rho), float(tau_star)] for db, g in zip(dbs, gammas)
+            for rho, tau_star in analysis.beamform_boundary(g, _grid("1.0:1.95:0.05"))]
+    return ["snr_db", "rho", "tau_star"], rows
+
+
+def _fig9(args, dbs, gammas, scale, unit):
+    cap = float(np.log(2.5) + np.log(1.25))
+    opts = replace(_solver_opts(args), tol=1e-7)
+    gen = SeededStream(args.seed).generator()
+    rows = []
+    for k in range(5):
+        u = haar_unitary(2, gen)
+        h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
+        for i, mi in enumerate(covopt._cholesky_map_trace(PointMass(h), gammas[0], opts)):
+            rows.append([k, i + 1, (cap - float(mi)) * scale])
+    return ["unitary", "iter", f"capacity_gap_{unit}"], rows
+
+
+def _fig10(args, dbs, gammas, scale, unit):
+    n = args.size
+    t_corr = args.tau * np.ones((n, n)) + (1 - args.tau) * np.eye(n)
+    opts = _solver_opts(args)
+    gen = SeededStream(args.seed).generator()
+    rows = []
+    for trial in range(3):
+        mu = _circular_gaussian(gen, n)
+        mean = np.outer(mu, mu.conj())
+        mean *= np.sqrt(n) / np.linalg.norm(mean)
+        law = KroneckerGaussian(mean, np.eye(n), t_corr)
+        trace = covopt._cholesky_map_trace(law, gammas[0], replace(opts, seed=args.seed + trial))
+        best = max(trace)
+        for i, mi in enumerate(trace):
+            rows.append([trial, i + 1, float(best - mi) * scale])
+    return ["trial", "iter", f"mi_gap_{unit}"], rows
+
+
+def _interp_points(args, gammas):
+    """fig11/fig12's solves from noise diag(4, 1) to the mean [[0, 1], [1, 1]]."""
+    m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
+    sig = np.diag([4.0, 1.0]).astype(complex)
+    kappas = np.linspace(0.0, 1.0, args.kappa_points)
+    return analysis.interp_study(m0, sig, kappas, gammas[0], _solver_opts(args))
+
+
+def _fig11(args, dbs, gammas, scale, unit):
+    # v.T.ravel() is (v1_x, v1_y, v2_x, v2_y); its float view interleaves re and im
+    rows = [[p.kappa, *p.eigvecs.T.ravel().view(float).tolist(), p.angle_vs_gram]
+            for p in _interp_points(args, gammas)]
+    return ["kappa", *(f"v{k}_{x}_{part}" for k in (1, 2) for x in "xy" for part in ("re", "im")),
+            "angle_vs_gram_rad"], rows
+
+
+def _fig12(args, dbs, gammas, scale, unit):
+    rows = [[p.kappa, float(p.powers[0]), float(p.powers[1])] for p in _interp_points(args, gammas)]
+    return ["kappa", "q1", "q2"], rows
+
+
+#: each figure: (default dB grid, whether it takes one SNR point only, recipe);
+#: a grid of None fixes the SNR at 1 and refuses --snr and --snr-db
+_FIGURES = {
+    "fig1": ("-10:30:2", False, _fig1), "fig2": ("-10:30:2", False, _fig2),
+    "fig3": ("-10:30:2", False, functools.partial(_gains, 2)),
+    "fig4": ("-10:30:2", False, functools.partial(_gains, 4)),
+    "fig5": ("-10:20:1", False, _fig5), "fig6": ("-10:10:5", False, _fig6),
+    "fig7": ("-10:20:5", False, _fig7), "fig8": ("-15:15:5", False, _fig8),
+    "fig9": (None, False, _fig9), "fig10": (None, False, _fig10),
+    "fig11": ("0", True, _fig11), "fig12": ("0", True, _fig12),
+}
 
 
 def cmd_figures(args) -> int:
-    header, rows = _figure_table(args.figure, args)
+    grid, single, recipe = _FIGURES[args.figure]
+    dbs, gammas = _snr_points(args, grid, single)
+    _solver_opts(args, pools=False)  # every figure rejects a bad --tol or --max-iter
+    header, rows = recipe(args, dbs, gammas, *_rate_scale(args.unit))
     _write_rows(args.out, header, rows, args.format)
     return 0
 
@@ -483,13 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(fn=cmd_beamform)
 
     pf = sub.add_parser("figures", help="regenerate figure data tables")
-    pf.add_argument("--figure", required=True, choices=list(_FIGURE_SNR))
+    pf.add_argument("--figure", required=True, choices=list(_FIGURES))
     _add_common(pf, channel=False)
     pf.add_argument("--tau", type=float, default=0.5,
                     help="off-diagonal transmit correlation for fig7/fig10")
-    pf.add_argument("--size", type=int, default=5, help="matrix size for fig10")
-    pf.add_argument("--kappa-points", type=int, default=11,
-                    help="interpolation grid size for fig11/fig12")
+    pf.add_argument("--size", type=_count("antennas"), default=5,
+                    help="matrix size for fig10 (at least 2)")
+    pf.add_argument("--kappa-points", type=_count("points"), default=11,
+                    help="interpolation grid size for fig11/fig12 (at least 2)")
     pf.set_defaults(fn=cmd_figures)
     return p
 

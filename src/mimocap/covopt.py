@@ -67,7 +67,7 @@ INNER_MAX = 80
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs shared by both optimizers; JSON-friendly."""
+    """Knobs shared by both optimizers."""
 
     tol: float = 1e-3
     max_iter: int = 500
@@ -83,14 +83,6 @@ class OptimizerOptions:
         for key in ("samples", "final_samples"):
             if (n := getattr(self, key)) < 2:
                 raise ValueError(f"optimizer option {key} must be at least 2, got {n}")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "OptimizerOptions":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(obj) - known
-        if bad:
-            raise ValueError(f"unknown optimizer options: {sorted(bad)}")
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -487,7 +479,7 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
 
 
 def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
-                     opts: OptimizerOptions | dict | None = None) -> CovOptResult:
+                     opts: OptimizerOptions = OptimizerOptions()) -> CovOptResult:
     """Optimal power allocation over a known basis by active-set Newton steps.
 
     Starting from uniform powers, each iteration takes one Newton step of
@@ -501,13 +493,12 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
     curvature in place of pools: one epoch, as on a point mass, and the
     reported MI is exact with SE 0. ``qhat`` holds the powers.
     """
-    opts = _as_opts(opts)
     return _solve(law, gamma, opts,
                   np.eye(law.tx) if basis is None else np.asarray(basis, dtype=complex))
 
 
 def iterate_general(law: ChannelLaw, gamma: float,
-                    opts: OptimizerOptions | dict | None = None) -> CovOptResult:
+                    opts: OptimizerOptions = OptimizerOptions()) -> CovOptResult:
     """Optimal covariance by projected Newton steps on Hermitian Q (no basis needed).
 
     Starting from Q = I/t, each iteration takes one Newton step of the MI
@@ -522,7 +513,6 @@ def iterate_general(law: ChannelLaw, gamma: float,
     Goldsmith, IEEE Trans. Wireless Commun. 2004): the solve is
     :func:`fixed_point_diag`'s in them.
     """
-    opts = _as_opts(opts)
     if law.exact:
         return fixed_point_diag(law, gamma, law.diag_basis, opts)
     return _solve(law, gamma, opts, None)
@@ -569,7 +559,7 @@ def _normalize_ut(t: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_map_trace(law: ChannelLaw, gamma: float,
-                        opts: OptimizerOptions | dict | None = None) -> np.ndarray:
+                        opts: OptimizerOptions = OptimizerOptions()) -> np.ndarray:
     """Per-step pool MI of the paper's damped Cholesky-factor map.
 
     Figures 9 and 10 plot this map's trajectory; the solver is
@@ -581,7 +571,6 @@ def _cholesky_map_trace(law: ChannelLaw, gamma: float,
     pool is left after 80 steps or five flat-MI steps. The map stops when
     the residual on a fresh check pool is below ``tol`` or the MI went flat.
     """
-    opts = _as_opts(opts)
     tfac = _normalize_ut(np.eye(law.tx, dtype=complex))
     stream = as_stream(opts.seed)
     alpha = DAMPING
@@ -616,11 +605,3 @@ def _cholesky_map_trace(law: ChannelLaw, gamma: float,
                                                  stream.child(2 * epoch + 1)) <= opts.tol
         epoch += 1
     return np.asarray(trace)
-
-
-def _as_opts(opts) -> OptimizerOptions:
-    if opts is None:
-        return OptimizerOptions()
-    if isinstance(opts, OptimizerOptions):
-        return opts
-    return OptimizerOptions.from_dict(dict(opts))

@@ -17,6 +17,7 @@ import scipy.integrate
 import scipy.special
 
 from mimocap import analysis, channels, covopt, linalg, waterfill
+from mimocap.covopt import OptimizerOptions
 from test_covopt import monotonicity_check
 
 GOLDEN_RATE = float(np.log(2.5) + np.log(1.25))  # two-mode {2,1}, unit budget
@@ -50,8 +51,8 @@ def test_criterion_2_general_iteration_on_rotated_point_mass():
     for _ in range(20):
         u = linalg.haar_unitary(2, rng)
         law = channels.PointMass((u * np.sqrt([2.0, 1.0])) @ u.conj().T)
-        res = covopt.iterate_general(law, 1.0, opts={"tol": 1e-9,
-                                                     "max_iter": 6000})
+        res = covopt.iterate_general(law, 1.0, opts=OptimizerOptions(tol=1e-9,
+                                                                     max_iter=6000))
         worst_mi = max(worst_mi, abs(res.mi.mean - GOLDEN_RATE))
         resid = covopt.kkt_residual_general(res.q, law, 1.0,
                                             samples=10, rng=0)
@@ -65,11 +66,11 @@ def test_criterion_2_general_iteration_on_rotated_point_mass():
 def test_criterion_3_iid_rayleigh_uniform_covariance():
     t0 = time.perf_counter()
     diag = covopt.fixed_point_diag(
-        IID_2x2, 1.0, opts={"samples": 100_000, "tol": 6e-3,
-                            "max_iter": 300, "seed": 31})
+        IID_2x2, 1.0, opts=OptimizerOptions(samples=100_000, tol=6e-3,
+                                            max_iter=300, seed=31))
     gen = covopt.iterate_general(
-        IID_2x2, 1.0, opts={"samples": 100_000, "tol": 6e-3,
-                            "max_iter": 300, "seed": 32})
+        IID_2x2, 1.0, opts=OptimizerOptions(samples=100_000, tol=6e-3,
+                                            max_iter=300, seed=32))
     elapsed = time.perf_counter() - t0
     dev_d = np.abs(diag.q - np.eye(2) / 2).max()
     dev_g = np.abs(gen.q - np.eye(2) / 2).max()
@@ -185,17 +186,17 @@ def test_criterion_8_property_suite():
         law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
                                          np.diag([d, 2 - d]))
         ok = monotonicity_check(law, np.eye(2), [0.1, 1.0, 10.0],
-                                {"samples": 20_000, "tol": 2e-2,
-                                 "max_iter": 200,
-                                 "seed": int(rng.integers(2**31)),
-                                 "final_samples": 1000})
+                                OptimizerOptions(samples=20_000, tol=2e-2,
+                                                 max_iter=200,
+                                                 seed=int(rng.integers(2**31)),
+                                                 final_samples=1000))
         mono_ok = mono_ok and ok
     notes.append(f"monotone powers {mono_ok}")
 
     # (b) MI non-decreasing along the general iteration up to 2 SE
     res = covopt.iterate_general(IID_2x2, 1.0,
-                                 opts={"samples": 20_000, "tol": 8e-3,
-                                       "max_iter": 200, "seed": 41})
+                                 opts=OptimizerOptions(samples=20_000, tol=8e-3,
+                                                       max_iter=200, seed=41))
     se = res.mi.se * np.sqrt(res.mi.samples / 20_000)
     ascent_ok = np.all(np.diff(res.mi_trace) >= -2 * se)
     notes.append(f"MI ascent {ascent_ok}")

@@ -4,6 +4,7 @@ import scipy.integrate
 import scipy.optimize
 
 from mimocap import analysis, channels, covopt, linalg
+from mimocap.covopt import OptimizerOptions
 from mimocap.montecarlo import SeededStream, ergodic_mi
 from test_channels import traced_peak
 
@@ -282,8 +283,8 @@ class TestWishartApprox:
         mean[0, 0] = n
         law = channels.KroneckerGaussian(mean, np.eye(n), t_corr)
         gamma = 1.0
-        opts = {"tol": 8e-3, "samples": 30_000, "max_iter": 300, "seed": 7,
-                "final_samples": 100_000}
+        opts = OptimizerOptions(tol=8e-3, samples=30_000, max_iter=300, seed=7,
+                                final_samples=100_000)
         cap = covopt.iterate_general(law, gamma, opts)
         qa, _ = analysis.wishart_approx_covariance(mean, t_corr, gamma, opts)
         mi_a = ergodic_mi(qa, law, gamma, samples=100_000, rng=SeededStream(8))
@@ -297,8 +298,8 @@ class TestWishartApprox:
         mean = np.zeros((n, n), dtype=complex)
         mean[0, 0] = n
         law = channels.KroneckerGaussian(mean, np.eye(n), t_corr)
-        opts = {"tol": 8e-3, "samples": 20_000, "max_iter": 200, "seed": 3,
-                "final_samples": 50_000}
+        opts = OptimizerOptions(tol=8e-3, samples=20_000, max_iter=200, seed=3,
+                                final_samples=50_000)
         gaps = {}
         for db in (-10, 0, 10):
             g = 10 ** (db / 10)
@@ -315,8 +316,8 @@ class TestInterpStudy:
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
         sigma = np.diag([4.0, 1.0]).astype(complex)
         pts = analysis.interp_study(m0, sigma, [0.0, 0.5, 1.0], 1.0,
-                                    {"tol": 5e-3, "samples": 20_000,
-                                     "max_iter": 400, "seed": 9})
+                                    OptimizerOptions(tol=5e-3, samples=20_000,
+                                                     max_iter=400, seed=9))
         # kappa = 1: deterministic M0, beamforming on its top right-singular
         # direction (gamma=1 keeps only one active mode for eigs {2.618, 0.382})
         p1 = pts[-1]
@@ -336,7 +337,8 @@ class TestInterpStudy:
         # and the powers read exactly (1, 0), never round-off or a negative power
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
         sigma = np.diag([4.0, 1.0]).astype(complex)
-        pts = analysis.interp_study(m0, sigma, np.linspace(0.0, 1.0, 11), 1.0, {"seed": 12345})
+        pts = analysis.interp_study(m0, sigma, np.linspace(0.0, 1.0, 11), 1.0,
+                                    OptimizerOptions(seed=12345))
         assert all(np.all(p.powers >= 0.0) and p.powers[0] >= p.powers[1] for p in pts)
         for p in pts[7:]:
             assert np.array_equal(p.powers, [1.0, 0.0])
@@ -369,9 +371,9 @@ class TestVerdictConsistency:
             r_corr, t_corr = diag_2x2(rho, tau)
             law = channels.KroneckerGaussian(np.zeros((2, 2)), r_corr, t_corr)
             res = covopt.fixed_point_diag(law, gamma, np.eye(2),
-                                          {"tol": 2e-2, "samples": 30_000,
-                                           "max_iter": 300,
-                                           "seed": int(rng.integers(2**31))})
+                                          OptimizerOptions(tol=2e-2, samples=30_000,
+                                                           max_iter=300,
+                                                           seed=int(rng.integers(2**31))))
             q2 = res.qhat.min()
             if verdict.optimal:
                 assert q2 < 0.01

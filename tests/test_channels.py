@@ -9,6 +9,7 @@ import scipy.integrate
 import scipy.special
 
 from mimocap import channels, covopt, linalg, montecarlo, waterfill
+from mimocap.covopt import OptimizerOptions
 from mimocap.montecarlo import SeededStream, ergodic_mi
 from test_montecarlo import expect_matrix
 
@@ -659,7 +660,7 @@ def test_a_law_family_the_package_never_saw_runs_everywhere():
     mi = ergodic_mi(q, law, 2.0, 20_000, SeededStream(1))
     ref = ergodic_mi(q, twin, 2.0, 20_000, SeededStream(2))
     assert mi.se > 0 and abs(mi.mean - ref.mean) <= 4 * np.hypot(mi.se, ref.se)
-    opts = {"samples": 2000, "final_samples": 4000, "max_iter": 40, "tol": 1e-2}
+    opts = OptimizerOptions(samples=2000, final_samples=4000, max_iter=40, tol=1e-2)
     res = covopt.iterate_general(law, 2.0, opts)
     assert np.all(np.isfinite(res.q)) and np.isfinite(res.mi.mean) and res.iterations > 0
     dens = channels.empirical_density(law, 10_000, rng(3))

@@ -402,6 +402,19 @@ ONE_TX_JSON = json.dumps({
      "at least 10^3 samples"),
     (["optimize", "--channel", IID_2x2_JSON, "--snr", "1", "--samples", "999"],
      "at least 10^3 samples"),
+    (["optimize", "--channel", POINT_21_JSON, "--snr", "1", "--samples", "500"],
+     "optimize needs at least 10^3 samples"),
+    (["figures", "--figure", "fig7", "--samples", "500"], "fig7 needs at least 10^3 samples"),
+    (["figures", "--figure", "fig9", "--samples", "500"], "fig9 needs at least 10^3 samples"),
+    (["figures", "--figure", "fig10", "--samples", "999"], "fig10 needs at least 10^3 samples"),
+    (["figures", "--figure", "fig11", "--samples", "500"], "fig11 needs at least 10^3 samples"),
+    (["figures", "--figure", "fig12", "--samples", "500"], "fig12 needs at least 10^3 samples"),
+    (["figures", "--figure", "fig10", "--size", "0"], "argument --size: need at least 2"),
+    (["figures", "--figure", "fig10", "--size", "1"], "argument --size: need at least 2"),
+    (["figures", "--figure", "fig11", "--kappa-points", "0"],
+     "argument --kappa-points: need at least 2"),
+    (["figures", "--figure", "fig12", "--kappa-points", "1"],
+     "argument --kappa-points: need at least 2"),
     (["waterfill", "--channel", '{"type":"wishart","m":2,"n":2.9}', "--snr", "1"],
      "field 'n' must be an integer"),
     (["waterfill", "--channel", '{"type":"wishart","m":1.7,"n":3}', "--snr", "1"],
@@ -446,16 +459,20 @@ ONE_TX_JSON = json.dumps({
 ], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
         "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
         "figure-1-sample", "optimize-5-samples", "optimize-999-samples",
+        "optimize-point-500-samples", "fig7-500-samples", "fig9-500-samples",
+        "fig10-999-samples", "fig11-500-samples", "fig12-500-samples", "fig10-size-0",
+        "fig10-size-1", "fig11-kappa-points-0", "fig12-kappa-points-1",
         "wishart-fractional-n", "wishart-fractional-m", "onoff-fractional-m",
         "onoff-zero-m", "onoff-negative-m", "waterfill-indefinite-corr",
         "optimize-indefinite-corr", "wishart-list-m", "onoff-object-p", "interp-list-kappa",
         "point-string-h", "wishart-bool-m", "interp-bool-kappa", "beamform-closed-one-tx",
         "beamform-mc-one-tx", "waterfill-tol", "waterfill-max-iter", "beamform-tol",
         "beamform-max-iter", "beamform-unit"])
-def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys):
+def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys, recwarn):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert reason in err and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 #: 2x2 Ricean law (mean [[1, 0], [1, 0]], R = I, T = [[1, .5], [.5, 1]]): on pools
@@ -583,8 +600,17 @@ KRONECKER_2x2_JSON = json.dumps({
     ["beamform", "--boundary", "--snr-db=-15"],
     ["figures", "--figure", "fig10", "--size", "3", "--max-iter", "5"],
     ["optimize", "--channel", POINT_21_JSON, "--snr", "1", "--tol", "1e-7"],
+    ["figures", "--figure", "fig2", "--snr-db=0:10:10", "--samples", "200"],
+    ["figures", "--figure", "fig3", "--snr-db=0:10:10", "--samples", "200"],
+    ["figures", "--figure", "fig4", "--snr-db=0:10:10", "--samples", "200", "--unit", "bits"],
+    ["figures", "--figure", "fig7", "--snr-db=0", "--samples", "1000", "--max-iter", "3"],
+    ["figures", "--figure", "fig11", "--kappa-points", "3", "--samples", "1000",
+     "--max-iter", "5"],
+    ["figures", "--figure", "fig12", "--kappa-points", "2", "--samples", "1000",
+     "--max-iter", "5"],
 ], ids=["waterfill-wishart", "waterfill-onoff", "waterfill-pooled", "fig1", "fig5", "fig6",
-        "fig8", "fig9", "boundary", "fig10", "optimize-trace"])
+        "fig8", "fig9", "boundary", "fig10", "optimize-trace", "fig2", "fig3", "fig4", "fig7",
+        "fig11", "fig12"])
 def test_csv_tables_keep_the_cell_by_cell_bytes(argv, tmp_path, monkeypatch):
     # every table goes through _write_csv; capture what it was handed and
     # render that the old way. waterfill, fig5 and fig10 compute numpy

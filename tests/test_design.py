@@ -3,7 +3,8 @@
 Every other module reads what a law or density says of itself (``support``,
 ``diag_basis``, ``iid``, ``draw_rows``, ``discrete``, ...), so a new family
 is one class in ``channels`` and nothing else to thread through. The CLI
-reads its SNR flags in one place, and its figure ids come from one table.
+reads its SNR flags in one place, and each figure is one entry of one table
+(``cli._FIGURES``): no code outside it tests a figure id.
 Per-draw reductions draw their channels in blocks, never as one whole pool,
 and the covariance solvers reduce their pools one block at a time.
 """
@@ -160,4 +161,25 @@ def test_one_snr_reader_in_the_cli():
 def test_figure_choices_are_the_figure_table():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     figure = next(a for a in sub.choices["figures"]._actions if a.dest == "figure")
-    assert list(figure.choices) == list(cli._FIGURE_SNR)
+    assert list(figure.choices) == list(cli._FIGURES)
+
+
+def figure_id_tests(source: str, filename: str) -> list:
+    """``file:line id`` for each string constant starting with ``fig`` that a
+    comparison or a ``case`` pattern holds."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, (ast.Compare, ast.MatchValue)):
+            found += [f"{filename}:{node.lineno} {c.value}" for c in ast.walk(node)
+                      if isinstance(c, ast.Constant) and str(c.value).startswith("fig")]
+    return found
+
+
+def test_figures_are_dispatched_only_through_the_table():
+    snippet = ("if fig == 'fig1':\n    pass\n"
+               "if fig in ('fig3', 'fig4'):\n    pass\n"
+               "match fig:\n    case 'fig9':\n        pass\n"
+               "x = {'fig2': 1}['fig2']\n")
+    assert figure_id_tests(snippet, "x.py") == [
+        "x.py:1 fig1", "x.py:3 fig3", "x.py:3 fig4", "x.py:6 fig9"]
+    assert figure_id_tests(Path(cli.__file__).read_text(encoding="utf-8"), "cli.py") == []
