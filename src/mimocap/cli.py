@@ -242,8 +242,6 @@ def cmd_optimize(args) -> int:
     opts = _solver_opts(args)
     law = law_from_json(_load_descriptor(args.channel))
     gamma = float(_snr_points(args, single=True)[1][0])
-    if not np.any(law.expected_gram()):
-        raise InfeasibleError("zero channel: the capacity is 0 and every covariance is optimal")
     if args.method == "diag":
         basis = law.diag_basis
         if basis is None:
@@ -369,12 +367,18 @@ def _fig6(args, dbs, gammas, scale, unit):
     return ["snr_db", "power", "pdf", "atom0"], np.concatenate(blocks).tolist()
 
 
+def _tau_corr(tau: float, n: int) -> np.ndarray:
+    """The n x n transmit correlation tau 1 1^T + (1 - tau) I; ``ValueError`` unless PSD."""
+    if not -1.0 / (n - 1) <= tau <= 1.0:
+        raise ValueError(f"--tau must lie in [-1/(n-1), 1] = [{-1 / (n - 1):g}, 1], got {tau}")
+    return tau * np.ones((n, n)) + (1 - tau) * np.eye(n)
+
+
 def _fig7(args, dbs, gammas, scale, unit):
     stream = SeededStream(args.seed)
     opts = replace(_solver_opts(args), final_samples=max(args.samples, 20_000))
     rows = []
-    for n in (2, 3):
-        t_corr = args.tau * np.ones((n, n)) + (1 - args.tau) * np.eye(n)
+    for n, t_corr in [(n, _tau_corr(args.tau, n)) for n in (2, 3)]:
         mean = np.zeros((n, n), dtype=complex)
         mean[0, 0] = n
         law = KroneckerGaussian(mean, np.eye(n), t_corr)
@@ -407,7 +411,7 @@ def _fig9(args, dbs, gammas, scale, unit):
 
 def _fig10(args, dbs, gammas, scale, unit):
     n = args.size
-    t_corr = args.tau * np.ones((n, n)) + (1 - args.tau) * np.eye(n)
+    t_corr = _tau_corr(args.tau, n)
     opts = _solver_opts(args)
     gen = SeededStream(args.seed).generator()
     rows = []

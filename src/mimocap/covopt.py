@@ -2,8 +2,8 @@
 
 With X = (I + S Q)^-1 S per draw, S = gamma H^H H, the optimal covariance has
 E[X] = mu on the range of Q and E[X] <= mu off it. Both optimizers reach that
-condition by one Newton face (``_solve``) on frozen pools, in one of two
-coordinate sets:
+condition by one Newton face (``_solve``) on frozen pools, from the maximizer
+of Jensen's bound log det(I + gamma Q E[H^H H]), in one of two coordinate sets:
 
 * ``iterate_general``: all Hermitian coordinates of a step W D W^H in the
   eigenbasis of Q, with gradient E[X] and curvature E[tr(X D X D)];
@@ -24,7 +24,8 @@ survives only as the subject of figures 9 and 10 (``_cholesky_map_trace``).
 A pool is drawn and formed one ``channels._BLOCK`` of draws at a time
 (``_s_pool``) and reduced the same way (``_resolvent_moments``, ``_pool_mi``):
 a pooled solve holds one pool and one block, and drops each epoch's pool
-before it draws the next.
+before it draws the next. Where Q has rank <= 2 below full rank, X needs no
+LU: it is S less a rank-2 term with a closed-form 2 x 2 inverse.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _BLOCK, ChannelLaw, _blocks, sample_batch
-from .linalg import as_psd, ut_gram
+from .linalg import as_psd, herm_eig, ut_gram
 from .montecarlo import (
     DEFAULT_SAMPLES_FINAL,
     DEFAULT_SAMPLES_INNER,
@@ -43,9 +44,12 @@ from .montecarlo import (
     _eye_plus,
     _log_dets,
     _snr_gram,
+    _thin_factor,
+    _thin_products,
     as_stream,
     ergodic_mi,
 )
+from .waterfill import InfeasibleError, waterfill_det
 
 __all__ = [
     "CovOptResult",
@@ -122,8 +126,28 @@ def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
 
 
 def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-draw (I + S Q)^-1 S, shape (pool, t, t)."""
-    return np.linalg.solve(_eye_plus(s_pool, q), s_pool)
+    """Per-draw X = (I + S Q)^-1 S, shape (pool, t, t); by LU, except where Q = P P^H
+    (:func:`montecarlo._thin_factor`): there X = S - Z Z^H, Z = S P L and L L^H =
+    (I_2 + P^H S P)^-1 in closed form (push-through), with temporaries below the LU's."""
+    p = _thin_factor(q)
+    if p is None:
+        return np.linalg.solve(_eye_plus(s_pool, q), s_pool)
+    sp, g = _thin_products(s_pool, p)
+    # g = conj(P^H S P) = [[a, b], [conj(b), c]]; Z = S P L, L lower triangular
+    a, c, b = g[:, 0, 0].real, g[:, 1, 1].real, g[:, 0, 1]
+    det = 1.0 + a + c + (a * c - (b.real ** 2 + b.imag ** 2))
+    z0, z1 = sp[:, :, 0], sp[:, :, 1]
+    z0 *= np.sqrt((1.0 + c) / det)[:, None]
+    z0 -= z1 * (b / np.sqrt(det * (1.0 + c)))[:, None]
+    z1 /= np.sqrt(1.0 + c)[:, None]
+    del g, a, b, c, det
+    x = s_pool.copy()
+    for i, j in zip(*np.triu_indices(x.shape[1])):
+        zz = z0[:, i] * z0[:, j].conj() + z1[:, i] * z1[:, j].conj()
+        x[:, i, j] -= zz
+        if i < j:
+            x[:, j, i] -= zz.conj()
+    return x
 
 
 def _resolvent_moments(s_pool: np.ndarray, q: np.ndarray, second: bool = False) -> tuple:
@@ -417,9 +441,11 @@ def _update(mi_of, vecs: np.ndarray, lam: np.ndarray, direction: tuple,
 
 
 def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovOptResult:
-    """Newton steps on frozen pools, epoch by epoch, from Q = I/t.
+    """Newton steps on frozen pools, epoch by epoch, from water-filling over gamma E[H^H H].
 
-    With a ``basis`` the steps move only the powers over it, else all of Q
+    The start is exact on a point mass and I/t where E[H^H H] is a multiple of
+    I (``InfeasibleError`` where it is 0). With a ``basis`` U it water-fills the
+    real diagonal of U^H E[H^H H] U and the steps move only the powers over U, else all of Q
     (:func:`_direction`). Each iteration takes one step, cut at the PSD
     boundary and backtracked on the pool MI (:func:`_update`), which is the
     ``mi_trace`` entry. An epoch ends when a step settles (moves no entry of
@@ -428,10 +454,15 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
     and the run is ``converged`` when the residual on it is at most ``tol``.
     """
     full = basis is None
+    gram = law.expected_gram()
+    if not np.any(gram):
+        raise InfeasibleError("zero channel: the capacity is 0 and every covariance is optimal")
+    vecs, eig = herm_eig(gram) if full else (
+        np.eye(law.tx), np.einsum("ij,ik,kj->j", basis.conj(), gram, basis).real)
+    lam = waterfill_det(gamma * eig.clip(0.0), 1.0).powers
+    lam /= lam.sum()
     stream = as_stream(opts.seed)
     still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)  # 1e-7: exact MI round-off
-    vecs = np.eye(law.tx)
-    lam = np.full(law.tx, 1.0 / law.tx)
     trace, res_trace = [], []
     iters = epoch = 0
     converged = settled = False
@@ -482,16 +513,16 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
                      opts: OptimizerOptions = OptimizerOptions()) -> CovOptResult:
     """Optimal power allocation over a known basis by active-set Newton steps.
 
-    Starting from uniform powers, each iteration takes one Newton step of
-    the MI on the power simplex (:func:`_solve` on the diagonal coordinates
-    of ``basis``, the identity if None), with gradient d_k = E[X_kk] and
-    curvature E[|X_kl|^2] on the frozen pool, cut at the simplex boundary so
-    off modes come out exactly zero. A pool is left once a step moves no
-    power by more than ``tol / 100``, and the run is ``converged`` when the
-    stationarity residual on the next, fresh pool is at most ``tol``. On a
-    law with a closed form the steps use the exact MI, gradient and
-    curvature in place of pools: one epoch, as on a point mass, and the
-    reported MI is exact with SE 0. ``qhat`` holds the powers.
+    From water-filling over the diagonal of U^H E[H^H H] U (U = ``basis``,
+    the identity if None), each iteration takes one Newton step of the MI on
+    the power simplex (:func:`_solve` on U's diagonal coordinates), with
+    gradient d_k = E[X_kk] and curvature E[|X_kl|^2] on the frozen pool, cut
+    at the simplex boundary so off modes come out exactly zero. A pool is
+    left once a step moves no power by more than ``tol / 100``, and the run
+    is ``converged`` when the stationarity residual on the next, fresh pool
+    is at most ``tol``. On a law with a closed form the steps use the exact
+    MI, gradient and curvature in place of pools: one epoch, as on a point
+    mass, and the reported MI is exact with SE 0. ``qhat`` holds the powers.
     """
     return _solve(law, gamma, opts,
                   np.eye(law.tx) if basis is None else np.asarray(basis, dtype=complex))
@@ -501,9 +532,9 @@ def iterate_general(law: ChannelLaw, gamma: float,
                     opts: OptimizerOptions = OptimizerOptions()) -> CovOptResult:
     """Optimal covariance by projected Newton steps on Hermitian Q (no basis needed).
 
-    Starting from Q = I/t, each iteration takes one Newton step of the MI
-    over trace-one PSD matrices in the current eigenbasis of Q
-    (:func:`_solve` on all Hermitian coordinates), with gradient E[X] and
+    Starting from water-filling over E[H^H H], each iteration takes one
+    Newton step of the MI over trace-one PSD matrices in the current
+    eigenbasis of Q (:func:`_solve` on all Hermitian coordinates), with gradient E[X] and
     curvature E[tr(X D X D)] on the frozen pool, cut at the PSD boundary so
     off eigenvalues come out exactly zero. The run stops, ``converged``,
     when the stationarity residual (:func:`_residual` in the eigenbasis of

@@ -9,7 +9,8 @@ given (seed, sample count).
 Per-draw MIs are slogdet(I + S Q), except at rank Q = k <= 2 below full rank:
 there ln det(I_t + S Q) = ln det(I_k + P^H S P) over Q's factor P has a closed form,
 and :func:`ergodic_mi` draws only Y = H P (``ChannelLaw.sample_projected``),
-r x 2 per draw; a Kronecker law draws it from r k normals in place of r t.
+r x 2 per draw; a Kronecker law draws it from r k normals in place of r t. The
+same S P and P^H S P (:func:`_thin_products`) give the solvers' (I + S Q)^-1 S.
 """
 
 from __future__ import annotations
@@ -133,16 +134,20 @@ def _log1p_gram(d: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.log1p(a + c + (a * c - (b.real ** 2 + b.imag ** 2)))
 
 
+def _thin_products(s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw S P, shape (size, t, 2), and (S P)^T conj(P) = (P^H S P)^T, shape
+    (size, 2, 2), for a (size, t, t) stack of S and a t x 2 P: one 2-D product each."""
+    sp = (s.reshape(-1, len(p)) @ p).reshape(len(s), len(p), 2)
+    return sp, (sp.swapaxes(1, 2).reshape(-1, len(p)) @ p.conj()).reshape(len(s), 2, 2)
+
+
 def _log_dets(s: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per-draw ``log det(I + S Q)`` in nats for a (size, t, t) stack of S; through
-    :func:`_thin_factor` P when it applies: S P and (S P)^T conj(P) = (P^H S P)^T,
-    same log-det, are one 2-D product each."""
+    :func:`_thin_factor` P when it applies, as log det(I_2 + P^H S P) (:func:`_thin_products`)."""
     p = _thin_factor(q)
     if p is None:
         return np.linalg.slogdet(_eye_plus(s, q))[1]
-    t = q.shape[0]
-    sp = (s.reshape(-1, t) @ p).reshape(len(s), t, 2)
-    g = (sp.swapaxes(1, 2).reshape(-1, t) @ p.conj()).reshape(len(s), 2, 2)
+    g = _thin_products(s, p)[1]
     return _log1p_gram(np.diagonal(g, axis1=1, axis2=2).real, g[:, 0, 1])
 
 

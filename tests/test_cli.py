@@ -456,6 +456,9 @@ ONE_TX_JSON = json.dumps({
      "unrecognized arguments: --max-iter"),
     (["beamform", "--boundary", "--snr-db=-15", "--unit", "bits"],
      "unrecognized arguments: --unit"),
+    (["figures", "--figure", "fig10", "--tau", "1.5"], "--tau must lie in [-1/(n-1), 1]"),
+    (["figures", "--figure", "fig7", "--tau", "-2", "--snr-db=0"],
+     "--tau must lie in [-1/(n-1), 1]"),
 ], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
         "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
         "figure-1-sample", "optimize-5-samples", "optimize-999-samples",
@@ -467,7 +470,7 @@ ONE_TX_JSON = json.dumps({
         "optimize-indefinite-corr", "wishart-list-m", "onoff-object-p", "interp-list-kappa",
         "point-string-h", "wishart-bool-m", "interp-bool-kappa", "beamform-closed-one-tx",
         "beamform-mc-one-tx", "waterfill-tol", "waterfill-max-iter", "beamform-tol",
-        "beamform-max-iter", "beamform-unit"])
+        "beamform-max-iter", "beamform-unit", "fig10-tau-above-1", "fig7-tau-below-range"])
 def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys, recwarn):
     assert main(argv) == 2
     err = capsys.readouterr().err

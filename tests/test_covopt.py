@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -629,10 +630,12 @@ class TestStreamedPools:
 
     @pytest.mark.parametrize("samples", [2, channels._BLOCK - 1, channels._BLOCK,
                                          3 * channels._BLOCK + 17])
-    def test_mean_resolvent_has_the_whole_pool_bits(self, samples):
+    @pytest.mark.parametrize("lam", [[0.4, 0.3, 0.2, 0.1], [0.6, 0.4, 0.0, 0.0]],
+                             ids=["full-rank", "rank-two"])
+    def test_mean_resolvent_has_the_whole_pool_bits(self, samples, lam):
         pool = covopt._s_pool(RICEAN_4x4, 1.0, None, samples, SeededStream(42))
         vecs = linalg.haar_unitary(4, np.random.default_rng(5))
-        q = covopt._covariance(vecs, np.array([0.4, 0.3, 0.2, 0.1]))
+        q = covopt._covariance(vecs, np.array(lam))
         x = covopt._resolvent_gradient(pool, q)
         m, mom = covopt._resolvent_moments(pool, q)
         assert np.array_equal(m, x.mean(axis=0)) and mom is None
@@ -662,3 +665,90 @@ class TestStreamedPools:
             tracemalloc.stop()
         assert res.converged
         assert peak <= (6 * 2**20 if samples == 10**4 else 1.25 * samples * 16 * 16 + 4 * 2**20)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 1.0, 100.0])
+@pytest.mark.parametrize("lam", [[1.0, 0.0, 0.0, 0.0], [0.7, 0.3, 0.0, 0.0]],
+                         ids=["rank-one", "rank-two"])
+def test_thin_resolvent_is_the_lu_resolvent(lam, gamma):
+    # rank Q <= 2: X = S - S P (I_2 + P^H S P)^-1 P^H S in closed form, not by LU
+    pool = covopt._s_pool(RICEAN_4x4, gamma, None, 3_000, SeededStream(44))
+    q = covopt._covariance(linalg.haar_unitary(4, np.random.default_rng(6)), np.array(lam))
+    assert covopt._thin_factor(q) is not None
+    ref = np.linalg.solve(np.eye(4) + pool @ q, pool)
+    assert np.abs(covopt._resolvent_gradient(pool, q) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestZeroChannel:
+    @pytest.mark.parametrize("law", [
+        channels.PointMass(np.zeros((2, 2))),
+        channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))),
+    ], ids=["point-mass", "kronecker-t-zero"])
+    @pytest.mark.parametrize("solve", [covopt.iterate_general, covopt.fixed_point_diag],
+                             ids=["general", "diag"])
+    def test_zero_channel_is_infeasible_without_a_warning(self, law, solve):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(waterfill.InfeasibleError, match="^zero channel: the capacity "
+                               "is 0 and every covariance is optimal$"):
+                solve(law, 1.0)
+
+
+def jensen_powers(law, gamma):
+    """Water-filling powers over gamma eig(E[H^H H]), largest eigenvalue first."""
+    eig = np.linalg.eigvalsh(law.expected_gram())[::-1].clip(0)
+    return waterfill.waterfill_det(gamma * eig, 1.0).powers
+
+
+class TestWarmStart:
+    def test_exact_kronecker_grid_converges_from_the_jensen_start(self):
+        # the Jensen start powers as many modes as the optimum or more here;
+        # test_a_start_that_leaves_a_mode_off_frees_it has one with fewer
+        more = 0
+        for tx in ([1.6, 0.4], [1.2, 0.8], [1.9, 0.1]):
+            for r in (2, 3):
+                law = channels.KroneckerGaussian(np.zeros((r, 2)), np.eye(r), np.diag(tx))
+                assert law.exact
+                for gamma in np.geomspace(0.05, 10.0, 8):
+                    res = covopt.iterate_general(law, gamma)
+                    exact = covopt.kkt_residual_diag(res.qhat, law, gamma, law.diag_basis)
+                    assert res.converged and exact <= 1e-9 and res.iterations <= 3
+                    more += np.count_nonzero(jensen_powers(law, gamma)) > np.count_nonzero(res.qhat)
+        assert more > 0
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_point_mass_settles_at_the_start(self, seed):
+        law = point_mass_with_unitary(seed)
+        vecs, eig = linalg.herm_eig(law.expected_gram())
+        sol = waterfill.waterfill_det(eig.clip(0), 1.0)
+        res = covopt.iterate_general(law, 1.0)
+        assert res.iterations == 1 and res.converged
+        assert np.abs(res.q - covopt._covariance(vecs, sol.powers)).max() <= 1e-12
+
+    @pytest.mark.parametrize("solve", [covopt.iterate_general, covopt.fixed_point_diag],
+                             ids=["general", "diag"])
+    def test_a_start_that_leaves_a_mode_off_frees_it(self, solve):
+        # E[H^H H] = diag(50, 0.8) water-fills to beamforming at gamma 1, but
+        # the weak atom's mode gains more than the strong one's at q = (1, 0):
+        # 0.8 against 50/101, and the optimum gives it 0.19 of the power
+        law = channels.FiniteMixture(np.array([0.5, 0.5]),
+                                     (np.diag([10.0, 0.0]), np.diag([0.0, np.sqrt(1.6)])))
+        assert np.count_nonzero(jensen_powers(law, 1.0)) == 1
+        res = solve(law, 1.0, opts=OptimizerOptions(seed=12345))
+        assert res.converged
+        assert abs(np.sort(np.linalg.eigvalsh(res.q))[0] - 0.19) <= 0.02
+
+    def test_ricean_solve_takes_few_lu_solves(self, monkeypatch):
+        # rank-two iterates form X in closed form; 70,005 LU-solved matrices
+        # and 6 steps from Q = I/4 with every X by LU
+        solved = []
+        lu = np.linalg.solve
+
+        def counting(a, b):
+            solved.append(int(np.prod(np.shape(a)[:-2])))
+            return lu(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        res = covopt.iterate_general(RICEAN_4x4, 1.0, OptimizerOptions(seed=12345))
+        assert res.converged and res.iterations <= 5
+        assert sum(solved) <= 30_000

@@ -6,7 +6,8 @@ is one class in ``channels`` and nothing else to thread through. The CLI
 reads its SNR flags in one place, and each figure is one entry of one table
 (``cli._FIGURES``): no code outside it tests a figure id.
 Per-draw reductions draw their channels in blocks, never as one whole pool,
-and the covariance solvers reduce their pools one block at a time.
+and the covariance solvers reduce their pools one block at a time. One
+function decides where Q has a rank <= 2 factor.
 """
 
 import ast
@@ -148,6 +149,17 @@ def test_solver_pools_are_reduced_block_by_block():
                          call_sites(path.read_text(encoding="utf-8"), path.name, name))
     assert found == {"_resolvent_gradient": {"covopt.py _resolvent_moments"},
                      "_eye_plus": {"covopt.py _resolvent_gradient", "montecarlo.py _log_dets"}}
+
+
+def test_one_rank_rule_for_thin_factors():
+    # rank Q <= 2 below full rank is decided by montecarlo._thin_factor alone, and
+    # read only by the per-draw log-det, ergodic_mi's draws of H P and the resolvent
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found.update(f"{f.split(':')[0]} {f.split(' ')[1]}" for f in
+                     call_sites(path.read_text(encoding="utf-8"), path.name, "_thin_factor"))
+    assert found == {"montecarlo.py _log_dets", "montecarlo.py ergodic_mi",
+                     "covopt.py _resolvent_gradient"}
 
 
 def test_one_snr_reader_in_the_cli():
