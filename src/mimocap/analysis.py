@@ -37,7 +37,7 @@ from .covopt import (
     fixed_point_diag,
     iterate_general,
 )
-from .linalg import (_bracketed_root, _circular_gaussian, as_hermitian, as_psd, herm_eig,
+from .linalg import (_bracketed_root, _circular_gaussian, _gauge, as_hermitian, as_psd, herm_eig,
                      psd_sqrt, scaled_expn)
 from .montecarlo import (
     DEFAULT_SAMPLES_INNER,
@@ -336,7 +336,7 @@ def interp_study(m0, noise_cov, kappa_grid, gamma: float,
                            else Interpolated(float(kappa), m0, noise_cov))
         res = iterate_general(law, gamma,
                               dataclasses.replace(opts, seed=opts.seed + 7919 * i))
-        u, _ = herm_eig(res.q)
+        u = _gauge(*herm_eig(res.q))
         gu, _ = herm_eig(law.expected_gram())
         out.append(InterpPoint(float(kappa), res, u, np.sort(res.qhat)[::-1],
                                _principal_angle(u[:, 0], gu[:, 0])))

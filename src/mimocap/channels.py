@@ -274,9 +274,31 @@ class KroneckerGaussian(ChannelLaw):
         th = self._tx_sqrt
         gain = gamma * self.rx_corr[0, 0].real
         sigma, vecs = np.linalg.eigh(gain * (th @ np.asarray(q) @ th))
-        mi, grad = _log_det_moment(self.rx, np.maximum(sigma, 0.0))
+        mi, grad, _ = _log_det_moment(self.rx, np.maximum(sigma, 0.0))
         w = th @ vecs
         return mi, gain * (w * grad) @ w.conj().T
+
+    def exact_powers(self, basis, q, gamma: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """:meth:`exact_mi` at Q = U diag(q) U^H, U = ``basis``, with its gradient and Hessian in q:
+        no eigh where U diagonalizes T (sigma = gamma c diag(U^H T U) q), else Lewis & Sendov's
+        spectral Hessian (SIAM J. Matrix Anal. Appl. 2001)."""
+        if not self.exact:
+            raise ValueError("the MI of this law has no closed form")
+        gain, tu = gamma * self.rx_corr[0, 0].real, basis.conj().T @ self.tx_corr @ basis
+        tau = np.diag(tu).real
+        if np.abs(tu - np.diag(tau)).max() <= 1e-12 * np.abs(tu).max():
+            mi, grad, hess = _log_det_moment(self.rx, gain * tau * q)
+            return mi, gain * tau * grad, gain ** 2 * np.outer(tau, tau) * hess
+        tb = self._tx_sqrt @ basis
+        sigma, vecs = np.linalg.eigh(gain * ((tb * q) @ tb.conj().T))
+        mi, grad, hess = _log_det_moment(self.rx, np.maximum(sigma, 0.0))
+        w = vecs.conj().T @ tb
+        close = np.abs(gap := sigma[:, None] - sigma) <= 1e-8 * sigma.max()  # confluent limit
+        a = np.where(close, np.diag(hess)[:, None] - hess,
+                     (grad[:, None] - grad) / np.where(close, 1.0, gap))
+        z, k = w[:, None, :] * w.conj(), np.abs(w) ** 2
+        return mi, gain * grad @ k, gain ** 2 * (
+            k.T @ hess @ k + np.einsum("ija,ij,ijb->ab", z, a, z.conj()).real)
 
 
 @dataclass(frozen=True)
@@ -521,72 +543,85 @@ _FACT.flags.writeable = False
 _CLUSTER = 0.15
 
 
-def _taylor_rows(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Rows mapping series coefficients (a_p), p < size, to divided differences:
-    row i gives the one over x_0..x_i, entry p being the complete symmetric
-    polynomial h_(p-i)(x_0..x_i); its derivative in x_j (j <= i), one of the
-    derivative rows returned with their (i, j), is h_(p-i-1)(x_0..x_i, x_j)."""
+def _taylor_rows(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows mapping series coefficients (a_p), p < size, to divided differences: row i
+    gives the one over x_0..x_i, entry p being the complete symmetric polynomial h_(p-i)
+    (x_0..x_i). Its derivative rows, returned with their (i, j, l): in x_j (j <= i, l = -1)
+    h_(p-i-1)(x_0..x_i, x_j); in x_j and x_l (l <= j) (1 + [l = j]) h_(p-i-2)(.., x_j, x_l)."""
     p = np.arange(size)
-    h = (p == 0).astype(float)
-    rows, drows, pairs = np.zeros((x.size, size)), [], []
-    for i, xi in enumerate(x):
-        h = np.convolve(h, xi ** p)[:size]
-        rows[i, i:] = h[:size - i]
-        for j in range(i + 1):
-            drows.append(np.append(np.zeros(i + 1), np.convolve(h, x[j] ** p)[:size - i - 1]))
-            pairs.append((i, j))
-    return rows, np.array(drows), np.array(pairs)
+    # a @ geo[j] multiplies the series a by 1 / (1 - x_j z): geo[j, q, p] = x_j^(p-q), p >= q
+    geo = np.where(p >= p[:, None], (x[:, None] ** p)[:, np.maximum(p - p[:, None], 0)], 0.0)
+    h, rows = [(p == 0).astype(float)], np.zeros((x.size, size))
+    for i, g in enumerate(geo):
+        h.append(h[-1] @ g)
+        rows[i, i:] = h[-1][:size - i]
+    d1 = np.array(h[1:]) @ geo  # [j, i]: the series of x_0..x_i, x_j
+    d2 = d1 @ geo[:, None]  # [l, j, i]: of x_0..x_i, x_j, x_l
+    i, j, l = keys = np.array([(i, j, l) for i in range(x.size) for j in range(i + 1)
+                               for l in range(-1, j + 1)]).T
+    d = np.where((l < 0)[:, None], d1[j, i], d2[l, j, i] * (1 + (j == l))[:, None])
+    cols = p - (i + 1 + (l >= 0))[:, None]
+    return rows, np.where(cols >= 0, np.take_along_axis(d, np.maximum(cols, 0), 1), 0.0), keys.T
 
 
-def _log_det_moment(r: int, sigma: np.ndarray) -> tuple[float, np.ndarray]:
+def _log_det_moment(r: int, sigma: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """E[ln det(I + W diag(sigma))], W = G^H G a t x t complex Wishart of r >= t
-    degrees of freedom (t <= 5 and r <= 16, see ``_CLUSTER``), and its gradient.
+    degrees of freedom (t <= 5 and r <= 16, see ``_CLUSTER``), its gradient and Hessian.
 
-    The k nonzero sigma give tr(V^-1 B') (Andreief identity; Chiani, Win &
-    Zanella, IEEE Trans. IT 2003), V_ij = sigma_i^(j-1), B'_ij = V_ij
-    J_(n_j)(sigma_i) / n_j!, n_j = r - k + j - 1. The rows of sigma within
-    ``_CLUSTER`` in ln(sigma) become divided differences in x = c / sigma - 1
-    (a row operation) from their Taylor series at c, the geometric mean of the
-    cluster's ends, whose p-th term is (-1)^p (n_j+p)!/(n_j! p!) in V and
-    (-1)^p J_(n_j+p)(c)/(n_j! p!) in B'; so coincident sigma take the confluent
-    limit, and |x| <= e^0.3 - 1 bounds the terms kept. A zero sigma_i has
-    df/dsigma_i = r - sum_j sigma_j df/dsigma_j = E tr (I + G Sigma G^H)^-1.
+    The k nonzero sigma give tr(V^-1 B') (Andreief identity; Chiani, Win & Zanella, IEEE
+    Trans. IT 2003), V_ij = sigma_i^(j-1), B'_ij = V_ij J_(n_j)(sigma_i) / n_j!,
+    n_j = r - k + j - 1. The rows of sigma within ``_CLUSTER`` in ln(sigma) become divided
+    differences in x = c / sigma - 1 (a row operation) from their Taylor series at c, the
+    geometric mean of the cluster's ends, whose p-th term is (-1)^p (n_j+p)!/(n_j! p!) in V
+    and (-1)^p J_(n_j+p)(c)/(n_j! p!) in B'; so coincident sigma take the confluent limit,
+    and |x| <= e^0.3 - 1 bounds the terms kept. With Y = V^-1, P = Y B' and G_a = d_a B' -
+    d_a V P, d_a d_b f = tr(Y (d_ab B' - d_ab V P) - Y d_b V Y G_a - Y d_a V Y G_b) in x. A
+    zero sigma_i has df/dsigma_i = r - sum_j sigma_j df/dsigma_j = E tr (I + G Sigma G^H)^-1,
+    whose derivatives give its Hessian entries; those between two zero sigma are left 0.
     """
-    grad = np.full(sigma.size, float(r))
+    grad, hess = np.full(sigma.size, float(r)), np.zeros((sigma.size, sigma.size))
     on = np.flatnonzero(sigma > 1e-12 * sigma.max())
     if on.size == 0:
-        return 0.0, grad
+        return 0.0, grad, hess
     on = on[np.argsort(sigma[on])]
     s = sigma[on]
     k = s.size
     n = r - k + np.arange(k)
     v, b, centre = np.empty((k, k)), np.empty((k, k)), np.empty(k)
-    dv, db, pairs = [], [], []
+    dv, db, keys = [], [], []
     logs = np.log(s)
     cuts = [0, *(np.flatnonzero(np.diff(logs) > _CLUSTER) + 1).tolist(), k]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         c = centre[lo:hi] = math.sqrt(s[lo] * s[hi - 1])  # so x = 0 when alone
         x = c / s[lo:hi] - 1.0
-        # C(r + p, p) |x|^p, which bounds the p-th Taylor term, is below 1e-17 past the cut
+        # C(r + p, p) |x|^p bounds the p-th Taylor term: below 1e-17 past the cut (+1: Hessian)
         tail = np.cumprod(np.abs(x).max() * (1 + r / np.arange(1, 171))) if hi > lo + 1 else [0]
-        p = np.arange(hi - lo + 1 + int(np.argmax(np.less(tail, 1e-17))))
+        p = np.arange(hi - lo + 2 + int(np.argmax(np.less(tail, 1e-17))))
         scale = ((-1.0) ** p / _FACT[p])[:, None] * (c / s[-1]) ** np.arange(k) / _FACT[n]
         ca = scale * _FACT[n + p[:, None]]
         cb = scale * _log1p_integrals(c, _FACT[:r + p.size])[n + p[:, None]]
-        hr, dr, pr = (_taylor_rows(x, p.size) if hi > lo + 1  # a lone node sits at x = 0
-                      else (np.eye(2)[:1], np.eye(2)[1:], np.zeros((1, 2), dtype=int)))
+        hr, dr, kr = (_taylor_rows(x, p.size) if hi > lo + 1 else  # a lone node sits at x = 0
+                      (np.eye(3)[:1], np.diag([0.0, 1, 2])[1:], np.array([[0, 0, -1], [0, 0, 0]])))
         v[lo:hi], b[lo:hi] = hr @ ca, hr @ cb
         dv.append(dr @ ca)
         db.append(dr @ cb)
-        pairs.append(lo + pr)
+        keys.append(kr + lo * (kr >= 0))
     y = np.linalg.inv(v)
     pm = y @ b
-    rows, mems = np.vstack(pairs).T
-    dg = np.einsum("ij,ji->i", np.vstack(db) - np.vstack(dv) @ pm, y[:, rows])
-    dg = np.bincount(mems, dg, minlength=k) * -(centre / s ** 2)  # dx_i / dsigma_i
-    grad[:] = r - s @ dg
-    grad[on] = dg
-    return float(np.trace(pm)), grad
+    dv = np.vstack(dv)
+    g = np.vstack(db) - dv @ pm
+    rows, js, ls = np.vstack(keys).T
+    tr, one = np.einsum("ij,ji->i", g, y[:, rows]), ls < 0
+    gx = np.bincount(js[one], tr[one], minlength=k)
+    hx = np.bincount(js[~one] * k + ls[~one], tr[~one], minlength=k * k).reshape(k, k)
+    e = np.eye(k)[js[one]]
+    cross = e.T @ ((dv[one] @ y)[:, rows[one]] * (g[one] @ y)[:, rows[one]].T) @ e
+    dg = gx * (dx := -(centre / s ** 2))  # dx_i / dsigma_i; d2x_i / dsigma_i^2 = -2 dx_i / sigma_i
+    hs = (hx + np.tril(hx, -1).T - (cross + cross.T)) * np.outer(dx, dx) - np.diag(2 * gx * dx / s)
+    grad[:], hess[:, on] = r - s @ dg, -dg - s @ hs
+    grad[on], hess[on] = dg, hess[:, on].T
+    hess[np.ix_(on, on)] = hs
+    return float(np.trace(pm)), grad, hess
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .channels import (
     wishart_density,
 )
 from .covopt import OptimizerOptions
-from .linalg import _circular_gaussian, haar_unitary, herm_eig
+from .linalg import _circular_gaussian, _gauge, haar_unitary, herm_eig
 from .montecarlo import SeededStream, ergodic_mi
 from .waterfill import InfeasibleError
 
@@ -264,7 +264,7 @@ def cmd_optimize(args) -> int:
         "iterations": res.iterations,
         "q": channels._matrix_to_json(res.q),
         "eigenvalues": [float(x) for x in lam],
-        "eigenvectors": channels._matrix_to_json(u),
+        "eigenvectors": channels._matrix_to_json(_gauge(u, lam)),
     }
     validate_result("optimize", doc)
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")

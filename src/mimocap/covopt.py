@@ -16,10 +16,11 @@ exactly zero, and backtracked on the pool MI. The next epoch's pool first
 checks the stationarity residual (``_residual``): in the eigenbasis of Q, the
 powered rows of E[X] must equal mu I and the largest eigenvalue of E[X] on
 the off space must not exceed mu. Zero-mean Kronecker laws with R = c I,
-t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``): both solvers step
-in T's eigenbasis on the closed-form MI and report it with SE 0. The paper's
-damped Cholesky-factor map T <- T (M + M^H), M = E[(I + S T^H T)^-1 S],
-survives only as the subject of figures 9 and 10 (``_cholesky_map_trace``).
+t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``): both solvers step in
+T's eigenbasis on the closed-form MI, gradient and Hessian, one evaluation per
+point, and report the MI with SE 0. The paper's damped Cholesky-factor map
+T <- T (M + M^H), M = E[(I + S T^H T)^-1 S], survives only as the subject of
+figures 9 and 10 (``_cholesky_map_trace``).
 
 A pool is drawn and formed one ``channels._BLOCK`` of draws at a time
 (``_s_pool``) and reduced the same way (``_resolvent_moments``, ``_pool_mi``):
@@ -222,29 +223,32 @@ def _objective(law: ChannelLaw, gamma: float, basis, samples: int,
     E[tr(X B_a X B_b)] of a step W D W^H over the ``coords`` of
     :func:`_herm_coords`, formed only when called. With a basis only the
     powers move, so E[X] is cut to its real diagonal. The exact objective
-    needs a basis; its curvature is the central difference of the exact
-    gradient over 10^-4 of each power (at least 10^-4 / t; one-sided at 0).
+    needs a basis, reads the powers (Q's diagonal) and keeps the last point's
+    ``law.exact_powers``; the curvature is minus its Hessian, but a freed power
+    takes its entries with off ones from a one-sided gradient step of 10^-4 / t.
     """
     if basis is not None and np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
         raise ValueError("diagonalizing basis must be unitary")
     if law.exact:
-        def grad(lam):
-            g = law.exact_mi((basis * lam) @ basis.conj().T, gamma)[1]
-            return np.einsum("ij,ik,kj->j", basis.conj(), g, basis).real
+        last = [None, None]  # the powers' bytes and their exact_powers
+
+        def at(lam):
+            if last[0] != lam.tobytes():
+                last[:] = lam.tobytes(), law.exact_powers(basis, lam, gamma)
+            return last[1]
 
         def exact_moments(vecs, lam):
+            g, h = at(lam)[1:]
+
             def curv(w, coords):
-                h = np.empty((lam.size, lam.size))
-                for k, qk in enumerate(lam):
-                    lo, hi = lam.copy(), lam.copy()
-                    step = 1e-4 * max(qk, 1.0 / lam.size)
-                    lo[k], hi[k] = max(qk - step, 0.0), qk + step
-                    h[:, k] = (grad(lo) - grad(hi)) / (hi[k] - lo[k])
-                return h
+                out, off, step = -h, lam == 0, 1e-4 / lam.size
+                for k in np.flatnonzero(off & (g > g[~off].mean())):
+                    out[off, k] = (g - at(lam + step * np.eye(lam.size)[k])[1])[off] / step
+                return out
 
-            return np.diag(grad(lam)), curv
+            return np.diag(g), curv
 
-        return (lambda q: law.exact_mi(basis @ q @ basis.conj().T, gamma)[0]), exact_moments
+        return (lambda q: at(np.diag(q).real)[0]), exact_moments
     pool = _s_pool(law, gamma, basis, samples, stream)
 
     def moments(vecs, lam):
@@ -488,8 +492,9 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
             m, curv = moments(vecs, lam)
         # the fresh check pool becomes the next epoch's solving pool
         epoch += 1
-        del mi_of, moments  # the old pool goes before the new one is drawn
-        mi_of, moments = _objective(law, gamma, basis, opts.samples, stream.child(epoch))
+        if not law.exact:  # an exact objective is the same in every epoch
+            del mi_of, moments  # the old pool goes before the new one is drawn
+            mi_of, moments = _objective(law, gamma, basis, opts.samples, stream.child(epoch))
         m, curv = moments(vecs, lam)
         residual = _residual(vecs.conj().T @ m @ vecs, lam > MODE_OFF)
         # a settled step is no evidence of stationarity: the general solver's
@@ -497,12 +502,12 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
         # (ROADMAP direction 1)
         converged = bool(residual <= opts.tol or (full and settled))
 
+    mi = McEstimate(mi_of(_covariance(vecs, lam)), 0.0, 1) if law.exact else None
     del mi_of, moments
     q = _covariance(vecs if full else basis, lam)
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("Newton step produced non-finite entries")
-    mi = (McEstimate(law.exact_mi(q, gamma)[0], 0.0, 1) if law.exact
-          else ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983)))
+    mi = mi or ergodic_mi(q, law, gamma, opts.final_samples, stream.child(999_983))
     return CovOptResult(
         q=q, mi=mi, kkt_residual=float(residual),
         mi_trace=np.asarray(trace), residual_trace=np.asarray(res_trace),
@@ -521,8 +526,8 @@ def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
     left once a step moves no power by more than ``tol / 100``, and the run
     is ``converged`` when the stationarity residual on the next, fresh pool
     is at most ``tol``. On a law with a closed form the steps use the exact
-    MI, gradient and curvature in place of pools: one epoch, as on a point
-    mass, and the reported MI is exact with SE 0. ``qhat`` holds the powers.
+    MI, gradient and Hessian (one evaluation per point) in place of pools: one
+    epoch, and the reported MI is exact with SE 0. ``qhat`` holds the powers.
     """
     return _solve(law, gamma, opts,
                   np.eye(law.tx) if basis is None else np.asarray(basis, dtype=complex))

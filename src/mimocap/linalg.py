@@ -136,6 +136,26 @@ def psd_sqrt(a) -> np.ndarray:
     return (u * np.sqrt(lam)) @ u.conj().T
 
 
+def _gauge(vecs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Reported eigenvectors (``lam`` descending) in one gauge: each eigenspace of an eigenvalue
+    repeated within 1e-9 of the largest takes Gram-Schmidt of the projected e_1, e_2, ... (norms
+    below 1e-8 skipped); each vector's largest entry (lowest index within 1e-9) turns real > 0."""
+    vecs = np.array(vecs, dtype=complex)
+    for group in np.split(np.arange(lam.size),
+                          np.flatnonzero(np.abs(np.diff(lam)) > 1e-9 * np.abs(lam).max()) + 1):
+        if group.size > 1:
+            basis = []
+            for e in (vecs[:, group] @ vecs[:, group].conj().T).T:
+                e = e - sum((b * np.vdot(b, e) for b in basis), 0.0)
+                if np.linalg.norm(e) > 1e-8:
+                    basis.append(e / np.linalg.norm(e))
+            vecs[:, group] = np.transpose(basis[:group.size])
+    idx = np.argmax(np.abs(vecs) >= (1 - 1e-9) * np.abs(vecs).max(0), axis=0), range(lam.size)
+    vecs *= (lead := vecs[idx]).conj() / np.abs(lead)
+    vecs[idx] = np.abs(lead)
+    return vecs
+
+
 #: from here on ``scaled_expn`` sums the asymptotic series of every order directly
 _ASYMP_SWITCH = 600.0
 

@@ -675,6 +675,21 @@ def _exact_law(r, t):
     return channels.KroneckerGaussian(np.zeros((r, t)), 0.8 * np.eye(r), tx)
 
 
+#: Hessian of E ln det(I + W diag(sigma)) at sigma = 0.7 e^(0.14 k), k = 0..4, r = 16:
+#: mpmath's 40-digit second differences of tr(V^-1 B') with each J_n by quadrature
+HESS_CHAIN_16 = np.array([
+    [-1.6148020015353977, -0.001304093648420939, -0.0010116080734463317,
+     -0.0007822914471549561, -0.0006032882168089858],
+    [-0.001304093648420939, -1.256297356447245, -0.0007874673196624945,
+     -0.0006089656616329225, -0.00046962659144389495],
+    [-0.0010116080734463317, -0.0007874673196624945, -0.9740557864382754,
+     -0.00047239826839411684, -0.00036431034394527874],
+    [-0.0007822914471549561, -0.0006089656616329225, -0.00047239826839411684,
+     -0.7529245221656202, -0.00028173566117881913],
+    [-0.0006032882168089858, -0.00046962659144389495, -0.00036431034394527874,
+     -0.00028173566117881913, -0.5804170553924103]])
+
+
 def _unit_trace_psd(t, seed):
     a = rng(seed).standard_normal((t, t)) + 1j * rng(seed + 1).standard_normal((t, t))
     q = a @ a.conj().T
@@ -737,10 +752,10 @@ class TestExactMi:
     ], ids=["2-fold", "3-fold", "4-fold", "two-2-fold"])
     def test_continuous_across_coincident_sigma(self, r, sigma):
         sigma = np.array(sigma)
-        f0, g0 = channels._log_det_moment(r, sigma)
+        f0, g0, _ = channels._log_det_moment(r, sigma)
         spread = np.arange(sigma.size) * sigma
         for eps in 10.0 ** -np.arange(1, 14):
-            f, g = channels._log_det_moment(r, sigma + eps * spread)
+            f, g, _ = channels._log_det_moment(r, sigma + eps * spread)
             # first-order change plus a second-order term below 1e-9 for eps <= 1e-5
             assert abs(f - f0 - eps * g0 @ spread) <= 1e-9 + 10 * eps ** 2
             assert np.abs(g - g0).max() <= 1e-8 + 10 * eps
@@ -754,7 +769,7 @@ class TestExactMi:
     def test_five_chained_sigma_at_r_16(self):
         # the largest capable law: one cluster 0.56 wide in ln(sigma); 80-digit values
         sigma = 0.7 * np.exp(0.14 * np.arange(5))
-        f, g = channels._log_det_moment(16, sigma)
+        f, g, _ = channels._log_det_moment(16, sigma)
         assert abs(f - 13.070635505746935) <= 1e-9 * 13.07
         ref = [1.2700592424112902, 1.1203715230283648, 0.9866168849419891,
                0.8674900163361464, 0.7617001554841595]
@@ -796,6 +811,78 @@ class TestExactMi:
                  for a in (-1, 0, 1, 2)]
             fd = (f[2] - f[0]) / (2 * h) if s > 0 else (4 * f[2] - 3 * f[1] - f[3]) / (2 * h)
             assert abs(grad[k] - fd) <= 1e-6 * abs(fd)
+
+    @pytest.mark.parametrize("r, sigma", [
+        (3, [0.9, 0.4, 1.7]),
+        (4, [0.7, 0.7, 0.7, 0.2]),
+        (5, [3.0, 3.0, 0.4, 0.4]),
+        (4, 0.3 * np.exp(0.1 * np.arange(4))),
+        (4, 0.3 * np.exp(channels._CLUSTER * (1.0 - 1e-3) * np.arange(3))),
+        (4, 0.3 * np.exp(channels._CLUSTER * (1.0 + 1e-3) * np.arange(3))),
+        (3, [0.0, 0.7, 2.1]),
+        (4, [0.5, 0.5, 0.0, 0.0]),
+    ], ids=["lone", "3-fold", "two-2-fold", "chained", "cluster-edge-in", "cluster-edge-out",
+            "zero", "two-zero"])
+    def test_hessian_matches_differences_of_the_gradient(self, r, sigma):
+        # columns of powered sigma; entries between two zero sigma are not formed
+        sigma = np.asarray(sigma, dtype=float)
+        hess = channels._log_det_moment(r, sigma)[2]
+        assert np.array_equal(hess, hess.T)
+        for k in np.flatnonzero(sigma):
+            h = 1e-5 * sigma[k] * np.eye(sigma.size)[k]
+            fd = (channels._log_det_moment(r, sigma + h)[1]
+                  - channels._log_det_moment(r, sigma - h)[1]) / (2 * h[k])
+            assert np.abs(hess[:, k] - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_hessian_is_continuous_across_the_cluster_edge(self):
+        for r, k in ((4, 2), (4, 4), (16, 5)):
+            lo, hi = (channels._log_det_moment(r, 0.3 * np.exp(gap * np.arange(k)))[2]
+                      for gap in channels._CLUSTER * (1.0 + np.array([-1e-9, 1e-9])))
+            assert np.abs(lo - hi).max() <= 1e-6 * np.abs(hi).max()
+
+    def test_hessian_of_five_chained_sigma_at_r_16(self):
+        # against 40-digit values: the gradient's round-off here (about 6e-9) keeps
+        # central differences of it from resolving 1e-6 (they reach 7e-6)
+        sigma = 0.7 * np.exp(0.14 * np.arange(5))
+        hess = channels._log_det_moment(16, sigma)[2]
+        assert np.array_equal(hess, hess.T)
+        assert np.abs(hess - HESS_CHAIN_16).max() <= 1e-6 * np.abs(HESS_CHAIN_16).max()
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4)], ids=str)
+    @pytest.mark.parametrize("kind", ["generic", "one-off", "coincident"])
+    def test_power_hessian_over_any_basis_matches_differences(self, shape, kind):
+        # a Haar basis does not diagonalize T: Lewis & Sendov's second term;
+        # q = I/t on R = T = I makes every sigma coincide
+        r, t = shape
+        law = _exact_law(r, t) if kind != "coincident" else channels.KroneckerGaussian(
+            np.zeros((r, t)), np.eye(r), np.eye(t))
+        u = linalg.haar_unitary(t, rng(7 * t))
+        q = np.full(t, 1.0 / t) if kind == "coincident" else rng(t).uniform(0.2, 1.0, t)
+        if kind == "one-off":
+            q[0] = 0.0
+        q /= q.sum()
+
+        def grad(p):  # u_k^H (dMI/dQ) u_k, from exact_mi's gradient in Q
+            g = law.exact_mi((u * p) @ u.conj().T, 1.3)[1]
+            return np.einsum("ik,ij,jk->k", u.conj(), g, u).real
+
+        mi, g, hess = law.exact_powers(u, q, 1.3)
+        assert abs(mi - law.exact_mi((u * q) @ u.conj().T, 1.3)[0]) <= 1e-12 * mi
+        assert np.abs(g - grad(q)).max() <= 1e-12 * np.abs(g).max()
+        for k in np.flatnonzero(q):
+            h = 1e-5 * np.eye(t)[k]
+            fd = (grad(q + h) - grad(q - h)) / 2e-5
+            assert np.abs(hess[:, k] - fd).max() <= 1e-5 * np.abs(fd).max()
+
+    def test_power_hessian_in_a_diagonalizing_basis_is_the_sigma_one_scaled(self):
+        law = _exact_law(3, 3)
+        u = law.diag_basis
+        tau = np.einsum("ik,ij,jk->k", u.conj(), law.tx_corr, u).real
+        q = np.array([0.5, 0.3, 0.2])
+        mi, g, hess = law.exact_powers(u, q, 2.0)
+        ref = channels._log_det_moment(3, 2.0 * 0.8 * tau * q)
+        assert mi == ref[0]
+        assert np.array_equal(hess, (1.6 ** 2) * np.outer(tau, tau) * ref[2])
 
 
 #: one law of each kind and its descriptor, written out as users write it

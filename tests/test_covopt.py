@@ -752,3 +752,58 @@ class TestWarmStart:
         res = covopt.iterate_general(RICEAN_4x4, 1.0, OptimizerOptions(seed=12345))
         assert res.converged and res.iterations <= 5
         assert sum(solved) <= 30_000
+
+
+class TestExactEvaluations:
+    """An exact-law solve evaluates the closed form once per point: the curvature
+    is its Hessian, and one memo serves the MI, the moments, the epoch check and
+    the reported MI."""
+
+    KRONECKER = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.diag([1.4, 0.6]))
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        inner = channels._log_det_moment
+
+        def counting(r, sigma):
+            calls.append(sigma.copy())
+            return inner(r, sigma)
+
+        monkeypatch.setattr(channels, "_log_det_moment", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", ["general", "diag"])
+    @pytest.mark.parametrize("gamma", [1.0, 10.0])
+    def test_kronecker_solve_takes_at_most_six(self, evaluations, method, gamma):
+        # 20 evaluations each with central-difference curvature, in the same 3 steps
+        law, opts = self.KRONECKER, OptimizerOptions(seed=12345)
+        res = (covopt.iterate_general(law, gamma, opts) if method == "general"
+               else covopt.fixed_point_diag(law, gamma, law.diag_basis, opts))
+        assert res.converged and res.iterations == 3
+        assert covopt.kkt_residual_diag(res.qhat, law, gamma, law.diag_basis) <= 1e-9
+        assert len(evaluations) <= 6 + 1  # the last one is the residual above
+
+    def test_iid_4x4_solve_takes_at_most_three(self, evaluations):
+        res = covopt.iterate_general(channels.KroneckerGaussian(
+            np.zeros((4, 4)), np.eye(4), np.eye(4)), 1.0, OptimizerOptions(seed=12345))
+        assert res.converged and res.iterations == 1
+        assert len(evaluations) <= 3
+
+    @pytest.mark.parametrize("gamma, extra", [(0.01, 0), (10.0, 1)])
+    def test_only_a_freed_mode_costs_an_evaluation(self, evaluations, gamma, extra):
+        # at q = (1, 0) the weak mode stays off at gamma 0.01 and is freed at 10,
+        # where its column comes from a one-sided difference of the gradient
+        law = self.KRONECKER
+        mi_of, moments = covopt._objective(law, gamma, law.diag_basis, 2, SeededStream(0))
+        lam = np.array([1.0, 0.0])
+        m, curv = moments(np.eye(2), lam)
+        mi = mi_of(np.diag(lam).astype(complex))
+        h = curv(np.eye(2), None)
+        assert len(evaluations) == 1 + extra
+        at_lam = law.exact_powers(law.diag_basis, lam, gamma)
+        assert mi == at_lam[0] and np.array_equal(h[:, 0], -at_lam[2][:, 0])
+        if extra:
+            step = np.array([1.0, 1e-4 / 2])
+            g1 = law.exact_powers(law.diag_basis, step, gamma)[1]
+            assert h[1, 1] == (np.diag(m).real - g1)[1] / step[1]

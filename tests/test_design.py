@@ -7,14 +7,16 @@ reads its SNR flags in one place, and each figure is one entry of one table
 (``cli._FIGURES``): no code outside it tests a figure id.
 Per-draw reductions draw their channels in blocks, never as one whole pool,
 and the covariance solvers reduce their pools one block at a time. One
-function decides where Q has a rank <= 2 factor.
+function decides where Q has a rank <= 2 factor. The exact objective's curvature
+is the closed-form Hessian: no difference quotient of the exact gradient is
+left in it but a freed mode's.
 """
 
 import ast
 import inspect
 from pathlib import Path
 
-from mimocap import channels, cli
+from mimocap import channels, cli, covopt
 
 SRC = Path(channels.__file__).parent
 #: every class ``channels`` defines: the laws, the densities and their bases
@@ -195,3 +197,37 @@ def test_figures_are_dispatched_only_through_the_table():
     assert figure_id_tests(snippet, "x.py") == [
         "x.py:1 fig1", "x.py:3 fig3", "x.py:3 fig4", "x.py:6 fig9"]
     assert figure_id_tests(Path(cli.__file__).read_text(encoding="utf-8"), "cli.py") == []
+
+
+def difference_quotients(source: str, name: str) -> list:
+    """For each division of a difference in function ``name``, the iterable of
+    the innermost ``for`` loop around it ("" outside any loop)."""
+    found = []
+
+    def visit(node, loop):
+        if isinstance(node, ast.For):
+            loop = ast.unparse(node.iter)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+                        for n in ast.walk(node.left))):
+            found.append(loop)
+        for child in ast.iter_child_nodes(node):
+            visit(child, loop)
+
+    visit(next(n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef)
+               and n.name == name), "")
+    return found
+
+
+def test_exact_curvature_takes_no_step_but_a_freed_modes():
+    # a central difference over every power is what the guard must catch
+    central = ("def _objective(law):\n"
+               "    for k, qk in enumerate(lam):\n"
+               "        step = 1e-4 * max(qk, 1.0 / lam.size)\n"
+               "        h[:, k] = (grad(lo) - grad(hi)) / (hi[k] - lo[k])\n")
+    assert difference_quotients(central, "_objective") == ["enumerate(lam)"]
+    # covopt._objective's one quotient: the one-sided difference of a freed mode,
+    # off and with a gradient above the powered modes' mean
+    source = Path(covopt.__file__).read_text(encoding="utf-8")
+    assert difference_quotients(source, "_objective") == [
+        "np.flatnonzero(off & (g > g[~off].mean()))"]

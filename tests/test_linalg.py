@@ -202,3 +202,40 @@ def test_circular_gaussian_is_the_complex_normal_expression():
     b = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2)
     assert a.dtype == np.complex128 and a.shape == shape
     assert np.array_equal(a.view(float), b.view(float))
+
+
+class TestGauge:
+    """Reported eigenvectors take one gauge: a 1e-14 move of Q moves them by
+    round-off only, whatever LAPACK returns for Q's last bits."""
+
+    @staticmethod
+    def gauged(q):
+        return linalg._gauge(*linalg.herm_eig(q))
+
+    @pytest.mark.parametrize("kind", ["distinct", "rank-deficient", "repeated", "repeated-zero"])
+    def test_a_tiny_hermitian_move_keeps_the_vectors(self, kind):
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            n = 4
+            u = linalg.haar_unitary(n, rng)
+            lam = {"distinct": [0.4, 0.3, 0.2, 0.1], "rank-deficient": [0.6, 0.4, 0.0, 0.0],
+                   "repeated": [0.3, 0.3, 0.3, 0.1], "repeated-zero": [0.5, 0.5, 0.0, 0.0]}[kind]
+            q = (u * lam) @ u.conj().T
+            e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            e = e + e.conj().T
+            e *= 1e-14 / np.linalg.norm(e, 2)
+            a, b = self.gauged(q), self.gauged(q + e)
+            assert np.abs(a - b).max() <= 1e-10
+            assert np.allclose(a.conj().T @ a, np.eye(n), atol=1e-12)
+            assert np.allclose((a * linalg.herm_eig(q)[1]) @ a.conj().T, q, atol=1e-12)
+
+    def test_largest_entry_is_real_and_positive_lowest_index_on_ties(self):
+        v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2) * np.array([-1j, -1.0])
+        out = linalg._gauge(v, np.array([2.0, 1.0]))
+        assert np.allclose(out, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
+        assert np.all(out[0].imag == 0) and np.all(out[0].real > 0)
+
+    def test_repeated_eigenspace_takes_the_projected_unit_vectors(self):
+        # Q = I/2: any unitary LAPACK returns becomes the identity
+        u = linalg.haar_unitary(2, np.random.default_rng(1))
+        assert np.allclose(linalg._gauge(u, np.array([0.5, 0.5])), np.eye(2), atol=1e-15)
