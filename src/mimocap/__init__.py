@@ -36,7 +36,6 @@ from .covopt import (
     OptimizerOptions,
     fixed_point_diag,
     iterate_general,
-    kkt_residual_diag,
     kkt_residual_general,
 )
 from .analysis import (
@@ -50,11 +49,7 @@ from .analysis import (
     wishart_approx,
     wishart_approx_covariance,
 )
-from .linalg import (
-    chol_upper,
-    herm_eig,
-    ut_gram,
-)
+from .linalg import herm_eig, ut_gram
 from .montecarlo import McEstimate, SeededStream, ergodic_mi
 from .waterfill import (
     InfeasibleError,

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import (_circular_gaussian, as_complex_matrix, as_psd, chol_upper, herm_eig,
-                     psd_sqrt, scaled_expn)
+from .linalg import (_circular_gaussian, as_complex_matrix, as_psd, herm_eig, psd_sqrt,
+                     scaled_expn)
 
 __all__ = [
     "ChannelLaw",
@@ -177,13 +177,13 @@ class MatrixGaussian(ChannelLaw):
         return np.allclose(self.mean, 0) and np.allclose(self.cov, np.eye(self.rx * self.tx))
 
     @functools.cached_property
-    def _cov_lower(self) -> np.ndarray:
-        return chol_upper(self.cov).conj().T  # cov = L L^H
+    def _cov_sqrt(self) -> np.ndarray:
+        return psd_sqrt(self.cov)
 
     def sample_batch(self, size, rng):
         r, t = self.shape
         z = _circular_gaussian(rng, (size, r * t))
-        v = z @ self._cov_lower.T
+        v = z @ self._cov_sqrt.T  # cov = C C^H, C = cov^1/2 Hermitian
         return self.mean + v.reshape(size, t, r).transpose(0, 2, 1)
 
     def expected_gram(self):

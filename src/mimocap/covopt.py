@@ -55,7 +55,6 @@ from .waterfill import InfeasibleError, waterfill_det
 __all__ = [
     "CovOptResult",
     "OptimizerOptions",
-    "kkt_residual_diag",
     "fixed_point_diag",
     "iterate_general",
     "kkt_residual_general",
@@ -265,24 +264,6 @@ def _objective(law: ChannelLaw, gamma: float, basis, samples: int,
         return (m if basis is None else np.diag(np.diag(m).real)), curv
 
     return (lambda q: _pool_mi(pool, q)[0]), moments
-
-
-def kkt_residual_diag(qvec, law: ChannelLaw, gamma: float, basis,
-                      samples: int = DEFAULT_SAMPLES_INNER,
-                      rng: SeededStream | int = 0) -> float:
-    """Violation of the diagonal stationarity conditions for powers ``qvec``.
-
-    With d_k = E[((I + S Qhat)^-1 S)_kk], active modes must share a common
-    value mu and inactive modes must sit below it: :func:`_residual` of
-    diag(d), modes above ``MODE_OFF`` counting as active. On a law with a
-    closed form d is exact, and ``samples`` and ``rng`` go unused.
-    """
-    qvec = np.asarray(qvec, dtype=float)
-    if np.any(qvec < 0) or abs(qvec.sum() - 1.0) > 1e-9:
-        raise ValueError("powers must be non-negative and sum to 1")
-    basis = np.eye(qvec.size) if basis is None else np.asarray(basis, dtype=complex)
-    moments = _objective(law, gamma, basis, samples, as_stream(rng))[1]
-    return _residual(moments(np.eye(qvec.size), qvec)[0], qvec > MODE_OFF)
 
 
 def _herm_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,9 +3,9 @@ finder used across the package.
 
 The matrix routines operate on small (dimension <~ 32) complex numpy arrays and
 wrap LAPACK-backed numpy routines with the conventions the rest of the package
-relies on: eigenvalues and singular values sorted descending, PSD clamping of
-Monte Carlo round-off, upper-triangular Cholesky factors with real
-non-negative diagonals.
+relies on: eigenvalues sorted descending, PSD clamping of Monte Carlo
+round-off, Gram matrices of upper-triangular factors with real non-negative
+diagonals.
 
 :func:`scaled_expn`, e^x E_n(x) at integer orders, is the package's one
 exponential integral, in numpy and plain floats: a power series, fitted
@@ -26,7 +26,6 @@ __all__ = [
     "as_psd",
     "herm_eig",
     "ut_gram",
-    "chol_upper",
     "psd_sqrt",
     "scaled_expn",
     "haar_unitary",
@@ -100,29 +99,6 @@ def as_psd(a) -> np.ndarray:
     if np.linalg.eigvalsh(m).min() < -PSD_TOL * max(np.abs(m).max(), 1.0) * m.shape[0]:
         raise ValueError("matrix is not positive semidefinite within tolerance")
     return m
-
-
-def chol_upper(a) -> np.ndarray:
-    """Upper-triangular factor ``T`` with ``T^H T = A`` for PSD ``A``.
-
-    Semidefinite input is handled by a column-pivot-free factorization that
-    zeroes trailing entries of rank-deficient columns. Input that is not
-    PSD raises a ``ValueError`` (see :func:`as_psd`).
-    """
-    m = as_psd(a)
-    n = m.shape[0]
-    scale = max(np.abs(m).max(), 1.0)
-    t = np.zeros_like(m)
-    # Outer-product form; tiny negative pivots from round-off are clamped.
-    for j in range(n):
-        s = m[j, j] - np.sum(np.abs(t[:j, j]) ** 2)
-        pivot = np.sqrt(max(s.real, 0.0))
-        t[j, j] = pivot
-        if pivot > np.sqrt(PSD_TOL * scale):
-            t[j, j + 1:] = (m[j, j + 1:] - t[:j, j].conj() @ t[:j, j + 1:]) / pivot
-        else:
-            t[j, j] = 0.0
-    return t
 
 
 def psd_sqrt(a) -> np.ndarray:

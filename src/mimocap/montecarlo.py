@@ -3,9 +3,10 @@
 Randomness is counter-based: a :class:`SeededStream` is a (seed, substream)
 pair mapped onto a Philox generator, so any (seed, index) names the same draw
 sequence forever and distinct indices give statistically independent streams.
-Estimators split work into fixed-size batches keyed by batch index and
-accumulate in batch order, which makes every estimate bit-reproducible for a
-given (seed, sample count).
+Estimators draw on one generator per stream, in ``channels._BLOCK`` blocks
+written into one array of per-draw values, which makes every estimate
+bit-reproducible for a given (seed, sample count), and one (law, seed) gives
+the same draws to every caller.
 Per-draw MIs are slogdet(I + S Q), except at rank Q = k <= 2 below full rank:
 there ln det(I_t + S Q) = ln det(I_k + P^H S P) over Q's factor P has a closed form,
 and :func:`ergodic_mi` draws only Y = H P (``ChannelLaw.sample_projected``),
@@ -20,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .channels import ChannelLaw, sample_batch
+from .channels import ChannelLaw, _blocks, _law_blocks
 from .linalg import as_psd
 
-__all__ = ["SeededStream", "McEstimate", "as_stream", "ergodic_mi", "BATCH"]
-
-#: samples per accumulation batch; fixed so results don't depend on scheduling
-BATCH = 8192
+__all__ = ["SeededStream", "McEstimate", "as_stream", "ergodic_mi"]
 
 #: default sample counts: inside optimizer iterations vs. final reported values
 DEFAULT_SAMPLES_INNER = 10_000
@@ -74,25 +72,6 @@ class McEstimate:
         if vals.ndim == 1:
             mean, se = float(mean), float(se)
         return cls(mean, se, n)
-
-
-def _batched_values(fn, law, samples, stream, p=None):
-    """Evaluate fn on iid batches of H (of H P given ``p``); the stacked value array."""
-    if law.support is not None and law.support[1].size == 1:  # one exact value
-        return np.asarray(fn(law.support[0] if p is None else law.support[0] @ p))
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    chunks = []
-    n_done = 0
-    b = 0
-    while n_done < samples:
-        size = min(BATCH, samples - n_done)
-        gen = stream.child(b).generator()
-        h = sample_batch(law, size, gen) if p is None else law.sample_projected(size, gen, p)
-        chunks.append(fn(h))
-        n_done += size
-        b += 1
-    return np.concatenate(chunks, axis=0)
 
 
 def _snr_gram(h: np.ndarray, gamma: float) -> np.ndarray:
@@ -162,9 +141,11 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
                rng: SeededStream | int = 0) -> McEstimate:
     """Ergodic mutual information E[log det(I + gamma H Q H^H)] in nats.
 
-    Where Q has rank k <= 2 below full rank (:func:`_thin_factor`), the draws
-    are of Y = H P (``law.sample_projected``), not of H: the same law, but a
-    Kronecker law draws it from other normals than ``sample_batch``.
+    H is drawn as every per-draw reduction draws it (:func:`channels._law_blocks`):
+    one generator of ``rng``, one ``channels._BLOCK`` of draws at a time. Where Q
+    has rank k <= 2 below full rank (:func:`_thin_factor`), the draws are of
+    Y = H P (``law.sample_projected``), not of H: the same law, but a Kronecker
+    law draws it from other normals than ``sample_batch``.
 
     Parameters
     ----------
@@ -184,7 +165,14 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     if np.trace(q).real > 1.0 + 1e-9:
         raise ValueError("transmit covariance must have trace <= 1")
     p = _thin_factor(q)
-    draws = ((lambda h: _log_dets(_snr_gram(h, gamma), q)) if p is None
-             else (lambda y: _thin_log_dets(y, gamma)))
-    return McEstimate.of(_batched_values(draws, law, samples, as_stream(rng), p))
+    if law.support is not None and law.support[1].size == 1:  # one exact value
+        h = law.support[0]
+        return McEstimate.of(_log_dets(_snr_gram(h, gamma), q) if p is None
+                             else _thin_log_dets(h @ p, gamma))
+    gen = as_stream(rng).generator()
+    if p is None:
+        vals = _law_blocks(law, samples, gen, lambda h: _log_dets(_snr_gram(h, gamma), q))
+    else:
+        vals = _blocks(samples, lambda n: _thin_log_dets(law.sample_projected(n, gen, p), gamma))
+    return McEstimate.of(vals)
 

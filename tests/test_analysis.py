@@ -7,6 +7,7 @@ from mimocap import analysis, channels, covopt, linalg
 from mimocap.covopt import OptimizerOptions
 from mimocap.montecarlo import SeededStream, ergodic_mi
 from test_channels import traced_peak
+from test_covopt import pool_diag_residual
 
 
 def diag_2x2(rho, tau):
@@ -252,8 +253,7 @@ class TestHighSnr:
         law = channels.KroneckerGaussian(np.zeros((2, 2)), np.diag([1.2, 0.8]),
                                          np.diag([1.4, 0.6]))
         basis, _ = linalg.herm_eig(law.tx_corr)
-        resids = [covopt.kkt_residual_diag([0.5, 0.5], law, g, basis,
-                                           samples=200_000, rng=6)
+        resids = [pool_diag_residual([0.5, 0.5], law, g, basis, 200_000, 6)
                   for g in (10.0, 100.0, 1000.0)]
         assert resids[2] < resids[0]
         assert resids[2] < 0.02

@@ -7,7 +7,7 @@ import pytest
 
 from mimocap import channels, covopt, linalg, waterfill
 from mimocap.covopt import OptimizerOptions
-from mimocap.montecarlo import SeededStream, _snr_gram, ergodic_mi
+from mimocap.montecarlo import SeededStream, _snr_gram, as_stream, ergodic_mi
 
 RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
 # receive correlation keeps this law off the closed form, on pools; its law is
@@ -21,6 +21,20 @@ def point_mass_with_unitary(seed):
     u = linalg.haar_unitary(2, np.random.default_rng(seed))
     h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
     return channels.PointMass(h)
+
+
+def pool_diag_residual(qvec, law, gamma, basis, samples, rng):
+    """Diagonal stationarity residual of the powers ``qvec`` over ``basis`` on one
+    pool: :func:`covopt._residual` of diag E[X_kk], modes above ``MODE_OFF`` on."""
+    qvec = np.asarray(qvec, dtype=float)
+    moments = covopt._objective(law, gamma, np.asarray(basis, dtype=complex), samples,
+                                as_stream(rng))[1]
+    return covopt._residual(moments(np.eye(qvec.size), qvec)[0], qvec > covopt.MODE_OFF)
+
+
+def chol_upper(a):
+    """Upper-triangular T with T^H T = A and a real positive diagonal, A positive definite."""
+    return np.linalg.cholesky(a).conj().T
 
 
 def power_step(d, h, qvec):
@@ -40,41 +54,39 @@ def power_update(mi_of, qvec, step, mi, still):
 
 
 class TestKktResidualDiag:
+    """The diagonal stationarity residual: exact where the law has a closed form or one
+    atom (through kkt_residual_general), else on one pool (pool_diag_residual)."""
+
     def test_waterfill_solution_is_stationary(self):
-        q = np.array([0.75, 0.25])
-        res = covopt.kkt_residual_diag(q, POINT_21, 1.0, np.eye(2), samples=10, rng=0)
+        res = covopt.kkt_residual_general(np.diag([0.75, 0.25]), POINT_21, 1.0,
+                                          samples=10, rng=0)
         assert res <= 1e-6
 
     def test_uniform_on_rx_correlated_rayleigh(self):
         q = np.array([0.5, 0.5])
-        res = covopt.kkt_residual_diag(q, RX_RAYLEIGH_2x2, 1.0, np.eye(2),
-                                       samples=100_000, rng=1)
+        res = pool_diag_residual(q, RX_RAYLEIGH_2x2, 1.0, np.eye(2), 100_000, 1)
         assert res <= 0.02  # noise floor of the Monte Carlo conditions
 
     def test_uniform_on_iid_rayleigh_is_exactly_stationary(self, monkeypatch):
         monkeypatch.setattr(covopt, "_s_pool", None)
-        res = [covopt.kkt_residual_diag([0.5, 0.5], RAYLEIGH_2x2, 1.0, np.eye(2),
-                                        samples=n, rng=seed) for n, seed in ((10, 0), (10**5, 1))]
+        res = [covopt.kkt_residual_general(np.eye(2) / 2, RAYLEIGH_2x2, 1.0, samples=n, rng=seed)
+               for n, seed in ((10, 0), (10**5, 1))]
         assert res[0] == res[1] <= 1e-12
 
     def test_perturbed_point_is_not_stationary(self):
-        res_opt = covopt.kkt_residual_diag([0.5, 0.5], RX_RAYLEIGH_2x2, 1.0, np.eye(2),
-                                           samples=50_000, rng=2)
-        res_bad = covopt.kkt_residual_diag([0.9, 0.1], RX_RAYLEIGH_2x2, 1.0, np.eye(2),
-                                           samples=50_000, rng=2)
+        res_opt = pool_diag_residual([0.5, 0.5], RX_RAYLEIGH_2x2, 1.0, np.eye(2), 50_000, 2)
+        res_bad = pool_diag_residual([0.9, 0.1], RX_RAYLEIGH_2x2, 1.0, np.eye(2), 50_000, 2)
         assert res_bad > 10 * max(res_opt, 1e-3)
 
     def test_power_vector_validation(self):
         with pytest.raises(ValueError):
-            covopt.kkt_residual_diag([0.7, 0.7], RAYLEIGH_2x2, 1.0, np.eye(2))
+            covopt.kkt_residual_general(np.diag([0.7, 0.7]), RAYLEIGH_2x2, 1.0)
 
     def test_basis_must_be_unitary_with_or_without_a_closed_form(self):
         skew = np.array([[1.0, 1.0], [0.0, 1.0]])
         for law in (RAYLEIGH_2x2, POINT_21):
             with pytest.raises(ValueError, match="unitary"):
                 covopt.fixed_point_diag(law, 1.0, skew)
-            with pytest.raises(ValueError, match="unitary"):
-                covopt.kkt_residual_diag([0.5, 0.5], law, 1.0, skew)
 
 
 class TestFixedPointDiag:
@@ -209,7 +221,7 @@ class TestNewtonDiag:
         assert res.converged and res.kkt_residual <= 1e-9
         assert res.mi.se == 0.0
         assert np.isclose(res.mi.mean, res.mi_trace[-1], rtol=0, atol=1e-12)
-        assert covopt.kkt_residual_diag(res.qhat, law, gamma, np.eye(4)) <= 1e-9
+        assert covopt.kkt_residual_general(np.diag(res.qhat), law, gamma) <= 1e-9
 
     def test_law_past_the_closed_form_runs_on_pools(self, monkeypatch):
         # t = 9 with T's eigenvalues chained 0.14 apart in ln: all nine sigma of
@@ -550,7 +562,7 @@ class TestKktResidualGeneral:
     def test_perturbed_factor_fails(self):
         law = point_mass_with_unitary(23)
         res = covopt.iterate_general(law, 1.0, opts=OptimizerOptions(tol=1e-7, max_iter=4000))
-        bumped = linalg.chol_upper(res.q)
+        bumped = chol_upper(res.q)
         bumped[0, 1] += 0.1
         bumped /= np.sqrt(np.sum(np.abs(bumped) ** 2))
         r_opt = covopt.kkt_residual_general(res.q, law, 1.0, samples=10, rng=0)
@@ -711,7 +723,8 @@ class TestWarmStart:
                 assert law.exact
                 for gamma in np.geomspace(0.05, 10.0, 8):
                     res = covopt.iterate_general(law, gamma)
-                    exact = covopt.kkt_residual_diag(res.qhat, law, gamma, law.diag_basis)
+                    exact = covopt.kkt_residual_general(
+                        covopt._covariance(law.diag_basis, res.qhat), law, gamma)
                     assert res.converged and exact <= 1e-9 and res.iterations <= 3
                     more += np.count_nonzero(jensen_powers(law, gamma)) > np.count_nonzero(res.qhat)
         assert more > 0
@@ -781,7 +794,8 @@ class TestExactEvaluations:
         res = (covopt.iterate_general(law, gamma, opts) if method == "general"
                else covopt.fixed_point_diag(law, gamma, law.diag_basis, opts))
         assert res.converged and res.iterations == 3
-        assert covopt.kkt_residual_diag(res.qhat, law, gamma, law.diag_basis) <= 1e-9
+        assert covopt.kkt_residual_general(
+            covopt._covariance(law.diag_basis, res.qhat), law, gamma) <= 1e-9
         assert len(evaluations) <= 6 + 1  # the last one is the residual above
 
     def test_iid_4x4_solve_takes_at_most_three(self, evaluations):

@@ -9,16 +9,19 @@ Per-draw reductions draw their channels in blocks, never as one whole pool,
 and the covariance solvers reduce their pools one block at a time. One
 function decides where Q has a rank <= 2 factor. The exact objective's curvature
 is the closed-form Hessian: no difference quotient of the exact gradient is
-left in it but a freed mode's.
+left in it but a freed mode's. Every per-layer name the benchmark reads names
+a public function or a class's own method.
 """
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
-from mimocap import channels, cli, covopt
+from mimocap import analysis, channels, cli, covopt, montecarlo, waterfill
 
 SRC = Path(channels.__file__).parent
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 #: every class ``channels`` defines: the laws, the densities and their bases
 CHANNEL_CLASSES = frozenset(name for name, obj in vars(channels).items()
                             if inspect.isclass(obj) and obj.__module__ == channels.__name__)
@@ -129,16 +132,17 @@ def test_call_sites_sees_names_attributes_and_lambdas():
 
 
 def test_whole_pools_are_drawn_only_where_meant():
-    # per-draw reductions stream through channels._law_blocks and the solver
-    # pools through channels._blocks in covopt._s_pool; the other callers are
-    # the module entry point (it forwards to the family's method), ergodic_mi's
-    # batches and H P's default draw
+    # per-draw reductions, ergodic_mi's among them, stream through
+    # channels._law_blocks and the solver pools through channels._blocks in
+    # covopt._s_pool (which calls sample_batch itself, so that the benchmark's
+    # tracer can count its pools); the other callers are the module entry point
+    # (it forwards to the family's method) and H P's default draw
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += call_sites(path.read_text(encoding="utf-8"), path.name, "sample_batch")
     assert sorted({f"{f.split(':')[0]} {f.split(' ')[1]}" for f in found}) == [
         "channels.py _law_blocks", "channels.py sample_batch", "channels.py sample_projected",
-        "covopt.py _s_pool", "montecarlo.py _batched_values"]
+        "covopt.py _s_pool"]
 
 
 def test_solver_pools_are_reduced_block_by_block():
@@ -231,3 +235,36 @@ def test_exact_curvature_takes_no_step_but_a_freed_modes():
     source = Path(covopt.__file__).read_text(encoding="utf-8")
     assert difference_quotients(source, "_objective") == [
         "np.flatnonzero(off & (g > g[~off].mean()))"]
+
+
+#: the modules whose public functions the benchmark's tracer wraps, by metric prefix
+TRACED_LAYERS = {"channels": channels, "waterfill": waterfill, "montecarlo": montecarlo,
+                 "covopt": covopt, "analysis": analysis}
+#: per-layer names that sum one method over several classes
+TRACED_SUMS = {"channels.trunc_moment": ("WishartDensity", "EmpiricalDensity",
+                                         "PointMassDensity")}
+
+
+def test_every_traced_name_the_benchmark_reads_is_defined():
+    # a per-layer metric of the benchmark comes from wrapping <layer>.<function>
+    # (found through the module's __all__) or <layer>.<Class>.<method> (found
+    # on the class itself); one that is not there makes a traced run fail
+    names = {m["name"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]}
+    checked = set()
+    for name in names:
+        layer, *rest = name.split(".")
+        if layer not in TRACED_LAYERS or len(rest) < 2:  # a layer-wide count, not a function's
+            continue
+        module, target = TRACED_LAYERS[layer], rest[0]
+        if f"{layer}.{target}" in TRACED_SUMS:
+            for cls in TRACED_SUMS[f"{layer}.{target}"]:
+                assert target in vars(getattr(module, cls)), f"{name}: no {cls}.{target}"
+        elif target[0].isupper():
+            assert rest[1] in vars(getattr(module, target)), f"{name}: no {target}.{rest[1]}"
+        else:
+            fn = getattr(module, target, None)
+            assert target in module.__all__ and inspect.isfunction(fn), f"{name}: not public"
+            assert fn.__module__ == module.__name__, f"{name}: {target} is imported"
+        checked.add(name)
+    assert {"covopt.fixed_point_diag.self_s", "channels.trunc_moment.self_s",
+            "channels.WishartDensity.cdf.calls"} <= checked

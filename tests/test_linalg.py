@@ -65,36 +65,11 @@ class TestTriangular:
         with pytest.raises(ValueError):
             linalg.ut_gram(np.array([[1.0, 0.0], [1.0, 1.0]]))
 
-    def test_chol_identity(self):
-        assert np.allclose(linalg.chol_upper(np.eye(2)), np.eye(2))
-
-    def test_chol_hand_example(self):
-        t = linalg.chol_upper([[1.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(t, [[1.0, 1.0], [0.0, 1.0]])
-
-    def test_chol_semidefinite(self):
-        t = linalg.chol_upper([[1.0, 1.0], [1.0, 1.0]])
-        assert np.allclose(t, [[1.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(linalg.ut_gram(t), [[1.0, 1.0], [1.0, 1.0]])
-
-    def test_chol_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            linalg.chol_upper(np.diag([1.0, -0.5]))
-
-    def test_as_psd_is_the_check_chol_upper_applies(self):
+    def test_as_psd_passes_the_round_off_of_a_rank_deficiency(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             linalg.as_psd(np.diag([1.5, -0.5]))
         a = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-15]])  # round-off of a rank-one matrix
         assert np.array_equal(linalg.as_psd(a), linalg.as_hermitian(a))
-        linalg.chol_upper(a)
-
-    def test_roundtrip_chol_of_gram(self):
-        rng = np.random.default_rng(2)
-        for n in (2, 3, 5):
-            t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            np.fill_diagonal(t, rng.uniform(0.5, 2.0, n))
-            back = linalg.chol_upper(linalg.ut_gram(t))
-            assert np.abs(back - t).max() <= 1e-10 * np.abs(t).max()
 
 
 def _expint_gamma0(x):

@@ -3,8 +3,8 @@ import pytest
 import scipy.integrate
 
 from mimocap import analysis, channels, covopt, linalg, waterfill
-from mimocap.montecarlo import (McEstimate, SeededStream, _batched_values, _eye_plus,
-                                _log_dets, _snr_gram, _thin_factor, as_stream, ergodic_mi)
+from mimocap.montecarlo import (McEstimate, SeededStream, _eye_plus, _log_dets, _snr_gram,
+                                _thin_factor, _thin_log_dets, as_stream, ergodic_mi)
 
 RAYLEIGH_1x1 = channels.KroneckerGaussian(np.zeros((1, 1)), np.eye(1), np.eye(1))
 RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
@@ -29,9 +29,9 @@ def log_det_plus(s, q) -> float:
 
 
 def expect_matrix(fn, law, samples=10_000, rng=0) -> McEstimate:
-    """Entrywise mean and SE of ``fn`` over batches of H drawn as the package's
+    """Entrywise mean and SE of ``fn`` over blocks of H drawn as the package's
     estimators draw them; ``fn`` maps a (size, r, t) batch to one array per draw."""
-    return McEstimate.of(_batched_values(fn, law, samples, as_stream(rng)))
+    return McEstimate.of(channels._law_blocks(law, samples, as_stream(rng).generator(), fn))
 
 
 def random_hermitian(rng, n):
@@ -90,9 +90,8 @@ class TestErgodicMi:
         lam[:rank] = np.arange(rank, 0, -1) / (rank * (rank + 1) / 2)
         q = covopt._covariance(vecs, lam)
         new = ergodic_mi(q, law, 1.0, samples=samples, rng=6)
-        old = McEstimate.of(_batched_values(
-            lambda h: np.linalg.slogdet(_eye_plus(_snr_gram(h, 1.0), q))[1],
-            law, samples, as_stream(6)))
+        old = expect_matrix(lambda h: np.linalg.slogdet(_eye_plus(_snr_gram(h, 1.0), q))[1],
+                            law, samples, 6)
         return new, old
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -112,6 +111,29 @@ class TestErgodicMi:
         new, old = self._low_rank_and_full_gram_mis(RICEAN_4x4_VEC, rank, 20_000)
         assert abs(new.mean - old.mean) <= 1e-12 * old.mean
         assert abs(new.se - old.se) <= 1e-12 * old.se
+
+
+def test_ergodic_mi_draws_through_the_shared_blocks():
+    # H (or H P at rank <= 2) in channels._BLOCK blocks on one generator of the
+    # stream, as every per-draw reduction draws it; 5,000 is not a multiple of a block
+    n, seed = 5_000, 17
+    q = np.eye(4) / 4
+    est = ergodic_mi(q, RICEAN_4x4, 1.0, n, seed)
+    ref = McEstimate.of(channels._law_blocks(RICEAN_4x4, n, SeededStream(seed).generator(),
+                                             lambda h: _log_dets(_snr_gram(h, 1.0), q)))
+    assert (est.mean, est.se, est.samples) == (ref.mean, ref.se, ref.samples)
+    q = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
+    p, gen = _thin_factor(q), SeededStream(seed).generator()
+    est = ergodic_mi(q, RICEAN_4x4, 1.0, n, seed)
+    ref = McEstimate.of(channels._blocks(
+        n, lambda k: _thin_log_dets(RICEAN_4x4.sample_projected(k, gen, p), 1.0)))
+    assert (est.mean, est.se, est.samples) == (ref.mean, ref.se, ref.samples)
+    # a one-atom law is exact whatever the sample count; a pooled one needs two draws
+    atom = channels.PointMass(np.diag([1.0, 0.5]))
+    for q in (np.eye(2) / 2, np.diag([1.0, 0.0])):
+        assert ergodic_mi(q, atom, 2.0, 1, seed).se == 0.0
+    with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
+        ergodic_mi(np.eye(4) / 4, RICEAN_4x4, 1.0, 1, seed)
 
 
 class TestExpectMatrix:
