@@ -58,6 +58,17 @@ class TestSampling:
         emp = (vec[:, :, None] * vec[:, None, :].conj()).mean(axis=0)
         assert np.abs(emp - cov).max() < 0.05 * np.abs(cov).max()
 
+    def test_matrix_gaussian_semidefinite_cov_draws_in_its_range(self):
+        # rank-one vec covariance v v^H: every vec(H) is a multiple of v, and its
+        # power |v|^2 matches the covariance's trace
+        v = np.array([1.0, 0.5j, -0.5, 0.25])
+        law = channels.MatrixGaussian(np.zeros((2, 2)), np.outer(v, v.conj()))
+        h = channels.sample_batch(law, 100_000, rng(16))
+        vec = h.transpose(0, 2, 1).reshape(-1, 4)  # stacked columns
+        off = vec - np.outer(vec @ v.conj() / np.vdot(v, v), v)
+        assert np.abs(off).max() <= 1e-12
+        assert abs(np.mean(np.sum(np.abs(vec) ** 2, axis=1)) / np.vdot(v, v).real - 1) < 0.02
+
     def test_mixture_frequencies(self):
         atoms = [np.array([[0.0]]), np.array([[1.0]])]
         law = channels.FiniteMixture([0.25, 0.75], atoms)

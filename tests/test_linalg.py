@@ -71,6 +71,16 @@ class TestTriangular:
         a = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-15]])  # round-off of a rank-one matrix
         assert np.array_equal(linalg.as_psd(a), linalg.as_hermitian(a))
 
+    def test_roundtrip_chol_of_gram(self):
+        # numpy's Cholesky factor, conjugate-transposed, is the upper factor with a
+        # real positive diagonal that ut_gram takes
+        rng = np.random.default_rng(2)
+        for n in (2, 3, 5):
+            t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            np.fill_diagonal(t, rng.uniform(0.5, 2.0, n))
+            back = np.linalg.cholesky(linalg.ut_gram(t)).conj().T
+            assert np.abs(back - t).max() <= 1e-10 * np.abs(t).max()
+
 
 def _expint_gamma0(x):
     """Gamma(0, x) = int_x^inf exp(-t)/t dt, unscaled from the package's form."""
@@ -162,6 +172,28 @@ def test_psd_sqrt_squares_back():
     p = a @ a.conj().T
     r = linalg.psd_sqrt(p)
     assert np.abs(r @ r - p).max() <= 1e-10 * np.abs(p).max()
+
+
+def test_psd_sqrt_identity():
+    assert np.allclose(linalg.psd_sqrt(np.eye(3)), np.eye(3), rtol=0, atol=1e-15)
+
+
+def test_psd_sqrt_hand_example():
+    # [[2, 1], [1, 2]] has eigenvalues 3 and 1 on (1, 1)/sqrt2 and (1, -1)/sqrt2
+    r = linalg.psd_sqrt([[2.0, 1.0], [1.0, 2.0]])
+    s3 = np.sqrt(3.0)
+    assert np.allclose(r, [[(s3 + 1) / 2, (s3 - 1) / 2], [(s3 - 1) / 2, (s3 + 1) / 2]],
+                       rtol=0, atol=1e-14)
+    assert np.allclose(r, r.conj().T, rtol=0, atol=0)
+
+
+def test_psd_sqrt_keeps_the_rank_of_a_rank_deficiency():
+    # the round-off eigenvalue (~5e-16) would give a ~2e-8 square root that restores
+    # rank two; it is zeroed, so the root is the rank-one [[1, 1], [1, 1]] / sqrt2
+    for a in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 - 1e-15]]):
+        r = linalg.psd_sqrt(a)
+        assert np.abs(r - np.full((2, 2), 1 / np.sqrt(2))).max() <= 1e-15
+        assert np.linalg.matrix_rank(r, tol=1e-12) == 1
 
 
 def test_haar_unitary_is_unitary():
