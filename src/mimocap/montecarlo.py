@@ -165,14 +165,13 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     if np.trace(q).real > 1.0 + 1e-9:
         raise ValueError("transmit covariance must have trace <= 1")
     p = _thin_factor(q)
+    per = ((lambda h: _log_dets(_snr_gram(h, gamma), q)) if p is None
+           else (lambda y: _thin_log_dets(y, gamma)))
     if law.support is not None and law.support[1].size == 1:  # one exact value
         h = law.support[0]
-        return McEstimate.of(_log_dets(_snr_gram(h, gamma), q) if p is None
-                             else _thin_log_dets(h @ p, gamma))
+        return McEstimate.of(per(h if p is None else h @ p))
     gen = as_stream(rng).generator()
     if p is None:
-        vals = _law_blocks(law, samples, gen, lambda h: _log_dets(_snr_gram(h, gamma), q))
-    else:
-        vals = _blocks(samples, lambda n: _thin_log_dets(law.sample_projected(n, gen, p), gamma))
-    return McEstimate.of(vals)
+        return McEstimate.of(_law_blocks(law, samples, gen, per))
+    return McEstimate.of(_blocks(samples, lambda n: per(law.sample_projected(n, gen, p))))
 

@@ -9,16 +9,17 @@ Per-draw reductions draw their channels in blocks, never as one whole pool,
 and the covariance solvers reduce their pools one block at a time. One
 function decides where Q has a rank <= 2 factor. The exact objective's curvature
 is the closed-form Hessian: no difference quotient of the exact gradient is
-left in it but a freed mode's. Every per-layer name the benchmark reads names
-a public function or a class's own method.
+left in it but a freed mode's. Every per-layer name the benchmark reads is
+one its tracer gives or its runner sets.
 """
 
 import ast
+import importlib.util
 import inspect
 import json
 from pathlib import Path
 
-from mimocap import analysis, channels, cli, covopt, montecarlo, waterfill
+from mimocap import channels, cli, covopt
 
 SRC = Path(channels.__file__).parent
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
@@ -237,34 +238,25 @@ def test_exact_curvature_takes_no_step_but_a_freed_modes():
         "np.flatnonzero(off & (g > g[~off].mean()))"]
 
 
-#: the modules whose public functions the benchmark's tracer wraps, by metric prefix
-TRACED_LAYERS = {"channels": channels, "waterfill": waterfill, "montecarlo": montecarlo,
-                 "covopt": covopt, "analysis": analysis}
-#: per-layer names that sum one method over several classes
-TRACED_SUMS = {"channels.trunc_moment": ("WishartDensity", "EmpiricalDensity",
-                                         "PointMassDensity")}
+def _bench_tracer():
+    """``bench/tracer.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("tracer", BENCHMARK.parent / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_the_benchmark_reads_is_defined():
-    # a per-layer metric of the benchmark comes from wrapping <layer>.<function>
-    # (found through the module's __all__) or <layer>.<Class>.<method> (found
-    # on the class itself); one that is not there makes a traced run fail
+    # the tracer wraps the public functions and density methods it finds, and
+    # bench/run.py adds a few run-wide numbers; a per-layer name of the benchmark
+    # that neither gives makes a traced run fail
+    tracing = _bench_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        given = set(tracing.layer_metrics(tracer))
+    finally:
+        tracer.restore()
     names = {m["name"] for m in json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]}
-    checked = set()
-    for name in names:
-        layer, *rest = name.split(".")
-        if layer not in TRACED_LAYERS or len(rest) < 2:  # a layer-wide count, not a function's
-            continue
-        module, target = TRACED_LAYERS[layer], rest[0]
-        if f"{layer}.{target}" in TRACED_SUMS:
-            for cls in TRACED_SUMS[f"{layer}.{target}"]:
-                assert target in vars(getattr(module, cls)), f"{name}: no {cls}.{target}"
-        elif target[0].isupper():
-            assert rest[1] in vars(getattr(module, target)), f"{name}: no {target}.{rest[1]}"
-        else:
-            fn = getattr(module, target, None)
-            assert target in module.__all__ and inspect.isfunction(fn), f"{name}: not public"
-            assert fn.__module__ == module.__name__, f"{name}: {target} is imported"
-        checked.add(name)
-    assert {"covopt.fixed_point_diag.self_s", "channels.trunc_moment.self_s",
-            "channels.WishartDensity.cdf.calls"} <= checked
+    run = (BENCHMARK.parent / "bench" / "run.py").read_text(encoding="utf-8")
+    assert sorted(n for n in names - given if f'metrics["{n}"]' not in run) == []

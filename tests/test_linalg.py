@@ -5,6 +5,7 @@ import scipy.integrate
 import scipy.special
 
 from mimocap import linalg
+from test_covopt import chol_upper
 
 
 def random_hermitian(rng, n):
@@ -60,6 +61,9 @@ class TestTriangular:
         g = linalg.ut_gram(t)
         assert np.allclose(g, [[1.0, 1.0], [1.0, 2.0]])
         assert np.isclose(np.trace(g).real, 3.0)  # 1^2 + 1^2 + 1^2
+        # a zero diagonal entry is allowed: the factor of a rank-one Gram
+        assert np.allclose(linalg.ut_gram(np.array([[1.0, 1.0], [0.0, 0.0]])),
+                           [[1.0, 1.0], [1.0, 1.0]])
 
     def test_gram_rejects_lower_entries(self):
         with pytest.raises(ValueError):
@@ -72,13 +76,11 @@ class TestTriangular:
         assert np.array_equal(linalg.as_psd(a), linalg.as_hermitian(a))
 
     def test_roundtrip_chol_of_gram(self):
-        # numpy's Cholesky factor, conjugate-transposed, is the upper factor with a
-        # real positive diagonal that ut_gram takes
         rng = np.random.default_rng(2)
         for n in (2, 3, 5):
             t = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             np.fill_diagonal(t, rng.uniform(0.5, 2.0, n))
-            back = np.linalg.cholesky(linalg.ut_gram(t)).conj().T
+            back = chol_upper(linalg.ut_gram(t))
             assert np.abs(back - t).max() <= 1e-10 * np.abs(t).max()
 
 
