@@ -110,9 +110,11 @@ class ChannelLaw:
         """
         raise NotImplementedError
 
-    def sample_projected(self, size: int, rng: np.random.Generator, p: np.ndarray) -> np.ndarray:
-        """Draw ``size`` iid H P for a t x k matrix ``p``, returned as (size, r, k)."""
-        return sample_batch(self, size, rng) @ p
+    def sample_projected(self, samples: int, rng: np.random.Generator, p: np.ndarray,
+                         reduce=np.asarray) -> np.ndarray:
+        """``reduce(Y)`` of ``samples`` iid Y = H P, (n, r, k) per block, for a t x k matrix
+        ``p``, streamed in :func:`_blocks`; by default the draws, shape (samples, r, k)."""
+        return _blocks(samples, lambda n: reduce(sample_batch(self, n, rng) @ p))
 
     def draw_rows(self, samples: int, rng: np.random.Generator, reduce=np.asarray) -> tuple:
         """``reduce(rows)`` of the eigenvalue rows of H H^H, one per atom of ``support``, else
@@ -245,21 +247,27 @@ class KroneckerGaussian(ChannelLaw):
         r, k = self.rx, right.shape[1]
         g = _circular_gaussian(rng, (size, r, k))
         # Each factor is one 2-D product: ``right`` on the stacked rows, R^1/2
-        # (if any) on the stacked columns. Rebinding g keeps two arrays alive.
+        # (if any) on the stacked columns. Rebinding g keeps two arrays alive;
+        # the mean goes onto the fresh product in place, or onto the one copy
+        # that lays R^1/2's transposed product out in C order.
         g = (g.reshape(-1, k) @ right).reshape(size, r, k)
         if self._rx_sqrt is not None:
             g = g.transpose(1, 0, 2).reshape(r, size * k)
             g = (self._rx_sqrt @ g).reshape(r, size, k).transpose(1, 0, 2)
-        return np.add(g, mean, order="C")
+            return np.add(g, mean, order="C")
+        g += mean
+        return g
 
     def sample_batch(self, size, rng):
         return self._draw(size, rng, self._tx_sqrt, self.mean)
 
-    def sample_projected(self, size, rng, p):
+    def sample_projected(self, samples, rng, p, reduce=np.asarray):
         """H P as M P + R^1/2 G_k (P^H T P)^1/2, G_k r x k iid: the rows of
         G T^1/2 P are iid CN(0, P^H T P), so r k normals replace r t. A zero
-        column of P gives an exactly zero column."""
-        return self._draw(size, rng, psd_sqrt(p.conj().T @ self.tx_corr @ p), self.mean @ p)
+        column of P gives an exactly zero column. (P^H T P)^1/2 and M P are
+        formed once per call, and every block draws only its G_k."""
+        right, mean = psd_sqrt(p.conj().T @ self.tx_corr @ p), self.mean @ p
+        return _blocks(samples, lambda n: reduce(self._draw(n, rng, right, mean)))
 
     def expected_gram(self):
         return self.tx_corr * np.trace(self.rx_corr).real + self.mean.conj().T @ self.mean
@@ -274,7 +282,7 @@ class KroneckerGaussian(ChannelLaw):
         th = self._tx_sqrt
         gain = gamma * self.rx_corr[0, 0].real
         sigma, vecs = np.linalg.eigh(gain * (th @ np.asarray(q) @ th))
-        mi, grad, _ = _log_det_moment(self.rx, np.maximum(sigma, 0.0))
+        mi, grad, _ = _log_det_moment(self.rx, np.maximum(sigma, 0.0), second=False)
         w = th @ vecs
         return mi, gain * (w * grad) @ w.conj().T
 
@@ -543,11 +551,14 @@ _FACT.flags.writeable = False
 _CLUSTER = 0.15
 
 
-def _taylor_rows(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _taylor_rows(x: np.ndarray, size: int,
+                 second: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows mapping series coefficients (a_p), p < size, to divided differences: row i
     gives the one over x_0..x_i, entry p being the complete symmetric polynomial h_(p-i)
     (x_0..x_i). Its derivative rows, returned with their (i, j, l): in x_j (j <= i, l = -1)
-    h_(p-i-1)(x_0..x_i, x_j); in x_j and x_l (l <= j) (1 + [l = j]) h_(p-i-2)(.., x_j, x_l)."""
+    h_(p-i-1)(x_0..x_i, x_j); in x_j and x_l (l <= j) (1 + [l = j]) h_(p-i-2)(.., x_j, x_l),
+    or zeros without ``second``: the rows keep their places, so a product over them takes
+    the same BLAS path and gives the first-derivative rows the same bits."""
     p = np.arange(size)
     # a @ geo[j] multiplies the series a by 1 / (1 - x_j z): geo[j, q, p] = x_j^(p-q), p >= q
     geo = np.where(p >= p[:, None], (x[:, None] ** p)[:, np.maximum(p - p[:, None], 0)], 0.0)
@@ -556,17 +567,21 @@ def _taylor_rows(x: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.n
         h.append(h[-1] @ g)
         rows[i, i:] = h[-1][:size - i]
     d1 = np.array(h[1:]) @ geo  # [j, i]: the series of x_0..x_i, x_j
-    d2 = d1 @ geo[:, None]  # [l, j, i]: of x_0..x_i, x_j, x_l
     i, j, l = keys = np.array([(i, j, l) for i in range(x.size) for j in range(i + 1)
                                for l in range(-1, j + 1)]).T
+    # [l, j, i]: the series of x_0..x_i, x_j, x_l
+    d2 = d1 @ geo[:, None] if second else np.zeros((x.size, *d1.shape))
     d = np.where((l < 0)[:, None], d1[j, i], d2[l, j, i] * (1 + (j == l))[:, None])
     cols = p - (i + 1 + (l >= 0))[:, None]
     return rows, np.where(cols >= 0, np.take_along_axis(d, np.maximum(cols, 0), 1), 0.0), keys.T
 
 
-def _log_det_moment(r: int, sigma: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _log_det_moment(r: int, sigma: np.ndarray,
+                    second: bool = True) -> tuple[float, np.ndarray, np.ndarray | None]:
     """E[ln det(I + W diag(sigma))], W = G^H G a t x t complex Wishart of r >= t
     degrees of freedom (t <= 5 and r <= 16, see ``_CLUSTER``), its gradient and Hessian.
+    Without ``second`` the Hessian is None: its Taylor rows are left zero and it is never
+    assembled, and the MI and gradient keep their bits.
 
     The k nonzero sigma give tr(V^-1 B') (Andreief identity; Chiani, Win & Zanella, IEEE
     Trans. IT 2003), V_ij = sigma_i^(j-1), B'_ij = V_ij J_(n_j)(sigma_i) / n_j!,
@@ -579,7 +594,8 @@ def _log_det_moment(r: int, sigma: np.ndarray) -> tuple[float, np.ndarray, np.nd
     zero sigma_i has df/dsigma_i = r - sum_j sigma_j df/dsigma_j = E tr (I + G Sigma G^H)^-1,
     whose derivatives give its Hessian entries; those between two zero sigma are left 0.
     """
-    grad, hess = np.full(sigma.size, float(r)), np.zeros((sigma.size, sigma.size))
+    grad = np.full(sigma.size, float(r))
+    hess = np.zeros((sigma.size, sigma.size)) if second else None
     on = np.flatnonzero(sigma > 1e-12 * sigma.max())
     if on.size == 0:
         return 0.0, grad, hess
@@ -600,7 +616,7 @@ def _log_det_moment(r: int, sigma: np.ndarray) -> tuple[float, np.ndarray, np.nd
         scale = ((-1.0) ** p / _FACT[p])[:, None] * (c / s[-1]) ** np.arange(k) / _FACT[n]
         ca = scale * _FACT[n + p[:, None]]
         cb = scale * _log1p_integrals(c, _FACT[:r + p.size])[n + p[:, None]]
-        hr, dr, kr = (_taylor_rows(x, p.size) if hi > lo + 1 else  # a lone node sits at x = 0
+        hr, dr, kr = (_taylor_rows(x, p.size, second) if hi > lo + 1 else  # lone: x = 0
                       (np.eye(3)[:1], np.diag([0.0, 1, 2])[1:], np.array([[0, 0, -1], [0, 0, 0]])))
         v[lo:hi], b[lo:hi] = hr @ ca, hr @ cb
         dv.append(dr @ ca)
@@ -613,13 +629,17 @@ def _log_det_moment(r: int, sigma: np.ndarray) -> tuple[float, np.ndarray, np.nd
     rows, js, ls = np.vstack(keys).T
     tr, one = np.einsum("ij,ji->i", g, y[:, rows]), ls < 0
     gx = np.bincount(js[one], tr[one], minlength=k)
+    dg = gx * (dx := -(centre / s ** 2))  # dx_i / dsigma_i; d2x_i / dsigma_i^2 = -2 dx_i / sigma_i
+    grad[:] = r - s @ dg
+    grad[on] = dg
+    if not second:
+        return float(np.trace(pm)), grad, None
     hx = np.bincount(js[~one] * k + ls[~one], tr[~one], minlength=k * k).reshape(k, k)
     e = np.eye(k)[js[one]]
     cross = e.T @ ((dv[one] @ y)[:, rows[one]] * (g[one] @ y)[:, rows[one]].T) @ e
-    dg = gx * (dx := -(centre / s ** 2))  # dx_i / dsigma_i; d2x_i / dsigma_i^2 = -2 dx_i / sigma_i
     hs = (hx + np.tril(hx, -1).T - (cross + cross.T)) * np.outer(dx, dx) - np.diag(2 * gx * dx / s)
-    grad[:], hess[:, on] = r - s @ dg, -dg - s @ hs
-    grad[on], hess[on] = dg, hess[:, on].T
+    hess[:, on] = -dg - s @ hs
+    hess[on] = hess[:, on].T
     hess[np.ix_(on, on)] = hs
     return float(np.trace(pm)), grad, hess
 

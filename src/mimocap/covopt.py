@@ -125,11 +125,11 @@ def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
     return _blocks(samples, lambda n: gram(sample_batch(law, n, gen)))
 
 
-def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-draw X = (I + S Q)^-1 S, shape (pool, t, t); by LU, except where Q = P P^H
-    (:func:`montecarlo._thin_factor`): there X = S - Z Z^H, Z = S P L and L L^H =
-    (I_2 + P^H S P)^-1 in closed form (push-through), with temporaries below the LU's."""
-    p = _thin_factor(q)
+def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray, p: np.ndarray | None) -> np.ndarray:
+    """Per-draw X = (I + S Q)^-1 S, shape (pool, t, t), given Q's factor ``p``
+    (:func:`montecarlo._thin_factor`); by LU, except where Q = P P^H: there X = S - Z Z^H,
+    Z = S P L and L L^H = (I_2 + P^H S P)^-1 in closed form (push-through), with
+    temporaries below the LU's."""
     if p is None:
         return np.linalg.solve(_eye_plus(s_pool, q), s_pool)
     sp, g = _thin_products(s_pool, p)
@@ -154,13 +154,14 @@ def _resolvent_moments(s_pool: np.ndarray, q: np.ndarray, second: bool = False) 
     """E[X] over the pool, X = (I + S Q)^-1 S per draw, and with ``second`` the
     t^2 x t^2 moment E[vec X vec X^T] (else None), one ``_BLOCK`` of X at a time.
 
+    Q is factored (:func:`montecarlo._thin_factor`) once per pass, not once per block.
     Each block's row sum starts from the running sum, so E[X] has the bits of
-    ``_resolvent_gradient(s_pool, q).mean(axis=0)``, one sequential row sum.
+    ``_resolvent_gradient(s_pool, q, p).mean(axis=0)``, one sequential row sum.
     """
-    t = q.shape[0]
+    t, p = q.shape[0], _thin_factor(q)
     total, mom = None, 0.0
     for lo in range(0, len(s_pool), _BLOCK):
-        x = _resolvent_gradient(s_pool[lo:lo + _BLOCK], q)
+        x = _resolvent_gradient(s_pool[lo:lo + _BLOCK], q, p)
         total = np.add.reduce(x if total is None else np.concatenate([total[None], x]))
         if second:
             vx = x.reshape(-1, t * t)
@@ -170,10 +171,11 @@ def _resolvent_moments(s_pool: np.ndarray, q: np.ndarray, second: bool = False) 
 
 
 def _pool_mi(s_pool: np.ndarray, q: np.ndarray) -> tuple[float, float]:
-    """Mean and SE of log det(I + S Q) over the pool, one ``_BLOCK`` of log-dets at a time."""
-    vals = np.empty(len(s_pool))
+    """Mean and SE of log det(I + S Q) over the pool, one ``_BLOCK`` of log-dets at a time
+    on one factoring of Q (:func:`montecarlo._thin_factor`)."""
+    vals, p = np.empty(len(s_pool)), _thin_factor(q)
     for lo in range(0, len(s_pool), _BLOCK):
-        vals[lo:lo + _BLOCK] = _log_dets(s_pool[lo:lo + _BLOCK], q)
+        vals[lo:lo + _BLOCK] = _log_dets(s_pool[lo:lo + _BLOCK], q, p)
     est = McEstimate.of(vals)
     return est.mean, est.se
 

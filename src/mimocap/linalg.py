@@ -277,11 +277,15 @@ def scaled_expn(n, x):
 
 def _circular_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """The package's one complex Gaussian draw: iid CN(0, 1) entries, the same bits as
-    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)``."""
+    ``(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)``.
+
+    Both halves come from one ``standard_normal`` call and are scaled straight into
+    the real and imaginary views: numpy divides a complex array by sqrt(2) as a
+    product with 1 / sqrt(2), so these are the same bits, with no complex pass."""
     z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    z /= np.sqrt(2)
+    x = rng.standard_normal((2, *z.shape))
+    np.multiply(x[0], 1 / np.sqrt(2), out=z.real)
+    np.multiply(x[1], 1 / np.sqrt(2), out=z.imag)
     return z
 
 

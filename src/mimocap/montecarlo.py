@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .channels import ChannelLaw, _blocks, _law_blocks
+from .channels import ChannelLaw, _law_blocks
 from .linalg import as_psd
 
 __all__ = ["SeededStream", "McEstimate", "as_stream", "ergodic_mi"]
@@ -120,10 +120,10 @@ def _thin_products(s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return sp, (sp.swapaxes(1, 2).reshape(-1, len(p)) @ p.conj()).reshape(len(s), 2, 2)
 
 
-def _log_dets(s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-draw ``log det(I + S Q)`` in nats for a (size, t, t) stack of S; through
-    :func:`_thin_factor` P when it applies, as log det(I_2 + P^H S P) (:func:`_thin_products`)."""
-    p = _thin_factor(q)
+def _log_dets(s: np.ndarray, q: np.ndarray, p: np.ndarray | None) -> np.ndarray:
+    """Per-draw ``log det(I + S Q)`` in nats for a (size, t, t) stack of S, given Q's
+    :func:`_thin_factor` ``p``; where it is not None, as log det(I_2 + P^H S P)
+    (:func:`_thin_products`). A caller reducing many blocks factors Q once."""
     if p is None:
         return np.linalg.slogdet(_eye_plus(s, q))[1]
     g = _thin_products(s, p)[1]
@@ -145,7 +145,9 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     one generator of ``rng``, one ``channels._BLOCK`` of draws at a time. Where Q
     has rank k <= 2 below full rank (:func:`_thin_factor`), the draws are of
     Y = H P (``law.sample_projected``), not of H: the same law, but a Kronecker
-    law draws it from other normals than ``sample_batch``.
+    law draws it from other normals than ``sample_batch``. Q's factor P, and a
+    Kronecker law's (P^H T P)^1/2 and M P, are formed once per call; each block
+    only draws and reduces.
 
     Parameters
     ----------
@@ -165,7 +167,7 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     if np.trace(q).real > 1.0 + 1e-9:
         raise ValueError("transmit covariance must have trace <= 1")
     p = _thin_factor(q)
-    per = ((lambda h: _log_dets(_snr_gram(h, gamma), q)) if p is None
+    per = ((lambda h: _log_dets(_snr_gram(h, gamma), q, p)) if p is None
            else (lambda y: _thin_log_dets(y, gamma)))
     if law.support is not None and law.support[1].size == 1:  # one exact value
         h = law.support[0]
@@ -173,5 +175,5 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     gen = as_stream(rng).generator()
     if p is None:
         return McEstimate.of(_law_blocks(law, samples, gen, per))
-    return McEstimate.of(_blocks(samples, lambda n: per(law.sample_projected(n, gen, p))))
+    return McEstimate.of(law.sample_projected(samples, gen, p, per))
 

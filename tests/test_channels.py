@@ -884,6 +884,37 @@ class TestExactMi:
             fd = (grad(q + h) - grad(q - h)) / 2e-5
             assert np.abs(hess[:, k] - fd).max() <= 1e-5 * np.abs(fd).max()
 
+    @pytest.mark.parametrize("r,sigma", [
+        (2, [0.3, 1.4]), (2, [0.43256154, 0.47805443]), (16, 0.7 * np.exp(0.1 * np.arange(5))),
+        (4, [0.0, 0.8, 0.85]), (3, [1.0, 1.0, 1.0])],
+        ids=["lone", "pair", "chain-16", "zero", "coincident"])
+    def test_gradient_alone_has_the_bits_of_the_full_call(self, r, sigma):
+        # exact_mi skips the Hessian rows; its MI and gradient must not move a bit
+        sigma = np.asarray(sigma, dtype=float)
+        full, first = (channels._log_det_moment(r, sigma),
+                       channels._log_det_moment(r, sigma, second=False))
+        assert first[0] == full[0] and np.array_equal(first[1], full[1]) and first[2] is None
+
+    @pytest.mark.parametrize("r,c,tau,q,gamma,mi,grad", [
+        (2, 1.0, [1.4, 0.6], [0.6, 0.4], 1.0, 1.1789399722875706,
+         [0.8700773190639852, 0.5806699308713366]),
+        (16, 0.8, [1.3, 1.1, 1.0, 0.9, 0.7], np.exp(0.05 * np.arange(5)) / np.exp(
+            0.05 * np.arange(5)).sum(), 2.0, 8.404562993820491,
+         [4.53780683272652, 4.221707558954997, 3.9791476501799465, 3.7411892672662597,
+          3.3956753677898885])], ids=["two-lone", "chain-16"])
+    def test_exact_mi_keeps_its_numbers(self, r, c, tau, q, gamma, mi, grad):
+        # the values exact_mi gave while it still formed the Hessian, and exact_powers',
+        # whose sigma = gain tau q skip the eigh; at r = 16 four sigma in one cluster
+        # turn that one-ulp move into 4e-12 of the MI and 1.2e-7 of the gradient
+        t = len(tau)
+        law = channels.KroneckerGaussian(np.zeros((r, t)), c * np.eye(r), np.diag(tau))
+        got_mi, got_grad = law.exact_mi(np.diag(q), gamma)
+        assert got_mi == pytest.approx(mi, rel=1e-12, abs=0)
+        assert np.abs(got_grad - np.diag(grad)).max() <= 1e-12 * max(grad)
+        ref_mi, ref_grad, _ = law.exact_powers(np.eye(t), np.asarray(q), gamma)
+        assert abs(got_mi - ref_mi) <= 1e-10 * ref_mi
+        assert np.abs(np.diag(got_grad).real - ref_grad).max() <= 1e-6 * ref_grad.max()
+
     def test_power_hessian_in_a_diagonalizing_basis_is_the_sigma_one_scaled(self):
         law = _exact_law(3, 3)
         u = law.diag_basis

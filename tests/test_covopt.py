@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mimocap import channels, covopt, linalg, waterfill
+from mimocap import channels, covopt, linalg, montecarlo, waterfill
 from mimocap.covopt import OptimizerOptions
 from mimocap.montecarlo import SeededStream, _snr_gram, as_stream, ergodic_mi
 
@@ -474,7 +474,8 @@ def test_general_direction_matches_the_rotated_draw_oracle(lam, rotated):
     pool = covopt._s_pool(law, 1.0, None, 5_000, SeededStream(3))
     lam = np.asarray(lam)
     vecs = linalg.haar_unitary(4, np.random.default_rng(2)) if rotated else np.eye(4, dtype=complex)
-    x = covopt._resolvent_gradient(pool, covopt._covariance(vecs, lam))
+    q = covopt._covariance(vecs, lam)
+    x = covopt._resolvent_gradient(pool, q, covopt._thin_factor(q))
     m, curv = covopt._objective(law, 1.0, None, 5_000, SeededStream(3))[1](vecs, lam)
     basis, d, fb = covopt._direction(m, curv, vecs, lam)
     ref_basis, ref_d, ref_r, ref_fb = _general_direction_oracle(x, vecs, lam)
@@ -514,7 +515,7 @@ def test_diagonal_direction_is_the_bordered_power_step(qvec):
     m, curv = covopt._objective(law, 1.0, eye, 5_000, SeededStream(3))[1](eye, qvec)
     step = np.diag(covopt._direction(m, curv, eye, qvec, full=False)[1]).real
     x = covopt._resolvent_gradient(covopt._s_pool(law, 1.0, eye, 5_000, SeededStream(3)),
-                                   np.diag(qvec))
+                                   np.diag(qvec), covopt._thin_factor(np.diag(qvec)))
     ref = _bordered_power_step_oracle(np.mean(np.diagonal(x, axis1=1, axis2=2).real, axis=0),
                                       np.mean(x.real ** 2 + x.imag ** 2, axis=0), qvec)
     assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -648,18 +649,32 @@ class TestStreamedPools:
         pool = covopt._s_pool(RICEAN_4x4, 1.0, None, samples, SeededStream(42))
         vecs = linalg.haar_unitary(4, np.random.default_rng(5))
         q = covopt._covariance(vecs, np.array(lam))
-        x = covopt._resolvent_gradient(pool, q)
+        x = covopt._resolvent_gradient(pool, q, covopt._thin_factor(q))
         m, mom = covopt._resolvent_moments(pool, q)
         assert np.array_equal(m, x.mean(axis=0)) and mom is None
         logdets = np.linalg.slogdet(np.eye(4) + pool @ q)[1]
         assert np.allclose(covopt._pool_mi(pool, q), (logdets.mean(), logdets.std(ddof=1)
                                                       / np.sqrt(samples)), rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("lam", [[0.4, 0.3, 0.2, 0.1], [0.6, 0.4, 0.0, 0.0]],
+                             ids=["full-rank", "rank-two"])
+    def test_each_pass_factors_q_once(self, monkeypatch, lam):
+        # one montecarlo._thin_factor per pass over the pool, handed to every block
+        pool = covopt._s_pool(RICEAN_4x4, 1.0, None, 3 * channels._BLOCK + 17, SeededStream(45))
+        calls, inner = [], montecarlo._thin_factor
+        for module in (covopt, montecarlo):
+            monkeypatch.setattr(module, "_thin_factor", lambda q: calls.append(q) or inner(q))
+        q = covopt._covariance(linalg.haar_unitary(4, np.random.default_rng(7)), np.array(lam))
+        for reduce in (covopt._resolvent_moments, covopt._pool_mi):
+            calls.clear()
+            reduce(pool, q)
+            assert len(calls) == 1
+
     def test_curvature_moment_is_the_whole_pool_moment(self):
         samples = 3 * channels._BLOCK + 17
         pool = covopt._s_pool(RICEAN_4x4, 1.0, None, samples, SeededStream(43))
         q = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        vx = covopt._resolvent_gradient(pool, q).reshape(samples, 16)
+        vx = covopt._resolvent_gradient(pool, q, None).reshape(samples, 16)
         ref = vx.T @ vx / samples
         mom = covopt._resolvent_moments(pool, q, second=True)[1]
         assert np.abs(mom - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -686,9 +701,36 @@ def test_thin_resolvent_is_the_lu_resolvent(lam, gamma):
     # rank Q <= 2: X = S - S P (I_2 + P^H S P)^-1 P^H S in closed form, not by LU
     pool = covopt._s_pool(RICEAN_4x4, gamma, None, 3_000, SeededStream(44))
     q = covopt._covariance(linalg.haar_unitary(4, np.random.default_rng(6)), np.array(lam))
-    assert covopt._thin_factor(q) is not None
+    p = covopt._thin_factor(q)
+    assert p is not None
     ref = np.linalg.solve(np.eye(4) + pool @ q, pool)
-    assert np.abs(covopt._resolvent_gradient(pool, q) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(covopt._resolvent_gradient(pool, q, p) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+#: stat-csi's pooled Ricean 4x4 solve (gamma = 1, seed 12345) as it stood before its
+#: per-block work moved to once per call
+RICEAN_SOLVE_MI, RICEAN_SOLVE_SE, RICEAN_SOLVE_KKT = (
+    3.660498254051361, 0.0014528272149345021, 0.0034882122806346168)
+RICEAN_SOLVE_Q = np.array([
+    [0.5697791297978426, 0.017716109883713846 + 0.000544960626564517j,
+     0.017601075158316763 + 0.0008314697009621781j, 0.01870492334721202 + 0.00041916017071401933j],
+    [0.017716109883713846 - 0.000544960626564517j, 0.14323976911248992,
+     0.1428350509204251 - 0.0007831305591572968j, 0.14388973146791373 + 0.0003629804596339062j],
+    [0.017601075158316763 - 0.0008314697009621781j, 0.1428350509204251 + 0.0007831305591572968j,
+     0.14243602699116306, 0.1434809659553325 + 0.0011480427019598949j],
+    [0.01870492334721202 - 0.00041916017071401933j, 0.14388973146791373 - 0.0003629804596339062j,
+     0.1434809659553325 - 0.0011480427019598949j, 0.14454507409850403]])
+
+
+def test_pooled_ricean_solve_keeps_its_numbers():
+    # the same draws and arithmetic give the same solve; the relative tolerances
+    # leave room for another CPU's BLAS kernels, and the check residual, which
+    # moves about 1e-8 when Q moves by round-off, gets 1e-6
+    res = covopt.iterate_general(RICEAN_4x4, 1.0, OptimizerOptions(seed=12345))
+    assert res.mi.mean == pytest.approx(RICEAN_SOLVE_MI, rel=1e-12, abs=0)
+    assert res.mi.se == pytest.approx(RICEAN_SOLVE_SE, rel=1e-12, abs=0)
+    assert np.abs(res.q - RICEAN_SOLVE_Q).max() <= 1e-12 * np.abs(RICEAN_SOLVE_Q).max()
+    assert res.kkt_residual == pytest.approx(RICEAN_SOLVE_KKT, rel=1e-6, abs=0)
 
 
 class TestZeroChannel:
@@ -779,9 +821,9 @@ class TestExactEvaluations:
         calls = []
         inner = channels._log_det_moment
 
-        def counting(r, sigma):
+        def counting(r, sigma, **kwargs):
             calls.append(sigma.copy())
-            return inner(r, sigma)
+            return inner(r, sigma, **kwargs)
 
         monkeypatch.setattr(channels, "_log_det_moment", counting)
         return calls

@@ -89,11 +89,12 @@ def attribute_uses(source: str, filename: str, attr: str) -> list:
 
 
 def test_one_complex_gaussian_draw_in_the_package():
-    # every normal the package draws comes through linalg._circular_gaussian
+    # every normal the package draws comes through linalg._circular_gaussian,
+    # both halves of a complex draw from its one standard_normal call
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += attribute_uses(path.read_text(encoding="utf-8"), path.name, "standard_normal")
-    assert [f.split(" ")[1] for f in found] == ["_circular_gaussian"] * 2
+    assert [f.split(" ")[1] for f in found] == ["_circular_gaussian"]
     assert all(f.startswith("linalg.py:") for f in found)
 
 
@@ -159,14 +160,15 @@ def test_solver_pools_are_reduced_block_by_block():
 
 
 def test_one_rank_rule_for_thin_factors():
-    # rank Q <= 2 below full rank is decided by montecarlo._thin_factor alone, and
-    # read only by the per-draw log-det, ergodic_mi's draws of H P and the resolvent
+    # rank Q <= 2 below full rank is decided by montecarlo._thin_factor alone, once
+    # per call: by ergodic_mi for its log-dets or draws of H P, and by the solvers'
+    # passes over a pool, which hand the factor to every block's log-det or resolvent
     found = set()
     for path in sorted(SRC.glob("*.py")):
         found.update(f"{f.split(':')[0]} {f.split(' ')[1]}" for f in
                      call_sites(path.read_text(encoding="utf-8"), path.name, "_thin_factor"))
-    assert found == {"montecarlo.py _log_dets", "montecarlo.py ergodic_mi",
-                     "covopt.py _resolvent_gradient"}
+    assert found == {"montecarlo.py ergodic_mi", "covopt.py _resolvent_moments",
+                     "covopt.py _pool_mi"}
 
 
 def test_one_snr_reader_in_the_cli():

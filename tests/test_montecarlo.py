@@ -120,7 +120,7 @@ def test_ergodic_mi_draws_through_the_shared_blocks():
     q = np.eye(4) / 4
     est = ergodic_mi(q, RICEAN_4x4, 1.0, n, seed)
     ref = McEstimate.of(channels._law_blocks(RICEAN_4x4, n, SeededStream(seed).generator(),
-                                             lambda h: _log_dets(_snr_gram(h, 1.0), q)))
+                                             lambda h: _log_dets(_snr_gram(h, 1.0), q, None)))
     assert (est.mean, est.se, est.samples) == (ref.mean, ref.se, ref.samples)
     q = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
     p, gen = _thin_factor(q), SeededStream(seed).generator()
@@ -134,6 +134,28 @@ def test_ergodic_mi_draws_through_the_shared_blocks():
         assert ergodic_mi(q, atom, 2.0, 1, seed).se == 0.0
     with pytest.raises(ValueError, match="need at least 2 samples, got 1"):
         ergodic_mi(np.eye(4) / 4, RICEAN_4x4, 1.0, 1, seed)
+
+
+def test_rank_two_mi_forms_its_factors_once_per_call(monkeypatch):
+    # (P^H T P)^1/2 and M P are formed once per ergodic_mi call, not once per
+    # channels._BLOCK of draws (5 blocks at 10^4, 49 at 10^5); R = I takes no root
+    calls = []
+    monkeypatch.setattr(channels, "psd_sqrt", lambda a: calls.append(a) or linalg.psd_sqrt(a))
+    q = np.diag([0.6, 0.4, 0.0, 0.0])
+    counts = []
+    for n in (10**4, 10**5):
+        calls.clear()
+        ergodic_mi(q, RICEAN_4x4, 1.0, n, 3)
+        counts.append(len(calls))
+    assert counts == [1, 1]
+
+
+def test_rank_two_mi_keeps_its_numbers():
+    # the value this call gave before its per-block factors moved to once per call;
+    # the relative tolerance leaves room for another CPU's BLAS kernels
+    est = ergodic_mi(np.diag([0.6, 0.4, 0.0, 0.0]), RICEAN_4x4, 1.0, 10**5, 12345)
+    assert est.mean == pytest.approx(3.2638125753949474, rel=1e-12, abs=0)
+    assert est.se == pytest.approx(0.0012346305596294587, rel=1e-12, abs=0)
 
 
 class TestExpectMatrix:
@@ -225,7 +247,7 @@ def test_eye_plus_is_one_product_per_stack(t):
     q /= np.trace(q).real
     ref = np.eye(t) + s @ q
     assert np.abs(_eye_plus(s, q) - ref).max() <= 1e-15 * np.abs(ref).max()
-    logs = _log_dets(s, q)
+    logs = _log_dets(s, q, None)
     for k in range(s.shape[0]):
         assert np.isclose(logs[k], log_det_plus(s[k], q), rtol=0, atol=1e-12)
 
@@ -257,7 +279,7 @@ def test_log_dets_at_every_rank_match_per_draw_slogdet(t, k, gamma):
         s = _snr_gram(h, gamma)
         for qq in (q, q_noisy):
             ref = np.array([np.linalg.slogdet(np.eye(t) + sk @ qq)[1] for sk in s])
-            assert np.abs(_log_dets(s, qq) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+            assert np.abs(_log_dets(s, qq, _thin_factor(qq)) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 @pytest.mark.parametrize("draw", [
