@@ -27,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import (_circular_gaussian, as_complex_matrix, as_psd, herm_eig, psd_sqrt,
-                     scaled_expn)
+from .linalg import (_circular_gaussian, _gram, as_complex_matrix, as_psd, herm_eig,
+                     psd_sqrt, scaled_expn)
 
 __all__ = [
     "ChannelLaw",
@@ -545,9 +545,11 @@ def _tail_sums(coef: tuple, a: float) -> tuple[float, float, float]:
 
 _FACT = np.array([float(math.factorial(k)) for k in range(171)])  # all finite factorials
 _FACT.flags.writeable = False
-#: largest ln(sigma) gap within a cluster; at wider gaps the rows of five sigma
-#: lose no more than 1e-8 of the gradient to round-off. Against 80-digit sums, chained
-#: sigma lost 1e-3 of the gradient at t = 5, r = 32 and 7e-2 at t = 6 (``exact``).
+#: largest ln(sigma) gap within a cluster; where five sigma are spaced wider, their rows
+#: lose no more than 1e-8 of the gradient to round-off. Inside a cluster they lose more:
+#: at r = 16, four sigma in one cluster lost 4e-8 of it against 40-digit sums, and up to
+#: 3.4e-7 once two of them moved by one ulp. Chained sigma lost 1e-3 of the gradient at
+#: t = 5, r = 32 and 7e-2 at t = 6 against 80-digit sums (``exact``).
 _CLUSTER = 0.15
 
 
@@ -904,9 +906,7 @@ def empirical_density(law: ChannelLaw, pool: int, rng: np.random.Generator) -> E
 
 def _small_gram(h: np.ndarray) -> np.ndarray:
     """Per-draw Gram matrix on the smaller side: H H^H if r <= t, else H^H H."""
-    if h.shape[1] > h.shape[2]:
-        h = np.conj(np.swapaxes(h, 1, 2))
-    return np.einsum("sik,sjk->sij", h, h.conj())
+    return _gram(h if h.shape[1] > h.shape[2] else np.conj(np.swapaxes(h, 1, 2)))
 
 
 def _small_eigvalsh(g: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:

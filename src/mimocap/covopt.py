@@ -2,8 +2,8 @@
 
 With X = (I + S Q)^-1 S per draw, S = gamma H^H H, the optimal covariance has
 E[X] = mu on the range of Q and E[X] <= mu off it. Both optimizers reach that
-condition by one Newton face (``_solve``) on frozen pools, from the maximizer
-of Jensen's bound log det(I + gamma Q E[H^H H]), in one of two coordinate sets:
+condition by one Newton face (``_solve``) on frozen pools, in one of two
+coordinate sets:
 
 * ``iterate_general``: all Hermitian coordinates of a step W D W^H in the
   eigenbasis of Q, with gradient E[X] and curvature E[tr(X D X D)];
@@ -11,11 +11,14 @@ of Jensen's bound log det(I + gamma Q E[H^H H]), in one of two coordinate sets:
   diagonalize the optimum (T's eigenvectors on zero-mean Kronecker laws), so
   only the powers q move, with gradient E[X_kk] and curvature E[|X_kl|^2].
 
-Each step is cut at the PSD boundary, where a power reaching zero is set to
-exactly zero, and backtracked on the pool MI. The next epoch's pool first
-checks the stationarity residual (``_residual``): in the eigenbasis of Q, the
-powered rows of E[X] must equal mu I and the largest eigenvalue of E[X] on
-the off space must not exceed mu. Zero-mean Kronecker laws with R = c I,
+A general solve on a pooled law with no atoms starts at the exact optimum of its
+stand-in, the zero-mean Gaussian law with the same E[H^H H] (R = I), wherever that
+law has a closed form; every other solve starts at the maximizer of Jensen's bound
+log det(I + gamma Q E[H^H H]), which the two laws share. Each step is cut at the
+PSD boundary, where a power reaching zero is set to exactly zero, and backtracked
+on the pool MI. The next epoch's pool first checks the stationarity residual
+(``_residual``): in the eigenbasis of Q, the powered rows of E[X] must equal mu I
+and the largest eigenvalue of E[X] on the off space must not exceed mu. Zero-mean Kronecker laws with R = c I,
 t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``): both solvers step in
 T's eigenbasis on the closed-form MI, gradient and Hessian, one evaluation per
 point, and report the MI with SE 0. The paper's damped Cholesky-factor map
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _BLOCK, ChannelLaw, _blocks, sample_batch
-from .linalg import as_psd, herm_eig, ut_gram
+from .channels import _BLOCK, ChannelLaw, KroneckerGaussian, _blocks, sample_batch
+from .linalg import _gram, as_psd, herm_eig, ut_gram
 from .montecarlo import (
     DEFAULT_SAMPLES_FINAL,
     DEFAULT_SAMPLES_INNER,
@@ -44,7 +47,6 @@ from .montecarlo import (
     SeededStream,
     _eye_plus,
     _log_dets,
-    _snr_gram,
     _thin_factor,
     _thin_products,
     as_stream,
@@ -117,7 +119,7 @@ def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
     def gram(h):
         if u is not None:
             h = (h.reshape(-1, h.shape[2]) @ u).reshape(h.shape)
-        return _snr_gram(h, gamma)
+        return _gram(h, gamma)
 
     if law.support is not None and law.support[1].size == 1:
         return gram(law.support[0])
@@ -192,16 +194,19 @@ def _residual(g: np.ndarray, on: np.ndarray) -> float:
     powered diagonal. The optimum has g = mu on the range of Q and g <= mu
     off it, so the residual is the largest relative deviation of g's powered
     rows from mu I plus the relative overshoot of the largest eigenvalue of
-    g's off block over mu.
+    g's off block over mu. A powered row deviates by its largest entry in the
+    powered block and by the 2-norm of its off columns, which, like the off
+    block's eigenvalues, does not depend on the basis chosen for Q's null space.
     """
     if not np.any(on):
         raise ValueError("no active modes")
     mu = np.diag(g)[on].real.mean()
-    dev = np.abs(g[on] - mu * np.eye(on.size)[on]).max() / mu
+    dev = np.abs(g[np.ix_(on, on)] - mu * np.eye(np.count_nonzero(on))).max()
     off = 0.0
     if not np.all(on):
+        dev = max(dev, np.linalg.norm(g[np.ix_(on, ~on)], axis=1).max())
         off = max(0.0, np.linalg.eigvalsh(g[np.ix_(~on, ~on)])[-1] - mu) / mu
-    return float(dev + off)
+    return float(dev / mu + off)
 
 
 def _q_residual(m: np.ndarray, q: np.ndarray) -> float:
@@ -428,11 +433,17 @@ def _update(mi_of, vecs: np.ndarray, lam: np.ndarray, direction: tuple,
 
 
 def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovOptResult:
-    """Newton steps on frozen pools, epoch by epoch, from water-filling over gamma E[H^H H].
+    """Newton steps on frozen pools, epoch by epoch, from a start that E[H^H H] fixes
+    (``InfeasibleError`` where it is 0).
 
-    The start is exact on a point mass and I/t where E[H^H H] is a multiple of
-    I (``InfeasibleError`` where it is 0). With a ``basis`` U it water-fills the
-    real diagonal of U^H E[H^H H] U and the steps move only the powers over U, else all of Q
+    A general solve (no ``basis``) of a pooled law with no atoms starts at the exact
+    optimum of the stand-in KroneckerGaussian(0, I_r, E[H^H H] / r) wherever that law is
+    ``exact`` (t <= 5, t <= r <= 16): its MI sees the fading, so its optimum usually has
+    the pooled optimum's rank, where Jensen's bound often powers every mode. It is solved
+    to ``tol`` whatever ``max_iter`` is. Every other solve starts at water-filling over gamma
+    E[H^H H], the maximizer of Jensen's bound: exact on a point mass and I/t where E[H^H H]
+    is a multiple of I. With a ``basis`` U it water-fills the real diagonal of
+    U^H E[H^H H] U and the steps move only the powers over U, else all of Q
     (:func:`_direction`). Each iteration takes one step, cut at the PSD
     boundary and backtracked on the pool MI (:func:`_update`), which is the
     ``mi_trace`` entry. An epoch ends when a step settles (moves no entry of
@@ -444,10 +455,18 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
     gram = law.expected_gram()
     if not np.any(gram):
         raise InfeasibleError("zero channel: the capacity is 0 and every covariance is optimal")
-    vecs, eig = herm_eig(gram) if full else (
-        np.eye(law.tx), np.einsum("ij,ik,kj->j", basis.conj(), gram, basis).real)
-    lam = waterfill_det(gamma * eig.clip(0.0), 1.0).powers
-    lam /= lam.sum()
+    # the zero-mean Gaussian law with the same E[H^H H]: Jensen's bound is the same,
+    # but its exact MI sees the fading
+    stand_in = (KroneckerGaussian(np.zeros(law.shape), np.eye(law.rx), gram / law.rx)
+                if full and not law.exact and law.support is None else None)
+    if stand_in is not None and stand_in.exact:
+        vecs = stand_in.diag_basis  # solved to tol: opts.max_iter counts the pooled steps
+        lam = _solve(stand_in, gamma, OptimizerOptions(tol=opts.tol), vecs).qhat
+    else:
+        vecs, eig = herm_eig(gram) if full else (
+            np.eye(law.tx), np.einsum("ij,ik,kj->j", basis.conj(), gram, basis).real)
+        lam = waterfill_det(gamma * eig.clip(0.0), 1.0).powers
+        lam /= lam.sum()
     stream = as_stream(opts.seed)
     still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)  # 1e-7: exact MI round-off
     trace, res_trace = [], []
@@ -520,8 +539,9 @@ def iterate_general(law: ChannelLaw, gamma: float,
                     opts: OptimizerOptions = OptimizerOptions()) -> CovOptResult:
     """Optimal covariance by projected Newton steps on Hermitian Q (no basis needed).
 
-    Starting from water-filling over E[H^H H], each iteration takes one
-    Newton step of the MI over trace-one PSD matrices in the current
+    Starting from the exact optimum of the zero-mean Gaussian law with the same E[H^H H],
+    or from water-filling over E[H^H H] where that law has no closed form (:func:`_solve`),
+    each iteration takes one Newton step of the MI over trace-one PSD matrices in the current
     eigenbasis of Q (:func:`_solve` on all Hermitian coordinates), with gradient E[X] and
     curvature E[tr(X D X D)] on the frozen pool, cut at the PSD boundary so
     off eigenvalues come out exactly zero. The run stops, ``converged``,

@@ -93,6 +93,31 @@ def ut_gram(t) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
+def _gram(h: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+    """Per-draw gamma H^H H of a (size, r, k) stack, exactly Hermitian, shape (size, k, k).
+
+    Two columns take their three entries in real arithmetic on the real and
+    imaginary views; wider stacks take one batched ``matmul``, averaged with its
+    conjugate transpose."""
+    if h.shape[2] != 2:
+        s = np.matmul(np.conj(np.swapaxes(h, 1, 2)), h)
+        s += np.conj(np.swapaxes(s, 1, 2))
+        s *= 0.5 * gamma
+        return s
+    (x0, x1), (y0, y1) = np.moveaxis(h.real, 2, 0), np.moveaxis(h.imag, 2, 0)
+
+    def dot(u, v):
+        return np.einsum("sr,sr->s", u, v)
+
+    s = np.zeros((len(h), 2, 2), dtype=complex)
+    s.real[:, 0, 0] = gamma * (dot(x0, x0) + dot(y0, y0))
+    s.real[:, 1, 1] = gamma * (dot(x1, x1) + dot(y1, y1))
+    s.real[:, 0, 1] = s.real[:, 1, 0] = gamma * (dot(x0, x1) + dot(y0, y1))
+    s.imag[:, 0, 1] = gamma * (dot(x0, y1) - dot(y0, x1))
+    s.imag[:, 1, 0] = -s.imag[:, 0, 1]
+    return s
+
+
 def as_psd(a) -> np.ndarray:
     """:func:`as_hermitian`, rejecting eigenvalues below ``-PSD_TOL * n * max(|A|, 1)``."""
     m = as_hermitian(a)

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .channels import ChannelLaw, _law_blocks
-from .linalg import as_psd
+from .linalg import _gram, as_psd
 
 __all__ = ["SeededStream", "McEstimate", "as_stream", "ergodic_mi"]
 
@@ -72,14 +72,6 @@ class McEstimate:
         if vals.ndim == 1:
             mean, se = float(mean), float(se)
         return cls(mean, se, n)
-
-
-def _snr_gram(h: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-draw S = gamma * H^H H, exactly Hermitian, shape (size, t, t)."""
-    s = gamma * np.einsum("ski,skj->sij", h.conj(), h)
-    s += np.conj(np.swapaxes(s, 1, 2))
-    s *= 0.5
-    return s
 
 
 def _eye_plus(s: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -167,7 +159,7 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     if np.trace(q).real > 1.0 + 1e-9:
         raise ValueError("transmit covariance must have trace <= 1")
     p = _thin_factor(q)
-    per = ((lambda h: _log_dets(_snr_gram(h, gamma), q, p)) if p is None
+    per = ((lambda h: _log_dets(_gram(h, gamma), q, p)) if p is None
            else (lambda y: _thin_log_dets(y, gamma)))
     if law.support is not None and law.support[1].size == 1:  # one exact value
         h = law.support[0]

@@ -700,6 +700,36 @@ HESS_CHAIN_16 = np.array([
      -0.00028173566117881913, -0.5804170553924103]])
 
 
+def _log_det_moment_40_digits(r, sigma):
+    """E ln det(I + W diag(sigma)) = tr(V^-1 B') and its gradient
+    tr(V^-1 (d_i B' - d_i V V^-1 B')) in 40-digit mpmath, for distinct nonzero sigma:
+    V_ij = sigma_i^j, B'_ij = V_ij J_(n_j)(sigma_i) / n_j!, n_j = r - k + j, with
+    J_n(x) = int ln(1 + x u) u^n e^-u du and J_n'(x) = int u^(n+1) e^-u / (1 + x u) du
+    by quadrature."""
+    with mpmath.workdps(40):
+        s, k = [mpmath.mpf(float(x)) for x in sigma], len(sigma)
+        v, b, dv, db = (mpmath.matrix(k, k) for _ in range(4))
+        for i, x in enumerate(s):
+            for j in range(k):
+                n = r - k + j
+                jn = mpmath.quad(lambda u: mpmath.log1p(x * u) * u ** n * mpmath.exp(-u),
+                                 [0, mpmath.inf])
+                djn = mpmath.quad(lambda u: u ** (n + 1) * mpmath.exp(-u) / (1 + x * u),
+                                  [0, mpmath.inf])
+                v[i, j], dv[i, j] = x ** j, j * x ** (j - 1) if j else 0
+                b[i, j] = v[i, j] * jn / mpmath.factorial(n)
+                db[i, j] = (dv[i, j] * jn + v[i, j] * djn) / mpmath.factorial(n)
+        y = v ** -1
+        p = y * b
+        grad = []
+        for i in range(k):
+            rows = mpmath.matrix(k, k)  # only row i of B' and V depends on sigma_i
+            for j in range(k):
+                rows[i, j] = db[i, j] - sum(dv[i, a] * p[a, j] for a in range(k))
+            grad.append(sum((y * rows)[a, a] for a in range(k)))
+        return float(sum(p[a, a] for a in range(k))), np.array([float(g) for g in grad])
+
+
 def _unit_trace_psd(t, seed):
     a = rng(seed).standard_normal((t, t)) + 1j * rng(seed + 1).standard_normal((t, t))
     q = a @ a.conj().T
@@ -788,6 +818,21 @@ class TestExactMi:
         lo, hi = (channels._log_det_moment(16, 0.7 * np.exp(gap * np.arange(5)))
                   for gap in channels._CLUSTER * (1.0 + np.array([-1e-9, 1e-9])))
         assert abs(lo[0] - hi[0]) <= 1e-9 * hi[0] and np.abs(lo[1] - hi[1]).max() <= 1e-6
+
+    def test_gradient_inside_a_cluster_of_four_at_r_16(self):
+        # sigma = 1.6 diag(1.3, 1.1, 1.0, 0.9, 0.7) q, q ~ e^(0.05 k): the four largest
+        # share one cluster; exact_powers forms these sigma directly, and exact_mi's eigh
+        # returns the smallest and the largest one ulp higher
+        q = np.exp(0.05 * np.arange(5))
+        sigma = 1.6 * np.array([1.3, 1.1, 1.0, 0.9, 0.7]) * (q / q.sum())
+        assert np.count_nonzero(np.diff(np.log(np.sort(sigma))) <= channels._CLUSTER) == 3
+        f, g = _log_det_moment_40_digits(16, sigma)
+        moved = sigma.copy()
+        moved[[0, 4]] = np.nextafter(moved[[0, 4]], np.inf)
+        for s in (sigma, moved):
+            got = channels._log_det_moment(16, s)
+            assert abs(got[0] - f) <= 1e-10 * f
+            assert np.abs(got[1] - g).max() <= 3e-7 * np.abs(g).max()
 
     def test_continuous_as_a_power_switches_off(self):
         law = _exact_law(3, 2)

@@ -3,8 +3,9 @@ import pytest
 import scipy.integrate
 
 from mimocap import analysis, channels, covopt, linalg, waterfill
-from mimocap.montecarlo import (McEstimate, SeededStream, _eye_plus, _log_dets, _snr_gram,
-                                _thin_factor, _thin_log_dets, as_stream, ergodic_mi)
+from mimocap.linalg import _gram
+from mimocap.montecarlo import (McEstimate, SeededStream, _eye_plus, _log_dets, _thin_factor,
+                                _thin_log_dets, as_stream, ergodic_mi)
 
 RAYLEIGH_1x1 = channels.KroneckerGaussian(np.zeros((1, 1)), np.eye(1), np.eye(1))
 RAYLEIGH_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
@@ -90,7 +91,7 @@ class TestErgodicMi:
         lam[:rank] = np.arange(rank, 0, -1) / (rank * (rank + 1) / 2)
         q = covopt._covariance(vecs, lam)
         new = ergodic_mi(q, law, 1.0, samples=samples, rng=6)
-        old = expect_matrix(lambda h: np.linalg.slogdet(_eye_plus(_snr_gram(h, 1.0), q))[1],
+        old = expect_matrix(lambda h: np.linalg.slogdet(_eye_plus(_gram(h, 1.0), q))[1],
                             law, samples, 6)
         return new, old
 
@@ -120,7 +121,7 @@ def test_ergodic_mi_draws_through_the_shared_blocks():
     q = np.eye(4) / 4
     est = ergodic_mi(q, RICEAN_4x4, 1.0, n, seed)
     ref = McEstimate.of(channels._law_blocks(RICEAN_4x4, n, SeededStream(seed).generator(),
-                                             lambda h: _log_dets(_snr_gram(h, 1.0), q, None)))
+                                             lambda h: _log_dets(_gram(h, 1.0), q, None)))
     assert (est.mean, est.se, est.samples) == (ref.mean, ref.se, ref.samples)
     q = np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex)
     p, gen = _thin_factor(q), SeededStream(seed).generator()
@@ -276,7 +277,7 @@ def test_log_dets_at_every_rank_match_per_draw_slogdet(t, k, gamma):
         assert p is None or np.count_nonzero(np.any(p != 0, axis=0)) == k
     for r in (t, 1):  # S of full rank, then of rank one
         h = g.normal(size=(50, r, t)) + 1j * g.normal(size=(50, r, t))
-        s = _snr_gram(h, gamma)
+        s = _gram(h, gamma)
         for qq in (q, q_noisy):
             ref = np.array([np.linalg.slogdet(np.eye(t) + sk @ qq)[1] for sk in s])
             assert np.abs(_log_dets(s, qq, _thin_factor(qq)) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
