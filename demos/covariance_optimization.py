@@ -52,10 +52,11 @@ print(np.array_str(res_iid.q, precision=3, suppress_small=True))
 
 m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
 sigma = np.diag([4.0, 1.0]).astype(complex)
-print("\nInterpolated channel H = k*M0 + (1-k)*X, X zero-mean with "
-      "transmit covariance Sigma")
+print("\nMean/noise interpolation H = k*M0 + (1-k)*G*Sigma^1/2, G iid CN(0, 1):")
+print("the Kronecker law with mean k*M0, R = I and T = (1-k)^2 Sigma")
 print("(M0 and Sigma do not commute; the optimal axes are not an "
-      "interpolation of either)")
+      "interpolation of either.")
+print(" At k=0 the law is zero-mean, solved on its closed-form MI)")
 pts = interp_study(m0, sigma, [0.0, 0.25, 0.5, 0.75, 1.0], 1.0,
                    OptimizerOptions(tol=5e-3, samples=15_000, max_iter=300, seed=3))
 print(f"{'kappa':>6} {'q1':>7} {'q2':>7} {'angle to E[S] axes (rad)':>26}")

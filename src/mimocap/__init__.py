@@ -18,7 +18,6 @@ from .channels import (
     ChannelLaw,
     EmpiricalDensity,
     FiniteMixture,
-    Interpolated,
     KroneckerGaussian,
     MatrixGaussian,
     PointMass,

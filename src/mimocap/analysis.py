@@ -24,7 +24,6 @@ import numpy as np
 
 from .channels import (
     ChannelLaw,
-    Interpolated,
     KroneckerGaussian,
     PointMass,
     _blocks,
@@ -323,21 +322,27 @@ def interp_study(m0, noise_cov, kappa_grid, gamma: float,
                  opts: OptimizerOptions = OptimizerOptions()) -> list[InterpPoint]:
     """Track the optimal covariance as the channel slides from noise to mean.
 
-    For each kappa runs the general optimizer on H = kappa*M0 + (1-kappa)*X
-    and records the eigen-structure of the optimum plus the angle between its
-    top eigenvector and that of E[H^H H] (they differ: the optimum is not a
-    straight interpolation of the mean and noise axes). The powers are the
-    solver's own (``qhat``), largest first: an off direction reads 0.0.
+    For each kappa in [0, 1] runs the general optimizer on H = kappa*M0 +
+    (1-kappa)*G*Sigma^1/2, G iid CN(0, 1): KroneckerGaussian(kappa*M0, I,
+    (1-kappa)^2 Sigma), or the point mass M0 at kappa = 1. At kappa = 0 that law is
+    zero-mean, so where it is ``exact`` it is solved on the closed form, with no pool.
+    Records the eigen-structure of the optimum plus the angle between its top
+    eigenvector and that of E[H^H H] (they differ: the optimum is not a straight
+    interpolation of the mean and noise axes). The powers are the solver's own
+    (``qhat``), largest first: an off direction reads 0.0.
     """
     m0 = np.asarray(m0, dtype=complex)
+    kappas = np.asarray(kappa_grid, dtype=float)
+    if not np.all((kappas >= 0.0) & (kappas <= 1.0)):
+        raise ValueError("kappa must lie in [0, 1]")
     out = []
-    for i, kappa in enumerate(np.asarray(kappa_grid, dtype=float)):
-        law: ChannelLaw = (PointMass(m0) if kappa == 1.0
-                           else Interpolated(float(kappa), m0, noise_cov))
+    for i, kappa in enumerate(kappas.tolist()):
+        law: ChannelLaw = (PointMass(m0) if kappa == 1.0 else KroneckerGaussian(
+            kappa * m0, np.eye(len(m0)), (1.0 - kappa) ** 2 * np.asarray(noise_cov)))
         res = iterate_general(law, gamma,
                               dataclasses.replace(opts, seed=opts.seed + 7919 * i))
         u = _gauge(*herm_eig(res.q))
         gu, _ = herm_eig(law.expected_gram())
-        out.append(InterpPoint(float(kappa), res, u, np.sort(res.qhat)[::-1],
+        out.append(InterpPoint(kappa, res, u, np.sort(res.qhat)[::-1],
                                _principal_angle(u[:, 0], gu[:, 0])))
     return out

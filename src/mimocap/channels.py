@@ -3,8 +3,9 @@
 A :class:`ChannelLaw` describes the distribution of the r x t gain matrix H.
 Supported families: deterministic point mass, matrix Gaussian with a general
 rt x rt covariance of the column-stacked vector, Kronecker-correlated Gaussian
-(H = M + R^{1/2} G T^{1/2}), a mean/noise interpolation H = k*M0 + (1-k)*G*S^{1/2},
-and finite mixtures of fixed matrices.
+(H = M + R^{1/2} G T^{1/2}), and finite mixtures of fixed matrices. The paper's
+mean/noise interpolation H = k*M0 + (1-k)*G*S^{1/2} is the Kronecker law with mean
+k*M0, R = I and T = (1-k)^2 S.
 
 An :class:`EigDensity` is the unordered eigenvalue density of H H^H (equally,
 the marginal law of one randomly chosen eigenvalue). Three concrete kinds:
@@ -35,7 +36,6 @@ __all__ = [
     "PointMass",
     "MatrixGaussian",
     "KroneckerGaussian",
-    "Interpolated",
     "FiniteMixture",
     "sample_batch",
     "EigDensity",
@@ -310,47 +310,6 @@ class KroneckerGaussian(ChannelLaw):
 
 
 @dataclass(frozen=True)
-class Interpolated(ChannelLaw):
-    """H = kappa * M0 + (1 - kappa) * X with X = G Sigma^{1/2}, G iid CN(0,1).
-
-    At kappa = 1 the channel is the deterministic M0; at kappa = 0 it is
-    zero-mean with transmit-side covariance Sigma (PSD).
-    """
-
-    kappa: float
-    m0: np.ndarray
-    noise_cov: np.ndarray
-    _dense_at_zero = property(lambda s: s.rx == s.tx and s.kappa < 1 and _nonsingular(s.noise_cov))
-
-    def __post_init__(self):
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must lie in [0, 1]")
-        object.__setattr__(self, "m0", as_complex_matrix(self.m0))
-        object.__setattr__(self, "noise_cov", as_psd(self.noise_cov))
-        if self.noise_cov.shape[0] != self.m0.shape[1]:
-            raise ValueError("noise covariance must be t x t")
-
-    @property
-    def shape(self):
-        return self.m0.shape
-
-    @functools.cached_property
-    def _noise_sqrt(self) -> np.ndarray:
-        return psd_sqrt(self.noise_cov)
-
-    def sample_batch(self, size, rng):
-        r, t = self.shape
-        g = _circular_gaussian(rng, (size, r, t))
-        g = (g.reshape(-1, t) @ self._noise_sqrt).reshape(size, r, t)
-        return self.kappa * self.m0 + (1.0 - self.kappa) * g
-
-    def expected_gram(self):
-        # M0 and the zero-mean part are independent; E[X^H X] = r * Sigma.
-        k = self.kappa
-        return k**2 * (self.m0.conj().T @ self.m0) + (1 - k) ** 2 * self.rx * self.noise_cov
-
-
-@dataclass(frozen=True)
 class FiniteMixture(ChannelLaw):
     """Discrete law over a finite set of channel matrices."""
 
@@ -443,7 +402,10 @@ def _wishart_coefficients(m: int, n: int) -> np.ndarray:
 
     P(x) = x^d (1/m) sum_k k!/(k+d)! [L_k^d(x)]^2 with d = n - m, expanded in
     exact rational arithmetic and rounded once per coefficient; cached, so a
-    process expands each recent (m, n) once.
+    process expands each recent (m, n) once. Summing P(x) e^-x against the
+    incomplete gammas cancels to about eps sum_j |c_j| j!, relative to the unit
+    mass; a shape where that exceeds 1e-8 raises ``ValueError`` (from 11 x 11 on;
+    8 x 16 is the widest m = 8 shape admitted).
     """
     d = n - m
     poly = [Fraction(0)] * (2 * m - 1)
@@ -455,6 +417,9 @@ def _wishart_coefficients(m: int, n: int) -> np.ndarray:
             for j, lj in enumerate(lag):
                 poly[i + j] += w * li * lj
     coef = np.array([0.0] * d + [float(c) for c in poly])
+    if (err := np.finfo(float).eps * np.abs(coef) @ _FACT[:coef.size]) > 1e-8:
+        raise ValueError(f"the closed-form {m} x {n} Wishart density cancels to {err:.1e} "
+                         "of its mass (above 1e-8); pool the iid law instead")
     coef.flags.writeable = False
     return coef
 
@@ -668,6 +633,8 @@ class WishartDensity(EigDensity):
     def __post_init__(self):
         if self.m < 1 or self.n < self.m:
             raise ValueError("need 1 <= m <= n")
+        if self.m + self.n - 1 > _FACT.size:  # one coefficient and factorial per power
+            raise ValueError(f"the closed-form Wishart density needs m + n <= {_FACT.size + 1}")
         coef = _wishart_coefficients(self.m, self.n)
         object.__setattr__(self, "_coef", coef)
         object.__setattr__(self, "_terms", tuple(coef.tolist()))
@@ -990,7 +957,6 @@ _DESCRIPTORS = {
     "point": (PointMass, {"h": _MATRIX}),
     "gaussian": (MatrixGaussian, {"mean": _MATRIX, "cov": _MATRIX}),
     "kronecker": (KroneckerGaussian, {"mean": _MATRIX, "rx_corr": _MATRIX, "tx_corr": _MATRIX}),
-    "interp": (Interpolated, {"kappa": (float, float), "m0": _MATRIX, "noise_cov": _MATRIX}),
     "mixture": (FiniteMixture, {"weights": (np.ndarray.tolist, np.asarray), "atoms": _MATRIX}),
 }
 
@@ -1027,6 +993,8 @@ def law_from_json(obj) -> ChannelLaw:
     """Parse a channel-law JSON descriptor (dict or JSON string)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("channel descriptor must be a JSON object")
     kind = obj.get("type")
     if kind not in _DESCRIPTORS:
         raise ValueError(f"unknown channel descriptor type {kind!r}")

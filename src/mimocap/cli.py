@@ -22,6 +22,7 @@ so identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -164,7 +165,8 @@ def _density_from_descriptor(desc: dict, samples: int, seed: int) -> EigDensity:
         return wishart_density(_mode_count(desc, "m"), _mode_count(desc, "n"))
     law = law_from_json(desc)
     if law.iid:
-        return wishart_density(min(law.shape), max(law.shape))
+        with contextlib.suppress(ValueError):  # a shape the closed form refuses is pooled
+            return wishart_density(min(law.shape), max(law.shape))
     pool = max(samples, 10_000)
     return empirical_density(law, pool, SeededStream(seed).generator())
 

@@ -344,6 +344,24 @@ class TestInterpStudy:
             assert np.array_equal(p.powers, [1.0, 0.0])
             assert np.array_equal(p.powers, np.sort(p.result.qhat)[::-1])
 
+    def test_kappa_zero_is_solved_exactly(self, monkeypatch):
+        # zero mean, R = I: the closed-form MI in Sigma's eigenvectors, and no pool
+        def no_pool(*args):
+            raise AssertionError("the kappa = 0 solve drew a pool")
+
+        monkeypatch.setattr(covopt, "_s_pool", no_pool)
+        m0 = np.array([[0.0, 1.0], [1.0, 1.0]], dtype=complex)
+        (p,) = analysis.interp_study(m0, np.diag([4.0, 1.0]), [0.0], 1.0)
+        assert p.result.mi.se == 0
+        assert np.array_equal(np.abs(p.eigvecs[:, 0]), [1.0, 0.0])
+        assert p.angle_vs_gram == 0
+        assert p.powers == pytest.approx([0.8558, 0.1442], abs=5e-5)
+
+    @pytest.mark.parametrize("kappa", [-0.1, 1.5, np.nan])
+    def test_kappa_outside_the_unit_interval_is_refused(self, kappa):
+        with pytest.raises(ValueError, match="kappa must lie in"):
+            analysis.interp_study(np.eye(2), np.eye(2), [0.5, kappa], 1.0)
+
     def test_kappa_one_waterfalls_single_mode(self):
         # budget 1 on modes {2.618, 0.382}: mu = 1/2.618 + 1 < 1/0.382
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]])

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,6 +23,13 @@ def rng(seed=0):
 IID_2x2 = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), np.eye(2))
 
 
+def kappa_law(kappa, m0, sigma):
+    """The mean/noise interpolation H = kappa M0 + (1 - kappa) G Sigma^1/2 as
+    ``analysis.interp_study`` builds it below kappa = 1."""
+    return channels.KroneckerGaussian(kappa * np.asarray(m0), np.eye(len(m0)),
+                                      (1 - kappa) ** 2 * np.asarray(sigma))
+
+
 class TestSampling:
     def test_point_mass_exact(self):
         h0 = np.array([[1.0, 2j], [0.5, 1.0]])
@@ -39,11 +48,11 @@ class TestSampling:
         assert abs(h.imag.var() - 0.5) < 0.01
         assert abs((h.real * h.imag).mean()) < 0.01
 
-    def test_interpolated_endpoints(self):
+    def test_kappa_law_endpoints(self):
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]])
-        law1 = channels.Interpolated(1.0, m0, np.diag([4.0, 1.0]))
+        law1 = kappa_law(1.0, m0, np.diag([4.0, 1.0]))
         assert np.allclose(channels.sample_batch(law1, 1, rng(3))[0], m0)
-        law0 = channels.Interpolated(0.0, m0, np.diag([4.0, 1.0]))
+        law0 = kappa_law(0.0, m0, np.diag([4.0, 1.0]))
         h = channels.sample_batch(law0, 50_000, rng(4))
         assert np.abs(h.mean(axis=0)).max() < 0.05
 
@@ -135,24 +144,24 @@ class TestSampling:
 
     @pytest.mark.parametrize("law", [
         channels.MatrixGaussian(np.ones((2, 3)), np.diag(np.linspace(0.5, 1.5, 6))),
-        channels.Interpolated(0.4, np.arange(6.0).reshape(2, 3), np.diag([1.0, 0.5, 2.0])),
         channels.FiniteMixture([0.3, 0.7], [np.ones((2, 3)), np.eye(2, 3)]),
         channels.PointMass(np.arange(6.0).reshape(2, 3)),
-    ], ids=["matrix-gaussian", "interpolated", "mixture", "point"])
+    ], ids=["matrix-gaussian", "mixture", "point"])
     def test_projected_draws_of_other_laws_are_sample_batch_times_p(self, law):
         p = rng(18).normal(size=(3, 2)) + 1j * rng(19).normal(size=(3, 2))
         assert np.array_equal(law.sample_projected(300, rng(20), p),
                               channels.sample_batch(law, 300, rng(20)) @ p)
 
     @pytest.mark.parametrize("r,t", [(2, 2), (3, 4), (4, 2)])
-    def test_interpolated_product_matches_einsum(self, r, t):
+    def test_kappa_law_draws_are_the_interpolation(self, r, t):
         g = rng(10)
         b = g.normal(size=(t, t)) + 1j * g.normal(size=(t, t))
         m0 = g.normal(size=(r, t)) + 1j * g.normal(size=(r, t))
-        law = channels.Interpolated(0.3, m0, b @ b.conj().T)
+        sigma = b @ b.conj().T
+        law = kappa_law(0.3, m0, sigma)
         h = channels.sample_batch(law, 500, rng(11))
         z = linalg._circular_gaussian(rng(11), (500, r, t))
-        ref = 0.3 * m0 + 0.7 * np.einsum("sij,jk->sik", z, linalg.psd_sqrt(law.noise_cov))
+        ref = 0.3 * m0 + 0.7 * np.einsum("sij,jk->sik", z, linalg.psd_sqrt(sigma))
         assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_mixture_draws_equal_per_draw_stack(self):
@@ -165,9 +174,8 @@ class TestSampling:
     @pytest.mark.parametrize("make", [
         lambda c: channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), c),
         lambda c: channels.KroneckerGaussian(np.zeros((2, 2)), c, np.eye(2)),
-        lambda c: channels.Interpolated(0.5, np.eye(2), c),
         lambda c: channels.MatrixGaussian(np.zeros((1, 2)), c),
-    ], ids=["tx_corr", "rx_corr", "noise_cov", "cov"])
+    ], ids=["tx_corr", "rx_corr", "cov"])
     def test_correlations_must_be_psd(self, make):
         # Hermitian, but one eigenvalue is negative
         with pytest.raises(ValueError, match="positive semidefinite"):
@@ -188,14 +196,13 @@ class TestSampling:
         laws = [channels.KroneckerGaussian(np.ones((2, 2)), c, c),
                 channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2), c),
                 _exact_law(3, 2),
-                channels.Interpolated(0.5, np.eye(2), c),
                 channels.MatrixGaussian(np.zeros((2, 1)), c)]
         assert calls == []  # none at construction: a law never sampled builds none
         laws[2].exact_mi(np.eye(2) / 2, 1.0)
         for law in laws:
             channels.sample_batch(law, 10, rng(15))
         # two square roots per Kronecker law but one at R = I, one per vec covariance
-        assert calls == ["psd_sqrt"] * 7
+        assert calls == ["psd_sqrt"] * 6
         calls.clear()
         for law in laws:
             channels.sample_batch(law, 10, rng(15))
@@ -224,11 +231,11 @@ class TestExpectedGram:
         closed = law.expected_gram()
         assert np.all(np.abs(est.mean - closed) <= 3 * est.se + 1e-12)
 
-    def test_interpolated_closed_form(self):
+    def test_kappa_law_closed_form(self):
         m0 = np.array([[0.0, 1.0], [1.0, 1.0]])
         sig = np.diag([4.0, 1.0])
         for kappa in (0.0, 0.3, 0.8):
-            law = channels.Interpolated(kappa, m0, sig)
+            law = kappa_law(kappa, m0, sig)
             expect = kappa**2 * m0.conj().T @ m0 + (1 - kappa) ** 2 * 2 * sig
             assert np.allclose(law.expected_gram(), expect)
             est = expect_matrix(lambda h: np.einsum("ski,skj->sij", h.conj(), h),
@@ -301,6 +308,27 @@ class TestWishartDensity:
     def test_requires_m_le_n(self):
         with pytest.raises(ValueError):
             channels.wishart_density(3, 2)
+
+    def test_admitted_shapes_keep_their_unit_mass(self):
+        # the expansion's cancellation, eps sum_j |c_j| j!, reaches 1.5e-8 at 11 x 11
+        # and 5e-4 at 16 x 16; a shape it exceeds 1e-8 in is refused
+        admitted = []
+        for n in range(1, 25):
+            for m in range(1, n + 1):
+                try:
+                    f = channels.wishart_density(m, n)
+                except ValueError as e:
+                    assert "cancels" in str(e)
+                    continue
+                admitted.append((m, n))
+                assert abs(f.tail_moments(0.0)[0] - 1.0) <= 1e-8
+        assert {(m, n) for n in range(1, 25) for m in range(1, min(n, 6) + 1)} <= set(admitted)
+        assert max(m for m, _ in admitted) == 10
+
+    def test_shapes_past_the_float_factorials_are_refused_before_expanding(self):
+        assert channels.wishart_density(1, 171).tail_moments(0.0)[0] == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="m \\+ n <= 172"):
+            channels.wishart_density(1, 172)
 
 
 def _quad(f, fn, lo, hi=np.inf):
@@ -630,8 +658,7 @@ class TestLawMoments:
         (IID_2x2, np.zeros((2, 2))),
         (channels.KroneckerGaussian(np.ones((2, 2)), np.diag([1.5, 0.5]),
                                     np.diag([0.7, 1.3])), np.ones((2, 2))),
-        (channels.Interpolated(0.6, np.array([[0.0, 1.0], [1.0, 1.0]]),
-                               np.diag([4.0, 1.0])),
+        (kappa_law(0.6, np.array([[0.0, 1.0], [1.0, 1.0]]), np.diag([4.0, 1.0])),
          0.6 * np.array([[0.0, 1.0], [1.0, 1.0]])),
         (channels.FiniteMixture([0.3, 0.7], [np.zeros((2, 2)), np.eye(2)]),
          0.7 * np.eye(2)),
@@ -981,9 +1008,6 @@ DESCRIPTORS = [
     (channels.KroneckerGaussian(np.array([[1.0, 0.0]]), np.eye(1), np.diag([1.5, 0.5])),
      {"type": "kronecker", "mean": [[[1.0, 0.0], [0.0, 0.0]]], "rx_corr": [[[1.0, 0.0]]],
       "tx_corr": [[[1.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}),
-    (channels.Interpolated(0.25, np.array([[0.0, 1.0]]), np.diag([4.0, 1.0])),
-     {"type": "interp", "kappa": 0.25, "m0": [[[0.0, 0.0], [1.0, 0.0]]],
-      "noise_cov": [[[4.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}),
     (channels.FiniteMixture([0.25, 0.75], [np.eye(1), 1j * np.eye(1)]),
      {"type": "mixture", "weights": [0.25, 0.75], "atoms": [[[[1.0, 0.0]]], [[[0.0, 1.0]]]]}),
 ]
@@ -1012,8 +1036,7 @@ class TestJsonDescriptors:
         IID_2x2,
         channels.KroneckerGaussian(np.ones((2, 2)), np.diag([1.5, 0.5]),
                                    np.diag([0.7, 1.3])),
-        channels.Interpolated(0.5, np.array([[0.0, 1.0], [1.0, 1.0]]),
-                              np.diag([4.0, 1.0])),
+        kappa_law(0.5, np.array([[0.0, 1.0], [1.0, 1.0]]), np.diag([4.0, 1.0])),
         channels.FiniteMixture([0.5, 0.5], [np.eye(2), 2 * np.eye(2)]),
         channels.MatrixGaussian(np.zeros((1, 2)), np.eye(2)),
     ])
@@ -1028,3 +1051,15 @@ class TestJsonDescriptors:
     def test_rejects_unknown_type(self):
         with pytest.raises(ValueError):
             channels.law_from_json({"type": "nakagami"})
+
+    @pytest.mark.parametrize("text", ["[1]", "3", '"x"'], ids=["array", "number", "string"])
+    def test_non_object_raises_value_error(self, text):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            channels.law_from_json(text)
+
+    def test_readme_table_lists_every_descriptor(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme[readme.index("| `type`"):].split("\n\n")[0]
+        kinds = re.findall(r"^\| `(\w+)`", table, re.MULTILINE)
+        assert kinds[0] == "type" and len(kinds) == len(set(kinds))
+        assert set(kinds[1:]) == set(channels._DESCRIPTORS) | {"onoff", "wishart"}

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import mimocap
+from mimocap import KroneckerGaussian, channels, st_capacity, st_water_level
 from mimocap.cli import DEFAULT_SEED, build_parser, main, validate_result
 from mimocap.linalg import haar_unitary
 from mimocap.montecarlo import SeededStream
@@ -87,6 +89,29 @@ class TestWaterfillCommand:
         from mimocap import st_water_level, wishart_density
         xi_expect = st_water_level(wishart_density(1, 2), 1.0)
         assert np.isclose(float(rows[0][header.index("xi")]), xi_expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [20, 10 ** 6], ids=["20x20", "1e6"])
+    def test_wishart_shape_the_closed_form_refuses_exits_2(self, m, capsys):
+        # 20 x 20 cancels to 2.3 of its unit mass; 10^6 outruns the float factorials
+        # and is refused before any expansion
+        start = time.perf_counter()
+        desc = json.dumps({"type": "wishart", "m": m, "n": m})
+        assert main(["waterfill", "--channel", desc, "--snr", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "Wishart density" in err and "Traceback" not in err
+
+    def test_iid_law_the_closed_form_refuses_is_pooled(self):
+        eye, zero = np.eye(20), np.zeros((20, 20))
+        law = KroneckerGaussian(zero, eye, eye)
+        rc, out = run_cli(["waterfill", "--channel", json.dumps(channels.law_to_json(law)),
+                           "--snr", "1"])
+        assert rc == 0
+        header, rows = read_csv(out)
+        pooled = channels.empirical_density(law, 10_000, SeededStream(DEFAULT_SEED).generator())
+        xi = st_water_level(pooled, 1.0)
+        assert float(rows[0][header.index("xi")]) == xi
+        assert float(rows[0][header.index("capacity_nats")]) == st_capacity(pooled, xi)
 
     def test_snr_grid_rows(self):
         for grid in ("--snr-db=-10:10:10", "--snr-db=10:-10:-10"):
@@ -432,16 +457,18 @@ ONE_TX_JSON = json.dumps({
      "'wishart' descriptor field 'm'"),
     (["waterfill", "--channel", '{"type":"onoff","m":2,"p":{"value":0.4}}', "--snr", "1"],
      "'onoff' descriptor field 'p'"),
-    (["waterfill", "--channel",
-      '{"type":"interp","kappa":[1],"m0":[[[1,0]]],"noise_cov":[[[1,0]]]}', "--snr", "1"],
-     "'interp' descriptor field 'kappa'"),
+    (["waterfill", "--channel", '{"type":"onoff","m":2,"p":[0.4]}', "--snr", "1"],
+     "'onoff' descriptor field 'p'"),
     (["optimize", "--channel", '{"type":"point","h":"identity"}', "--snr", "1"],
      "'point' descriptor field 'h'"),
     (["waterfill", "--channel", '{"type":"wishart","m":true,"n":2}', "--snr", "1"],
      "'wishart' descriptor field 'm'"),
     (["waterfill", "--channel",
-      '{"type":"interp","kappa":false,"m0":[[[1,0]]],"noise_cov":[[[1,0]]]}', "--snr", "1"],
-     "'interp' descriptor field 'kappa'"),
+      '{"type":"mixture","weights":true,"atoms":[[[[1,0]]]]}', "--snr", "1"],
+     "'mixture' descriptor field 'weights'"),
+    (["optimize", "--channel",
+      '{"type":"interp","kappa":0.5,"m0":[[[1,0]]],"noise_cov":[[[1,0]]]}', "--snr", "1"],
+     "unknown channel descriptor type 'interp'"),
     (["beamform", "--channel", ONE_TX_JSON, "--snr", "1", "--method", "closed"],
      "at least two transmit modes"),
     (["beamform", "--channel", ONE_TX_JSON, "--snr", "1", "--method", "mc"],
@@ -467,10 +494,11 @@ ONE_TX_JSON = json.dumps({
         "fig10-size-1", "fig11-kappa-points-0", "fig12-kappa-points-1",
         "wishart-fractional-n", "wishart-fractional-m", "onoff-fractional-m",
         "onoff-zero-m", "onoff-negative-m", "waterfill-indefinite-corr",
-        "optimize-indefinite-corr", "wishart-list-m", "onoff-object-p", "interp-list-kappa",
-        "point-string-h", "wishart-bool-m", "interp-bool-kappa", "beamform-closed-one-tx",
-        "beamform-mc-one-tx", "waterfill-tol", "waterfill-max-iter", "beamform-tol",
-        "beamform-max-iter", "beamform-unit", "fig10-tau-above-1", "fig7-tau-below-range"])
+        "optimize-indefinite-corr", "wishart-list-m", "onoff-object-p", "onoff-list-p",
+        "point-string-h", "wishart-bool-m", "mixture-bool-weights", "interp-descriptor",
+        "beamform-closed-one-tx", "beamform-mc-one-tx", "waterfill-tol", "waterfill-max-iter",
+        "beamform-tol", "beamform-max-iter", "beamform-unit", "fig10-tau-above-1",
+        "fig7-tau-below-range"])
 def test_bad_numeric_input_exits_2_with_message(argv, reason, capsys, recwarn):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -301,8 +301,9 @@ class TestIterateGeneral:
 
     def test_noncommuting_law_beats_grid_search(self):
         # exhaustive-search oracle over trace-one 2x2 PSD matrices, shared pool
-        law = channels.Interpolated(0.5, np.array([[0.0, 1.0], [1.0, 1.0]]),
-                                    np.diag([4.0, 1.0]))
+        # H = M0/2 + G Sigma^1/2 / 2, M0 = [[0, 1], [1, 1]], Sigma = diag(4, 1)
+        law = channels.KroneckerGaussian(np.array([[0.0, 0.5], [0.5, 0.5]]), np.eye(2),
+                                         np.diag([1.0, 0.25]))
         res = covopt.iterate_general(law, 1.0,
                                      opts=OptimizerOptions(tol=5e-3, samples=20_000,
                                                            max_iter=400, seed=15))

@@ -52,8 +52,8 @@ def channel_class_tests(source: str, filename: str) -> list:
 
 
 def test_the_guard_knows_every_family_and_sees_every_spelling():
-    assert {"ChannelLaw", "PointMass", "MatrixGaussian", "KroneckerGaussian", "Interpolated",
-            "FiniteMixture", "EigDensity", "WishartDensity", "EmpiricalDensity",
+    assert {"ChannelLaw", "PointMass", "MatrixGaussian", "KroneckerGaussian", "FiniteMixture",
+            "EigDensity", "WishartDensity", "EmpiricalDensity",
             "PointMassDensity"} <= CHANNEL_CLASSES
     snippet = ("isinstance(law, PointMass)\n"
                "isinstance(law, channels.MatrixGaussian)\n"

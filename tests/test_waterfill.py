@@ -456,10 +456,10 @@ class TestPapr:
         (channels.KroneckerGaussian(np.zeros((2, 2)), [[1.0, 0.6], [0.6, 1.0]],
                                     [[1.0, 0.5], [0.5, 1.0]]), True),
         (channels.MatrixGaussian(np.eye(2), np.diag([1.0, 0.5, 0.3, 2.0])), True),
-        (channels.Interpolated(0.5, np.eye(2), np.diag([1.0, 0.2])), True),
-        (channels.Interpolated(1.0, np.eye(2), np.diag([1.0, 0.2])), False),
+        (channels.KroneckerGaussian(0.5 * np.eye(2), np.eye(2), np.diag([0.25, 0.05])), True),
+        (channels.KroneckerGaussian(np.eye(2), np.eye(2), np.zeros((2, 2))), False),
         (channels.KroneckerGaussian(np.zeros((2, 3)), np.eye(2), np.eye(3)), False),
-    ], ids=["kronecker", "gaussian", "interp", "interp-kappa-1", "kronecker-2x3"])
+    ], ids=["kronecker", "gaussian", "kappa-law", "kappa-law-at-1", "kronecker-2x3"])
     def test_pool_of_a_square_law_with_a_nonsingular_gaussian_part_has_no_bound(self, law,
                                                                                 dense):
         # P(lam_min < e) ~ c e there, so E[1/lam] = inf though the pool's mean is finite
