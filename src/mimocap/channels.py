@@ -81,7 +81,7 @@ class ChannelLaw:
     exact = False  #: whether ``exact_mi`` gives the ergodic MI in closed form
     iid = False  #: whether H has iid CN(0, 1) entries, so H H^H is complex Wishart
     diag_basis = None  #: a unitary known a priori to diagonalize the optimal Q, or None
-    support = None  #: ((k, r, t) atoms, (k,) weights) of a law with no continuous part
+    support = None  #: ((k, r, t) atoms, (k,) weights) of a finite law, solved and scored exactly
     #: whether H H^H has eigenvalue density > 0 at 0+ (square H with a nonsingular Gaussian
     #: part: P(lam_min < e) ~ c e), so E[1/lam] = inf though no pool shows it
     _dense_at_zero = False
@@ -404,20 +404,22 @@ def _wishart_coefficients(m: int, n: int) -> np.ndarray:
     exact rational arithmetic and rounded once per coefficient; cached, so a
     process expands each recent (m, n) once. Summing P(x) e^-x against the
     incomplete gammas cancels to about eps sum_j |c_j| j!, relative to the unit
-    mass; a shape where that exceeds 1e-8 raises ``ValueError`` (from 11 x 11 on;
-    8 x 16 is the widest m = 8 shape admitted).
+    mass; a shape where that exceeds 1e-8 raises ``ValueError`` (from 11 x 11 on; 8 x 16
+    is the widest m = 8 shape admitted), unexpanded where the top term alone does: c_(m+n-2)
+    (m + n - 2)! = C(m + n - 2, m - 1) / m bounds the sum below.
     """
-    d = n - m
-    poly = [Fraction(0)] * (2 * m - 1)
-    for k in range(m):
-        lag = [Fraction((-1) ** i * math.comb(k + d, k - i), math.factorial(i))
-               for i in range(k + 1)]
-        w = Fraction(math.factorial(k), m * math.factorial(k + d))
-        for i, li in enumerate(lag):
-            for j, lj in enumerate(lag):
-                poly[i + j] += w * li * lj
-    coef = np.array([0.0] * d + [float(c) for c in poly])
-    if (err := np.finfo(float).eps * np.abs(coef) @ _FACT[:coef.size]) > 1e-8:
+    if (err := np.finfo(float).eps * math.comb(m + n - 2, m - 1) / m) <= 1e-8:
+        d, poly = n - m, [Fraction(0)] * (2 * m - 1)
+        for k in range(m):
+            lag = [Fraction((-1) ** i * math.comb(k + d, k - i), math.factorial(i))
+                   for i in range(k + 1)]
+            w = Fraction(math.factorial(k), m * math.factorial(k + d))
+            for i, li in enumerate(lag):
+                for j, lj in enumerate(lag):
+                    poly[i + j] += w * li * lj
+        coef = np.array([0.0] * d + [float(c) for c in poly])
+        err = np.finfo(float).eps * np.abs(coef) @ _FACT[:coef.size]
+    if err > 1e-8:
         raise ValueError(f"the closed-form {m} x {n} Wishart density cancels to {err:.1e} "
                          "of its mass (above 1e-8); pool the iid law instead")
     coef.flags.writeable = False

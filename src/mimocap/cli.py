@@ -488,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw.set_defaults(fn=cmd_waterfill)
 
     po = sub.add_parser("optimize", help="optimal transmit covariance", description=(
-        "Zero-mean Kronecker laws with rx_corr = c I, t <= r, t <= 5 and r <= 16 are "
-        "solved on their closed-form MI: mi_se is 0 and --samples and --seed go unused."))
+        "Point and mixture laws, and zero-mean Kronecker laws with rx_corr = c I, t <= r, "
+        "t <= 5 and r <= 16, are solved exactly: mi_se is 0 and --samples and --seed go unused."))
     _add_common(po)
     po.add_argument("--method", choices=("general", "diag"), default="general")
     po.add_argument("--trace-out", help="write the iteration trace CSV here")

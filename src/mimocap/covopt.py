@@ -21,9 +21,10 @@ on the pool MI. The next epoch's pool first checks the stationarity residual
 and the largest eigenvalue of E[X] on the off space must not exceed mu. Zero-mean Kronecker laws with R = c I,
 t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``): both solvers step in
 T's eigenbasis on the closed-form MI, gradient and Hessian, one evaluation per
-point, and report the MI with SE 0. The paper's damped Cholesky-factor map
-T <- T (M + M^H), M = E[(I + S T^H T)^-1 S], survives only as the subject of
-figures 9 and 10 (``_cholesky_map_trace``).
+point, and report the MI with SE 0. So does a law with ``support``: its one pool is its
+atoms, weighted by theirs (``_weights``), so E[X], the curvature and the MI are exact sums.
+The paper's damped Cholesky-factor map T <- T (M + M^H), M = E[(I + S T^H T)^-1 S],
+survives only as the subject of figures 9 and 10 (``_cholesky_map_trace``).
 
 A pool is drawn and formed one ``channels._BLOCK`` of draws at a time
 (``_s_pool``) and reduced the same way (``_resolvent_moments``, ``_pool_mi``):
@@ -121,10 +122,15 @@ def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
             h = (h.reshape(-1, h.shape[2]) @ u).reshape(h.shape)
         return _gram(h, gamma)
 
-    if law.support is not None and law.support[1].size == 1:
+    if law.support is not None:  # each atom once, weighted by _weights; samples unused
         return gram(law.support[0])
     gen = stream.generator()
     return _blocks(samples, lambda n: gram(sample_batch(law, n, gen)))
+
+
+def _weights(law: ChannelLaw) -> np.ndarray | None:
+    """Weights of :func:`_s_pool`'s draws: its atoms', or None (equally likely)."""
+    return None if law.support is None else law.support[1]
 
 
 def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray, p: np.ndarray | None) -> np.ndarray:
@@ -152,9 +158,10 @@ def _resolvent_gradient(s_pool: np.ndarray, q: np.ndarray, p: np.ndarray | None)
     return x
 
 
-def _resolvent_moments(s_pool: np.ndarray, q: np.ndarray, second: bool = False) -> tuple:
-    """E[X] over the pool, X = (I + S Q)^-1 S per draw, and with ``second`` the
-    t^2 x t^2 moment E[vec X vec X^T] (else None), one ``_BLOCK`` of X at a time.
+def _resolvent_moments(s_pool: np.ndarray, q: np.ndarray, second=False, weights=None) -> tuple:
+    """E[X] over the pool (of draws weighted by ``weights``, else equally likely), X =
+    (I + S Q)^-1 S per draw, and with ``second`` the t^2 x t^2 moment E[vec X vec X^T]
+    (else None), one ``_BLOCK`` of X at a time.
 
     Q is factored (:func:`montecarlo._thin_factor`) once per pass, not once per block.
     Each block's row sum starts from the running sum, so E[X] has the bits of
@@ -164,21 +171,24 @@ def _resolvent_moments(s_pool: np.ndarray, q: np.ndarray, second: bool = False) 
     total, mom = None, 0.0
     for lo in range(0, len(s_pool), _BLOCK):
         x = _resolvent_gradient(s_pool[lo:lo + _BLOCK], q, p)
-        total = np.add.reduce(x if total is None else np.concatenate([total[None], x]))
+        w = None if weights is None else weights[lo:lo + _BLOCK, None]
         if second:
-            vx = x.reshape(-1, t * t)
-            mom = mom + vx.T @ vx
-    n = len(s_pool)
+            vx = x.reshape(-1, t * t) if w is None else x.reshape(-1, t * t) * np.sqrt(w)
+            mom = mom + vx.T @ vx  # (sqrt(w) vec X)'s product: a unit weight keeps the bits
+        x = x if w is None else x * w[:, :, None]
+        total = np.add.reduce(x if total is None else np.concatenate([total[None], x]))
+    n = len(s_pool) if weights is None else 1
     return total / n, (mom / n if second else None)
 
 
-def _pool_mi(s_pool: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+def _pool_mi(s_pool: np.ndarray, q: np.ndarray, weights=None) -> tuple[float, float]:
     """Mean and SE of log det(I + S Q) over the pool, one ``_BLOCK`` of log-dets at a time
-    on one factoring of Q (:func:`montecarlo._thin_factor`)."""
+    on one factoring of Q (:func:`montecarlo._thin_factor`); with ``weights``
+    (:func:`_weights`) the exact weighted sum, SE 0."""
     vals, p = np.empty(len(s_pool)), _thin_factor(q)
     for lo in range(0, len(s_pool), _BLOCK):
         vals[lo:lo + _BLOCK] = _log_dets(s_pool[lo:lo + _BLOCK], q, p)
-    est = McEstimate.of(vals)
+    est = McEstimate.of(vals) if weights is None else McEstimate(float(weights @ vals), 0.0, 1)
     return est.mean, est.se
 
 
@@ -255,10 +265,10 @@ def _objective(law: ChannelLaw, gamma: float, basis, samples: int,
             return np.diag(g), curv
 
         return (lambda q: at(np.diag(q).real)[0]), exact_moments
-    pool = _s_pool(law, gamma, basis, samples, stream)
+    pool, weights = _s_pool(law, gamma, basis, samples, stream), _weights(law)
 
     def moments(vecs, lam):
-        m, mom = _resolvent_moments(pool, _covariance(vecs, lam), second=True)
+        m, mom = _resolvent_moments(pool, _covariance(vecs, lam), True, weights)
 
         def curv(w, coords):
             # E[vec Xw vec Xw^T] = K^T E[vec X vec X^T] K, Xw = W^H X W, K = conj(W) (x) W
@@ -270,7 +280,7 @@ def _objective(law: ChannelLaw, gamma: float, basis, samples: int,
 
         return (m if basis is None else np.diag(np.diag(m).real)), curv
 
-    return (lambda q: _pool_mi(pool, q)[0]), moments
+    return (lambda q: _pool_mi(pool, q, weights)[0]), moments
 
 
 def _herm_coords(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -494,7 +504,7 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
             m, curv = moments(vecs, lam)
         # the fresh check pool becomes the next epoch's solving pool
         epoch += 1
-        if not law.exact:  # an exact objective is the same in every epoch
+        if not law.exact and law.support is None:  # else one objective serves every epoch
             del mi_of, moments  # the old pool goes before the new one is drawn
             mi_of, moments = _objective(law, gamma, basis, opts.samples, stream.child(epoch))
         m, curv = moments(vecs, lam)
@@ -568,7 +578,7 @@ def kkt_residual_general(q, law: ChannelLaw, gamma: float,
     if law.exact:
         return _q_residual(law.exact_mi(q, gamma)[1], q)
     pool = _s_pool(law, gamma, None, samples, as_stream(rng))
-    return _q_residual(_resolvent_moments(pool, q)[0], q)
+    return _q_residual(_resolvent_moments(pool, q, weights=_weights(law))[0], q)
 
 
 # ---------------------------------------------------------------------------
@@ -611,22 +621,22 @@ def _cholesky_map_trace(law: ChannelLaw, gamma: float,
     the residual on a fresh check pool is below ``tol`` or the MI went flat.
     """
     tfac = _normalize_ut(np.eye(law.tx, dtype=complex))
-    stream = as_stream(opts.seed)
+    stream, w = as_stream(opts.seed), _weights(law)
     alpha = DAMPING
     trace = []
     epoch = 0
     done = False
     while len(trace) < opts.max_iter and not done:
         pool = _s_pool(law, gamma, None, opts.samples, stream.child(2 * epoch))
-        mi_prev, _ = _pool_mi(pool, ut_gram(tfac))
+        mi_prev, _ = _pool_mi(pool, ut_gram(tfac), w)
         flat = 0
         for _ in range(INNER_MAX):
             if len(trace) >= opts.max_iter:
                 break
-            m = _resolvent_moments(pool, ut_gram(tfac))[0]
+            m = _resolvent_moments(pool, ut_gram(tfac), weights=w)[0]
             step = _normalize_ut(_phase_fix_rows(np.triu(tfac @ (m + m.conj().T))))
             cand = _normalize_ut(_phase_fix_rows((1 - alpha) * tfac + alpha * step))
-            mi_new, se_new = _pool_mi(pool, ut_gram(cand))
+            mi_new, se_new = _pool_mi(pool, ut_gram(cand), w)
             if mi_new < mi_prev - 2.0 * max(se_new, 1e-12):
                 alpha = max(alpha / 2.0, 0.02)
                 trace.append(mi_prev)

@@ -150,8 +150,8 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     gamma : float
         Signal-to-noise ratio (linear).
     samples : int
-        Monte Carlo sample count; ignored for a one-atom law, whose value
-        is computed exactly with zero standard error.
+        Monte Carlo sample count; ignored for a law with ``support``, whose
+        value is the weighted sum over its atoms, exact with zero standard error.
     rng : SeededStream or int
         Stream (or plain seed) controlling the draws.
     """
@@ -161,9 +161,9 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
     p = _thin_factor(q)
     per = ((lambda h: _log_dets(_gram(h, gamma), q, p)) if p is None
            else (lambda y: _thin_log_dets(y, gamma)))
-    if law.support is not None and law.support[1].size == 1:  # one exact value
-        h = law.support[0]
-        return McEstimate.of(per(h if p is None else h @ p))
+    if law.support is not None:  # a finite weighted sum: exact, SE 0
+        h, w = law.support
+        return McEstimate(float(w @ per(h if p is None else h @ p)), 0.0, w.size)
     gen = as_stream(rng).generator()
     if p is None:
         return McEstimate.of(_law_blocks(law, samples, gen, per))

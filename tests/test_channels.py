@@ -322,13 +322,22 @@ class TestWishartDensity:
                     continue
                 admitted.append((m, n))
                 assert abs(f.tail_moments(0.0)[0] - 1.0) <= 1e-8
-        assert {(m, n) for n in range(1, 25) for m in range(1, min(n, 6) + 1)} <= set(admitted)
-        assert max(m for m, _ in admitted) == 10
+        # the admitted n of each m run from n = m up to a widest shape, none from m = 11
+        widest = {m: 24 for m in range(1, 7)} | {7: 21, 8: 16, 9: 13, 10: 11}
+        assert admitted == [(m, n) for n in range(1, 25) for m in range(1, n + 1)
+                            if n <= widest.get(m, 0)]
 
     def test_shapes_past_the_float_factorials_are_refused_before_expanding(self):
         assert channels.wishart_density(1, 171).tail_moments(0.0)[0] == pytest.approx(1.0)
         with pytest.raises(ValueError, match="m \\+ n <= 172"):
             channels.wishart_density(1, 172)
+
+    @pytest.mark.parametrize("m", [40, 60, 86])
+    def test_shapes_whose_top_term_cancels_are_refused_before_expanding(self, m, monkeypatch):
+        # eps C(2m - 2, m - 1) / m, the top term's share of eps sum_j |c_j| j!, tops 1e-8
+        monkeypatch.setattr(channels, "Fraction", lambda *args: pytest.fail("expanded"))
+        with pytest.raises(ValueError, match=f"{m} x {m} Wishart density cancels"):
+            channels.WishartDensity(m, m)
 
 
 def _quad(f, fn, lo, hi=np.inf):

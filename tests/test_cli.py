@@ -179,6 +179,19 @@ class TestOptimizeCommand:
         assert header == ["iter", "mi_nats", "residual"]
         assert len(rows) == doc["iterations"]
 
+    def test_mixture_is_solved_exactly(self):
+        # two equally likely atoms diag(10, 0) and diag(0, 1.6^1/2): the weak mode takes
+        # q = 0.1925, where 0.8 / (1 + 1.6 q) = 50 / (1 + 100 (1 - q))
+        law = json.dumps({"type": "mixture", "weights": [0.5, 0.5], "atoms": [
+            [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [np.sqrt(1.6), 0.0]]]]})
+        rc, out = run_cli(["optimize", "--channel", law, "--snr", "1"])
+        doc = json.loads(out)
+        assert rc == 0 and doc["converged"] is True and doc["mi_se"] == 0.0
+        assert doc["kkt_residual"] <= 1e-9 and abs(min(doc["eigenvalues"]) - 0.1925) <= 1e-9
+        exact = 0.5 * (np.log(1 + 100 * 0.8075) + np.log(1 + 1.6 * 0.1925))
+        assert doc["mi"] == pytest.approx(exact, rel=1e-12)
+
     @pytest.mark.parametrize("method", ["general", "diag"])
     def test_zero_channel_is_infeasible(self, method, capsys):
         zero = json.dumps({"type": "point", "h": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]})

@@ -55,8 +55,8 @@ def power_update(mi_of, qvec, step, mi, still):
 
 
 class TestKktResidualDiag:
-    """The diagonal stationarity residual: exact where the law has a closed form or one
-    atom (through kkt_residual_general), else on one pool (pool_diag_residual)."""
+    """The diagonal stationarity residual: exact where the law has a closed form or
+    atoms (through kkt_residual_general), else on one pool (pool_diag_residual)."""
 
     def test_waterfill_solution_is_stationary(self):
         res = covopt.kkt_residual_general(np.diag([0.75, 0.25]), POINT_21, 1.0,
@@ -629,6 +629,23 @@ RICEAN_4x4 = channels.KroneckerGaussian(np.diag([4.0, 0.0, 0.0, 0.0]), np.eye(4)
                                         0.5 * np.ones((4, 4)) + 0.5 * np.eye(4))
 
 
+def random_mixture(k, t, seed):
+    """k equally likely t x t atoms with iid CN(0, 1) entries."""
+    gen = np.random.default_rng(seed)
+    return channels.FiniteMixture(np.full(k, 1.0 / k), tuple(
+        (gen.standard_normal((t, t)) + 1j * gen.standard_normal((t, t))) / np.sqrt(2)
+        for _ in range(k)))
+
+
+MIXTURE_2x2, MIXTURE_4x4 = random_mixture(2, 2, 2024), random_mixture(4, 4, 2025)
+
+
+def weighted_mi(q, law, gamma):
+    """sum_i w_i ln det(I + gamma Q H_i^H H_i) over the atoms of ``law``, one by one."""
+    return sum(w * np.linalg.slogdet(np.eye(len(q)) + gamma * q @ h.conj().T @ h)[1]
+               for h, w in zip(*law.support))
+
+
 class TestStreamedPools:
     @pytest.mark.parametrize("samples", [2, 700, channels._BLOCK])
     @pytest.mark.parametrize("rotate", [False, True], ids=["no-basis", "basis"])
@@ -638,10 +655,13 @@ class TestStreamedPools:
         ref = _gram(h if u is None else (h.reshape(-1, 4) @ u).reshape(h.shape), 2.0)
         assert np.array_equal(covopt._s_pool(RICEAN_4x4, 2.0, u, samples, SeededStream(41)), ref)
 
-    def test_one_atom_law_pools_its_atom(self):
-        h = np.array([[1.0, 0.5j], [0.2, 2.0]])
-        pool = covopt._s_pool(channels.PointMass(h), 3.0, None, 10**5, SeededStream(0))
-        assert np.array_equal(pool, _gram(h[None], 3.0))
+    @pytest.mark.parametrize("law", [channels.PointMass(np.array([[1.0, 0.5j], [0.2, 2.0]])),
+                                     MIXTURE_4x4], ids=["one-atom", "four-atom"])
+    def test_one_atom_law_pools_its_atom(self, law):
+        # a law with support pools each of its atoms once, weighted by its atoms' weights
+        h, w = law.support
+        pool = covopt._s_pool(law, 3.0, None, 10**5, SeededStream(0))
+        assert np.array_equal(pool, _gram(h, 3.0)) and np.array_equal(covopt._weights(law), w)
 
     @pytest.mark.parametrize("samples", [2, channels._BLOCK - 1, channels._BLOCK,
                                          3 * channels._BLOCK + 17])
@@ -707,6 +727,74 @@ def test_thin_resolvent_is_the_lu_resolvent(lam, gamma):
     assert p is not None
     ref = np.linalg.solve(np.eye(4) + pool @ q, pool)
     assert np.abs(covopt._resolvent_gradient(pool, q, p) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def mixture_q(t, rank, seed=8):
+    """A unit-trace t x t covariance of the given rank in a Haar basis."""
+    lam = np.zeros(t)
+    lam[:rank] = np.arange(rank, 0, -1) / (rank * (rank + 1) / 2)
+    return covopt._covariance(linalg.haar_unitary(t, np.random.default_rng(seed)), lam)
+
+
+class TestFiniteSupport:
+    """A law with support is solved and scored on its atoms and weights: exact, SE 0."""
+
+    UNEQUAL_4x4 = channels.FiniteMixture([0.1, 0.2, 0.3, 0.4], MIXTURE_4x4.atoms)
+
+    @pytest.mark.parametrize("law", [MIXTURE_2x2, MIXTURE_4x4], ids=["2-atom-2x2", "4-atom-4x4"])
+    @pytest.mark.parametrize("gamma", [1.0, 10.0])
+    @pytest.mark.parametrize("solve", [covopt.iterate_general, covopt.fixed_point_diag],
+                             ids=["general", "diag"])
+    def test_mixture_solves_are_exact(self, law, gamma, solve, monkeypatch):
+        # one pool of the atoms serves every epoch, and nothing is drawn
+        pools, s_pool = [], covopt._s_pool
+        monkeypatch.setattr(covopt, "_s_pool", lambda *args: pools.append(args) or s_pool(*args))
+        monkeypatch.setattr(covopt, "sample_batch", None)
+        monkeypatch.setattr(montecarlo, "_law_blocks", None)
+        res = solve(law, gamma, opts=OptimizerOptions(seed=12345))
+        assert res.converged and res.kkt_residual <= 1e-9 and len(pools) == 1
+        assert res.mi.se == 0.0 and abs(res.mi.mean - weighted_mi(res.q, law, gamma)) <= 1e-12
+        if solve is covopt.iterate_general:  # the diagonal solve's optimum is over diagonal Q
+            assert covopt.kkt_residual_general(res.q, law, gamma) <= 1e-9
+
+    @pytest.mark.parametrize("law", [MIXTURE_2x2, UNEQUAL_4x4], ids=["2-atom-2x2", "4-atom-4x4"])
+    @pytest.mark.parametrize("thin", [False, True], ids=["full-rank", "rank-le-2"])
+    def test_residual_and_mi_are_the_weighted_sums(self, law, thin, monkeypatch):
+        monkeypatch.setattr(covopt, "sample_batch", None)
+        monkeypatch.setattr(montecarlo, "_law_blocks", None)
+        t = law.tx
+        q = mixture_q(t, min(2, t - 1) if thin else t)
+        assert (covopt._thin_factor(q) is not None) == thin
+        m = sum(w * np.linalg.solve(np.eye(t) + s @ q, s)
+                for s, w in zip(_gram(law.support[0], 2.0), law.weights))
+        assert abs(covopt.kkt_residual_general(q, law, 2.0, samples=2, rng=0)
+                   - covopt._q_residual(m, q)) <= 1e-12
+        est = ergodic_mi(q, law, 2.0, samples=2, rng=0)
+        assert est.se == 0.0 and est.samples == law.weights.size
+        assert abs(est.mean - weighted_mi(q, law, 2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("thin", [False, True], ids=["full-rank", "rank-two"])
+    def test_pool_moments_are_weighted_sums(self, thin):
+        law = self.UNEQUAL_4x4
+        pool, w = covopt._s_pool(law, 2.0, None, 2, SeededStream(0)), covopt._weights(law)
+        q = mixture_q(4, 2 if thin else 4)
+        x = np.linalg.solve(np.eye(4) + pool @ q, pool)
+        m, mom = covopt._resolvent_moments(pool, q, True, w)
+        vx = x.reshape(-1, 16)
+        assert np.abs(m - np.einsum("k,kij->ij", w, x)).max() <= 1e-13
+        assert np.abs(mom - (vx.T * w) @ vx).max() <= 1e-13
+        mi, se = covopt._pool_mi(pool, q, w)
+        assert se == 0.0 and abs(mi - weighted_mi(q, law, 2.0)) <= 1e-13
+
+    @pytest.mark.parametrize("thin", [False, True], ids=["full-rank", "rank-one"])
+    def test_a_unit_weight_keeps_the_unweighted_bits(self, thin):
+        # a point mass's moments and MI are those of its one draw, bit for bit
+        pool = _gram(np.array([[[1.0, 0.5j], [0.2, 2.0]]]), 3.0)
+        q = mixture_q(2, 1 if thin else 2)
+        for a, b in zip(covopt._resolvent_moments(pool, q, True),
+                        covopt._resolvent_moments(pool, q, True, np.ones(1))):
+            assert np.array_equal(a, b)
+        assert covopt._pool_mi(pool, q) == covopt._pool_mi(pool, q, np.ones(1))
 
 
 #: stat-csi's pooled Ricean 4x4 solve (gamma = 1, seed 12345) as it stood before its
@@ -836,8 +924,9 @@ class TestWarmStart:
                                      (np.diag([10.0, 0.0]), np.diag([0.0, np.sqrt(1.6)])))
         assert np.count_nonzero(jensen_powers(law, 1.0)) == 1
         res = solve(law, 1.0, opts=OptimizerOptions(seed=12345))
-        assert res.converged
-        assert abs(np.sort(np.linalg.eigvalsh(res.q))[0] - 0.19) <= 0.02
+        # exact: 0.8 / (1 + 1.6 q) = 50 / (1 + 100 (1 - q)) at q = (1 - 49.2 / 80) / 2
+        assert res.converged and res.mi.se == 0.0
+        assert abs(np.sort(np.linalg.eigvalsh(res.q))[0] - 0.1925) <= 1e-9
 
     def test_ricean_solve_takes_few_lu_solves(self, monkeypatch):
         # from its stand-in's rank-two optimum every iterate forms X in closed form;

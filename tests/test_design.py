@@ -2,7 +2,9 @@
 
 Every other module reads what a law or density says of itself (``support``,
 ``diag_basis``, ``iid``, ``draw_rows``, ``discrete``, ...), so a new family
-is one class in ``channels`` and nothing else to thread through. The CLI
+is one class in ``channels`` and nothing else to thread through. A law's
+``support`` is summed over its atoms and weights wherever it is read, and no
+module tests how many atoms it has. The CLI
 reads its SNR flags in one place, and each figure is one entry of one table
 (``cli._FIGURES``): no code outside it tests a figure id.
 Per-draw reductions draw their channels in blocks, never as one whole pool,
@@ -105,6 +107,42 @@ def test_one_bordered_newton_solve_in_the_package():
         found += attribute_uses(path.read_text(encoding="utf-8"), path.name, "lstsq")
     assert [f.split(" ")[0].split(":")[0] for f in found] == ["covopt.py"]
     assert [f.split(" ")[1] for f in found] == ["_direction"]
+
+
+def support_count_tests(source: str, filename: str) -> list:
+    """``file:line`` for each comparison that reads ``.support`` and compares with
+    anything but ``None``: a test of a law's atom count (or of its atoms' values)."""
+    lines = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Attribute) and n.attr == "support" for n in ast.walk(node)):
+            if not all(isinstance(c, ast.Constant) and c.value is None for c in node.comparators):
+                lines.add(node.lineno)
+    return [f"{filename}:{line}" for line in sorted(lines)]
+
+
+def test_the_support_guard_sees_every_atom_count():
+    snippet = ("if law.support is not None and law.support[1].size == 1:\n    pass\n"
+               "if len(law.support[0]) > 1:\n    pass\n"
+               "if law.support is None:\n    pass\n")
+    assert support_count_tests(snippet, "x.py") == ["x.py:1", "x.py:3"]
+
+
+def test_support_is_read_only_where_atoms_are_summed():
+    # a law with support is solved and scored on its atoms and weights, whatever their
+    # number: channels reads them (draw_rows, the families), covopt for its pool
+    # (_s_pool), the pool's weights (_weights) and to skip the stand-in start (_solve),
+    # and montecarlo.ergodic_mi for its weighted sum; no module tests the atom count
+    found, counts = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        counts += support_count_tests(source, path.name)
+        if path.name != "channels.py":
+            found.update(f"{f.split(':')[0]} {f.split(' ')[1]}"
+                         for f in attribute_uses(source, path.name, "support"))
+    assert found == {"covopt.py _s_pool", "covopt.py _weights", "covopt.py _solve",
+                     "montecarlo.py ergodic_mi"}
+    assert counts == []
 
 
 def call_sites(source: str, filename: str, name: str) -> list:
