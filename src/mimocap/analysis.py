@@ -36,8 +36,7 @@ from .covopt import (
     fixed_point_diag,
     iterate_general,
 )
-from .linalg import (_bracketed_root, _circular_gaussian, _gauge, as_hermitian, as_psd, herm_eig,
-                     psd_sqrt, scaled_expn)
+from .linalg import _bracketed_root, _gauge, as_hermitian, as_psd, herm_eig, psd_sqrt, scaled_expn
 from .montecarlo import (
     DEFAULT_SAMPLES_INNER,
     McEstimate,
@@ -89,7 +88,9 @@ def beamform_opt_mc(r_corr, t_corr, gamma: float,
     against r*tau2/tau1, with u a length-r circular complex Gaussian vector.
     Only the largest non-leading transmit eigenvalue tau2 is tested: the
     condition is linear in tau_k on one side, so it is tightest there.
-    The draws of u stream: working memory is one value per draw and one block.
+    With R = V diag(rho) V^H the forms are e @ rho and e @ rho^2 for e = |V^H u|^2,
+    whose entries are iid Exp(1): each draw is r exponentials. The draws
+    stream: working memory is one value per draw and one block.
     """
     r_corr = as_psd(r_corr)
     t_corr = as_psd(t_corr)
@@ -98,13 +99,11 @@ def beamform_opt_mc(r_corr, t_corr, gamma: float,
     taus = np.sort(np.linalg.eigvalsh(t_corr))[::-1]
     tau1, tau2 = taus[0], taus[1]
     gen = as_stream(rng).generator()
-    rho, vecs = np.linalg.eigh(r_corr)
+    rho = np.linalg.eigvalsh(r_corr)
 
     def values(n):
-        # u^H R u and u^H R^2 u as |V^H u|^2 rho and |V^H u|^2 rho^2, R = V diag(rho) V^H
-        z = _circular_gaussian(gen, (n, r)) @ vecs.conj()
-        z = z.real ** 2 + z.imag ** 2
-        w1, w2 = z @ rho, z @ rho ** 2
+        e = gen.standard_exponential((n, r))
+        w1, w2 = e @ rho, e @ rho ** 2
         return (w1 + gamma * tau2 * w2) / (1.0 + gamma * tau1 * w1)
 
     est = McEstimate.of(_blocks(samples, values))
@@ -192,8 +191,9 @@ def beamform_boundary(gamma: float, rho_grid) -> np.ndarray:
 
     For each rho, with R = diag(rho, 2 - rho) and T = diag(tau, 2 - tau),
     returns the smallest tau in (1, 2) where beamforming becomes optimal:
-    the sign change of the closed-form margin, bisected to a bracket of 1e-6
-    (nan when the margin never turns positive). Output rows are (rho, tau_star).
+    the sign change of the closed-form margin, found by regula falsi
+    (:func:`linalg._bracketed_root`) to a bracket of 1e-6 (nan when the margin
+    never turns positive). Output rows are (rho, tau_star).
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
     out = np.empty((rho_grid.size, 2))
@@ -204,13 +204,13 @@ def beamform_boundary(gamma: float, rho_grid) -> np.ndarray:
             return beamform_opt_closed(rvec, tau, 2.0 - tau, gamma).margin, None
 
         lo, hi = 1.0 + 1e-9, 2.0 - 1e-9
-        at_hi = margin(hi)
-        if margin(lo)[0] > 0:
+        at_lo, at_hi = margin(lo)[0], margin(hi)
+        if at_lo > 0:
             out[idx] = (rho, lo)
         elif at_hi[0] < 0:
             out[idx] = (rho, np.nan)
         else:
-            out[idx] = (rho, _bracketed_root(margin, lo, hi, at_hi, xtol=1e-6))
+            out[idx] = (rho, _bracketed_root(margin, lo, hi, at_hi, xtol=1e-6, at_lo=at_lo))
     return out
 
 

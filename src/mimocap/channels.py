@@ -110,11 +110,11 @@ class ChannelLaw:
         """
         raise NotImplementedError
 
-    def sample_projected(self, samples: int, rng: np.random.Generator, p: np.ndarray,
-                         reduce=np.asarray) -> np.ndarray:
-        """``reduce(Y)`` of ``samples`` iid Y = H P, (n, r, k) per block, for a t x k matrix
-        ``p``, streamed in :func:`_blocks`; by default the draws, shape (samples, r, k)."""
-        return _blocks(samples, lambda n: reduce(sample_batch(self, n, rng) @ p))
+    def sample_gram(self, samples: int, rng: np.random.Generator, p: np.ndarray,
+                    reduce=np.asarray) -> np.ndarray:
+        """``reduce(G)`` of ``samples`` iid Grams G = (H P)^H H P, (n, k, k) per block, for a
+        t x k matrix ``p``, streamed in :func:`_blocks`; by default the Grams, (samples, k, k)."""
+        return _blocks(samples, lambda n: reduce(_gram(sample_batch(self, n, rng) @ p)))
 
     def draw_rows(self, samples: int, rng: np.random.Generator, reduce=np.asarray) -> tuple:
         """``reduce(rows)`` of the eigenvalue rows of H H^H, one per atom of ``support``, else
@@ -261,13 +261,37 @@ class KroneckerGaussian(ChannelLaw):
     def sample_batch(self, size, rng):
         return self._draw(size, rng, self._tx_sqrt, self.mean)
 
-    def sample_projected(self, samples, rng, p, reduce=np.asarray):
-        """H P as M P + R^1/2 G_k (P^H T P)^1/2, G_k r x k iid: the rows of
-        G T^1/2 P are iid CN(0, P^H T P), so r k normals replace r t. A zero
-        column of P gives an exactly zero column. (P^H T P)^1/2 and M P are
-        formed once per call, and every block draws only its G_k."""
+    def sample_gram(self, samples, rng, p, reduce=np.asarray):
+        """(H P)^H H P with H P = M P + R^1/2 G_k right, G_k r x k iid and right =
+        (P^H T P)^1/2: the rows of G T^1/2 P are iid CN(0, P^H T P), so r k normals
+        replace r t. At R = c I fewer still: a unitary W with W M P = [C; 0], C rho x k
+        for rho = rank M P, leaves G_k's law alone, so the Gram is (C + c^1/2 G_1
+        right)^H (...) + c right^H B^H B right, G_1 rho x k iid and B the min(n, k) x k
+        upper-trapezoidal Bartlett factor (Goodman, Ann. Math. Stat. 1963) of the other
+        n = r - rho rows: |B_ii|^2 ~ Gamma(n - i + 1), B_ij ~ CN(0, 1) above. A zero
+        column of P gives an exactly zero row and column. right, C and the places of
+        the drawn entries are formed once per call; every block draws only its entries."""
         right, mean = psd_sqrt(p.conj().T @ self.tx_corr @ p), self.mean @ p
-        return _blocks(samples, lambda n: reduce(self._draw(n, rng, right, mean)))
+        (r, k), c = mean.shape, self.rx_corr[0, 0].real
+        if not np.array_equal(self.rx_corr, c * np.eye(r)):
+            return _blocks(samples, lambda n: reduce(_gram(self._draw(n, rng, right, mean))))
+        lam, vecs = np.linalg.eigh(mean.conj().T @ mean)  # C^H C = (M P)^H M P
+        on = lam > lam[-1] * k * np.finfo(float).eps
+        rho = np.count_nonzero(on)
+        top = np.zeros((rho + min(r - rho, k), k), dtype=complex)
+        top[:rho] = np.sqrt(lam[on])[:, None] * vecs[:, on].conj().T
+        # [G_1; B] is zero below its rho-th subdiagonal, positive on it
+        (rows, cols), diag = np.triu_indices(len(top), 1 - rho, k), np.arange(rho, len(top))
+        right = np.sqrt(c) * right
+
+        def draw(n):
+            z = np.zeros((n, *top.shape), dtype=complex)
+            z[:, rows, cols] = _circular_gaussian(rng, (n, rows.size))
+            z[:, diag, diag - rho] = np.sqrt(rng.standard_gamma(r - diag, (n, diag.size)))
+            z = (z.reshape(-1, k) @ right).reshape(z.shape)
+            z += top
+            return reduce(_gram(z))
+        return _blocks(samples, draw)
 
     def expected_gram(self):
         return self.tx_corr * np.trace(self.rx_corr).real + self.mean.conj().T @ self.mean

@@ -241,8 +241,8 @@ def cmd_waterfill(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    opts = _solver_opts(args)
     law = law_from_json(_load_descriptor(args.channel))
+    opts = _solver_opts(args, pools=not (law.exact or law.support is not None))
     gamma = float(_snr_points(args, single=True)[1][0])
     if args.method == "diag":
         basis = law.diag_basis

@@ -328,36 +328,47 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 _ROOT_RTOL = 1e-14
 
 
-def _bracketed_root(fun, lo: float, hi: float, at_hi: tuple, xtol: float = 0.0) -> float:
+def _bracketed_root(fun, lo: float, hi: float, at_hi: tuple, xtol: float = 0.0,
+                    at_lo: float | None = None) -> float:
     """Root in ``[lo, hi]`` of a function that is negative at lo and not at hi.
 
     ``fun(x)`` returns ``(value, slope)``, with slope None where the function
     has no usable derivative; ``at_hi`` is ``fun(hi)``, which every caller
-    has already computed to find its bracket. The search starts at hi and
-    takes Newton steps; a step that would leave the current bracket, or has
-    no slope, bisects the bracket instead. Every evaluation moves one end of
-    the bracket. Returns at a zero value, at a bracket no wider than
-    ``max(xtol, 1e-14 |x|)`` (its midpoint), or after a Newton step no longer
-    than that. On a convex increasing function every Newton iterate from hi
-    stays at or above the root, so there the bracket only guards round-off.
+    has already computed to find its bracket, and ``at_lo`` the value at lo
+    where known. The search starts at hi and takes Newton steps; a step that
+    would leave the current bracket, or has a zero slope, bisects the bracket
+    instead. Without a slope it takes Illinois regula-falsi steps (Dowell &
+    Jarratt, BIT 11, 1971) between the bracket's end values, at least half
+    the tolerance inside it so that it closes; it bisects while the value at
+    lo is unknown and wherever two steps did not halve the bracket, so step
+    functions converge too. Every evaluation moves one end of the bracket.
+    Returns at a zero value, at a bracket no wider than ``max(xtol, 1e-14 |x|)``
+    (its midpoint), or after a Newton step no longer than that. On a convex
+    increasing function every Newton iterate from hi stays at or above the
+    root, so there the bracket only guards round-off.
     """
     x, (value, slope) = hi, at_hi
-    for _ in range(200):
+    ends, vals, last, widths = [lo, hi], [at_lo, None], None, (np.inf, np.inf)
+    for steps in range(200):
         if value == 0:
             return x
-        if value > 0:
-            hi = x
-        else:
-            lo = x
-        tol = max(xtol, _ROOT_RTOL * abs(x))
+        i = int(value > 0)  # the end x replaces: 0 lo, 1 hi
+        if i == last and vals[1 - i] is not None:
+            vals[1 - i] *= 0.5  # Illinois: an end kept twice halves its value
+        ends[i], vals[i], last = x, value, i if steps else None
+        (lo, hi), tol = ends, max(xtol, _ROOT_RTOL * abs(x))
         if hi - lo <= tol:
             return 0.5 * (lo + hi)
-        step = value / slope if slope else np.inf
-        if abs(step) <= tol:
-            return x - step
-        if lo < x - step < hi:
-            x -= step
-        else:
+        if slope is not None:
+            step = value / slope if slope else np.inf
+            if abs(step) <= tol:
+                return x - step
+            x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        elif vals[0] is None or hi - lo > 0.5 * widths[0]:
             x = 0.5 * (lo + hi)
+        else:
+            x = lo - vals[0] * (hi - lo) / (vals[1] - vals[0])
+            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        widths = (widths[1], hi - lo)
         value, slope = fun(x)
     raise FloatingPointError("root search did not converge in 200 steps")

@@ -9,9 +9,11 @@ bit-reproducible for a given (seed, sample count), and one (law, seed) gives
 the same draws to every caller.
 Per-draw MIs are slogdet(I + S Q), except at rank Q = k <= 2 below full rank:
 there ln det(I_t + S Q) = ln det(I_k + P^H S P) over Q's factor P has a closed form,
-and :func:`ergodic_mi` draws only Y = H P (``ChannelLaw.sample_projected``),
-r x 2 per draw; a Kronecker law draws it from r k normals in place of r t. The
-same S P and P^H S P (:func:`_thin_products`) give the solvers' (I + S Q)^-1 S.
+and :func:`ergodic_mi` draws only the 2 x 2 Gram (H P)^H H P
+(``ChannelLaw.sample_gram``); a Kronecker law draws it from fewer numbers than
+H: at R = c I through a Bartlett factor, 6 normals and 2 gammas per draw on a
+4 x 4 Ricean law with a rank-1 mean in place of 16 normals. The same S P and P^H S P
+(:func:`_thin_products`) give the solvers' (I + S Q)^-1 S.
 """
 
 from __future__ import annotations
@@ -122,11 +124,10 @@ def _log_dets(s: np.ndarray, q: np.ndarray, p: np.ndarray | None) -> np.ndarray:
     return _log1p_gram(np.diagonal(g, axis1=1, axis2=2).real, g[:, 0, 1])
 
 
-def _thin_log_dets(y: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-draw ``log det(I + gamma H^H H Q)`` for a (size, r, 2) batch of Y = H P,
-    P Q's :func:`_thin_factor`, from the entries of gamma Y^H Y, without S."""
-    d = gamma * np.einsum("sri,sri->si", y.conj(), y).real
-    return _log1p_gram(d, gamma * np.einsum("sr,sr->s", y[:, :, 0].conj(), y[:, :, 1]))
+def _thin_log_dets(g: np.ndarray, gamma: float) -> np.ndarray:
+    """Per-draw ``log det(I + gamma H^H H Q)`` for a (size, 2, 2) batch of Grams
+    G = (H P)^H H P, P Q's :func:`_thin_factor`, from the entries of gamma G, without S."""
+    return _log1p_gram(gamma * np.diagonal(g, axis1=1, axis2=2).real, gamma * g[:, 0, 1])
 
 
 def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_FINAL,
@@ -135,11 +136,11 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
 
     H is drawn as every per-draw reduction draws it (:func:`channels._law_blocks`):
     one generator of ``rng``, one ``channels._BLOCK`` of draws at a time. Where Q
-    has rank k <= 2 below full rank (:func:`_thin_factor`), the draws are of
-    Y = H P (``law.sample_projected``), not of H: the same law, but a Kronecker
-    law draws it from other normals than ``sample_batch``. Q's factor P, and a
-    Kronecker law's (P^H T P)^1/2 and M P, are formed once per call; each block
-    only draws and reduces.
+    has rank k <= 2 below full rank (:func:`_thin_factor`), the draws are of the
+    Gram (H P)^H H P (``law.sample_gram``), not of H: the same law, but a Kronecker
+    law draws it from other numbers than ``sample_batch`` (a Bartlett factor at
+    R = c I). Q's factor P, and a Kronecker law's (P^H T P)^1/2 and the rotated
+    M P, are formed once per call; each block only draws and reduces.
 
     Parameters
     ----------
@@ -160,12 +161,12 @@ def ergodic_mi(q, law: ChannelLaw, gamma: float, samples: int = DEFAULT_SAMPLES_
         raise ValueError("transmit covariance must have trace <= 1")
     p = _thin_factor(q)
     per = ((lambda h: _log_dets(_gram(h, gamma), q, p)) if p is None
-           else (lambda y: _thin_log_dets(y, gamma)))
+           else (lambda g: _thin_log_dets(g, gamma)))
     if law.support is not None:  # a finite weighted sum: exact, SE 0
         h, w = law.support
-        return McEstimate(float(w @ per(h if p is None else h @ p)), 0.0, w.size)
+        return McEstimate(float(w @ per(h if p is None else _gram(h @ p))), 0.0, w.size)
     gen = as_stream(rng).generator()
     if p is None:
         return McEstimate.of(_law_blocks(law, samples, gen, per))
-    return McEstimate.of(law.sample_projected(samples, gen, p, per))
+    return McEstimate.of(law.sample_gram(samples, gen, p, per))
 

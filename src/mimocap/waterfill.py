@@ -271,7 +271,7 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float) -> tuple[
     eigenvalues that would draw more than ``peak`` are dropped. The level is
     the smallest root above the unconstrained one, bracketed on a geometric
     ladder and solved by Newton steps on the exact slope of the truncated
-    power where the density has a pdf, by bisection where it has none. If the
+    power where the density has a pdf, by regula falsi where it has none. If the
     budget cannot be spent under the cap, raises :class:`InfeasibleError`.
     """
     if peak <= 0:
@@ -284,7 +284,7 @@ def peak_limited_rate(density: EigDensity, budget: float, peak: float) -> tuple[
     def residual(xi):
         # xi >= xi_unc > peak throughout. As xi grows the window [1/xi, u]
         # loses its top u = 1/(xi - peak), which takes the mass above u and
-        # peak u^2 f(u) off the slope; without a pdf the step is left to bisection.
+        # peak u^2 f(u) off the slope; without a pdf the step is left to regula falsi.
         u = 1.0 / (xi - peak)
         power, mass = _avg_power(density, xi, 1.0 / xi)
         top, top_mass = _avg_power(density, xi, u)

@@ -54,10 +54,11 @@ def _beamform_mc_oracle(r_corr, t_corr, gamma, samples, seed):
     r = r_corr.shape[0]
     taus = np.sort(np.linalg.eigvalsh(t_corr))[::-1]
     gen = SeededStream(seed).generator()
-    # u is drawn in blocks of channels._BLOCK draws, each block's real parts first
+    # |V^H u|^2 is drawn as Exp(1) entries e in blocks of channels._BLOCK draws,
+    # so u = V e^1/2 in R's eigenbasis is a draw with exactly those |V^H u|^2
     blocks = [min(channels._BLOCK, samples - lo) for lo in range(0, samples, channels._BLOCK)]
-    u = np.concatenate([gen.standard_normal((n, r)) + 1j * gen.standard_normal((n, r))
-                        for n in blocks]) / np.sqrt(2)
+    e = np.concatenate([gen.standard_exponential((n, r)) for n in blocks])
+    u = np.sqrt(e) @ np.linalg.eigh(r_corr)[1].T
     w1 = np.einsum("si,ij,sj->s", u.conj(), r_corr, u).real
     w2 = np.einsum("si,ij,sj->s", u.conj(), r_corr @ r_corr, u).real
     vals = (w1 + gamma * taus[1] * w2) / (1.0 + gamma * taus[0] * w1)
@@ -189,6 +190,16 @@ class TestBoundary:
             ref = scipy.optimize.brentq(margin, 1 + 1e-9, 2 - 1e-9, xtol=1e-12)
             assert rho == rho_ref
             assert abs(tau - ref) <= 1e-6
+
+    def test_regula_falsi_takes_a_third_of_the_evaluations(self, monkeypatch):
+        # the bisection to a 1e-6 bracket took 220 margins on this grid: 2 per
+        # rho to bracket and 20 to halve a unit interval to 1e-6
+        calls = []
+        closed = analysis.beamform_opt_closed
+        monkeypatch.setattr(analysis, "beamform_opt_closed",
+                            lambda *a: calls.append(a) or closed(*a))
+        analysis.beamform_boundary(10 ** -1.5, np.arange(1.0, 1.9001, 0.1))
+        assert len(calls) <= 80
 
     def test_identity_transmit_never_crosses(self):
         for gamma in (0.05, 1.0, 10.0):

@@ -118,7 +118,8 @@ class TestSampling:
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("rx", ["identity", "correlated"])
     def test_kronecker_projected_draws_have_the_moments_of_h_p(self, rx, rank):
-        # Y = M P + R^1/2 G_k (P^H T P)^1/2: E[Y] = M P, E[Y^H Y] = P^H (M^H M + tr R T) P
+        # G = (H P)^H H P with H P = M P + R^1/2 G_k (P^H T P)^1/2:
+        # E[G] = P^H (M^H M + tr R T) P
         r, t, n = 3, 4, 200_000
         g = rng(15)
         a = g.normal(size=(r, r)) + 1j * g.normal(size=(r, r))
@@ -129,18 +130,49 @@ class TestSampling:
         lam = np.zeros(t)
         lam[:rank] = 1.0 / rank
         p = montecarlo._thin_factor(covopt._covariance(linalg.haar_unitary(t, rng(16)), lam))
-        y = law.sample_projected(n, rng(17), p)
-        assert y.shape == (n, r, 2)
+        gram = law.sample_gram(n, rng(17), p)
+        assert gram.shape == (n, 2, 2)
         if rank == 1:  # the padded column of P stays exactly zero
-            assert not y[:, :, 1].any()
-        gram = np.einsum("sri,srj->sij", y.conj(), y)
-        ref_gram = p.conj().T @ (mean.conj().T @ mean
-                                 + np.trace(law.rx_corr).real * law.tx_corr) @ p
-        for draws, ref in ((y, mean @ p), (gram, ref_gram)):
-            for part in (np.real, np.imag):
-                v = part(draws)
-                se = v.std(axis=0, ddof=1) / np.sqrt(n)
-                assert np.all(np.abs(v.mean(axis=0) - part(ref)) <= 4 * se + 1e-12)
+            assert not gram[:, :, 1].any() and not gram[:, 1, :].any()
+        ref = p.conj().T @ (mean.conj().T @ mean + np.trace(law.rx_corr).real * law.tx_corr) @ p
+        for part in (np.real, np.imag):
+            v = part(gram)
+            se = v.std(axis=0, ddof=1) / np.sqrt(n)
+            assert np.all(np.abs(v.mean(axis=0) - part(ref)) <= 4 * se + 1e-12)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    @pytest.mark.parametrize("r,t,rho,rank", [
+        (4, 4, 0, 2), (4, 4, 1, 2), (4, 4, 2, 2), (2, 2, 1, 1), (2, 2, 0, 1), (2, 4, 2, 2),
+        (2, 4, 1, 2), (2, 4, 1, 1), (8, 4, 1, 2), (8, 4, 0, 1),
+    ])
+    def test_bartlett_grams_have_the_law_of_sample_batch_grams(self, r, t, rho, rank, c):
+        # at R = c I the Gram is drawn from rank(M P) = rho rows of M P plus noise
+        # and a Bartlett factor of the other n = r - rho rows: n = 0, 1 and >= 2
+        # all occur, and rank-1 Q pads P with a zero column
+        n, gamma = 200_000, 1.5
+        g = rng(21)
+        b = g.normal(size=(t, t)) + 1j * g.normal(size=(t, t))
+        left = g.normal(size=(r, rho)) + 1j * g.normal(size=(r, rho))
+        right = g.normal(size=(t, rho)) + 1j * g.normal(size=(t, rho))
+        law = channels.KroneckerGaussian(left @ right.conj().T, c * np.eye(r), b @ b.conj().T / t)
+        lam = np.zeros(t)
+        lam[:rank] = 1.0 / rank
+        p = montecarlo._thin_factor(covopt._covariance(linalg.haar_unitary(t, rng(22)), lam))
+        assert np.linalg.matrix_rank(law.mean @ p) == rho
+        new = law.sample_gram(n, rng(23), p)
+        old = linalg._gram(channels.sample_batch(law, n, rng(24)) @ p)
+        if rank == 1:
+            assert not new[:, :, 1].any() and not new[:, 1, :].any()
+
+        def stats(gram):
+            d, corner = np.diagonal(gram, axis1=1, axis2=2).real, gram[:, 0, 1]
+            det = d[:, 0] * d[:, 1] - np.abs(corner) ** 2
+            return [*d.T, corner.real, corner.imag, det,
+                    montecarlo._log1p_gram(gamma * d, gamma * corner)]
+
+        for u, v in zip(stats(new), stats(old)):
+            se = np.hypot(u.std(ddof=1), v.std(ddof=1)) / np.sqrt(n)
+            assert abs(u.mean() - v.mean()) <= 4 * se + 1e-12
 
     @pytest.mark.parametrize("law", [
         channels.MatrixGaussian(np.ones((2, 3)), np.diag(np.linspace(0.5, 1.5, 6))),
@@ -149,8 +181,8 @@ class TestSampling:
     ], ids=["matrix-gaussian", "mixture", "point"])
     def test_projected_draws_of_other_laws_are_sample_batch_times_p(self, law):
         p = rng(18).normal(size=(3, 2)) + 1j * rng(19).normal(size=(3, 2))
-        assert np.array_equal(law.sample_projected(300, rng(20), p),
-                              channels.sample_batch(law, 300, rng(20)) @ p)
+        assert np.array_equal(law.sample_gram(300, rng(20), p),
+                              linalg._gram(channels.sample_batch(law, 300, rng(20)) @ p))
 
     @pytest.mark.parametrize("r,t", [(2, 2), (3, 4), (4, 2)])
     def test_kappa_law_draws_are_the_interpolation(self, r, t):

@@ -192,6 +192,16 @@ class TestOptimizeCommand:
         exact = 0.5 * (np.log(1 + 100 * 0.8075) + np.log(1 + 1.6 * 0.1925))
         assert doc["mi"] == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("desc", [
+        '{"type":"point","h":[[[1,0],[0,0]],[[0,0],[2,0]]]}',
+        '{"type":"mixture","weights":[0.5,0.5],"atoms":[[[[1,0]]],[[[2,0]]]]}', IID_2x2_JSON,
+    ], ids=["point", "mixture", "exact"])
+    def test_a_law_without_pools_takes_any_sample_count(self, desc):
+        # --samples sizes solver pools, which point, mixture and exact laws never draw
+        rc, out = run_cli(["optimize", "--channel", desc, "--snr", "1", "--samples", "10"])
+        assert rc == 0
+        assert out == run_cli(["optimize", "--channel", desc, "--snr", "1"])[1]
+
     @pytest.mark.parametrize("method", ["general", "diag"])
     def test_zero_channel_is_infeasible(self, method, capsys):
         zero = json.dumps({"type": "point", "h": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]})
@@ -436,12 +446,12 @@ ONE_TX_JSON = json.dumps({
     (["beamform", "--channel", IID_2x2_JSON, "--snr", "1", "--method", "mc",
       "--samples", "0"], "at least 2 samples"),
     (["figures", "--figure", "fig3", "--samples", "1"], "at least 2 samples"),
-    (["optimize", "--channel", IID_2x2_JSON, "--snr", "1", "--samples", "5"],
+    (["optimize", "--channel", RICEAN_2x2_JSON, "--snr", "1", "--samples", "5"],
      "at least 10^3 samples"),
-    (["optimize", "--channel", IID_2x2_JSON, "--snr", "1", "--samples", "999"],
-     "at least 10^3 samples"),
-    (["optimize", "--channel", POINT_21_JSON, "--snr", "1", "--samples", "500"],
+    (["optimize", "--channel", RICEAN_2x2_JSON, "--snr", "1", "--samples", "999"],
      "optimize needs at least 10^3 samples"),
+    (["optimize", "--channel", POINT_21_JSON, "--snr", "1", "--samples", "1"],
+     "at least 2 samples"),
     (["figures", "--figure", "fig7", "--samples", "500"], "fig7 needs at least 10^3 samples"),
     (["figures", "--figure", "fig9", "--samples", "500"], "fig9 needs at least 10^3 samples"),
     (["figures", "--figure", "fig10", "--samples", "999"], "fig10 needs at least 10^3 samples"),
@@ -502,7 +512,7 @@ ONE_TX_JSON = json.dumps({
 ], ids=["zero-step", "inf-step", "nan-step", "figure-zero-step", "rho-zero-step",
         "nan-snr", "inf-snr", "nan-snr-db", "optimize-1-sample", "beamform-0-samples",
         "figure-1-sample", "optimize-5-samples", "optimize-999-samples",
-        "optimize-point-500-samples", "fig7-500-samples", "fig9-500-samples",
+        "optimize-point-1-sample", "fig7-500-samples", "fig9-500-samples",
         "fig10-999-samples", "fig11-500-samples", "fig12-500-samples", "fig10-size-0",
         "fig10-size-1", "fig11-kappa-points-0", "fig12-kappa-points-1",
         "wishart-fractional-n", "wishart-fractional-m", "onoff-fractional-m",

@@ -132,7 +132,8 @@ def test_support_is_read_only_where_atoms_are_summed():
     # a law with support is solved and scored on its atoms and weights, whatever their
     # number: channels reads them (draw_rows, the families), covopt for its pool
     # (_s_pool), the pool's weights (_weights) and to skip the stand-in start (_solve),
-    # and montecarlo.ergodic_mi for its weighted sum; no module tests the atom count
+    # montecarlo.ergodic_mi for its weighted sum, and cli.cmd_optimize to skip the
+    # pool-size gate for a law it does not pool; no module tests the atom count
     found, counts = set(), []
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text(encoding="utf-8")
@@ -141,7 +142,7 @@ def test_support_is_read_only_where_atoms_are_summed():
             found.update(f"{f.split(':')[0]} {f.split(' ')[1]}"
                          for f in attribute_uses(source, path.name, "support"))
     assert found == {"covopt.py _s_pool", "covopt.py _weights", "covopt.py _solve",
-                     "montecarlo.py ergodic_mi"}
+                     "montecarlo.py ergodic_mi", "cli.py cmd_optimize"}
     assert counts == []
 
 
@@ -176,12 +177,12 @@ def test_whole_pools_are_drawn_only_where_meant():
     # channels._law_blocks and the solver pools through channels._blocks in
     # covopt._s_pool (which calls sample_batch itself, so that the benchmark's
     # tracer can count its pools); the other callers are the module entry point
-    # (it forwards to the family's method) and H P's default draw
+    # (it forwards to the family's method) and the default Gram draw of H P
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += call_sites(path.read_text(encoding="utf-8"), path.name, "sample_batch")
     assert sorted({f"{f.split(':')[0]} {f.split(' ')[1]}" for f in found}) == [
-        "channels.py _law_blocks", "channels.py sample_batch", "channels.py sample_projected",
+        "channels.py _law_blocks", "channels.py sample_batch", "channels.py sample_gram",
         "covopt.py _s_pool"]
 
 

@@ -198,6 +198,34 @@ def test_psd_sqrt_keeps_the_rank_of_a_rank_deficiency():
         assert np.linalg.matrix_rank(r, tol=1e-12) == 1
 
 
+class TestBracketedRootWithoutSlope:
+    @staticmethod
+    def _counted(fun):
+        calls = []
+
+        def wrapped(x):
+            calls.append(x)
+            return fun(x), None
+        return wrapped, calls
+
+    def test_regula_falsi_beats_bisection_on_a_smooth_function(self):
+        # bisection to a 1e-12 bracket of [0, 2] takes 42 evaluations
+        fun, calls = self._counted(lambda x: x ** 3 - 2.0)
+        x = linalg._bracketed_root(fun, 0.0, 2.0, fun(2.0), xtol=1e-12, at_lo=-2.0)
+        assert abs(x - 2.0 ** (1 / 3)) <= 1e-12
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("at_lo", [None, -1.0])
+    def test_a_step_function_closes_onto_its_jump(self, at_lo):
+        # secant steps on a jump only nibble at the bracket: the bisections that
+        # follow two steps short of halving it bring it down to xtol in a few
+        # more evaluations than the 31 of bisection alone
+        fun, calls = self._counted(lambda x: -1.0 if x < 0.3 else 1.0)
+        x = linalg._bracketed_root(fun, 0.0, 1.0, fun(1.0), xtol=1e-9, at_lo=at_lo)
+        assert abs(x - 0.3) <= 1e-9
+        assert len(calls) <= 40
+
+
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(5)
     u = linalg.haar_unitary(4, rng)

@@ -115,7 +115,7 @@ class TestErgodicMi:
 
 
 def test_ergodic_mi_draws_through_the_shared_blocks():
-    # H (or H P at rank <= 2) in channels._BLOCK blocks on one generator of the
+    # H (or the Gram of H P at rank <= 2) in channels._BLOCK blocks on one generator of the
     # stream, as every per-draw reduction draws it; 5,000 is not a multiple of a block
     n, seed = 5_000, 17
     q = np.eye(4) / 4
@@ -127,7 +127,7 @@ def test_ergodic_mi_draws_through_the_shared_blocks():
     p, gen = _thin_factor(q), SeededStream(seed).generator()
     est = ergodic_mi(q, RICEAN_4x4, 1.0, n, seed)
     ref = McEstimate.of(channels._blocks(
-        n, lambda k: _thin_log_dets(RICEAN_4x4.sample_projected(k, gen, p), 1.0)))
+        n, lambda k: _thin_log_dets(RICEAN_4x4.sample_gram(k, gen, p), 1.0)))
     assert (est.mean, est.se, est.samples) == (ref.mean, ref.se, ref.samples)
     # a one-atom law is exact whatever the sample count; a pooled one needs two draws
     atom = channels.PointMass(np.diag([1.0, 0.5]))
@@ -152,11 +152,12 @@ def test_rank_two_mi_forms_its_factors_once_per_call(monkeypatch):
 
 
 def test_rank_two_mi_keeps_its_numbers():
-    # the value this call gave before its per-block factors moved to once per call;
+    # the value this call gives with its Grams drawn through a Bartlett factor
+    # (3.2638125753949474 +- 0.0012346305596294587 from the draws of H P);
     # the relative tolerance leaves room for another CPU's BLAS kernels
     est = ergodic_mi(np.diag([0.6, 0.4, 0.0, 0.0]), RICEAN_4x4, 1.0, 10**5, 12345)
-    assert est.mean == pytest.approx(3.2638125753949474, rel=1e-12, abs=0)
-    assert est.se == pytest.approx(0.0012346305596294587, rel=1e-12, abs=0)
+    assert est.mean == pytest.approx(3.265487799562053, rel=1e-12, abs=0)
+    assert est.se == pytest.approx(0.0012412203668056103, rel=1e-12, abs=0)
 
 
 class TestExpectMatrix:

@@ -592,7 +592,8 @@ class TestPeakLimitedRate:
 
     def test_pooled_level_bisects_to_the_root(self):
         # a pool has no pdf: the truncated power jumps where an eigenvalue
-        # leaves the window, and the solver bisects instead of stepping
+        # leaves the window, and the solver takes regula-falsi steps in place
+        # of Newton steps, bisecting where two of them do not halve the bracket
         pool = channels.empirical_density(channels.KroneckerGaussian(
             np.zeros((1, 1)), np.eye(1), np.eye(1)), 10_000, SeededStream(4).generator())
         xi_unc = waterfill.st_water_level(pool, 1.0)
