@@ -82,6 +82,7 @@ class ChannelLaw:
     iid = False  #: whether H has iid CN(0, 1) entries, so H H^H is complex Wishart
     diag_basis = None  #: a unitary known a priori to diagonalize the optimal Q, or None
     support = None  #: ((k, r, t) atoms, (k,) weights) of a finite law, solved and scored exactly
+    kronecker = None  #: (M, R, T) of a law H = M + R^1/2 G T^1/2 or of its fit, or None
     #: whether H H^H has eigenvalue density > 0 at 0+ (square H with a nonsingular Gaussian
     #: part: P(lam_min < e) ~ c e), so E[1/lam] = inf though no pool shows it
     _dense_at_zero = False
@@ -162,6 +163,9 @@ class MatrixGaussian(ChannelLaw):
     mean: np.ndarray
     cov: np.ndarray
     _dense_at_zero = property(lambda s: s.rx == s.tx and _nonsingular(s.cov))
+    #: the fit with the same E[H] and E[H^H H]: R = I, T = (E[H^H H] - E[H]^H E[H]) / r
+    kronecker = property(lambda s: (s.mean, np.eye(s.rx), (
+        s.expected_gram() - s.mean.conj().T @ s.mean) / s.rx))
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))
@@ -207,6 +211,7 @@ class KroneckerGaussian(ChannelLaw):
     rx_corr: np.ndarray
     tx_corr: np.ndarray
     _dense_at_zero = property(lambda s: s.rx == s.tx and _nonsingular(s.rx_corr, s.tx_corr))
+    kronecker = property(lambda s: (s.mean, s.rx_corr, s.tx_corr))
 
     def __post_init__(self):
         object.__setattr__(self, "mean", as_complex_matrix(self.mean))

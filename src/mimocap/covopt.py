@@ -11,17 +11,16 @@ coordinate sets:
   diagonalize the optimum (T's eigenvectors on zero-mean Kronecker laws), so
   only the powers q move, with gradient E[X_kk] and curvature E[|X_kl|^2].
 
-A general solve on a pooled law with no atoms starts at the exact optimum of its
-stand-in, the zero-mean Gaussian law with the same E[H^H H] (R = I), wherever that
-law has a closed form; every other solve starts at the maximizer of Jensen's bound
-log det(I + gamma Q E[H^H H]), which the two laws share. Each step is cut at the
-PSD boundary, where a power reaching zero is set to exactly zero, and backtracked
-on the pool MI. The next epoch's pool first checks the stationarity residual
-(``_residual``): in the eigenbasis of Q, the powered rows of E[X] must equal mu I
-and the largest eigenvalue of E[X] on the off space must not exceed mu. Zero-mean Kronecker laws with R = c I,
-t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``): both solvers step in
-T's eigenbasis on the closed-form MI, gradient and Hessian, one evaluation per
-point, and report the MI with SE 0. So does a law with ``support``: its one pool is its
+A general solve on a pooled law with no atoms starts at the maximizer of the large-system
+deterministic equivalent of its MI (``_de_start``), which draws nothing; every other solve,
+and one whose start does not settle, at the maximizer of Jensen's bound log det(I + gamma Q
+E[H^H H]). Each step is cut at the PSD boundary, where a power reaching zero is set to
+exactly zero, and backtracked on the pool MI. The next epoch's pool first checks the
+stationarity residual (``_residual``): in the eigenbasis of Q, the powered rows of E[X] must
+equal mu I and the largest eigenvalue of E[X] on the off space must not exceed mu. Zero-mean
+Kronecker laws with R = c I, t <= r, t <= 5 and r <= 16 draw no pools (``law.exact``): both
+solvers step in T's eigenbasis on the closed-form MI, gradient and Hessian, one evaluation
+per point, and report the MI with SE 0. So does a law with ``support``: its one pool is its
 atoms, weighted by theirs (``_weights``), so E[X], the curvature and the MI are exact sums.
 The paper's damped Cholesky-factor map T <- T (M + M^H), M = E[(I + S T^H T)^-1 S],
 survives only as the subject of figures 9 and 10 (``_cholesky_map_trace``).
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _BLOCK, ChannelLaw, KroneckerGaussian, _blocks, sample_batch
+from .channels import _BLOCK, ChannelLaw, _blocks, sample_batch
 from .linalg import _gram, as_psd, herm_eig, ut_gram
 from .montecarlo import (
     DEFAULT_SAMPLES_FINAL,
@@ -442,17 +441,60 @@ def _update(mi_of, vecs: np.ndarray, lam: np.ndarray, direction: tuple,
             return vecs, lam, mi
 
 
-def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovOptResult:
-    """Newton steps on frozen pools, epoch by epoch, from a start that E[H^H H] fixes
-    (``InfeasibleError`` where it is 0).
+def _deterministic_equivalent(kron: tuple, gamma: float, vecs: np.ndarray, lam: np.ndarray,
+                              deltas=(1.0, 1.0)) -> tuple:
+    """Deterministic equivalent of the MI of H = M + R^1/2 G T^1/2, (M, R, T) = ``kron`` (Hachem
+    et al., Ann. Appl. Probab. 2007; Dumont et al., IEEE Trans. IT 2010), at Q = vecs diag(lam)
+    vecs^H: (delta, delta~) and the gradient G = gamma (delta T + M^H (I + delta~ R)^-1 M). With
+    D~ = gamma Q^1/2 T Q^1/2, A = gamma^1/2 M Q^1/2, delta = tr R (I + delta~ R + A (I + delta
+    D~)^-1 A^H)^-1, delta~ = tr D~ (I + delta D~ + A^H (I + delta~ R)^-1 A)^-1, by Newton's method
+    from ``deltas`` (a plain sweep where the Jacobian is not positive or a delta turns negative)."""
+    (mean, rx, tx), fq = kron, vecs[:, lam > 0] * np.sqrt(lam[lam > 0])  # Q = fq fq^H
+    rho, ur = np.linalg.eigh(rx)  # R and D~ diagonal, A rotated to match
+    rho, m = rho.clip(0.0), ur.conj().T @ mean
+    d, v = np.linalg.eigh(gamma * (fq.conj().T @ tx @ fq))
+    d, a, (dl, dt) = d.clip(0.0), np.sqrt(gamma) * (m @ fq @ v), deltas
+    for _ in range(100):
+        e, f = 1.0 / (1.0 + dl * d), 1.0 / (1.0 + dt * rho)
+        tr = np.linalg.inv(np.diag(1.0 + dt * rho) + (a * e) @ a.conj().T)
+        tt = np.linalg.inv(np.diag(1.0 + dl * d) + (a.conj().T * f) @ a)
+        phi, phit = rho @ np.diag(tr).real, d @ np.diag(tt).real
+        if abs(f1 := dl - phi) + abs(f2 := dt - phit) <= 1e-13 * (dl + dt):
+            break
+        j11, j12 = 1.0 - rho @ np.abs(tr @ a) ** 2 @ (d * e * e), rho @ np.abs(tr) ** 2 @ rho
+        j22, j21 = 1.0 - d @ np.abs(tt @ a.conj().T) ** 2 @ (rho * f * f), d @ np.abs(tt) ** 2 @ d
+        det = j11 * j22 - j12 * j21
+        new = dl - (j22 * f1 - j12 * f2) / det, dt - (j11 * f2 - j21 * f1) / det
+        dl, dt = new if det > 0 and min(new) >= 0 else (phi, phit)
+    return (dl, dt), gamma * (dl * tx + (m.conj().T / (1.0 + dt * rho)) @ m)
 
-    A general solve (no ``basis``) of a pooled law with no atoms starts at the exact
-    optimum of the stand-in KroneckerGaussian(0, I_r, E[H^H H] / r) wherever that law is
-    ``exact`` (t <= 5, t <= r <= 16): its MI sees the fading, so its optimum usually has
-    the pooled optimum's rank, where Jensen's bound often powers every mode. It is solved
-    to ``tol`` whatever ``max_iter`` is. Every other solve starts at water-filling over gamma
-    E[H^H H], the maximizer of Jensen's bound: exact on a point mass and I/t where E[H^H H]
-    is a multiple of I. With a ``basis`` U it water-fills the real diagonal of
+
+def _de_start(kron: tuple, gamma: float, vecs: np.ndarray, lam: np.ndarray) -> tuple:
+    """Eigenpairs of the maximizer over trace-one Q of :func:`_deterministic_equivalent` of
+    ``kron``, from the start ``vecs``, ``lam``: each step water-fills G, carrying (delta, delta~)
+    over, until Q moves by at most 1e-4. It draws nothing; after 20 steps it returns the start."""
+    start, deltas = (vecs, lam), (1.0, 1.0)
+    for _ in range(20):
+        deltas, g = _deterministic_equivalent(kron, gamma, vecs, lam, deltas)
+        q, (vecs, eig) = _covariance(vecs, lam), herm_eig(g)
+        lam = waterfill_det(eig.clip(0.0), 1.0).powers
+        lam /= lam.sum()
+        if np.abs(_covariance(vecs, lam) - q).max() <= 1e-4:
+            return vecs, lam
+    return start
+
+
+def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovOptResult:
+    """Newton steps on frozen pools, epoch by epoch, from a start that the law fixes
+    (``InfeasibleError`` where E[H^H H] is 0).
+
+    A general solve (no ``basis``) of a pooled law with no atoms starts at the maximizer of
+    the deterministic equivalent of the MI of ``law.kronecker`` (:func:`_de_start`): it draws
+    nothing and sees the fading, so its optimum usually has the pooled optimum's rank,
+    where Jensen's bound often powers every mode. Every other solve, and one whose
+    deterministic equivalent does not settle in 20 outer steps, starts at water-filling over
+    gamma E[H^H H], the maximizer of Jensen's bound: exact on a point mass and I/t where
+    E[H^H H] is a multiple of I. With a ``basis`` U it water-fills the real diagonal of
     U^H E[H^H H] U and the steps move only the powers over U, else all of Q
     (:func:`_direction`). Each iteration takes one step, cut at the PSD
     boundary and backtracked on the pool MI (:func:`_update`), which is the
@@ -465,18 +507,12 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
     gram = law.expected_gram()
     if not np.any(gram):
         raise InfeasibleError("zero channel: the capacity is 0 and every covariance is optimal")
-    # the zero-mean Gaussian law with the same E[H^H H]: Jensen's bound is the same,
-    # but its exact MI sees the fading
-    stand_in = (KroneckerGaussian(np.zeros(law.shape), np.eye(law.rx), gram / law.rx)
-                if full and not law.exact and law.support is None else None)
-    if stand_in is not None and stand_in.exact:
-        vecs = stand_in.diag_basis  # solved to tol: opts.max_iter counts the pooled steps
-        lam = _solve(stand_in, gamma, OptimizerOptions(tol=opts.tol), vecs).qhat
-    else:
-        vecs, eig = herm_eig(gram) if full else (
-            np.eye(law.tx), np.einsum("ij,ik,kj->j", basis.conj(), gram, basis).real)
-        lam = waterfill_det(gamma * eig.clip(0.0), 1.0).powers
-        lam /= lam.sum()
+    vecs, eig = herm_eig(gram) if full else (
+        np.eye(law.tx), np.einsum("ij,ik,kj->j", basis.conj(), gram, basis).real)
+    lam = waterfill_det(gamma * eig.clip(0.0), 1.0).powers
+    lam /= lam.sum()
+    if full and not law.exact and law.support is None and (kron := law.kronecker) is not None:
+        vecs, lam = _de_start(kron, gamma, vecs, lam)
     stream = as_stream(opts.seed)
     still = max(opts.tol * 1e-2, 1e-7 if law.exact else 0.0)  # 1e-7: exact MI round-off
     trace, res_trace = [], []
@@ -549,9 +585,8 @@ def iterate_general(law: ChannelLaw, gamma: float,
                     opts: OptimizerOptions = OptimizerOptions()) -> CovOptResult:
     """Optimal covariance by projected Newton steps on Hermitian Q (no basis needed).
 
-    Starting from the exact optimum of the zero-mean Gaussian law with the same E[H^H H],
-    or from water-filling over E[H^H H] where that law has no closed form (:func:`_solve`),
-    each iteration takes one Newton step of the MI over trace-one PSD matrices in the current
+    From :func:`_solve`'s start (the deterministic equivalent's optimum, else Jensen's), each
+    iteration takes one Newton step of the MI over trace-one PSD matrices in the current
     eigenbasis of Q (:func:`_solve` on all Hermitian coordinates), with gradient E[X] and
     curvature E[tr(X D X D)] on the frozen pool, cut at the PSD boundary so
     off eigenvalues come out exactly zero. The run stops, ``converged``,

@@ -131,7 +131,7 @@ def test_the_support_guard_sees_every_atom_count():
 def test_support_is_read_only_where_atoms_are_summed():
     # a law with support is solved and scored on its atoms and weights, whatever their
     # number: channels reads them (draw_rows, the families), covopt for its pool
-    # (_s_pool), the pool's weights (_weights) and to skip the stand-in start (_solve),
+    # (_s_pool), the pool's weights (_weights) and to skip the DE start (_solve),
     # montecarlo.ergodic_mi for its weighted sum, and cli.cmd_optimize to skip the
     # pool-size gate for a law it does not pool; no module tests the atom count
     found, counts = set(), []
@@ -184,6 +184,14 @@ def test_whole_pools_are_drawn_only_where_meant():
     assert sorted({f"{f.split(':')[0]} {f.split(' ')[1]}" for f in found}) == [
         "channels.py _law_blocks", "channels.py sample_batch", "channels.py sample_gram",
         "covopt.py _s_pool"]
+
+
+def test_the_solver_does_not_call_itself():
+    # a general solve starts at the deterministic equivalent's optimum, found without
+    # draws, not at the optimum of a nested solve of some other law
+    source = (SRC / "covopt.py").read_text(encoding="utf-8")
+    assert sorted(f.split(" ")[1] for f in call_sites(source, "covopt.py", "_solve")) == [
+        "fixed_point_diag", "iterate_general"]
 
 
 def test_solver_pools_are_reduced_block_by_block():
