@@ -1,6 +1,6 @@
 """Optimal transmit covariance when only the channel law is known.
 
-Two solvers. When a diagonalizing basis is known up front (deterministic
+Two solvers. When the law states a diagonalizing basis up front (deterministic
 channels, zero-mean Kronecker fading) the problem is a power allocation, and
 Newton steps on the resolvent stationarity condition find it, with off modes
 exactly zero. In general no basis is known: projected Newton steps on the
@@ -11,7 +11,7 @@ eigenvectors included.
 import numpy as np
 
 from mimocap import (
-    PointMass,
+    FiniteMixture,
     KroneckerGaussian,
     OptimizerOptions,
     fixed_point_diag,
@@ -23,7 +23,7 @@ from mimocap.linalg import haar_unitary
 
 # --- sanity anchor: a deterministic channel reduces to water-filling ---------
 
-law = PointMass(np.diag([np.sqrt(2.0), 1.0]))
+law = FiniteMixture(np.ones(1), (np.diag([np.sqrt(2.0), 1.0]),))  # a one-atom mixture
 sol = waterfill_det([2.0, 1.0], 1.0)
 res = fixed_point_diag(law, 1.0, opts=OptimizerOptions(tol=1e-7, max_iter=2000))
 print("Deterministic eigenvalues {2, 1}, unit budget:")
@@ -34,7 +34,7 @@ print(f"  Newton (diag): powers {res.qhat.round(6)}, MI  {res.mi.mean:.6f} nats"
 
 rng = np.random.default_rng(1)
 u = haar_unitary(2, rng)
-law_rot = PointMass((u * np.sqrt([2.0, 1.0])) @ u.conj().T)
+law_rot = FiniteMixture(np.ones(1), ((u * np.sqrt([2.0, 1.0])) @ u.conj().T,))
 res_rot = iterate_general(law_rot, 1.0, opts=OptimizerOptions(tol=1e-9))
 print("\nSame spectrum behind a random unitary, general Newton solver:")
 print(f"  MI {res_rot.mi.mean:.6f} nats (capacity {sol.rate:.6f}), "

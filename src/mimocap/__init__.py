@@ -20,7 +20,6 @@ from .channels import (
     FiniteMixture,
     KroneckerGaussian,
     MatrixGaussian,
-    PointMass,
     PointMassDensity,
     WishartDensity,
     empirical_density,

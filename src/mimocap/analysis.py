@@ -25,9 +25,9 @@ import numpy as np
 from .channels import (
     ChannelLaw,
     KroneckerGaussian,
-    PointMass,
     _blocks,
     _law_blocks,
+    _point_mass,
     _small_gram,
 )
 from .covopt import (
@@ -287,17 +287,16 @@ def wishart_approx_covariance(mean, tx_corr, gamma: float,
                               ) -> tuple[np.ndarray, ChannelLaw]:
     """Input covariance that is optimal under the central-Wishart stand-in.
 
-    Folds Q = I/t into the scale recipe, builds the zero-mean Kronecker law
-    with that transmit correlation, and optimizes the power allocation in its
-    eigenbasis. The returned covariance is meant to be judged under the true
-    law (the approximation only picks the input, never the yardstick).
+    Folds Q = I/t into the scale recipe, builds the zero-mean Kronecker law with that
+    transmit correlation, and optimizes the power allocation in its ``diag_basis``, the
+    scale's eigenbasis. The returned covariance is meant to be judged under the true law
+    (the approximation only picks the input, never the yardstick).
     """
     mean = np.asarray(mean, dtype=complex)
     r, t = mean.shape
     sigma = wishart_approx(mean, tx_corr, np.eye(t) / t)
     approx_law = KroneckerGaussian(np.zeros((r, t)), np.eye(r), sigma)
-    basis, _ = herm_eig(sigma)
-    res = fixed_point_diag(approx_law, gamma, basis, opts)
+    res = fixed_point_diag(approx_law, gamma, opts)
     return res.q, approx_law
 
 
@@ -324,7 +323,7 @@ def interp_study(m0, noise_cov, kappa_grid, gamma: float,
 
     For each kappa in [0, 1] runs the general optimizer on H = kappa*M0 +
     (1-kappa)*G*Sigma^1/2, G iid CN(0, 1): KroneckerGaussian(kappa*M0, I,
-    (1-kappa)^2 Sigma), or the point mass M0 at kappa = 1. At kappa = 0 that law is
+    (1-kappa)^2 Sigma), or the one-atom mixture M0 at kappa = 1. At kappa = 0 that law is
     zero-mean, so where it is ``exact`` it is solved on the closed form, with no pool.
     Records the eigen-structure of the optimum plus the angle between its top
     eigenvector and that of E[H^H H] (they differ: the optimum is not a straight
@@ -337,7 +336,7 @@ def interp_study(m0, noise_cov, kappa_grid, gamma: float,
         raise ValueError("kappa must lie in [0, 1]")
     out = []
     for i, kappa in enumerate(kappas.tolist()):
-        law: ChannelLaw = (PointMass(m0) if kappa == 1.0 else KroneckerGaussian(
+        law: ChannelLaw = (_point_mass(m0) if kappa == 1.0 else KroneckerGaussian(
             kappa * m0, np.eye(len(m0)), (1.0 - kappa) ** 2 * np.asarray(noise_cov)))
         res = iterate_general(law, gamma,
                               dataclasses.replace(opts, seed=opts.seed + 7919 * i))

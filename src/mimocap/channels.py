@@ -1,9 +1,10 @@
 """Channel-law descriptions, exact samplers, and eigenvalue densities.
 
 A :class:`ChannelLaw` describes the distribution of the r x t gain matrix H.
-Supported families: deterministic point mass, matrix Gaussian with a general
-rt x rt covariance of the column-stacked vector, Kronecker-correlated Gaussian
-(H = M + R^{1/2} G T^{1/2}), and finite mixtures of fixed matrices. The paper's
+Supported families: matrix Gaussian with a general rt x rt covariance of the
+column-stacked vector, Kronecker-correlated Gaussian (H = M + R^{1/2} G T^{1/2}),
+and finite mixtures of fixed matrices, a deterministic channel being the mixture
+of one atom. The paper's
 mean/noise interpolation H = k*M0 + (1-k)*G*S^{1/2} is the Kronecker law with mean
 k*M0, R = I and T = (1-k)^2 S.
 
@@ -33,7 +34,6 @@ from .linalg import (_circular_gaussian, _gram, as_complex_matrix, as_psd, herm_
 
 __all__ = [
     "ChannelLaw",
-    "PointMass",
     "MatrixGaussian",
     "KroneckerGaussian",
     "FiniteMixture",
@@ -126,34 +126,6 @@ class ChannelLaw:
 
 
 @dataclass(frozen=True)
-class PointMass(ChannelLaw):
-    """Deterministic channel: every draw returns the same matrix."""
-
-    h0: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "h0", as_complex_matrix(self.h0))
-
-    @property
-    def shape(self):
-        return self.h0.shape
-
-    @property
-    def support(self):
-        return self.h0[None, :, :], np.ones(1)
-
-    @property
-    def diag_basis(self):
-        return herm_eig(self.expected_gram())[0]
-
-    def sample_batch(self, size, rng):
-        return np.broadcast_to(self.h0, (size, *self.shape)).copy()
-
-    def expected_gram(self):
-        return self.h0.conj().T @ self.h0
-
-
-@dataclass(frozen=True)
 class MatrixGaussian(ChannelLaw):
     """Gaussian H with mean ``mean`` and rt x rt covariance ``cov`` of vec(H).
 
@@ -234,8 +206,9 @@ class KroneckerGaussian(ChannelLaw):
         return (np.allclose(self.mean, 0) and np.allclose(self.rx_corr, np.eye(self.rx))
                 and np.allclose(self.tx_corr, np.eye(self.tx)))
 
-    @property
+    @functools.cached_property
     def diag_basis(self):
+        """T's eigenvectors on a zero-mean law (Jafar & Goldsmith, 2004), else None."""
         return herm_eig(self.tx_corr)[0] if np.allclose(self.mean, 0) else None
 
     @functools.cached_property
@@ -315,32 +288,21 @@ class KroneckerGaussian(ChannelLaw):
         w = th @ vecs
         return mi, gain * (w * grad) @ w.conj().T
 
-    def exact_powers(self, basis, q, gamma: float) -> tuple[float, np.ndarray, np.ndarray]:
-        """:meth:`exact_mi` at Q = U diag(q) U^H, U = ``basis``, with its gradient and Hessian in q:
-        no eigh where U diagonalizes T (sigma = gamma c diag(U^H T U) q), else Lewis & Sendov's
-        spectral Hessian (SIAM J. Matrix Anal. Appl. 2001)."""
+    def exact_powers(self, q, gamma: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """:meth:`exact_mi` at Q = U diag(q) U^H, U = :attr:`diag_basis` (a law with a closed
+        form has zero mean, so U diagonalizes T), with its gradient and Hessian in q: sigma =
+        gamma c diag(U^H T U) q, no eigh."""
         if not self.exact:
             raise ValueError("the MI of this law has no closed form")
-        gain, tu = gamma * self.rx_corr[0, 0].real, basis.conj().T @ self.tx_corr @ basis
-        tau = np.diag(tu).real
-        if np.abs(tu - np.diag(tau)).max() <= 1e-12 * np.abs(tu).max():
-            mi, grad, hess = _log_det_moment(self.rx, gain * tau * q)
-            return mi, gain * tau * grad, gain ** 2 * np.outer(tau, tau) * hess
-        tb = self._tx_sqrt @ basis
-        sigma, vecs = np.linalg.eigh(gain * ((tb * q) @ tb.conj().T))
-        mi, grad, hess = _log_det_moment(self.rx, np.maximum(sigma, 0.0))
-        w = vecs.conj().T @ tb
-        close = np.abs(gap := sigma[:, None] - sigma) <= 1e-8 * sigma.max()  # confluent limit
-        a = np.where(close, np.diag(hess)[:, None] - hess,
-                     (grad[:, None] - grad) / np.where(close, 1.0, gap))
-        z, k = w[:, None, :] * w.conj(), np.abs(w) ** 2
-        return mi, gain * grad @ k, gain ** 2 * (
-            k.T @ hess @ k + np.einsum("ija,ij,ijb->ab", z, a, z.conj()).real)
+        u, gain = self.diag_basis, gamma * self.rx_corr[0, 0].real
+        tau = np.diag(u.conj().T @ self.tx_corr @ u).real
+        mi, grad, hess = _log_det_moment(self.rx, gain * tau * q)
+        return mi, gain * tau * grad, gain ** 2 * np.outer(tau, tau) * hess
 
 
 @dataclass(frozen=True)
 class FiniteMixture(ChannelLaw):
-    """Discrete law over a finite set of channel matrices."""
+    """Discrete law over a finite set of channel matrices; one atom is a deterministic channel."""
 
     weights: np.ndarray
     atoms: tuple
@@ -364,6 +326,18 @@ class FiniteMixture(ChannelLaw):
     @property
     def support(self):
         return np.stack(self.atoms), self.weights
+
+    @property
+    def diag_basis(self):
+        """E[H^H H]'s eigenvectors U where U^H G U is diagonal to round-off for every atom's
+        Gram G (as for one atom), else None. By Hadamard's inequality no det(I + gamma G Q)
+        then falls when U^H Q U loses its off-diagonal: the optimal Q is diagonal in U."""
+        u = herm_eig(self.expected_gram())[0]
+        for a in self.atoms:
+            g = u.conj().T @ (a.conj().T @ a) @ u
+            if np.abs(g - np.diag(np.diag(g))).max() > 1e-12 * np.abs(g).max():
+                return None
+        return u
 
     def sample_batch(self, size, rng):
         idx = rng.choice(len(self.atoms), size=size, p=self.weights)
@@ -982,10 +956,15 @@ def _matrix_from_json(obj) -> np.ndarray:
 
 _MATRIX = (_matrix_to_json, _matrix_from_json)
 
-#: descriptor type -> (law class, {key: (encoder, decoder)}), the keys in the
-#: order of the class's fields
+def _point_mass(h) -> FiniteMixture:
+    """The deterministic channel ``h``: a one-atom mixture."""
+    return FiniteMixture(np.ones(1), (h,))
+
+
+#: descriptor type -> (law class, {key: (encoder, decoder)}), the keys in the order of
+#: the class's fields; "point" is read only, its law being written as a "mixture"
 _DESCRIPTORS = {
-    "point": (PointMass, {"h": _MATRIX}),
+    "point": (_point_mass, {"h": _MATRIX}),
     "gaussian": (MatrixGaussian, {"mean": _MATRIX, "cov": _MATRIX}),
     "kronecker": (KroneckerGaussian, {"mean": _MATRIX, "rx_corr": _MATRIX, "tx_corr": _MATRIX}),
     "mixture": (FiniteMixture, {"weights": (np.ndarray.tolist, np.asarray), "atoms": _MATRIX}),
@@ -1014,7 +993,7 @@ def _decode_field(obj: dict, key: str, decode):
 def law_to_json(law: ChannelLaw) -> dict:
     """Serialize a channel law to the JSON descriptor consumed by the CLI."""
     for kind, (cls, codecs) in _DESCRIPTORS.items():
-        if isinstance(law, cls):
+        if isinstance(cls, type) and isinstance(law, cls):
             return {"type": kind, **{key: encode(getattr(law, f.name)) for (key, (encode, _)), f
                                      in zip(codecs.items(), fields(cls))}}
     raise TypeError(f"unknown channel law {type(law).__name__}")

@@ -34,7 +34,7 @@ from . import analysis, channels, covopt, waterfill
 from .channels import (
     EigDensity,
     KroneckerGaussian,
-    PointMass,
+    _point_mass,
     empirical_density,
     law_from_json,
     onoff_density,
@@ -244,13 +244,8 @@ def cmd_optimize(args) -> int:
     law = law_from_json(_load_descriptor(args.channel))
     opts = _solver_opts(args, pools=not (law.exact or law.support is not None))
     gamma = float(_snr_points(args, single=True)[1][0])
-    if args.method == "diag":
-        basis = law.diag_basis
-        if basis is None:
-            raise ValueError("no a-priori diagonalizing basis for this law; use --method general")
-        res = covopt.fixed_point_diag(law, gamma, basis, opts)
-    else:
-        res = covopt.iterate_general(law, gamma, opts)
+    res = (covopt.fixed_point_diag if args.method == "diag" else covopt.iterate_general)(
+        law, gamma, opts)
     if not res.converged:
         print("warning: optimizer did not reach tolerance; "
               "emitting the last iterate", file=sys.stderr)
@@ -406,7 +401,7 @@ def _fig9(args, dbs, gammas, scale, unit):
     for k in range(5):
         u = haar_unitary(2, gen)
         h = (u * np.sqrt([2.0, 1.0])) @ u.conj().T
-        for i, mi in enumerate(covopt._cholesky_map_trace(PointMass(h), gammas[0], opts)):
+        for i, mi in enumerate(covopt._cholesky_map_trace(_point_mass(h), gammas[0], opts)):
             rows.append([k, i + 1, (cap - float(mi)) * scale])
     return ["unitary", "iter", f"capacity_gap_{unit}"], rows
 

@@ -7,9 +7,9 @@ coordinate sets:
 
 * ``iterate_general``: all Hermitian coordinates of a step W D W^H in the
   eigenbasis of Q, with gradient E[X] and curvature E[tr(X D X D)];
-* ``fixed_point_diag``: only the diagonal units in a basis U known to
-  diagonalize the optimum (T's eigenvectors on zero-mean Kronecker laws), so
-  only the powers q move, with gradient E[X_kk] and curvature E[|X_kl|^2].
+* ``fixed_point_diag``: only the diagonal units in the basis U the law states diagonalizes
+  the optimum (``law.diag_basis``, e.g. T's eigenvectors on zero-mean Kronecker laws),
+  so only the powers q move, with gradient E[X_kk] and curvature E[|X_kl|^2].
 
 A general solve on a pooled law with no atoms starts at the maximizer of the large-system
 deterministic equivalent of its MI (``_de_start``), which draws nothing; every other solve,
@@ -97,7 +97,7 @@ class CovOptResult:
 
     ``mi_trace`` and ``residual_trace`` are per-iteration values measured on
     the current sample pool; ``kkt_residual`` is the final fresh-pool check.
-    ``qhat`` holds the solver's powers: over the given basis, or Q's eigenvalues.
+    ``qhat`` holds the solver's powers: over ``law.diag_basis``, or Q's eigenvalues.
     """
 
     q: np.ndarray
@@ -114,11 +114,9 @@ def _s_pool(law: ChannelLaw, gamma: float, basis, samples: int,
             stream: SeededStream) -> np.ndarray:
     """Pool of S = gamma * (H U)^H (H U) draws, shape (pool, t, t), drawn, rotated
     and formed block by block (:func:`channels._blocks`): the pool and one block."""
-    u = None if basis is None else np.asarray(basis, dtype=complex)
-
     def gram(h):
-        if u is not None:
-            h = (h.reshape(-1, h.shape[2]) @ u).reshape(h.shape)
+        if basis is not None:
+            h = (h.reshape(-1, h.shape[2]) @ basis).reshape(h.shape)
         return _gram(h, gamma)
 
     if law.support is not None:  # each atom once, weighted by _weights; samples unused
@@ -237,19 +235,17 @@ def _objective(law: ChannelLaw, gamma: float, basis, samples: int,
     E[X] at Q = vecs diag(lam) vecs^H and ``curv(W, coords)``, the curvature
     E[tr(X B_a X B_b)] of a step W D W^H over the ``coords`` of
     :func:`_herm_coords`, formed only when called. With a basis only the
-    powers move, so E[X] is cut to its real diagonal. The exact objective
-    needs a basis, reads the powers (Q's diagonal) and keeps the last point's
+    powers move, so E[X] is cut to its real diagonal. The exact objective is over
+    ``law.diag_basis``, reads the powers (Q's diagonal) and keeps the last point's
     ``law.exact_powers``; the curvature is minus its Hessian, but a freed power
     takes its entries with off ones from a one-sided gradient step of 10^-4 / t.
     """
-    if basis is not None and np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() > 1e-9:
-        raise ValueError("diagonalizing basis must be unitary")
     if law.exact:
         last = [None, None]  # the powers' bytes and their exact_powers
 
         def at(lam):
             if last[0] != lam.tobytes():
-                last[:] = lam.tobytes(), law.exact_powers(basis, lam, gamma)
+                last[:] = lam.tobytes(), law.exact_powers(lam, gamma)
             return last[1]
 
         def exact_moments(vecs, lam):
@@ -562,23 +558,25 @@ def _solve(law: ChannelLaw, gamma: float, opts: OptimizerOptions, basis) -> CovO
         iterations=iters, converged=converged, qhat=lam)
 
 
-def fixed_point_diag(law: ChannelLaw, gamma: float, basis=None,
+def fixed_point_diag(law: ChannelLaw, gamma: float,
                      opts: OptimizerOptions = OptimizerOptions()) -> CovOptResult:
-    """Optimal power allocation over a known basis by active-set Newton steps.
+    """Optimal power allocation over the law's diagonalizing basis by active-set Newton steps.
 
-    From water-filling over the diagonal of U^H E[H^H H] U (U = ``basis``,
-    the identity if None), each iteration takes one Newton step of the MI on
-    the power simplex (:func:`_solve` on U's diagonal coordinates), with
-    gradient d_k = E[X_kk] and curvature E[|X_kl|^2] on the frozen pool, cut
-    at the simplex boundary so off modes come out exactly zero. A pool is
-    left once a step moves no power by more than ``tol / 100``, and the run
-    is ``converged`` when the stationarity residual on the next, fresh pool
-    is at most ``tol``. On a law with a closed form the steps use the exact
+    U is ``law.diag_basis``; a law that states none raises ``ValueError``. From
+    water-filling over the diagonal of U^H E[H^H H] U, each iteration takes one
+    Newton step of the MI on the power simplex (:func:`_solve` on U's diagonal
+    coordinates), with gradient d_k = E[X_kk] and curvature E[|X_kl|^2] on the
+    frozen pool, cut at the simplex boundary so off modes come out exactly zero.
+    A pool is left once a step moves no power by more than ``tol / 100``, and
+    the run is ``converged`` when the stationarity residual on the next, fresh
+    pool is at most ``tol``. On a law with a closed form the steps use the exact
     MI, gradient and Hessian (one evaluation per point) in place of pools: one
-    epoch, and the reported MI is exact with SE 0. ``qhat`` holds the powers.
+    epoch, and the reported MI is exact with SE 0. ``qhat`` holds the powers
+    over U, in its order.
     """
-    return _solve(law, gamma, opts,
-                  np.eye(law.tx) if basis is None else np.asarray(basis, dtype=complex))
+    if (basis := law.diag_basis) is None:
+        raise ValueError("no a-priori diagonalizing basis for this law; use --method general")
+    return _solve(law, gamma, opts, basis)
 
 
 def iterate_general(law: ChannelLaw, gamma: float,
@@ -598,7 +596,7 @@ def iterate_general(law: ChannelLaw, gamma: float,
     :func:`fixed_point_diag`'s in them.
     """
     if law.exact:
-        return fixed_point_diag(law, gamma, law.diag_basis, opts)
+        return fixed_point_diag(law, gamma, opts)
     return _solve(law, gamma, opts, None)
 
 

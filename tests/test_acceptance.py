@@ -50,7 +50,7 @@ def test_criterion_2_general_iteration_on_rotated_point_mass():
     worst_mi = worst_res = 0.0
     for _ in range(20):
         u = linalg.haar_unitary(2, rng)
-        law = channels.PointMass((u * np.sqrt([2.0, 1.0])) @ u.conj().T)
+        law = channels._point_mass((u * np.sqrt([2.0, 1.0])) @ u.conj().T)
         res = covopt.iterate_general(law, 1.0, opts=OptimizerOptions(tol=1e-9,
                                                                      max_iter=6000))
         worst_mi = max(worst_mi, abs(res.mi.mean - GOLDEN_RATE))
@@ -185,7 +185,7 @@ def test_criterion_8_property_suite():
         d = rng.uniform(0.3, 1.7)
         law = channels.KroneckerGaussian(np.zeros((2, 2)), np.eye(2),
                                          np.diag([d, 2 - d]))
-        ok = monotonicity_check(law, np.eye(2), [0.1, 1.0, 10.0],
+        ok = monotonicity_check(law, [0.1, 1.0, 10.0],
                                 OptimizerOptions(samples=20_000, tol=2e-2,
                                                  max_iter=200,
                                                  seed=int(rng.integers(2**31)),

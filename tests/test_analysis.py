@@ -247,7 +247,7 @@ class TestLowSnrCov:
 class TestHighSnr:
     def test_point_mass_identity_channel(self):
         t = 3
-        law = channels.PointMass(np.eye(t))
+        law = channels._point_mass(np.eye(t))
         for gamma, tol in ((100.0, 0.05), (10_000.0, 5e-4)):
             res = analysis.high_snr_capacity(law, gamma, samples=10, rng=0)
             assert np.isclose(res.approx.mean, t * np.log(gamma / t), atol=1e-9)
@@ -399,7 +399,7 @@ class TestVerdictConsistency:
             tested += 1
             r_corr, t_corr = diag_2x2(rho, tau)
             law = channels.KroneckerGaussian(np.zeros((2, 2)), r_corr, t_corr)
-            res = covopt.fixed_point_diag(law, gamma, np.eye(2),
+            res = covopt.fixed_point_diag(law, gamma,
                                           OptimizerOptions(tol=2e-2, samples=30_000,
                                                            max_iter=300,
                                                            seed=int(rng.integers(2**31))))

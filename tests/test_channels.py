@@ -33,7 +33,7 @@ def kappa_law(kappa, m0, sigma):
 class TestSampling:
     def test_point_mass_exact(self):
         h0 = np.array([[1.0, 2j], [0.5, 1.0]])
-        law = channels.PointMass(h0)
+        law = channels._point_mass(h0)
         for _ in range(3):
             assert np.array_equal(channels.sample_batch(law, 1, rng())[0], h0)
 
@@ -177,7 +177,7 @@ class TestSampling:
     @pytest.mark.parametrize("law", [
         channels.MatrixGaussian(np.ones((2, 3)), np.diag(np.linspace(0.5, 1.5, 6))),
         channels.FiniteMixture([0.3, 0.7], [np.ones((2, 3)), np.eye(2, 3)]),
-        channels.PointMass(np.arange(6.0).reshape(2, 3)),
+        channels._point_mass(np.arange(6.0).reshape(2, 3)),
     ], ids=["matrix-gaussian", "mixture", "point"])
     def test_projected_draws_of_other_laws_are_sample_batch_times_p(self, law):
         p = rng(18).normal(size=(3, 2)) + 1j * rng(19).normal(size=(3, 2))
@@ -554,7 +554,7 @@ class TestSpecialFunctions:
 
 class TestEmpiricalDensity:
     def test_point_mass_law_collapses_to_masses(self):
-        law = channels.PointMass(np.diag([np.sqrt(2.0), 1.0]))
+        law = channels._point_mass(np.diag([np.sqrt(2.0), 1.0]))
         d = channels.empirical_density(law, 1000, rng(13))
         assert isinstance(d, channels.PointMassDensity)
         assert np.allclose(d.values, [1.0, 2.0])
@@ -694,7 +694,7 @@ class TestOnOffDensity:
 
 class TestLawMoments:
     @pytest.mark.parametrize("law,mean", [
-        (channels.PointMass(np.array([[1.0, 2j], [0.5, 1.0]])),
+        (channels._point_mass(np.array([[1.0, 2j], [0.5, 1.0]])),
          np.array([[1.0, 2j], [0.5, 1.0]])),
         (IID_2x2, np.zeros((2, 2))),
         (channels.KroneckerGaussian(np.ones((2, 2)), np.diag([1.5, 0.5]),
@@ -813,7 +813,7 @@ class TestExactMi:
         z, eye = np.zeros((2, 2)), np.eye(2)
         assert not channels.KroneckerGaussian(np.ones((2, 2)), eye, eye).exact
         assert not channels.KroneckerGaussian(z, np.diag([1.0, 0.9]), eye).exact
-        assert not channels.PointMass(eye).exact
+        assert not channels._point_mass(eye).exact
         with pytest.raises(ValueError):
             channels.KroneckerGaussian(z, np.diag([1.0, 0.9]), eye).exact_mi(eye / 2, 1.0)
 
@@ -973,13 +973,12 @@ class TestExactMi:
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2), (4, 4)], ids=str)
     @pytest.mark.parametrize("kind", ["generic", "one-off", "coincident"])
-    def test_power_hessian_over_any_basis_matches_differences(self, shape, kind):
-        # a Haar basis does not diagonalize T: Lewis & Sendov's second term;
-        # q = I/t on R = T = I makes every sigma coincide
+    def test_power_hessian_matches_differences(self, shape, kind):
+        # the powers are over the law's basis; q = I/t on R = T = I makes every sigma coincide
         r, t = shape
         law = _exact_law(r, t) if kind != "coincident" else channels.KroneckerGaussian(
             np.zeros((r, t)), np.eye(r), np.eye(t))
-        u = linalg.haar_unitary(t, rng(7 * t))
+        u = law.diag_basis
         q = np.full(t, 1.0 / t) if kind == "coincident" else rng(t).uniform(0.2, 1.0, t)
         if kind == "one-off":
             q[0] = 0.0
@@ -989,7 +988,7 @@ class TestExactMi:
             g = law.exact_mi((u * p) @ u.conj().T, 1.3)[1]
             return np.einsum("ik,ij,jk->k", u.conj(), g, u).real
 
-        mi, g, hess = law.exact_powers(u, q, 1.3)
+        mi, g, hess = law.exact_powers(q, 1.3)
         assert abs(mi - law.exact_mi((u * q) @ u.conj().T, 1.3)[0]) <= 1e-12 * mi
         assert np.abs(g - grad(q)).max() <= 1e-12 * np.abs(g).max()
         for k in np.flatnonzero(q):
@@ -1024,7 +1023,8 @@ class TestExactMi:
         got_mi, got_grad = law.exact_mi(np.diag(q), gamma)
         assert got_mi == pytest.approx(mi, rel=1e-12, abs=0)
         assert np.abs(got_grad - np.diag(grad)).max() <= 1e-12 * max(grad)
-        ref_mi, ref_grad, _ = law.exact_powers(np.eye(t), np.asarray(q), gamma)
+        assert np.array_equal(law.diag_basis, np.eye(t))  # tau descends
+        ref_mi, ref_grad, _ = law.exact_powers(np.asarray(q), gamma)
         assert abs(got_mi - ref_mi) <= 1e-10 * ref_mi
         assert np.abs(np.diag(got_grad).real - ref_grad).max() <= 1e-6 * ref_grad.max()
 
@@ -1033,7 +1033,7 @@ class TestExactMi:
         u = law.diag_basis
         tau = np.einsum("ik,ij,jk->k", u.conj(), law.tx_corr, u).real
         q = np.array([0.5, 0.3, 0.2])
-        mi, g, hess = law.exact_powers(u, q, 2.0)
+        mi, g, hess = law.exact_powers(q, 2.0)
         ref = channels._log_det_moment(3, 2.0 * 0.8 * tau * q)
         assert mi == ref[0]
         assert np.array_equal(hess, (1.6 ** 2) * np.outer(tau, tau) * ref[2])
@@ -1041,8 +1041,6 @@ class TestExactMi:
 
 #: one law of each kind and its descriptor, written out as users write it
 DESCRIPTORS = [
-    (channels.PointMass(np.array([[1.0 + 2j, 0.0], [0.5, 1.0]])),
-     {"type": "point", "h": [[[1.0, 2.0], [0.0, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]}),
     (channels.MatrixGaussian(np.array([[0.5j, 0.0]]), np.diag([2.0, 1.0])),
      {"type": "gaussian", "mean": [[[0.0, 0.5], [0.0, 0.0]]],
       "cov": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}),
@@ -1053,6 +1051,9 @@ DESCRIPTORS = [
      {"type": "mixture", "weights": [0.25, 0.75], "atoms": [[[[1.0, 0.0]]], [[[0.0, 1.0]]]]}),
 ]
 DESCRIPTOR_IDS = [desc["type"] for _, desc in DESCRIPTORS]
+#: a deterministic channel's descriptor; it is read as the one-atom mixture of ``h``
+POINT_H = np.array([[1.0 + 2j, 0.0], [0.5, 1.0]])
+POINT_DESC = {"type": "point", "h": [[[1.0, 2.0], [0.0, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]}
 
 
 class TestJsonDescriptors:
@@ -1065,7 +1066,21 @@ class TestJsonDescriptors:
             a, b = getattr(back, f.name), getattr(law, f.name)
             assert np.array_equal(np.asarray(a), np.asarray(b))
 
-    @pytest.mark.parametrize("desc", [desc for _, desc in DESCRIPTORS], ids=DESCRIPTOR_IDS)
+    def test_point_descriptor_is_a_one_atom_mixture(self):
+        law = channels.law_from_json(json.dumps(POINT_DESC))
+        assert type(law) is channels.FiniteMixture
+        assert np.array_equal(law.weights, [1.0]) and len(law.atoms) == 1
+        assert np.array_equal(law.atoms[0], POINT_H)
+        doc = channels.law_to_json(law)
+        assert doc == {"type": "mixture", "weights": [1.0], "atoms": [POINT_DESC["h"]]}
+        back = channels.law_from_json(doc)
+        assert np.array_equal(back.weights, law.weights)
+        assert np.array_equal(back.atoms[0], law.atoms[0])
+        with pytest.raises(ValueError, match="^'point' descriptor field 'h': "):
+            channels.law_from_json({"type": "point", "h": "identity"})
+
+    @pytest.mark.parametrize("desc", [desc for _, desc in DESCRIPTORS] + [POINT_DESC],
+                             ids=DESCRIPTOR_IDS + ["point"])
     def test_missing_key_is_named(self, desc):
         for key in set(desc) - {"type"}:
             partial = {k: v for k, v in desc.items() if k != key}
@@ -1073,7 +1088,7 @@ class TestJsonDescriptors:
                 channels.law_from_json(partial)
 
     @pytest.mark.parametrize("law", [
-        channels.PointMass(np.array([[1.0 + 2j, 0.0], [0.5, 1.0]])),
+        channels._point_mass(POINT_H),
         IID_2x2,
         channels.KroneckerGaussian(np.ones((2, 2)), np.diag([1.5, 0.5]),
                                    np.diag([0.7, 1.3])),

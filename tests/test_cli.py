@@ -29,6 +29,12 @@ POINT_21_JSON = json.dumps({
     "h": [[[np.sqrt(2.0), 0], [0, 0]], [[0, 0], [1, 0]]],
 })
 
+#: two equally likely atoms diag(10, 0) and diag(0, 1.6^1/2): E[H^H H] = diag(50, 0.8), and the
+#: weak mode takes q = 0.1925, where 0.8 / (1 + 1.6 q) = 50 / (1 + 100 (1 - q))
+DIAGONAL_MIXTURE_JSON = json.dumps({"type": "mixture", "weights": [0.5, 0.5], "atoms": [
+    [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [np.sqrt(1.6), 0.0]]]]})
+
 RICEAN_2x2_JSON = json.dumps({
     "type": "kronecker",
     "mean": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
@@ -180,15 +186,23 @@ class TestOptimizeCommand:
         assert len(rows) == doc["iterations"]
 
     def test_mixture_is_solved_exactly(self):
-        # two equally likely atoms diag(10, 0) and diag(0, 1.6^1/2): the weak mode takes
-        # q = 0.1925, where 0.8 / (1 + 1.6 q) = 50 / (1 + 100 (1 - q))
-        law = json.dumps({"type": "mixture", "weights": [0.5, 0.5], "atoms": [
-            [[[10.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [np.sqrt(1.6), 0.0]]]]})
-        rc, out = run_cli(["optimize", "--channel", law, "--snr", "1"])
+        rc, out = run_cli(["optimize", "--channel", DIAGONAL_MIXTURE_JSON, "--snr", "1"])
         doc = json.loads(out)
         assert rc == 0 and doc["converged"] is True and doc["mi_se"] == 0.0
         assert doc["kkt_residual"] <= 1e-9 and abs(min(doc["eigenvalues"]) - 0.1925) <= 1e-9
+        exact = 0.5 * (np.log(1 + 100 * 0.8075) + np.log(1 + 1.6 * 0.1925))
+        assert doc["mi"] == pytest.approx(exact, rel=1e-12)
+
+    def test_mixture_of_diagonal_atoms_takes_the_diag_method(self):
+        # every atom's Gram is diagonal in E[H^H H]'s eigenvectors, the identity: the law
+        # states that basis, and the powers over it reach the same exact optimum
+        assert np.array_equal(channels.law_from_json(DIAGONAL_MIXTURE_JSON).diag_basis, np.eye(2))
+        rc, out = run_cli(["optimize", "--channel", DIAGONAL_MIXTURE_JSON, "--snr", "1",
+                           "--method", "diag"])
+        doc = json.loads(out)
+        assert rc == 0 and doc["converged"] is True and doc["mi_se"] == 0.0
+        q = np.asarray(doc["q"])  # [re, im] pairs
+        assert np.all(q[0, 1] == 0.0) and abs(q[1, 1, 0] - 0.1925) <= 1e-9
         exact = 0.5 * (np.log(1 + 100 * 0.8075) + np.log(1 + 1.6 * 0.1925))
         assert doc["mi"] == pytest.approx(exact, rel=1e-12)
 

@@ -5,7 +5,8 @@ Every other module reads what a law or density says of itself (``support``,
 is one class in ``channels`` and nothing else to thread through. A law's
 ``support`` is summed over its atoms and weights wherever it is read, and no
 module tests how many atoms it has. The CLI
-reads its SNR flags in one place, and each figure is one entry of one table
+reads its SNR flags in one place; only the diagonal solve reads a law's
+``diag_basis``, so no caller chooses a basis, and each figure is one entry of one table
 (``cli._FIGURES``): no code outside it tests a figure id.
 Per-draw reductions draw their channels in blocks, never as one whole pool,
 and the covariance solvers reduce their pools one block at a time. One
@@ -54,15 +55,15 @@ def channel_class_tests(source: str, filename: str) -> list:
 
 
 def test_the_guard_knows_every_family_and_sees_every_spelling():
-    assert {"ChannelLaw", "PointMass", "MatrixGaussian", "KroneckerGaussian", "FiniteMixture",
+    assert {"ChannelLaw", "MatrixGaussian", "KroneckerGaussian", "FiniteMixture",
             "EigDensity", "WishartDensity", "EmpiricalDensity",
             "PointMassDensity"} <= CHANNEL_CLASSES
-    snippet = ("isinstance(law, PointMass)\n"
+    snippet = ("isinstance(law, FiniteMixture)\n"
                "isinstance(law, channels.MatrixGaussian)\n"
                "isinstance(d, (int, EmpiricalDensity))\n"
                "isinstance(x, (int, float))\n")
     assert channel_class_tests(snippet, "x.py") == [
-        "x.py:1 PointMass", "x.py:2 MatrixGaussian", "x.py:3 EmpiricalDensity"]
+        "x.py:1 FiniteMixture", "x.py:2 MatrixGaussian", "x.py:3 EmpiricalDensity"]
 
 
 def test_no_module_but_channels_tests_a_law_or_density_class():
@@ -162,6 +163,42 @@ def call_sites(source: str, filename: str, name: str) -> list:
 
     visit(ast.parse(source, filename), "<module>")
     return found
+
+
+def attribute_reads(source: str, filename: str, name: str) -> list:
+    """``file:line function`` for each ``x.name``, with the innermost function it sits in."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            found.append(f"{filename}:{node.lineno} {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source, filename), "<module>")
+    return found
+
+
+def test_attribute_reads_sees_reads_in_functions_and_at_module_level():
+    snippet = ("def f(law):\n"
+               "    return law.diag_basis\n"
+               "u = law.diag_basis @ v\n"
+               "diag_basis = None\n")
+    assert attribute_reads(snippet, "x.py", "diag_basis") == ["x.py:2 f", "x.py:3 <module>"]
+
+
+def test_only_the_diagonal_solve_reads_a_laws_basis():
+    # the law states the basis that diagonalizes its optimum; no caller chooses one
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "channels.py":
+            found.update(f"{f.split(':')[0]} {f.split(' ')[1]}" for f in
+                         attribute_reads(path.read_text(encoding="utf-8"), path.name,
+                                         "diag_basis"))
+    assert found == {"covopt.py fixed_point_diag"}
+    assert "basis" not in inspect.signature(covopt.fixed_point_diag).parameters
 
 
 def test_call_sites_sees_names_attributes_and_lambdas():

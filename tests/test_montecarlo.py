@@ -43,7 +43,7 @@ def random_hermitian(rng, n):
 class TestErgodicMi:
     def test_point_mass_exact(self):
         h0 = np.array([[1.0, 0.2], [0.0, 0.8j]])
-        law = channels.PointMass(h0)
+        law = channels._point_mass(h0)
         q = np.diag([0.6, 0.4]).astype(complex)
         est = ergodic_mi(q, law, 1.3, samples=10, rng=0)
         expect = log_det_plus(1.3 * h0.conj().T @ h0, q)
@@ -130,7 +130,7 @@ def test_ergodic_mi_draws_through_the_shared_blocks():
         n, lambda k: _thin_log_dets(RICEAN_4x4.sample_gram(k, gen, p), 1.0)))
     assert (est.mean, est.se, est.samples) == (ref.mean, ref.se, ref.samples)
     # a one-atom law is exact whatever the sample count; a pooled one needs two draws
-    atom = channels.PointMass(np.diag([1.0, 0.5]))
+    atom = channels._point_mass(np.diag([1.0, 0.5]))
     for q in (np.eye(2) / 2, np.diag([1.0, 0.0])):
         assert ergodic_mi(q, atom, 2.0, 1, seed).se == 0.0
     with pytest.raises(ValueError, match="need at least 2 samples, got 1"):

@@ -31,7 +31,7 @@ LEVEL_DENSITIES = [
         channels.KroneckerGaussian(np.diag([2.0, 0.0, 0.0]), np.eye(3), np.eye(3)),
         10_000, SeededStream(2).generator()),
     channels.onoff_density(2, 0.4),
-    channels.empirical_density(channels.PointMass(np.diag([np.sqrt(2.0), 1.0, 0.1])),
+    channels.empirical_density(channels._point_mass(np.diag([np.sqrt(2.0), 1.0, 0.1])),
                                1000, SeededStream(3).generator()),
 ]
 LEVEL_IDS = ["wishart-1x1", "wishart-2x2", "wishart-2x4", "wishart-4x4", "pool-kronecker",
@@ -333,7 +333,7 @@ def _naive_sources():
     onoff = channels.onoff_density(3, 0.4)
     combos = list(itertools.product([0, 1], repeat=3))
     return [
-        pytest.param(channels.PointMass(h0), channels.gram_eigs(h0[None]), None,
+        pytest.param(channels._point_mass(h0), channels.gram_eigs(h0[None]), None,
                      id="point-mass"),
         pytest.param(channels.FiniteMixture([0.2, 0.5, 0.3], atoms),
                      channels.gram_eigs(np.stack(atoms)), [0.2, 0.5, 0.3], id="mixture"),
@@ -361,7 +361,7 @@ def test_naive_rate_is_mean_of_per_row_waterfill(source, rows, weights):
 
 class TestNaiveBaseline:
     def test_point_mass_law_equals_space_time(self):
-        law = channels.PointMass(np.diag([np.sqrt(2.0), 1.0]))
+        law = channels._point_mass(np.diag([np.sqrt(2.0), 1.0]))
         d = channels.empirical_density(law, 1000, np.random.default_rng(5))
         xi = waterfill.st_water_level(d, 1.0)
         st = waterfill.st_capacity(d, xi)
